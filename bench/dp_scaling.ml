@@ -54,7 +54,6 @@ type run = {
   type_widths : int array;
   arena : int;
   minor_words : float;
-  major_words : float;
 }
 
 let time_run ~iters f =
@@ -115,7 +114,6 @@ let scenario ?(lib = lib) ?suffix ?budget_frac ~iters ~sinks ~noise ~kmax () =
     (* per-run Gc deltas measured by the DP itself; minor words are the
        allocation-pressure headline the trace-arena refactor targets *)
     minor_words = outcome.Bufins.Dp.stats.Bufins.Dp.minor_words;
-    major_words = outcome.Bufins.Dp.stats.Bufins.Dp.major_words;
   }
 
 let json_of_run r =
@@ -123,14 +121,13 @@ let json_of_run r =
     "    {\"name\": \"%s\", \"sinks\": %d, \"noise\": %b, \"kmax\": %s, \"lib_size\": %d, \
      \"wall_seconds\": %.6f, \"slack\": %.6e, \"energy\": %.6e, \"generated\": %d, \
      \"pruned\": %d, \"pred_pruned\": %d, \"power_pruned\": %d, \"peak_width\": %d, \
-     \"type_widths\": [%s], \"arena_nodes\": %d, \"minor_words\": %.0f, \"major_words\": \
-     %.0f}"
+     \"type_widths\": [%s], \"arena_nodes\": %d, \"minor_words\": %.0f}"
     r.name r.sinks r.noise
     (match r.kmax with None -> "null" | Some k -> string_of_int k)
     r.lib_size r.seconds r.slack r.energy r.generated r.pruned r.pred_pruned r.power_pruned
     r.peak_width
     (String.concat ", " (Array.to_list (Array.map string_of_int r.type_widths)))
-    r.arena r.minor_words r.major_words
+    r.arena r.minor_words
 
 let () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
@@ -177,11 +174,11 @@ let () =
     (fun r ->
       Printf.printf
         "%-28s %10.3f s wall  slack %+.1f ps  energy %.1f fJ  generated %d  pruned %d  \
-         pred-pruned %d  power-pruned %d  peak width %d  arena %d  alloc %.1f/%.1f Mwords \
-         minor/major\n%!"
+         pred-pruned %d  power-pruned %d  peak width %d  arena %d  alloc %.1f Mwords \
+         minor\n%!"
         r.name r.seconds (r.slack *. 1e12) (r.energy *. 1e15) r.generated r.pruned
         r.pred_pruned r.power_pruned r.peak_width r.arena
-        (r.minor_words /. 1e6) (r.major_words /. 1e6))
+        (r.minor_words /. 1e6))
     runs;
   let oc = open_out out_path in
   Printf.fprintf oc "{\n  \"engine\": \"predictive\",\n  \"smoke\": %b,\n  \"runs\": [\n%s\n  ]\n}\n"

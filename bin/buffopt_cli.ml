@@ -51,11 +51,10 @@ let run_cmd file algo seg_um kmax simulate =
           let s = r.Bufins.Buffopt.stats in
           Printf.printf
             "engine: candidates generated=%d pruned=%d pred-pruned=%d power-pruned=%d \
-             peak-frontier=%d trace-arena=%d alloc=%.1f/%.1f Mwords minor/major\n"
+             peak-frontier=%d trace-arena=%d alloc=%.1f Mwords minor\n"
             s.Bufins.Dp.generated s.Bufins.Dp.pruned s.Bufins.Dp.pred_pruned
             s.Bufins.Dp.power_pruned s.Bufins.Dp.peak_width s.Bufins.Dp.arena
-            (s.Bufins.Dp.minor_words /. 1e6)
-            (s.Bufins.Dp.major_words /. 1e6);
+            (s.Bufins.Dp.minor_words /. 1e6);
           List.iter
             (fun (p : Rctree.Surgery.placement) ->
               Printf.printf "  insert %s on the parent wire of node %d, %.1f um above it\n"
@@ -245,11 +244,11 @@ let client_cmd socket port script =
 
 let mutation_of_string = function
   | "" -> Ok None
-  | "cq-noise-prune" -> Ok (Some Bufins.Dp.Cq_noise_prune)
-  | "no-attach-guard" -> Ok (Some Bufins.Dp.No_attach_guard)
-  | "loose-pred-bound" -> Ok (Some Bufins.Dp.Loose_pred_bound)
-  | "stale-memo" -> Ok (Some Bufins.Dp.Stale_memo)
-  | "bad-power-bound" -> Ok (Some Bufins.Dp.Bad_power_bound)
+  | "cq-noise-prune" -> Ok (Some Check.Diff.Cq_noise_prune)
+  | "no-attach-guard" -> Ok (Some Check.Diff.No_attach_guard)
+  | "loose-pred-bound" -> Ok (Some Check.Diff.Loose_pred_bound)
+  | "stale-memo" -> Ok (Some Check.Diff.Stale_memo)
+  | "bad-power-bound" -> Ok (Some Check.Diff.Bad_power_bound)
   | s ->
       Error
         ("bad mutation (want cq-noise-prune, no-attach-guard, loose-pred-bound, \

@@ -30,7 +30,7 @@ let run ~lib tree =
     | T.Sink _ | T.Internal | T.Buffered _ -> assert false
   in
   let st, acc =
-    if r_drv *. st.Wireclimb.i <= st.Wireclimb.ns +. 1e-12 then (st, acc)
+    if r_drv *. st.Wireclimb.i <= st.Wireclimb.ns +. Candidate.noise_tol then (st, acc)
     else begin
       (* Step 5: the source itself is too noisy; decouple it with a buffer
          immediately below (only helps because r_b < r_drv) *)

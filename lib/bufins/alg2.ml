@@ -83,7 +83,7 @@ let run ~lib tree =
         List.iter
           (fun r ->
             let i = l.i +. r.i and ns = Float.min l.ns r.ns in
-            if r_b *. i <= ns +. 1e-12 then
+            if r_b *. i <= ns +. Candidate.noise_tol then
               (* Step 7: merging is noise-safe *)
               out := { i; ns; count = l.count + r.count; tr = join l r } :: !out
             else begin
@@ -92,7 +92,7 @@ let run ~lib tree =
                  so generate both (when rescuable) *)
               let forced side_node side_wire (decoupled : cand) (other : cand) =
                 let i = other.i and ns = Float.min nm_b other.ns in
-                if r_b *. i <= ns +. 1e-12 then
+                if r_b *. i <= ns +. Candidate.noise_tol then
                   Some
                     {
                       i;
@@ -132,7 +132,7 @@ let run ~lib tree =
     | [ c ] ->
         List.filter_map
           (fun cand ->
-            if r_drv *. cand.i <= cand.ns +. 1e-12 then Some cand
+            if r_drv *. cand.i <= cand.ns +. Candidate.noise_tol then Some cand
             else
               (* Step 5: decouple the source (r_b < r_drv must hold, which
                  the rescuability invariant guarantees) *)
@@ -145,13 +145,13 @@ let run ~lib tree =
         let options l r =
           let plain =
             let i = l.i +. r.i and ns = Float.min l.ns r.ns in
-            if r_drv *. i <= ns +. 1e-12 then
+            if r_drv *. i <= ns +. Candidate.noise_tol then
               [ { i; ns; count = l.count + r.count; tr = join l r } ]
             else []
           in
           let one_side (decoupled : cand) (other : cand) child =
             let i = other.i and ns = Float.min nm_b other.ns in
-            if r_drv *. i <= ns +. 1e-12 then begin
+            if r_drv *. i <= ns +. Candidate.noise_tol then begin
               let joined =
                 {
                   decoupled with

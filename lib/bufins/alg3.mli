@@ -16,7 +16,7 @@
     values run the same engine here. *)
 
 val run :
-  ?pruning:[ `Predictive | `Predictive_power | `Sweep_only ] ->
+  ?pruning:[ `Predictive | `Sweep_only ] ->
   ?memo:Dp.Memo.t ->
   lib:Tech.Buffer.t list ->
   Rctree.Tree.t ->
@@ -28,7 +28,7 @@ val run :
     generated / pruned, peak frontier width). *)
 
 val by_count :
-  ?pruning:[ `Predictive | `Predictive_power | `Sweep_only ] ->
+  ?pruning:[ `Predictive | `Sweep_only ] ->
   ?memo:Dp.Memo.t ->
   kmax:int ->
   lib:Tech.Buffer.t list ->

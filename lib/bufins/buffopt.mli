@@ -19,7 +19,7 @@ type t = {
 }
 
 val problem3 :
-  ?pruning:[ `Predictive | `Predictive_power | `Sweep_only ] ->
+  ?pruning:[ `Predictive | `Sweep_only ] ->
   ?memo:Dp.Memo.t ->
   kmax:int ->
   lib:Tech.Buffer.t list ->
@@ -51,7 +51,7 @@ val optimize :
   ?seg_len:float ->
   ?kmax:int ->
   ?retries:int ->
-  ?pruning:[ `Predictive | `Predictive_power | `Sweep_only ] ->
+  ?pruning:[ `Predictive | `Sweep_only ] ->
   algorithm ->
   lib:Tech.Buffer.t list ->
   Rctree.Tree.t ->
@@ -67,7 +67,7 @@ val optimize :
 
 val optimize_prepared :
   ?kmax:int ->
-  ?pruning:[ `Predictive | `Predictive_power | `Sweep_only ] ->
+  ?pruning:[ `Predictive | `Sweep_only ] ->
   ?memo:Dp.Memo.t ->
   algorithm ->
   lib:Tech.Buffer.t list ->
@@ -107,7 +107,7 @@ val optimize_coupled :
   ?seg_len:float ->
   ?kmax:int ->
   ?retries:int ->
-  ?pruning:[ `Predictive | `Predictive_power | `Sweep_only ] ->
+  ?pruning:[ `Predictive | `Sweep_only ] ->
   algorithm ->
   lib:Tech.Buffer.t list ->
   Coupling.t ->

@@ -47,12 +47,14 @@ let add_buffer ~arena ~at (b : Tech.Buffer.t) a =
     tr = float_of_int (Trace.buf arena ~node:at ~dist:0.0 ~buffer:b ~pred:(trace a));
   }
 
-let resize ~arena ~node ~width a =
-  { a with tr = float_of_int (Trace.resize arena ~node ~width ~pred:(trace a)) }
-
 let add_driver (d : T.driver) a = { a with q = a.q -. (d.T.d_drv +. (d.T.r_drv *. a.c)) }
 
-let noise_ok ?(eps = 1e-12) ~r_gate a = r_gate *. a.i <= a.ns +. eps
+(* One tolerance for every noise-attach and noise-slack test of the
+   buffer-insertion algorithms: far below any real margin, it absorbs only
+   the rounding of the accumulated noise slack. *)
+let noise_tol = 1e-12
+
+let noise_ok ~r_gate a = r_gate *. a.i <= a.ns +. noise_tol
 
 let merge ~arena a b =
   assert (parity a = parity b);
@@ -69,9 +71,7 @@ let merge ~arena a b =
 
 let dominates a b = a.c <= b.c && a.q >= b.q
 
-let dominates_full a b = a.c <= b.c && a.q >= b.q && a.i <= b.i && a.ns >= b.ns
-
-let dominates_noise a b = a.i <= b.i && a.ns >= b.ns && count a <= count b
+let[@inline] dominates_full a b = a.c <= b.c && a.q >= b.q && a.i <= b.i && a.ns >= b.ns
 
 let cmp_frontier a b =
   match Float.compare a.c b.c with
@@ -82,106 +82,162 @@ let cmp_frontier a b =
       | n -> n)
   | n -> n
 
-(* Power-mode relations (DESIGN.md §16). These extend the delay / noise
-   dominance with the energy axis; they live beside — never instead of —
-   the classic relations so that power-off runs execute byte-identical
-   code paths. *)
-
-let dominates_power a b = a.c <= b.c && a.q >= b.q && a.p <= b.p
-
-let dominates_full_power a b =
-  a.c <= b.c && a.q >= b.q && a.i <= b.i && a.ns >= b.ns && a.p <= b.p
-
+(* the power-mode group order (DESIGN.md §16): it lives beside — never
+   instead of — the classic one, so power-off runs sort exactly as
+   before *)
 let cmp_frontier_power a b =
   match cmp_frontier a b with 0 -> Float.compare a.p b.p | n -> n
 
-(* Monomorphic fast paths for the DP inner loops. These are the
-   {!Frontier} sweeps and the Van Ginneken merge walk instantiated at
-   [t] with direct field access — without flambda the generic versions
-   pay an indirect call per element, which dominates the engine's run
-   time. Property tests pin them against the generic versions. *)
+(* The (load, slack) staircase, shared by every delay-mode sweep, splice
+   and predictive kill site (Li & Shi; DESIGN.md §12). [bound] is the
+   node's {!Rctree.Upbound} value: every upstream operation costs a
+   candidate at least [bound] seconds of slack per farad of extra load,
+   so a would-be candidate at (c, q) whose slack lead over a lighter
+   same-group survivor [k] is below [bound *. dc] can never strictly win
+   at the source. With [bound = 0] the rule is plain dominance
+   ([k.q >= q]). Every kill compares against survivors of the same
+   (parity, bucket) group, which keeps every optimizer outcome
+   byte-identical to the sweep-only engine's: the witness either still
+   dominates at the source or plainly kills the victim at the next
+   sweep. *)
+
+let[@inline] kills ~bound (k : t) c q =
+  k.q >= q || (c > k.c && q -. k.q < bound *. (c -. k.c))
+
+(* Where a would-be candidate at (c, q), arriving in [cmp_frontier]
+   order, lands on the newest-first staircase [kept]:
+   0 — on top of [kept];
+   1 — killed by the newest survivor;
+   2 — it retro-dominates the newest survivor (equal load, no better
+       slack), which is dropped, and lands on the tail;
+   3 — as 2, but the next survivor then kills it.
+   An int code rather than a variant so the caller decides whether to
+   materialize anything, and nothing is allocated to say so. *)
+let[@inline] stair ~bound kept c q =
+  match kept with
+  | k :: tl when k.c = c && k.q <= q -> (
+      match tl with k2 :: _ when kills ~bound k2 c q -> 3 | _ -> 2)
+  | k :: _ when kills ~bound k c q -> 1
+  | _ -> 0
+
+(* the staircase push of an already-materialized candidate *)
+let push dropped kept x =
+  match stair ~bound:0.0 kept x.c x.q with
+  | 0 -> x :: kept
+  | 1 ->
+      incr dropped;
+      kept
+  | 2 ->
+      incr dropped;
+      x :: List.tl kept
+  | _ ->
+      dropped := !dropped + 2;
+      List.tl kept
 
 let sweep_delay l =
   let dropped = ref 0 in
-  (* input sorted by cmp_frontier; kept is newest-first *)
-  let rec go kept = function
-    | [] -> (List.rev kept, !dropped)
-    | x :: rest -> (
-        match kept with
-        | k :: tl when k.c = x.c && k.q <= x.q -> (
-            (* x retro-dominates the newest survivor (equal load) *)
-            incr dropped;
-            match tl with
-            | k2 :: _ when k2.q >= x.q ->
-                incr dropped;
-                go tl rest
-            | _ -> go (x :: tl) rest)
-        | k :: _ when k.q >= x.q ->
-            incr dropped;
-            go kept rest
-        | _ -> go (x :: kept) rest)
-  in
-  go [] l
+  let kept = List.fold_left (push dropped) [] l in
+  (List.rev kept, !dropped)
 
-let sweep_noise l =
+let splice_delay group cands =
+  (* = sweep_delay (List.merge cmp_frontier group cands) when [group] is
+     already a swept staircase (strictly increasing c and q — every
+     group between sweeps is). Once [cands] is exhausted and the newest
+     survivor can neither be retro-killed by nor kill the next group
+     element, the rest of the staircase is final and is returned as-is:
+     the common case (a few buffer insertions near the front of a wide
+     frontier) shares almost the whole group tail instead of re-consing
+     it. Drop counting is identical to the unfused composition. *)
+  let dropped = ref 0 in
+  let rec go kept g c =
+    match c with
+    | [] -> finish kept g
+    | x :: ctl -> (
+        match g with
+        | [] -> go (push dropped kept x) [] ctl
+        | y :: gtl ->
+            if cmp_frontier y x <= 0 then go (push dropped kept y) gtl c
+            else go (push dropped kept x) g ctl)
+  and finish kept g =
+    match (kept, g) with
+    | _, [] -> (List.rev kept, !dropped)
+    | k :: _, y :: gtl when k.c = y.c || k.q >= y.q -> finish (push dropped kept y) gtl
+    | _ ->
+        (* the next element survives and, by the staircase invariant, so
+           does the rest of the group: share the tail *)
+        (List.rev_append kept g, !dropped)
+  in
+  go [] group cands
+
+let covered ~bound ~c ~q group =
+  let rec go = function
+    | (k : t) :: tl when k.c <= c -> kills ~bound k c q || go tl
+    | _ -> false
+  in
+  go group
+
+(* an all-NaN candidate: every comparison with it is false, so it
+   kills nothing — the "no candidate emitted yet" of [climb] *)
+let nothing = { c = nan; q = nan; i = nan; ns = nan; p = nan; meta = nan; tr = nan }
+
+let climb ?bound ?resize w group =
+  (* [add_wire] over a sorted group; with [bound], a climbed candidate
+     the previously emitted one kills is never materialized, and with
+     [resize] the survivors alone record their Resize arena node (the
+     kill reads only the coordinates). Tail-mod-cons, so the climbed
+     list is built in place, without a reversed copy. *)
+  let emitted = ref 0 and prekilled = ref 0 in
+  let[@tail_mod_cons] rec go prev = function
+    | [] -> []
+    | a :: tl -> (
+        let x = add_wire w a in
+        match bound with
+        | Some bound when kills ~bound prev x.c x.q ->
+            incr prekilled;
+            go prev tl
+        | _ -> (
+            incr emitted;
+            match resize with
+            | None -> x :: go x tl
+            | Some (arena, node, width) ->
+                let tr = Trace.resize arena ~node ~width ~pred:(trace x) in
+                let x = { x with tr = float_of_int tr } in
+                x :: go x tl))
+  in
+  let climbed = go nothing group in
+  (climbed, !emitted, !prekilled)
+
+(* [Frontier.sweep_dom ~cost:c] under [dominates_full], strengthened
+   with [k.p <= x.p] under [power]: the noise-mode sweep, quadratic per
+   group. It is the noise DP's innermost loop, so the relation is
+   written out here instead of being called through a closure. With the
+   input sorted by load, the survivors of equal load — the only ones [x]
+   may retro-dominate — are the front of [kept]. *)
+let sweep_noise ~power l =
   let dropped = ref 0 in
   let rec dominated x = function
     | [] -> false
-    | k :: tl -> dominates_full k x || dominated x tl
+    | k :: tl -> (dominates_full k x && ((not power) || k.p <= x.p)) || dominated x tl
   in
-  (* equal-load survivors sit at the front of the (reversed) kept list;
-     x may retro-dominate some of them *)
-  let rec strip_ties x kept =
-    match kept with
+  let rec strip x = function
     | k :: tl when k.c = x.c ->
-        let tl = strip_ties x tl in
-        if dominates_full x k then begin
+        let tl = strip x tl in
+        if dominates_full x k && ((not power) || x.p <= k.p) then begin
           incr dropped;
           tl
         end
         else k :: tl
-    | _ -> kept
+    | kept -> kept
   in
-  let rec go kept = function
-    | [] -> (List.rev kept, !dropped)
-    | x :: rest ->
-        if dominated x kept then begin
-          incr dropped;
-          go kept rest
-        end
-        else go (x :: strip_ties x kept) rest
+  let push kept x =
+    if dominated x kept then begin
+      incr dropped;
+      kept
+    end
+    else x :: strip x kept
   in
-  go [] l
-
-(* Power-mode sweeps. The 5-axis noise sweep scans each survivor list
-   for dominance, exactly like [sweep_noise] — quadratic per group. *)
-
-let sweep_power_gen dom l =
-  let dropped = ref 0 in
-  let rec dominated x = function [] -> false | k :: tl -> dom k x || dominated x tl in
-  let rec strip_ties x kept =
-    match kept with
-    | k :: tl when k.c = x.c ->
-        let tl = strip_ties x tl in
-        if dom x k then begin
-          incr dropped;
-          tl
-        end
-        else k :: tl
-    | _ -> kept
-  in
-  let rec go kept = function
-    | [] -> (List.rev kept, !dropped)
-    | x :: rest ->
-        if dominated x kept then begin
-          incr dropped;
-          go kept rest
-        end
-        else go (x :: strip_ties x kept) rest
-  in
-  go [] l
-
-let sweep_noise_power l = sweep_power_gen dominates_full_power l
+  let kept = List.fold_left push [] l in
+  (List.rev kept, !dropped)
 
 module FM = Map.Make (Float)
 
@@ -268,255 +324,6 @@ let merge_delay_power ~emit lgroup rgroup =
   pass ~strict:false lgroup rgroup (fun a b -> emit a b);
   pass ~strict:true rgroup lgroup (fun b a -> emit a b)
 
-let merge_sweep_delay runs =
-  (* = sweep_delay (Frontier.merge_sorted cmp_frontier runs), with the
-     merged intermediate never materialized: a k-way selection on the
-     run heads feeds the staircase push directly. Ties go to the
-     earliest run — exactly the order the stable balanced pairwise
-     List.merge produces — so the survivors (and their trace handles)
-     are identical to the unfused composition. *)
-  let runs = Array.of_list runs in
-  let n = Array.length runs in
-  let dropped = ref 0 in
-  let pop () =
-    let best = ref (-1) in
-    for j = 0 to n - 1 do
-      match runs.(j) with
-      | [] -> ()
-      | x :: _ -> (
-          if !best < 0 then best := j
-          else
-            match runs.(!best) with
-            | y :: _ -> if cmp_frontier x y < 0 then best := j
-            | [] -> assert false)
-    done;
-    match !best with
-    | -1 -> None
-    | j -> (
-        match runs.(j) with
-        | x :: tl ->
-            runs.(j) <- tl;
-            Some x
-        | [] -> assert false)
-  in
-  let push kept x =
-    match kept with
-    | k :: tl when k.c = x.c && k.q <= x.q -> (
-        incr dropped;
-        match tl with
-        | k2 :: _ when k2.q >= x.q ->
-            incr dropped;
-            tl
-        | _ -> x :: tl)
-    | k :: _ when k.q >= x.q ->
-        incr dropped;
-        kept
-    | _ -> x :: kept
-  in
-  let rec go kept = match pop () with None -> (List.rev kept, !dropped) | Some x -> go (push kept x) in
-  go []
-
-let splice_delay group cands =
-  (* = sweep_delay (List.merge cmp_frontier group cands) when [group] is
-     already a swept staircase (strictly increasing c and q — every
-     group between sweeps is). Once [cands] is exhausted and the newest
-     survivor can neither be retro-killed by nor dominate the next group
-     element, the rest of the staircase is final and is returned as-is:
-     the common case (a few buffer insertions near the front of a wide
-     frontier) shares almost the whole group tail instead of re-consing
-     it. Drop counting is identical to the unfused composition. *)
-  let dropped = ref 0 in
-  let push kept x =
-    match kept with
-    | k :: tl when k.c = x.c && k.q <= x.q -> (
-        incr dropped;
-        match tl with
-        | k2 :: _ when k2.q >= x.q ->
-            incr dropped;
-            tl
-        | _ -> x :: tl)
-    | k :: _ when k.q >= x.q ->
-        incr dropped;
-        kept
-    | _ -> x :: kept
-  in
-  let rec go kept g c =
-    match c with
-    | [] -> finish kept g
-    | x :: ctl -> (
-        match g with
-        | [] -> go (push kept x) [] ctl
-        | y :: gtl ->
-            if cmp_frontier y x <= 0 then go (push kept y) gtl c
-            else go (push kept x) g ctl)
-  and finish kept g =
-    match g with
-    | [] -> (List.rev kept, !dropped)
-    | y :: gtl -> (
-        match kept with
-        | k :: _ when k.c = y.c -> finish (push kept y) gtl
-        | k :: _ when k.q >= y.q ->
-            incr dropped;
-            finish kept gtl
-        | _ ->
-            (* y survives and, by the staircase invariant, so does all
-               of gtl: share the tail *)
-            (List.rev_append kept g, !dropped))
-  in
-  go [] group cands
-
-(* Predictive pruning (Li & Shi; DESIGN.md §12). [bound] is the node's
-   {!Rctree.Upbound} value: every upstream operation costs a candidate at
-   least [bound] seconds of slack per farad of extra load, so a candidate
-   whose slack lead over a lighter same-group candidate is below
-   [bound *. dc] can never strictly win at the source and is discarded
-   before it is materialized. All three kill sites compare against
-   already-emitted candidates of the same (parity, bucket) group, which
-   keeps the discard sound and every optimizer outcome byte-identical to
-   the sweep-only engine's (the witness either still dominates at the
-   source or plainly kills the victim at the next sweep). *)
-
-let pred_kills ~bound (k : t) (x : t) =
-  k.q >= x.q || (x.c > k.c && x.q -. k.q < bound *. (x.c -. k.c))
-
-(* Virtual witnesses: the coordinates of the buffer insertions a feasible
-   node will splice into this group, computed from the already-built
-   source group one bucket down (wc.(i), wq.(i), i < nw). The kill is
-   sound even when the insertion itself ends up covered — its killer
-   dominates or slope-kills it, and both relations compose — and it is
-   deliberately strict on exact (c, q) ties so the trace that survives a
-   tie is still decided by the ordinary splice, exactly as in the
-   sweep-only engine. *)
-let witness_kills ~bound ~wc ~wq ~nw ~c ~q =
-  let rec go i =
-    i < nw
-    && ((wc.(i) < c && q -. wq.(i) < bound *. (c -. wc.(i)))
-       || (wc.(i) = c && wq.(i) > q)
-       || go (i + 1))
-  in
-  go 0
-
-let covered ~bound ~c ~q group =
-  let rec go = function
-    | (k : t) :: tl when k.c <= c ->
-        k.q >= q || (c > k.c && q -. k.q < bound *. (c -. k.c)) || go tl
-    | _ -> false
-  in
-  go group
-
-(* Power-extended predictive kills (DESIGN.md §16): a witness may kill a
-   victim only when it also weakly dominates on the energy axis
-   ([k.p <= x.p]) — upstream buffers add the same energy to either
-   candidate, so the witness then completes with no worse slack {e and}
-   no worse energy, making the discard sound under a power budget. The
-   extension only ever prunes less than the classic rule. *)
-
-let pred_kills_power ~bound (k : t) (x : t) = pred_kills ~bound k x && k.p <= x.p
-
-let covered_power ~bound ~c ~q ~p group =
-  let rec go = function
-    | (k : t) :: tl when k.c <= c ->
-        (k.p <= p && (k.q >= q || (c > k.c && q -. k.q < bound *. (c -. k.c))))
-        || go tl
-    | _ -> false
-  in
-  go group
-
-let climb_pred_power ~bound w group =
-  let emitted = ref 0 and prekilled = ref 0 in
-  let rec go acc = function
-    | [] -> (List.rev acc, !emitted, !prekilled)
-    | a :: tl -> (
-        let x = add_wire w a in
-        match acc with
-        | k :: _ when pred_kills_power ~bound k x ->
-            incr prekilled;
-            go acc tl
-        | _ ->
-            incr emitted;
-            go (x :: acc) tl)
-  in
-  go [] group
-
-let climb_resize_pred_power ~arena ~bound ~node ~width w group =
-  let emitted = ref 0 and prekilled = ref 0 in
-  let rec go acc = function
-    | [] -> (List.rev acc, !emitted, !prekilled)
-    | a :: tl -> (
-        let x = add_wire w a in
-        match acc with
-        | k :: _ when pred_kills_power ~bound k x ->
-            incr prekilled;
-            go acc tl
-        | _ ->
-            incr emitted;
-            go (resize ~arena ~node ~width x :: acc) tl)
-  in
-  go [] group
-
-let climb_pred ~bound w group =
-  let emitted = ref 0 and prekilled = ref 0 in
-  let rec go acc = function
-    | [] -> (List.rev acc, !emitted, !prekilled)
-    | a :: tl -> (
-        let x = add_wire w a in
-        match acc with
-        | k :: _ when pred_kills ~bound k x ->
-            incr prekilled;
-            go acc tl
-        | _ ->
-            incr emitted;
-            go (x :: acc) tl)
-  in
-  go [] group
-
-let climb_pred_scan ~bound ~wc ~wq ~nw w group =
-  (* [climb_pred] when the climb lands on a feasible single-child node:
-     the upcoming buffer insertions act as virtual witnesses (wc, wq),
-     and the full climbed list — every [add_wire] result, frontier
-     survivor or not — is returned alongside the survivors so the
-     insertion scan at the destination sees exactly the population the
-     sweep-only engine would scan. A victim never enters the frontier,
-     but it can still be the best insertion source; its record and trace
-     stay valid because a plain climb records no arena node. *)
-  let emitted = ref 0 and prekilled = ref 0 in
-  let rec go acc full = function
-    | [] -> (List.rev acc, List.rev full, !emitted, !prekilled)
-    | a :: tl ->
-        let x = add_wire w a in
-        let killed =
-          (match acc with k :: _ -> pred_kills ~bound k x | [] -> false)
-          || witness_kills ~bound ~wc ~wq ~nw ~c:x.c ~q:x.q
-        in
-        if killed then begin
-          incr prekilled;
-          go acc (x :: full) tl
-        end
-        else begin
-          incr emitted;
-          go (x :: acc) (x :: full) tl
-        end
-  in
-  go [] [] group
-
-let climb_resize_pred ~arena ~bound ~node ~width w group =
-  let emitted = ref 0 and prekilled = ref 0 in
-  let rec go acc = function
-    | [] -> (List.rev acc, !emitted, !prekilled)
-    | a :: tl -> (
-        let x = add_wire w a in
-        match acc with
-        | k :: _ when pred_kills ~bound k x ->
-            incr prekilled;
-            go acc tl
-        | _ ->
-            incr emitted;
-            (* the kill test reads only the coordinates, so the Resize
-               arena node is recorded for survivors alone *)
-            go (resize ~arena ~node ~width x :: acc) tl)
-  in
-  go [] group
-
 let merge_sweep_delay_pred ~arena ~bound walks =
   (* The cross-run form of the merge kill: every Van Ginneken pairing
      walk feeding one (parity, bucket) group advances through a single
@@ -525,12 +332,12 @@ let merge_sweep_delay_pred ~arena ~bound walks =
      arena node. The kept staircase doubles as the witness index: a
      pairing from one (kl, kr) walk is killed by a lighter pairing from
      any other walk of the same group, which is exactly the population
-     the plain [merge_sweep_delay] would have swept after materializing
-     everything. Selection order (pairing [cmp_frontier], ties to the
-     earliest walk) and the equal-load retro-kill mirror
-     [merge_sweep_delay]'s push, so ties between equal-coordinate
-     pairings resolve to the same trace as the sweep-only engine; the
-     slope rule only fires on strictly heavier pairings, never on ties. *)
+     the sweep-only engine sweeps after materializing everything.
+     Selection order (pairing [cmp_frontier], ties to the earliest walk)
+     matches the stable pairwise merge of the materialized runs, so ties
+     between equal-coordinate pairings resolve to the same trace as the
+     sweep-only engine; the slope rule only fires on strictly heavier
+     pairings, never on ties. *)
   let walks = Array.of_list walks in
   let n = Array.length walks in
   let ls = Array.make n [] and rs = Array.make n [] in
@@ -604,42 +411,22 @@ let merge_sweep_delay_pred ~arena ~bound walks =
             rs.(j) <- rtl
           end;
           refill j;
-          let cf = !bc and qf = !bq in
-          match kept with
-          | (k : t) :: tl when k.c = cf && k.q <= qf -> (
-              (* the new pairing retro-dominates the newest survivor *)
-              incr dropped;
-              match tl with
-              | (k2 : t) :: _
-                when k2.q >= qf || (cf > k2.c && qf -. k2.q < bound *. (cf -. k2.c)) ->
-                  incr prekilled;
-                  go tl
-              | _ ->
-                  incr emitted;
-                  go (merge ~arena a b :: tl))
-          | (k : t) :: _ when k.q >= qf || (cf > k.c && qf -. k.q < bound *. (cf -. k.c))
-            ->
+          match stair ~bound kept !bc !bq with
+          | 0 ->
+              incr emitted;
+              go (merge ~arena a b :: kept)
+          | 1 ->
               incr prekilled;
               go kept
-          | _ ->
+          | 2 ->
+              incr dropped;
               incr emitted;
-              go (merge ~arena a b :: kept))
+              go (merge ~arena a b :: List.tl kept)
+          | _ ->
+              incr dropped;
+              incr prekilled;
+              go (List.tl kept))
       | _ -> assert false
     end
   in
   go []
-
-let merge_delay ~arena l r =
-  (* both inputs sorted by cmp_frontier (load ascending, so slack
-     ascending along a pruned frontier); advance the lower-slack side —
-     the classic linear merge. Returns the pairing count for stats. *)
-  let rec go n acc l r =
-    match (l, r) with
-    | [], _ | _, [] -> (List.rev acc, n)
-    | a :: ltl, b :: rtl ->
-        let acc = merge ~arena a b :: acc in
-        if a.q < b.q then go (n + 1) acc ltl r
-        else if b.q < a.q then go (n + 1) acc l rtl
-        else go (n + 1) acc ltl rtl
-  in
-  go 0 [] l r

@@ -6,7 +6,12 @@
     the count of inserted buffers (the Lillis indexed extension used by
     BuffOpt for Problem 3). The solution itself is not carried: the
     candidate holds a {!Trace.handle} into the run's arena, and merge /
-    add_buffer record one arena node instead of copying lists. *)
+    add_buffer record one arena node instead of copying lists.
+
+    Besides the per-candidate operations this module holds the DP's
+    specialized kernels: one wire climb, one (load, slack) staircase
+    shared by the delay sweep, the insertion splice and the predictive
+    merge, and the power-mode staircases. *)
 
 type t = {
   c : float;  (** downstream load seen here, F (eq. 1) *)
@@ -50,17 +55,19 @@ val add_buffer : arena:Trace.arena -> at:int -> Tech.Buffer.t -> t -> t
     Performs no noise check — callers decide (that check is exactly what
     distinguishes Algorithm 3 from Van Ginneken). *)
 
-val resize : arena:Trace.arena -> node:int -> width:float -> t -> t
-(** Record a wire-sizing decision (Lillis [18]) on the solution trace;
-    the numeric coordinates are the caller's business. *)
-
 val add_driver : Rctree.Tree.driver -> t -> t
 (** Account for the source gate: [q -= d_drv + r_drv*c]. Noise is the
     caller's check ([r_drv *. i <= ns]). *)
 
-val noise_ok : ?eps:float -> r_gate:float -> t -> bool
+val noise_tol : float
+(** The noise-attach tolerance, V: the one slack every noise-margin test
+    of the buffer-insertion algorithms ({!noise_ok}, {!Dp}'s noise-slack
+    drop, {!Wireclimb.rescuable}, {!Alg1}, {!Alg2}) grants to rounding in
+    the accumulated noise slack. *)
+
+val noise_ok : r_gate:float -> t -> bool
 (** Would a gate with output resistance [r_gate] driving this candidate
-    respect every downstream noise margin? ([r_gate *. i <= ns +. eps]) *)
+    respect every downstream noise margin? ([r_gate *. i <= ns +. noise_tol]) *)
 
 val merge : arena:Trace.arena -> t -> t -> t
 (** Join the two branches at a node: loads and currents add, slacks take
@@ -83,81 +90,36 @@ val dominates_full : t -> t -> bool
     assumptions and can otherwise discard the lone candidate whose noise
     slack survives the remaining upstream wires. *)
 
-val dominates_noise : t -> t -> bool
-(** Algorithm 2 dominance: [a.i <= b.i], [a.ns >= b.ns] and
-    [count a <= count b] (the count guard makes the minimum-buffer
-    selection safe). *)
-
 val cmp_frontier : t -> t -> int
 (** The frontier order: load ascending, then slack descending, current
     ascending, noise slack descending — the sort {!Frontier.sweep_dom}
     requires for {!dominates_full} (any dominator sorts no later than
     the candidate it dominates, up to equal-cost ties). *)
 
-(** {2 Power-mode relations (DESIGN.md §16)}
-
-    The energy axis joins the dominance relation only in power mode;
-    power-off runs never execute these, keeping their outcomes
-    byte-identical to the classic engine. *)
-
-val dominates_power : t -> t -> bool
-(** {!dominates} strengthened with [a.p <= b.p]: the power-mode delay
-    pruning relation (3-axis). Sound because every upstream operation is
-    monotone non-decreasing in [p]. *)
-
-val dominates_full_power : t -> t -> bool
-(** {!dominates_full} strengthened with [a.p <= b.p]: the power-mode
-    noise pruning relation (5-axis). *)
-
 val cmp_frontier_power : t -> t -> int
 (** {!cmp_frontier} with energy ascending as the final tie-break — the
-    sort order of power-mode groups. *)
+    sort order of power-mode groups (DESIGN.md §16). The energy axis
+    joins the dominance relations only in power mode, so power-off runs
+    keep their outcomes byte-identical to the classic engine. *)
 
-val sweep_delay_power : t list -> t list * int
-(** Dominance sweep under {!dominates_power} on a
-    [cmp_frontier_power]-sorted list, O(n log n): with load already
-    sorted, survivors reduce to a (slack, energy) staircase kept in a
-    map, so each element costs one staircase lookup plus amortized
-    eviction. Returns (kept, dropped). May retain a weakly dominated
-    equal-(c, q) duplicate when the i / ns tie-breaks interleave the
-    energy order — never anything that extends the frontier. *)
+(** {2 Kernels}
 
-val sweep_noise_power : t list -> t list * int
-(** Dominance sweep under {!dominates_full_power} (5-axis); quadratic
-    per group, like {!sweep_noise}. *)
-
-val merge_delay_power :
-  emit:(t -> t -> unit) -> t list -> t list -> unit
-(** Exact delay-power branch merge: calls [emit left right] for every
-    pairing of the two 3-axis frontiers that can contribute to the
-    merged frontier, skipping pairings whose partner is (load, energy)-
-    dominated within the equal-or-better-slack prefix of its side —
-    those merges are weakly dominated by an emitted one. Walks each
-    side in descending slack against the other side's staircase;
-    typically far below the |L| x |R| full pairing walk. *)
-
-(** {2 Monomorphic fast paths}
-
-    The {!Frontier} sweeps and merge instantiated at [t] with direct
-    field access; behaviorally identical to the generic versions (the
-    test suite checks this by property), but free of the per-element
-    indirect calls the DP inner loops cannot afford without flambda. *)
+    The DP's inner loops instantiated at [t] with direct field access —
+    without flambda the generic {!Frontier} functions pay an indirect
+    call per element. Delay mode has one (load, slack) staircase, shared
+    by {!sweep_delay}, {!splice_delay} and every predictive kill site,
+    and one noise-mode sweep. *)
 
 val sweep_delay : t list -> t list * int
 (** [Frontier.sweep2 ~cost:c ~value:q] on a [cmp_frontier]-sorted list:
     the delay-mode (load, slack) staircase. Returns (kept, dropped). *)
 
-val sweep_noise : t list -> t list * int
+val sweep_noise : power:bool -> t list -> t list * int
 (** [Frontier.sweep_dom ~cost:c ~dominates:dominates_full] on a
-    [cmp_frontier]-sorted list: the noise-mode 4D sweep. *)
-
-val merge_sweep_delay : t list list -> t list * int
-(** [sweep_delay (Frontier.merge_sorted cmp_frontier runs)] without ever
-    materializing the merged intermediate list: a k-way head selection
-    (ties to the earliest run, matching the stable pairwise merge) feeds
-    the staircase push directly. Returns (kept, dropped). The DP's
-    branch-merge and buffer-splice paths allocate only the survivors
-    this way. *)
+    [cmp_frontier]-sorted list: the noise-mode sweep, quadratic per
+    group. With [power] the relation is strengthened with
+    [a.p <= b.p] — the 5-axis power-mode noise relation — and the list
+    must be [cmp_frontier_power]-sorted. *)
 
 val splice_delay : t list -> t list -> t list * int
 (** [splice_delay group cands] =
@@ -168,10 +130,26 @@ val splice_delay : t list -> t list -> t list * int
     dominant allocation before this existed. Returns (kept, dropped)
     with drop counts identical to the unfused composition. *)
 
-val merge_delay : arena:Trace.arena -> t list -> t list -> t list * int
-(** [Frontier.merge2 ~value:q ~join:(merge ~arena)] on two sorted
-    frontiers: the Van Ginneken linear branch-merge walk. Returns the
-    pairings and their count (for the generated-candidates statistic). *)
+val sweep_delay_power : t list -> t list * int
+(** Dominance sweep under the power-mode delay relation — {!dominates}
+    strengthened with [a.p <= b.p], sound because every upstream
+    operation is monotone non-decreasing in [p] — on a
+    [cmp_frontier_power]-sorted list, O(n log n): with load already
+    sorted, survivors reduce to a (slack, energy) staircase kept in a
+    map, so each element costs one staircase lookup plus amortized
+    eviction. Returns (kept, dropped). May retain a weakly dominated
+    equal-(c, q) duplicate when the i / ns tie-breaks interleave the
+    energy order — never anything that extends the frontier. *)
+
+val merge_delay_power :
+  emit:(t -> t -> unit) -> t list -> t list -> unit
+(** Exact delay-power branch merge: calls [emit left right] for every
+    pairing of the two 3-axis frontiers that can contribute to the
+    merged frontier, skipping pairings whose partner is (load, energy)-
+    dominated within the equal-or-better-slack prefix of its side —
+    those merges are weakly dominated by an emitted one. Walks each
+    side in descending slack against the other side's staircase;
+    typically far below the |L| x |R| full pairing walk. *)
 
 (** {2 Predictive pruning (Li & Shi)}
 
@@ -185,13 +163,8 @@ val merge_delay : arena:Trace.arena -> t list -> t list -> t list * int
     counted as [pred_pruned] instead of [generated]. The frontiers get
     narrower, but every optimizer outcome — winning slack, placements,
     sizes, by_count buckets — is byte-identical to the sweep-only
-    engine's (DESIGN.md §12 has the proof). All functions below return
-    [(result, emitted, prekilled)]. *)
-
-val pred_kills : bound:float -> t -> t -> bool
-(** [pred_kills ~bound k x]: emitted candidate [k] kills the would-be
-    candidate [x] — by plain dominance ([k.q >= x.q]; [k.c <= x.c] is
-    the caller's sort order) or by the predictive slope rule. *)
+    engine's (DESIGN.md §12 has the proof). The rule is the staircase's
+    dominance test with [bound = 0] strengthened by the slope term. *)
 
 val covered : bound:float -> c:float -> q:float -> t list -> bool
 (** Does any member of the sorted staircase with load [<= c] kill a
@@ -199,79 +172,26 @@ val covered : bound:float -> c:float -> q:float -> t list -> bool
     pre-check, run against the target group before [add_buffer]
     allocates anything. *)
 
-val climb_pred : bound:float -> Rctree.Tree.wire -> t list -> t list * int * int
-(** [add_wire] over a sorted group with the kill test fused in: a
-    climbed candidate killed by the previously emitted one is never
-    materialized. *)
-
-val climb_pred_scan :
-  bound:float ->
-  wc:float array ->
-  wq:float array ->
-  nw:int ->
-  Rctree.Tree.wire ->
-  t list ->
-  t list * t list * int * int
-(** [climb_pred] for a climb that lands on a feasible single-child node:
-    the buffer insertions the destination is about to splice into this
-    group act as [nw] extra virtual witnesses at coordinates
-    [(wc.(i), wq.(i))]. Returns
-    [(survivors, full, emitted, prekilled)] where [full] is {e every}
-    climbed candidate in frontier order — the insertion scan at the
-    destination must read [full], not [survivors], because a victim can
-    still be the best insertion source even though it can never win on
-    the frontier (its trace stays valid: a plain climb records no arena
-    node). Witness kills are strict on exact [(c, q)] ties, so a tie's
-    surviving trace is still decided by the ordinary splice. *)
-
-val climb_resize_pred :
-  arena:Trace.arena ->
-  bound:float ->
-  node:int ->
-  width:float ->
+val climb :
+  ?bound:float ->
+  ?resize:Trace.arena * int * float ->
   Rctree.Tree.wire ->
   t list ->
   t list * int * int
-(** [climb_pred] for a sized wire family: survivors additionally record
-    their [Resize] arena node (the wire must already be resized by the
-    caller). *)
-
-(** {3 Power-extended kills ([`Predictive_power]; DESIGN.md §16)}
-
-    The classic slope kill is unsound under a power budget: the witness
-    may be the more expensive candidate, and discarding the victim can
-    discard the only budget-feasible completion. The extended rule
-    additionally requires the witness to weakly dominate on energy
-    ([k.p <= x.p]) — upstream buffers add equal energy to either, so the
-    witness then completes with no worse slack {e and} no worse energy.
-    Strictly fewer kills than the classic rule; the power-vs-brute and
-    pred-vs-sweep-style oracles fuzz-verify it. *)
-
-val pred_kills_power : bound:float -> t -> t -> bool
-
-val covered_power : bound:float -> c:float -> q:float -> p:float -> t list -> bool
-(** {!covered} with the energy condition: only members with
-    [k.p <= p] may kill the would-be insertion at [(c, q, p)]. *)
-
-val climb_pred_power : bound:float -> Rctree.Tree.wire -> t list -> t list * int * int
-(** {!climb_pred} under {!pred_kills_power}. *)
-
-val climb_resize_pred_power :
-  arena:Trace.arena ->
-  bound:float ->
-  node:int ->
-  width:float ->
-  Rctree.Tree.wire ->
-  t list ->
-  t list * int * int
-(** {!climb_resize_pred} under {!pred_kills_power}. *)
+(** [add_wire] over a sorted group, returning
+    [(climbed, emitted, prekilled)]. With [bound], the kill test against
+    the previously emitted candidate is fused in, so a killed candidate
+    is never materialized; without it nothing is killed. With
+    [resize = (arena, node, width)] (the wire must already be resized by
+    the caller) the survivors record the wire-sizing decision (Lillis
+    [18]) as a [Resize] arena node. *)
 
 val merge_sweep_delay_pred :
   arena:Trace.arena ->
   bound:float ->
   (t list * t list) list ->
   t list * int * int * int
-(** The cross-run form of the merge kill. Each element of the input is
+(** The fused predictive branch merge. Each element of the input is
     one Van Ginneken pairing walk (a left and a right child group)
     feeding the same (parity, bucket) target group; the walks advance
     through a single fused k-way selection and the staircase push — with
@@ -281,6 +201,6 @@ val merge_sweep_delay_pred :
     materialized (count them as [generated]), [dropped] of those were
     then retro-killed by an equal-load pairing ([pruned]), and
     [prekilled] pairings were discarded pre-materialization
-    ([pred_pruned]). Selection and tie handling mirror
-    {!merge_sweep_delay}, so equal-coordinate ties resolve to the same
-    trace as the sweep-only engine. *)
+    ([pred_pruned]). Selection (ties to the earliest walk) matches the
+    stable merge of the materialized walks, so equal-coordinate ties
+    resolve to the same trace as the sweep-only engine. *)

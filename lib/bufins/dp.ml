@@ -7,12 +7,7 @@ type mode =
   | Per_count of int
   | Power_bounded of { budget : float; kmax : int }
 
-type mutation =
-  | Cq_noise_prune
-  | No_attach_guard
-  | Loose_pred_bound
-  | Stale_memo
-  | Bad_power_bound
+type mutation = Cq_noise_prune | No_attach_guard | Loose_pred_bound
 
 type stats = {
   generated : int;
@@ -23,7 +18,6 @@ type stats = {
   type_widths : int array;
   arena : int;
   minor_words : float;
-  major_words : float;
 }
 
 let considered s = s.generated + s.pred_pruned + s.power_pruned
@@ -55,8 +49,6 @@ type outcome = { best : result option; by_count : result option array; stats : s
    Candidates are flat float records; their solutions live in a per-run
    Trace arena and only the winning root candidates are reconstructed
    into placement lists, at the very end. *)
-
-let ns_eps = 1e-12
 
 (* {1 Incremental memo}
 
@@ -98,9 +90,6 @@ let ns_eps = 1e-12
 module Memo = struct
   type entry = {
     kept : C.t list array;  (** the above-table, pre-insertion *)
-    full : C.t list array option;
-        (** full climbed population at a witness-scan site — what
-            [insert_buffers] must scan (see [apply_wire]) *)
     bound : float;  (** climb bound the entry was built under *)
   }
 
@@ -125,11 +114,6 @@ module Memo = struct
       List.iter
         (fun u -> if u < Array.length t.entries then t.entries.(u) <- None)
         (T.path_up tree v)
-
-  (* the Stale_memo mutation: forget only the edited node, leaving the
-     ancestors' stale tables in place for the incremental-vs-scratch
-     oracle to trip over *)
-  let dirty_node t v = if v < Array.length t.entries then t.entries.(v) <- None
 
   let stored t =
     Array.fold_left (fun a e -> if e = None then a else a + 1) 0 t.entries
@@ -171,23 +155,12 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
     invalid_arg "Dp.run: widths must be >= 1";
   if lib = [] then invalid_arg "Dp.run: empty buffer library";
   if T.buffer_count tree > 0 then invalid_arg "Dp.run: tree already contains buffers";
-  (* Exact, domain-local allocation accounting. Gc.minor_words and
-     Gc.counters read the calling domain's own counters (Caml_state), so
-     a run's delta never includes concurrent domains' allocation —
-     Gc.quick_stat sums every domain and, under a multi-domain batch,
-     would charge this run with the whole machine's churn. The minor
-     figure comes from Gc.minor_words specifically: on this 5.1 runtime
-     its in-progress-region term is exact (deltas are word-precise even
-     across minor collections), while Gc.counters samples the same
-     region with a unit error that is only zero right after a
-     collection (fixed upstream in 5.2). Gc.counters is still the
-     source for major words, which only accumulate at collections and
-     are documented as non-deterministic anyway. *)
-  let alloc_counters () =
-    let _, _, major = Gc.counters () in
-    (Gc.minor_words (), major)
-  in
-  let minor0, major0 = alloc_counters () in
+  (* Domain-local allocation accounting: Gc.minor_words reads the calling
+     domain's own counter, so concurrent domains in a batch never
+     contaminate a run's delta, and on this runtime its in-progress
+     region term is exact, so deltas are word-precise across minor
+     collections. *)
+  let minor0 = Gc.minor_words () in
   (* with a memo, candidates go into its resident arena so cached trace
      handles from earlier runs stay reconstructible; a mismatched config
      stamp drops the cache before any entry could be misread *)
@@ -212,56 +185,36 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
      only to prove the Check subsystem catches them *)
   let cq_prune = mutation = Some Cq_noise_prune in
   let attach_guard = mutation <> Some No_attach_guard in
-  let counted, kmax, nbuckets =
+  let counted, kmax, budget =
     match mode with
-    | Single -> (false, max_int, 1)
-    | Per_count k -> (true, k, k + 1)
-    | Power_bounded { kmax; _ } -> (true, kmax, kmax + 1)
+    | Single -> (false, max_int, infinity)
+    | Per_count k -> (true, k, infinity)
+    | Power_bounded { budget; kmax } -> (true, kmax, budget)
   in
+  let nbuckets = if counted then kmax + 1 else 1 in
   (* Power mode (DESIGN.md §16): the energy coordinate becomes a pruning
-     axis and an insertion budget. [eff_budget] is the budget the engine
-     actually enforces — the Bad_power_bound mutation inflates it so
-     over-budget solutions leak through for the power oracles to catch. *)
-  let power, budget =
-    match mode with
-    | Power_bounded { budget; _ } -> (true, budget)
-    | Single | Per_count _ -> (false, infinity)
-  in
+     axis and an insertion budget. *)
+  let power = match mode with Power_bounded _ -> true | Single | Per_count _ -> false in
   if power && not (budget >= 0.0) then invalid_arg "Dp.run: negative power budget";
-  let eff_budget =
-    if mutation = Some Bad_power_bound then budget *. loose_bound_factor
-    else
-      (* ulp-scale headroom: candidate energy accumulates in tree-merge
-         order, so at an exact-boundary budget (the sum of k buffer
-         energies) the optimum can land one rounding step above the
-         nominal budget. The slack is far below any real energy
-         difference, and the reported winner still satisfies the
-         budget under the same relative tolerance. *)
-      budget +. (Float.abs budget *. 1e-12)
-  in
+  (* ulp-scale headroom: candidate energy accumulates in tree-merge order,
+     so at an exact-boundary budget (the sum of k buffer energies) the
+     optimum can land one rounding step above the nominal budget. The
+     slack is far below any real energy difference, and the reported
+     winner still satisfies the budget under the same relative
+     tolerance. *)
+  let eff_budget = budget +. (Float.abs budget *. 1e-12) in
   let nslots = 2 * nbuckets in
   let plib = Tech.Lib.prepare lib in
   let ntypes = Tech.Lib.size plib in
   (* Predictive pruning (Li & Shi; DESIGN.md §12) is delay-mode only:
      the slope argument bounds how a load difference erodes a slack
      difference, which says nothing about the (i, ns) coordinates the
-     noise-mode 4D dominance must preserve. It also stays off under
-     [prune = false] (Ablation B wants the full population). In power
-     mode it is additionally off under the default [`Predictive] —
-     the classic kill ignores the energy axis and would discard
-     cheaper-in-power candidates; [`Predictive_power] opts into the
-     extended kill (witness must also weakly dominate in power). *)
-  let pred =
-    prune && (not noise)
-    &&
-    match pruning with
-    | `Sweep_only -> false
-    | `Predictive -> not power
-    | `Predictive_power -> true
-  in
-  let pred_power = pred && power in
+     noise-mode 4D dominance must preserve, nor about the energy axis a
+     power budget must preserve (the witness may be the costlier
+     candidate). It also stays off under [prune = false] (Ablation B
+     wants the full population). *)
+  let pred = prune && (not noise) && (not power) && pruning = `Predictive in
   let cmp_order = if power then C.cmp_frontier_power else C.cmp_frontier in
-  let single_width = widths = [ 1.0 ] in
   let bounds =
     if not pred then [||]
     else begin
@@ -277,14 +230,15 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
   let peak_width = ref 0 in
   let type_widths = Array.make ntypes 0 in
   let type_scratch = Array.make ntypes 0 in
+  (* (c, q) staircase in delay mode, full (c, q, i, ns[, p]) dominance in
+     noise mode; the Cq_noise_prune mutation sweeps noise mode on (c, q) *)
+  let staircase = (not noise) || cq_prune in
   let sweep cands =
     if not prune then cands
     else begin
       let kept, dropped =
-        if power then
-          if noise && not cq_prune then C.sweep_noise_power cands
-          else C.sweep_delay_power cands
-        else if noise && not cq_prune then C.sweep_noise cands
+        if not staircase then C.sweep_noise ~power cands
+        else if power then C.sweep_delay_power cands
         else C.sweep_delay cands
       in
       pruned := !pruned + dropped;
@@ -296,12 +250,14 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
     else
       List.filter
         (fun (a : C.t) ->
-          a.C.ns >= -.ns_eps
+          a.C.ns >= -.C.noise_tol
           ||
           (incr pruned;
            false))
         cands
   in
+  (* in noise mode a gate never drives a candidate it would make noisy *)
+  let guard = noise && attach_guard in
   (* One scan state for the whole run: the per-(group, type) best-slack
      scans of insert_buffers touch every candidate once per buffer type,
      so their working state must not allocate per scan. The running
@@ -309,15 +265,13 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
      candidate in a ref (pointer store); [scan_s.(0) > neg_infinity]
      doubles as the found flag. *)
   let scan_s = Array.make 1 neg_infinity in
-  let dummy_cand =
-    { C.c = 0.0; q = 0.0; i = 0.0; ns = 0.0; p = 0.0; meta = 0.0; tr = 0.0 }
+  let scan_best =
+    ref { C.c = 0.0; q = 0.0; i = 0.0; ns = 0.0; p = 0.0; meta = 0.0; tr = 0.0 }
   in
-  let scan_best = ref dummy_cand in
   let rec scan (b : Tech.Buffer.t) = function
     | [] -> ()
     | (a : C.t) :: tl ->
-        (if not (noise && attach_guard && not (C.noise_ok ~r_gate:b.Tech.Buffer.r_b a))
-         then
+        (if (not guard) || C.noise_ok ~r_gate:b.Tech.Buffer.r_b a then
            let s = a.C.q -. Tech.Buffer.gate_delay b ~load:a.C.c in
            if s > scan_s.(0) then begin
              scan_best := a;
@@ -332,227 +286,78 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
         if w > !peak_width then peak_width := w)
       tbl
   in
-  (* Virtual insertion witnesses (DESIGN.md §12): when a single-width
-     climb lands on a feasible single-child node, the insertions that
-     node is about to splice into target slot [t] are computable from
-     the already-climbed source groups one bucket down — and kill
-     target-slot candidates before they enter the frontier. Soundness
-     needs the insertion scan at the destination to see the population
-     the sweep-only engine would scan (a victim can still be the best
-     insertion source), so [scan_src] keeps each slot's full climbed
-     list and [ins_s]/[ins_best] cache the per-(source slot, type) scan
-     for insert_buffers to reuse; [scan_valid] marks the caches as
-     describing the table insert_buffers is about to consume. *)
-  let wit_c = Array.make ntypes 0.0 and wit_q = Array.make ntypes 0.0 in
-  let scan_src = Array.make nslots [] in
-  let scan_valid = ref false in
-  let ins_s = Array.make (nslots * ntypes) Float.nan in
-  let ins_best = Array.make (nslots * ntypes) dummy_cand in
-  let fill_witnesses t =
-    let nw = ref 0 in
-    let kt = t asr 1 and pt = t land 1 in
-    if (not counted) || kt >= 1 then
-      for ti = 0 to ntypes - 1 do
-        let p_src = if plib.Tech.Lib.inverting.(ti) then 1 - pt else pt in
-        let src = (if counted then 2 * (kt - 1) else 0) + p_src in
-        if src < t then begin
-          match scan_src.(src) with
-          | [] -> ()
-          | sgroup ->
-              scan_s.(0) <- neg_infinity;
-              scan plib.Tech.Lib.bufs.(ti) sgroup;
-              ins_s.((src * ntypes) + ti) <- scan_s.(0);
-              ins_best.((src * ntypes) + ti) <- !scan_best;
-              if scan_s.(0) > neg_infinity then begin
-                wit_c.(!nw) <- plib.Tech.Lib.c_in.(ti);
-                wit_q.(!nw) <- scan_s.(0);
-                incr nw
-              end
-        end
-      done;
-    !nw
-  in
-  (* Propagate a whole table through the wire below node [at]; group order
-     is preserved because add_wire shifts each coordinate by an amount
-     depending only on earlier sort keys. [bound] is the Upbound value of
-     the wire's upper end — the site the climbed table lives at — and
-     with predictive pruning on, candidates the previously emitted one
+  (* Propagate a whole table through the wire below node [at], at every
+     available width (simultaneous wire sizing, Lillis et al. [18]); group
+     order is preserved because add_wire shifts each coordinate by an
+     amount depending only on earlier sort keys. [bound] is the Upbound
+     value of the wire's upper end — the site the climbed table lives at —
+     and with predictive pruning on, candidates the previously emitted one
      already kills are dropped inside the climb, before allocation. *)
-  let apply_wire ~at ~bound ~scan:dest_scan w tbl =
-    if pred && dest_scan then begin
-      (* [dest_scan] implies a single-width climb into a feasible
-         single-child node: slots are processed bucket-ascending so each
-         slot's witnesses come from already-climbed source groups *)
-      Array.fill ins_s 0 (nslots * ntypes) Float.nan;
-      let result = Array.make nslots [] in
-      for sl = 0 to nslots - 1 do
-        let nw = fill_witnesses sl in
-        match tbl.(sl) with
-        | [] -> scan_src.(sl) <- []
+  let apply_wire ~at ~bound w tbl =
+    let widths = if w.T.length <= 0.0 then [ 1.0 ] else widths in
+    let bound = if pred then Some bound else None in
+    Array.map
+      (function
+        | [] -> []
         | group ->
-            let kept, full, emitted, prekilled =
-              C.climb_pred_scan ~bound ~wc:wit_c ~wq:wit_q ~nw w group
-            in
-            generated := !generated + emitted;
-            pred_pruned := !pred_pruned + prekilled;
-            scan_src.(sl) <- full;
-            result.(sl) <- kept
-      done;
-      scan_valid := true;
-      result
-    end
-    else begin
-      scan_valid := false;
-      Array.map
-        (fun group ->
-          match group with
-          | [] -> []
-          | _ ->
-            let families =
-              if pred then begin
-                let family f =
-                  let kept, emitted, prekilled = f () in
-                  generated := !generated + emitted;
-                  pred_pruned := !pred_pruned + prekilled;
-                  kept
-                in
-                let climb () =
-                  if pred_power then C.climb_pred_power ~bound w group
-                  else C.climb_pred ~bound w group
-                in
-                if w.T.length <= 0.0 then [ family climb ]
+            let family width =
+              let climbed, emitted, prekilled =
+                if width = 1.0 then C.climb ?bound w group
                 else
-                  List.map
-                    (fun width ->
-                      if width = 1.0 then family climb
-                      else begin
-                        let sized = T.resize_wire w ~width ~area_frac in
-                        family (fun () ->
-                            if pred_power then
-                              C.climb_resize_pred_power ~arena ~bound ~node:at ~width
-                                sized group
-                            else
-                              C.climb_resize_pred ~arena ~bound ~node:at ~width sized
-                                group)
-                      end)
-                    widths
-              end
-              else begin
-                let families =
-                  if w.T.length <= 0.0 then [ List.map (C.add_wire w) group ]
-                  else
-                    (* simultaneous wire sizing: each candidate climbs the wire at
-                       every available width (Lillis et al. [18]) *)
-                    List.map
-                      (fun width ->
-                        if width = 1.0 then List.map (C.add_wire w) group
-                        else begin
-                          let sized = T.resize_wire w ~width ~area_frac in
-                          List.map
-                            (fun (a : C.t) ->
-                              C.resize ~arena ~node:at ~width (C.add_wire sized a))
-                            group
-                        end)
-                      widths
-                in
-                List.iter (fun f -> generated := !generated + List.length f) families;
-                families
-              end
+                  C.climb ?bound ~resize:(arena, at, width)
+                    (T.resize_wire w ~width ~area_frac)
+                    group
+              in
+              generated := !generated + emitted;
+              pred_pruned := !pred_pruned + prekilled;
+              climbed
             in
             let combined =
-              match families with [ f ] -> f | fs -> F.merge_sorted cmp_order fs
+              match widths with
+              | [ width ] -> family width
+              | _ -> F.merge_sorted cmp_order (List.map family widths)
             in
             sweep (drop_noisy combined))
-        tbl
-    end
+      tbl
+  in
+  (* Every (left slot, right slot) pairing of a branch node's two child
+     tables that may merge — equal parity, bucket sum within kmax — with
+     the slot the pairing lands in. *)
+  let pairings lt rt f =
+    for sl = 0 to nslots - 1 do
+      match lt.(sl) with
+      | [] -> ()
+      | lgroup ->
+          let p = sl land 1 and kl = sl asr 1 in
+          for kr = 0 to nbuckets - 1 do
+            if kl + kr <= kmax then
+              match rt.((2 * kr) + p) with
+              | [] -> ()
+              | rgroup -> f ((if counted then 2 * (kl + kr) else 0) + p) lgroup rgroup
+          done
+    done
   in
   (* Join the two child tables of a branch node. Delay mode walks the two
      frontiers linearly (Van Ginneken); noise mode must consider every
      pairing — a pairing off the (c, q) frontier can be the only one whose
-     noise slack survives the upstream wires. *)
-  let exhaustive = noise && prune && not cq_prune in
+     noise slack survives the upstream wires — and so must power mode,
+     for the only budget-feasible pairing (its delay mode enumerates just
+     the staircase pairings, exact by Candidate.merge_delay_power). *)
+  let exhaustive = prune && not staircase in
   let merge_groups ~bound lt rt =
-    scan_valid := false;
-    if power then begin
-      (* Power-mode branch merge: every pairing must be considered — a
-         pairing off the (c, q) frontier can be the only budget-feasible
-         one — so the walks are exhaustive, like noise mode's. The budget
-         check is fused in before [merge] materializes anything:
-         over-budget pairings cost no allocation and no arena node, and
-         are counted as [power_pruned]. Predictive merge kills are not
-         attempted in power mode (the staircase witness index is
-         two-axis); [`Predictive_power] prunes at climbs and insertions
-         only. *)
-      let runs = Array.make nslots [] in
-      for sl = 0 to nslots - 1 do
-        match lt.(sl) with
-        | [] -> ()
-        | lgroup ->
-            let p = sl land 1 and kl = sl asr 1 in
-            for kr = 0 to nbuckets - 1 do
-              if kl + kr <= kmax then begin
-                match rt.((2 * kr) + p) with
-                | [] -> ()
-                | rgroup ->
-                    let pairs = ref [] in
-                    let emit (a : C.t) (b : C.t) =
-                      if a.C.p +. b.C.p > eff_budget then incr power_pruned
-                      else begin
-                        incr generated;
-                        pairs := C.merge ~arena a b :: !pairs
-                      end
-                    in
-                    (* delay mode enumerates only staircase pairings
-                       (exact; see Candidate.merge_delay_power); the
-                       5-axis noise frontier has no such structure, so
-                       noise-power merges stay fully exhaustive *)
-                    if noise then
-                      List.iter
-                        (fun (a : C.t) -> List.iter (fun (b : C.t) -> emit a b) rgroup)
-                        lgroup
-                    else C.merge_delay_power ~emit lgroup rgroup;
-                    if !pairs <> [] then begin
-                      let target = 2 * (kl + kr) + p in
-                      runs.(target) <- !pairs :: runs.(target)
-                    end
-              end
-            done
-      done;
-      Array.map
-        (fun rs ->
-          match rs with
-          | [] -> []
-          | _ -> sweep (List.sort cmp_order (List.concat rs)))
-        runs
-    end
-    else if pred then begin
+    if pred then begin
       (* Cross-run predictive merge (DESIGN.md §12): collect the pairing
-         walks per target slot first, then run all walks feeding one
-         slot through a single fused selection. The slope rule then sees
-         every previously materialized pairing of the slot — the
-         cross-run drops the sweep-only engine pays for after
-         materializing become pre-materialization kills. *)
+         walks per target slot first, then run all walks feeding one slot
+         through a single fused selection. The slope rule then sees every
+         previously materialized pairing of the slot — the cross-run drops
+         the sweep-only engine pays for after materializing become
+         pre-materialization kills. *)
       let pending = Array.make nslots [] in
-      for sl = 0 to nslots - 1 do
-        match lt.(sl) with
-        | [] -> ()
-        | lgroup ->
-            let p = sl land 1 and kl = sl asr 1 in
-            for kr = 0 to nbuckets - 1 do
-              if kl + kr <= kmax then begin
-                match rt.((2 * kr) + p) with
-                | [] -> ()
-                | rgroup ->
-                    let target = (if counted then 2 * (kl + kr) else 0) + p in
-                    pending.(target) <- (lgroup, rgroup) :: pending.(target)
-              end
-            done
-      done;
+      pairings lt rt (fun t l r -> pending.(t) <- (l, r) :: pending.(t));
       Array.map
-        (fun walks ->
-          match walks with
+        (function
           | [] -> []
-          | _ ->
+          | walks ->
               let kept, emitted, dropped, prekilled =
                 C.merge_sweep_delay_pred ~arena ~bound walks
               in
@@ -564,43 +369,32 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
     end
     else begin
       let runs = Array.make nslots [] in
-      for sl = 0 to nslots - 1 do
-        match lt.(sl) with
-        | [] -> ()
-        | lgroup ->
-            let p = sl land 1 and kl = sl asr 1 in
-            for kr = 0 to nbuckets - 1 do
-              if kl + kr <= kmax then begin
-                match rt.((2 * kr) + p) with
-                | [] -> ()
-                | rgroup ->
-                    let pairs, n =
-                      if exhaustive then begin
-                        let ps = F.cross ~join:(C.merge ~arena) lgroup rgroup in
-                        (ps, List.length ps)
-                      end
-                      else C.merge_delay ~arena lgroup rgroup
-                    in
-                    generated := !generated + n;
-                    let target = (if counted then 2 * (kl + kr) else 0) + p in
-                    runs.(target) <- pairs :: runs.(target)
-              end
-            done
-      done;
+      pairings lt rt (fun t lgroup rgroup ->
+          let pairs =
+            if power then begin
+              (* the budget check is fused in before [merge] materializes
+                 anything: over-budget pairings cost no allocation and no
+                 arena node, and are counted as [power_pruned] *)
+              let pairs = ref [] in
+              let emit (a : C.t) (b : C.t) =
+                if a.C.p +. b.C.p > eff_budget then incr power_pruned
+                else pairs := C.merge ~arena a b :: !pairs
+              in
+              if noise then List.iter (fun a -> List.iter (fun b -> emit a b) rgroup) lgroup
+              else C.merge_delay_power ~emit lgroup rgroup;
+              !pairs
+            end
+            else if exhaustive then F.cross ~join:(C.merge ~arena) lgroup rgroup
+            else F.merge2 ~value:(fun (a : C.t) -> a.C.q) ~join:(C.merge ~arena) lgroup rgroup
+          in
+          generated := !generated + List.length pairs;
+          if pairs <> [] then runs.(t) <- pairs :: runs.(t));
       Array.map
-        (fun rs ->
-          match rs with
+        (function
           | [] -> []
-          | _ ->
-              if exhaustive then sweep (List.sort C.cmp_frontier (List.concat rs))
-              else if prune then begin
-                (* non-exhaustive + prune always staircase-sweeps, so the
-                   fused k-way merge avoids the merged intermediate *)
-                let kept, dropped = C.merge_sweep_delay rs in
-                pruned := !pruned + dropped;
-                kept
-              end
-              else F.merge_sorted C.cmp_frontier rs)
+          | rs ->
+              if exhaustive || power then sweep (List.sort cmp_order (List.concat rs))
+              else sweep (F.merge_sorted C.cmp_frontier rs))
         runs
     end
   in
@@ -614,106 +408,70 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
      stays in the group, so a quieter-but-slower candidate survives for
      upstream wires to consume. *)
   let insert_buffers ~bound v tbl =
-    (* when the table came from a witness-pruned climb, insertions scan
-       the full climbed lists (a witness victim never enters the
-       frontier but can still be the best insertion source), reusing the
-       per-(slot, type) scans fill_witnesses already ran *)
-    let use_cache = !scan_valid in
-    scan_valid := false;
     let additions = Array.make nslots [] in
+    let add target cand =
+      incr generated;
+      additions.(target) <- cand :: additions.(target)
+    in
     Array.iteri
       (fun sl group ->
-        let sgroup = if use_cache then scan_src.(sl) else group in
-        match sgroup with
-        | [] -> ()
-        | _ ->
-            (* the slot-level bucket check covers per-candidate count
-               eligibility: a counted group holds one exact count *)
-            if sl asr 1 < kmax then
-              for ti = 0 to ntypes - 1 do
-                let b = plib.Tech.Lib.bufs.(ti) in
-                if power then begin
-                  (* Power mode: sources of one (group, type) share the
-                     insertion's load / current / noise slack but differ
-                     in both resulting slack and energy, so the single
-                     best-slack scan is replaced by the (slack, energy)
-                     Pareto staircase of the source group — every
-                     staircase member is an insertion no other source can
-                     dominate. Over-budget members are skipped before
-                     materialization and counted as [power_pruned]. *)
-                  let pr = sl land 1 in
-                  let pr' = if plib.Tech.Lib.inverting.(ti) then 1 - pr else pr in
-                  let target = (2 * ((sl asr 1) + 1)) + pr' in
-                  let eligible =
-                    List.filter_map
-                      (fun (a : C.t) ->
-                        if
-                          noise && attach_guard
-                          && not (C.noise_ok ~r_gate:b.Tech.Buffer.r_b a)
-                        then None
-                        else
-                          Some
-                            ( a.C.q -. Tech.Buffer.gate_delay b ~load:a.C.c,
-                              a.C.p +. plib.Tech.Lib.energy.(ti),
-                              a ))
-                      sgroup
-                  in
-                  let eligible =
-                    List.stable_sort
-                      (fun (s1, p1, _) (s2, p2, _) ->
-                        match Float.compare s2 s1 with
-                        | 0 -> Float.compare p1 p2
-                        | n -> n)
-                      eligible
-                  in
-                  let best_p = ref infinity in
-                  List.iter
-                    (fun (s, pw, a) ->
-                      if pw < !best_p then begin
-                        best_p := pw;
-                        if pw > eff_budget then incr power_pruned
-                        else if
-                          pred
-                          && C.covered_power ~bound ~c:plib.Tech.Lib.c_in.(ti)
-                               ~q:s ~p:pw tbl.(target)
-                        then incr pred_pruned
-                        else begin
-                          let cand = C.add_buffer ~arena ~at:v b a in
-                          incr generated;
-                          additions.(target) <- cand :: additions.(target)
-                        end
-                      end)
-                    eligible
-                end
-                else begin
-                  (if use_cache && not (Float.is_nan ins_s.((sl * ntypes) + ti))
-                   then begin
-                     scan_s.(0) <- ins_s.((sl * ntypes) + ti);
-                     scan_best := ins_best.((sl * ntypes) + ti)
-                   end
-                   else begin
-                     scan_s.(0) <- neg_infinity;
-                     scan b sgroup
-                   end);
-                  if scan_s.(0) > neg_infinity then begin
-                    (* one insertion per (group, type); its destination
-                       group is known before anything is materialized *)
-                    let p = sl land 1 in
-                    let p' = if plib.Tech.Lib.inverting.(ti) then 1 - p else p in
-                    let target = (if counted then 2 * ((sl asr 1) + 1) else 0) + p' in
-                    if
-                      pred
-                      && C.covered ~bound ~c:plib.Tech.Lib.c_in.(ti) ~q:scan_s.(0)
-                           tbl.(target)
-                    then incr pred_pruned
-                    else begin
-                      let cand = C.add_buffer ~arena ~at:v b !scan_best in
-                      incr generated;
-                      additions.(target) <- cand :: additions.(target)
-                    end
-                  end
-                end
-              done)
+        (* the slot-level bucket check covers per-candidate count
+           eligibility: a counted group holds one exact count *)
+        if group <> [] && sl asr 1 < kmax then
+          for ti = 0 to ntypes - 1 do
+            let b = plib.Tech.Lib.bufs.(ti) in
+            let p = sl land 1 in
+            let p' = if plib.Tech.Lib.inverting.(ti) then 1 - p else p in
+            let target = (if counted then 2 * ((sl asr 1) + 1) else 0) + p' in
+            if power then begin
+              (* Power mode: sources of one (group, type) share the
+                 insertion's load / current / noise slack but differ in
+                 both resulting slack and energy, so the single best-slack
+                 scan is replaced by the (slack, energy) Pareto staircase
+                 of the source group — every staircase member is an
+                 insertion no other source can dominate. Over-budget
+                 members are skipped before materialization and counted as
+                 [power_pruned]. *)
+              let eligible =
+                List.filter_map
+                  (fun (a : C.t) ->
+                    if (not guard) || C.noise_ok ~r_gate:b.Tech.Buffer.r_b a then
+                      Some
+                        ( a.C.q -. Tech.Buffer.gate_delay b ~load:a.C.c,
+                          a.C.p +. plib.Tech.Lib.energy.(ti),
+                          a )
+                    else None)
+                  group
+              in
+              let eligible =
+                List.stable_sort
+                  (fun (s1, p1, _) (s2, p2, _) ->
+                    match Float.compare s2 s1 with 0 -> Float.compare p1 p2 | n -> n)
+                  eligible
+              in
+              let best_p = ref infinity in
+              List.iter
+                (fun (_, pw, a) ->
+                  if pw < !best_p then begin
+                    best_p := pw;
+                    if pw > eff_budget then incr power_pruned
+                    else add target (C.add_buffer ~arena ~at:v b a)
+                  end)
+                eligible
+            end
+            else begin
+              scan_s.(0) <- neg_infinity;
+              scan b group;
+              (* one insertion per (group, type); its destination group is
+                 known before anything is materialized *)
+              if scan_s.(0) > neg_infinity then
+                if
+                  pred
+                  && C.covered ~bound ~c:plib.Tech.Lib.c_in.(ti) ~q:scan_s.(0) tbl.(target)
+                then incr pred_pruned
+                else add target (C.add_buffer ~arena ~at:v b !scan_best)
+            end
+          done)
       tbl;
     Array.iteri
       (fun sl cands ->
@@ -721,7 +479,7 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
         | [] -> ()
         | _ ->
             let cands = List.sort cmp_order cands in
-            if (not power) && prune && ((not noise) || cq_prune) then begin
+            if (not power) && prune && staircase then begin
               let kept, dropped = C.splice_delay tbl.(sl) cands in
               pruned := !pruned + dropped;
               tbl.(sl) <- kept
@@ -751,14 +509,10 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
     tbl
   in
   let site_bound v = if pred then bounds.(v) else 0.0 in
-  (* Memo plumbing for [above]. A hit restores the cached table (copied:
-     [insert_buffers] mutates its input table in place) and, at a
-     witness-scan site, reinstates the full climbed population for the
-     insertion scans — with the per-(slot, type) scan results left NaN
-     so [insert_buffers] rescans the full lists, which is exactly the
-     scan [fill_witnesses] ran when the entry was built. A store copies
-     the outer array for the same aliasing reason; the candidate lists
-     themselves are immutable. *)
+  (* Memo plumbing for [above]. A hit restores the cached table, copied
+     because [insert_buffers] mutates its input table in place; a store
+     copies the outer array for the same aliasing reason. The candidate
+     lists themselves are immutable. *)
   let memo_get c ~bound =
     match memo with
     | None -> None
@@ -766,27 +520,15 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
         match m.Memo.entries.(c) with
         | Some e when e.Memo.bound = bound ->
             m.Memo.hits <- m.Memo.hits + 1;
-            (match e.Memo.full with
-            | Some full ->
-                Array.blit full 0 scan_src 0 nslots;
-                Array.fill ins_s 0 (nslots * ntypes) Float.nan;
-                scan_valid := true
-            | None -> scan_valid := false);
             Some (Array.copy e.Memo.kept)
         | Some _ | None -> None)
   in
-  let memo_set c ~bound ~dest_scan tbl =
+  let memo_set c ~bound tbl =
     match memo with
     | None -> ()
     | Some (m : Memo.t) ->
         m.Memo.misses <- m.Memo.misses + 1;
-        m.Memo.entries.(c) <-
-          Some
-            {
-              Memo.kept = Array.copy tbl;
-              full = (if dest_scan then Some (Array.copy scan_src) else None);
-              bound;
-            }
+        m.Memo.entries.(c) <- Some { Memo.kept = Array.copy tbl; bound }
   in
   let rec at v =
     match T.kind tree v with
@@ -808,26 +550,13 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
         note_width base;
         base
   and above c =
-    let dest = T.parent tree c in
-    let bound = site_bound dest in
+    let bound = site_bound (T.parent tree c) in
     match memo_get c ~bound with
     | Some tbl -> tbl
     | None ->
-        let dest_scan =
-          pred && (not power) && single_width
-          &&
-          match T.kind tree dest with
-          | T.Internal -> (
-              match T.children tree dest with
-              | [ _ ] -> T.feasible tree dest
-              | _ -> false)
-          | _ -> false
-        in
-        let tbl =
-          apply_wire ~at:c ~bound ~scan:dest_scan (T.wire_to tree c) (at c)
-        in
+        let tbl = apply_wire ~at:c ~bound (T.wire_to tree c) (at c) in
         note_width tbl;
-        memo_set c ~bound ~dest_scan tbl;
+        memo_set c ~bound tbl;
         tbl
   in
   let root = T.root tree in
@@ -848,29 +577,23 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
       if sl land 1 = 0 then
         List.iter
           (fun (a : C.t) ->
-            if not (noise && attach_guard && not (C.noise_ok ~r_gate:d.T.r_drv a)) then
+            if (not guard) || C.noise_ok ~r_gate:d.T.r_drv a then
               finals := C.add_driver d a :: !finals)
           group)
     top;
   (* Winners first, reconstruction after: only the per-bucket best
      candidate pays the arena walk. The tie-break (keep the earlier
-     candidate on equal slack) matches the old eager-result selection. *)
+     candidate on equal slack) matches the old eager-result selection.
+     The driver adds no energy, and every insertion and merge enforced
+     the budget, so every root candidate is within it. *)
   let winners = Array.make nbuckets None in
-  let consider (a : C.t) =
-    (* the driver adds no energy, so every root candidate is already
-       within budget; the filter is belt-and-braces (and keeps the
-       Bad_power_bound mutation observable: it inflates [eff_budget]
-       everywhere uniformly) *)
-    if (not power) || a.C.p <= eff_budget then begin
+  List.iter
+    (fun (a : C.t) ->
       let idx = if counted then C.count a else 0 in
-      if idx < nbuckets then begin
-        match winners.(idx) with
-        | Some (prev : C.t) when prev.C.q >= a.C.q -> ()
-        | Some _ | None -> winners.(idx) <- Some a
-      end
-    end
-  in
-  List.iter consider !finals;
+      match winners.(idx) with
+      | Some (prev : C.t) when prev.C.q >= a.C.q -> ()
+      | Some _ | None -> winners.(idx) <- Some a)
+    !finals;
   let reconstructed =
     Array.map
       (Option.map (fun (a : C.t) ->
@@ -882,7 +605,6 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
              Trace.energy arena h )))
       winners
   in
-  let minor1, major1 = alloc_counters () in
   let stats =
     {
       generated = !generated;
@@ -894,8 +616,7 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
       (* per-run delta: under a memo the arena is resident and carries
          every previous run's traces *)
       arena = Trace.size arena - arena0;
-      minor_words = minor1 -. minor0;
-      major_words = major1 -. major0;
+      minor_words = Gc.minor_words () -. minor0;
     }
   in
   let by_count =

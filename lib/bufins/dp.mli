@@ -25,6 +25,14 @@
     (load, slack) frontier can carry the only noise slack that survives
     the upstream wires (see {!Candidate.dominates_full}).
 
+    One kernel per job: every wire goes through {!Candidate.climb},
+    every branch node through one pairing enumerator, every delay-mode
+    group through the one (load, slack) staircase of {!Candidate}
+    (plain dominance, or the predictive slope kill at the node's
+    {!Rctree.Upbound} bound), every noise-mode group through
+    {!Candidate.sweep_noise}, and power mode through its staircases. The
+    sweep-only reference merges run the generic {!Frontier} walk.
+
     Candidates are flat float records whose solutions live in a per-run
     {!Trace} arena; placement lists are reconstructed only for the
     winning root candidates, so [result] still exposes eager placement
@@ -60,23 +68,12 @@ type mutation =
           that could still win, so predictive outcomes drift from the
           [`Sweep_only] reference — the bug class the pred-vs-sweep
           oracle exists to catch *)
-  | Stale_memo
-      (** incremental edits invalidate only the edited node, not its
-          ancestors ({!Memo.dirty_node} instead of {!Memo.dirty}), so
-          stale ancestor tables survive into the next run — the bug
-          class the incremental-vs-scratch oracle exists to catch. No
-          effect on {!run} itself; applied by the oracle's replay
-          harness. *)
-  | Bad_power_bound
-      (** the power budget the engine enforces inflated by 25%
-          ([loose_bound_factor]): [Power_bounded] runs accept solutions
-          whose total buffer energy exceeds the requested budget — the
-          bug class the power-vs-brute and power-monotonicity oracles
-          exist to catch. No effect outside power mode. *)
 (** Deliberately broken engine variants for verifying the verifier:
     [Check.Diff] and [buffopt fuzz --mutate] run campaigns against a
     mutated engine and must catch it (the mutation smoke of DESIGN.md
-    §10). Never used by the production drivers. *)
+    §10). Only the defects that need engine internals live here; the
+    checker stages the others itself. Never used by the production
+    drivers. *)
 
 (** Cross-run memo for incremental re-optimization (the serve daemon's
     core; DESIGN.md §14). Holds the per-edge DP tables ([above c] — the
@@ -102,10 +99,6 @@ module Memo : sig
   val dirty : t -> Rctree.Tree.t -> int -> unit
   (** Forget node [v]'s cached table and every ancestor's — the tables
       whose subtrees contain [v]. *)
-
-  val dirty_node : t -> int -> unit
-  (** Forget only [v]'s own table, leaving stale ancestors in place:
-      the {!Stale_memo} mutation. Never correct in production. *)
 
   val clear : t -> unit
   (** Drop every entry and the resident arena. *)
@@ -133,9 +126,8 @@ type stats = {
   pred_pruned : int;
       (** candidates the predictive engine discarded before
           materialization (DESIGN.md §12): no record, no arena node.
-          Always 0 under [`Sweep_only], in noise mode, with
-          [prune = false], and in power mode under the default
-          [`Predictive] (the extended kill needs [`Predictive_power]). *)
+          Always 0 under [`Sweep_only], in noise mode, in power mode
+          and with [prune = false]. *)
   power_pruned : int;
       (** would-be candidates the power budget discarded before
           materialization (over-budget insertions and branch-merge
@@ -159,11 +151,6 @@ type stats = {
           in a batch never contaminate it; winner reconstruction
           included). Deterministic for a given instance, independent of
           the batch engine's domain count. *)
-  major_words : float;
-      (** words allocated directly on or promoted to the major heap
-          during the run; depends on GC timing, so it is reported but
-          kept out of anything that must be deterministic (e.g.
-          [Engine.signature]) *)
 }
 
 type result = {
@@ -197,7 +184,7 @@ val survivors : stats -> int
 
 val run :
   ?prune:bool ->
-  ?pruning:[ `Predictive | `Predictive_power | `Sweep_only ] ->
+  ?pruning:[ `Predictive | `Sweep_only ] ->
   ?widths:float list ->
   ?area_frac:float ->
   ?mutation:mutation ->
@@ -222,15 +209,10 @@ val run :
     slacks, placements, sizes, by_count — is byte-identical to
     [`Sweep_only]; only [generated]/[pred_pruned]/[pruned]/[arena] and
     allocation figures move. Predictive pruning is automatically off
-    (and [pred_pruned = 0]) in noise mode and under [prune = false],
-    where the slope argument does not apply — and in [Power_bounded]
-    mode under the default [`Predictive], where the classic kill
-    ignores the energy axis. [`Predictive_power] opts into the
-    power-extended kill (the witness must also weakly dominate on
-    energy; {!Candidate.pred_kills_power}) at the climb and insertion
-    sites; branch merges stay exhaustive in power mode either way.
-    Outside power mode [`Predictive_power] behaves exactly like
-    [`Predictive]. [widths] (multiples of
+    (and [pred_pruned = 0]) in noise mode, in [Power_bounded] mode and
+    under [prune = false], where the slope argument does not apply: it
+    says nothing about the noise coordinates or the energy axis.
+    [widths] (multiples of
     minimum width, default [[1.]]) enables simultaneous wire sizing per
     {!Rctree.Tree.resize_wire} with the given [area_frac] (default
     0.4); chosen widths are reported in [result.sizes] and applied with

@@ -8,7 +8,7 @@
     engine. Outcomes are byte-identical either way. *)
 
 val run :
-  ?pruning:[ `Predictive | `Predictive_power | `Sweep_only ] ->
+  ?pruning:[ `Predictive | `Sweep_only ] ->
   ?memo:Dp.Memo.t ->
   lib:Tech.Buffer.t list ->
   Rctree.Tree.t ->
@@ -17,7 +17,7 @@ val run :
     succeeds (the zero-buffer candidate survives). *)
 
 val run_max :
-  ?pruning:[ `Predictive | `Predictive_power | `Sweep_only ] ->
+  ?pruning:[ `Predictive | `Sweep_only ] ->
   ?memo:Dp.Memo.t ->
   max_buffers:int ->
   lib:Tech.Buffer.t list ->
@@ -27,7 +27,7 @@ val run_max :
     (Table III). *)
 
 val by_count :
-  ?pruning:[ `Predictive | `Predictive_power | `Sweep_only ] ->
+  ?pruning:[ `Predictive | `Sweep_only ] ->
   ?memo:Dp.Memo.t ->
   kmax:int ->
   lib:Tech.Buffer.t list ->
@@ -37,7 +37,7 @@ val by_count :
     DelayOpt and BuffOpt at equal counts). *)
 
 val run_power :
-  ?pruning:[ `Predictive | `Predictive_power | `Sweep_only ] ->
+  ?pruning:[ `Predictive | `Sweep_only ] ->
   ?memo:Dp.Memo.t ->
   budget:float ->
   kmax:int ->

@@ -2,7 +2,8 @@ module T = Rctree.Tree
 
 type state = { i : float; ns : float }
 
-let rescuable ?(eps = 1e-12) (b : Tech.Buffer.t) st = b.Tech.Buffer.r_b *. st.i <= st.ns +. eps
+let rescuable (b : Tech.Buffer.t) st =
+  b.Tech.Buffer.r_b *. st.i <= st.ns +. Candidate.noise_tol
 
 let climb ~b ~node (w : T.wire) st =
   if not (rescuable b st) then invalid_arg "Wireclimb.climb: state not rescuable";

@@ -9,9 +9,9 @@
 
 type state = { i : float;  (** downstream coupled current, A *) ns : float  (** noise slack, V *) }
 
-val rescuable : ?eps:float -> Tech.Buffer.t -> state -> bool
-(** [r_b *. i <= ns]: a buffer placed right here would satisfy every
-    downstream noise margin. *)
+val rescuable : Tech.Buffer.t -> state -> bool
+(** [r_b *. i <= ns] (up to {!Candidate.noise_tol}): a buffer placed
+    right here would satisfy every downstream noise margin. *)
 
 val climb :
   b:Tech.Buffer.t ->

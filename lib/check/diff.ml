@@ -3,6 +3,21 @@ module Dp = Bufins.Dp
 
 type verdict = Pass | Skip of string | Fail of string
 
+type mutation =
+  | Cq_noise_prune
+  | No_attach_guard
+  | Loose_pred_bound
+  | Stale_memo
+  | Bad_power_bound
+
+(* the defects that live inside the engine; the other two are staged by
+   the oracles that must catch them *)
+let engine_mutation = function
+  | Some Cq_noise_prune -> Some Dp.Cq_noise_prune
+  | Some No_attach_guard -> Some Dp.No_attach_guard
+  | Some Loose_pred_bound -> Some Dp.Loose_pred_bound
+  | Some (Stale_memo | Bad_power_bound) | None -> None
+
 exception Failed of string
 
 let failf fmt = Printf.ksprintf (fun m -> raise (Failed m)) fmt
@@ -412,19 +427,15 @@ let pred_vs_sweep ?mutation (inst : Instance.t) =
    scratch side runs a fresh memo-less DP per step. Every step, in
    delay and noise mode alike, the two must agree exactly — same
    feasibility, bit-equal slack, identical placements and wire sizes.
-   The [Stale_memo] mutation under-invalidates (the edited node only,
-   ancestors left holding tables computed for the old subtree) and is
-   exactly what this oracle exists to catch. *)
-let incremental_vs_scratch ?mutation (inst : Instance.t) =
+   The [Stale_memo] mutation never reports RAT and wire edits to the
+   memo, so the tables computed for the old subtrees survive into the
+   next run — exactly what this oracle exists to catch. *)
+let incremental_vs_scratch ?mutation ~stale (inst : Instance.t) =
   let lib = inst.Instance.lib in
   let seg = segmented inst in
   let memo_d = Dp.Memo.create () and memo_n = Dp.Memo.create () in
   let dirty tree v =
-    if mutation = Some Dp.Stale_memo then begin
-      Dp.Memo.dirty_node memo_d v;
-      Dp.Memo.dirty_node memo_n v
-    end
-    else begin
+    if not stale then begin
       Dp.Memo.dirty memo_d tree v;
       Dp.Memo.dirty memo_n tree v
     end
@@ -505,6 +516,11 @@ let incremental_vs_scratch ?mutation (inst : Instance.t) =
 
 let power_kmax = 8
 
+(* The Bad_power_bound mutation hands the engine a budget inflated by a
+   quarter and judges its answer against the real one, so over-budget
+   solutions leak through for the power oracles to catch. *)
+let engine_budget ~leak budget = if leak then budget *. 1.25 else budget
+
 let power_ladder ~lib seg =
   let un = Bufins.Vangin.run_max ~max_buffers:power_kmax ~lib seg in
   let e = un.Dp.energy in
@@ -535,7 +551,7 @@ let check_energy ~what (r : Dp.result) =
   if r.Dp.count = 0 && r.Dp.energy <> 0.0 then
     failf "%s: zero-buffer solution carries energy %.17g" what r.Dp.energy
 
-let power_vs_brute ?mutation (inst : Instance.t) =
+let power_vs_brute ?mutation ~leak (inst : Instance.t) =
   let lib = inst.Instance.lib in
   let seg = segmented inst in
   if brute_cost lib seg > brute_budget then Skip "brute force intractable"
@@ -545,7 +561,9 @@ let power_vs_brute ?mutation (inst : Instance.t) =
     List.iter
       (fun budget ->
         let outcome =
-          Dp.run ?mutation ~noise:false ~mode:(Dp.Power_bounded { budget; kmax }) ~lib seg
+          Dp.run ?mutation ~noise:false
+            ~mode:(Dp.Power_bounded { budget = engine_budget ~leak budget; kmax })
+            ~lib seg
         in
         let r =
           match outcome.Dp.best with
@@ -609,7 +627,7 @@ let energy_conservation ?mutation (inst : Instance.t) =
        ~lib seg);
   Pass
 
-let power_monotonicity ?mutation (inst : Instance.t) =
+let power_monotonicity ?mutation ~leak (inst : Instance.t) =
   let lib = inst.Instance.lib in
   let seg = segmented inst in
   let un, budgets = power_ladder ~lib seg in
@@ -618,7 +636,7 @@ let power_monotonicity ?mutation (inst : Instance.t) =
     (fun budget ->
       let outcome =
         Dp.run ?mutation ~noise:false
-          ~mode:(Dp.Power_bounded { budget; kmax = power_kmax })
+          ~mode:(Dp.Power_bounded { budget = engine_budget ~leak budget; kmax = power_kmax })
           ~lib seg
       in
       let r =
@@ -783,7 +801,9 @@ let parser_roundtrip ?mutation (inst : Instance.t) =
         btext;
       Pass
 
-let run ?mutation (inst : Instance.t) =
+let run ?mutation:m (inst : Instance.t) =
+  let mutation = engine_mutation m in
+  let stale = m = Some Stale_memo and leak = m = Some Bad_power_bound in
   let tag v =
     match v with
     | Fail m -> Fail (Printf.sprintf "[%s] %s" (Instance.oracle_name inst.Instance.oracle) m)
@@ -799,11 +819,11 @@ let run ?mutation (inst : Instance.t) =
     | Instance.Dp_invariants -> dp_invariants ?mutation inst
     | Instance.Dp_trace -> dp_trace ?mutation inst
     | Instance.Pred_vs_sweep -> pred_vs_sweep ?mutation inst
-    | Instance.Incremental_vs_scratch -> incremental_vs_scratch ?mutation inst
-    | Instance.Parser_roundtrip -> parser_roundtrip ?mutation inst
-    | Instance.Power_vs_brute -> power_vs_brute ?mutation inst
+    | Instance.Incremental_vs_scratch -> incremental_vs_scratch ?mutation ~stale inst
+    | Instance.Parser_roundtrip -> parser_roundtrip ?mutation:m inst
+    | Instance.Power_vs_brute -> power_vs_brute ?mutation ~leak inst
     | Instance.Energy_conservation -> energy_conservation ?mutation inst
-    | Instance.Power_monotonicity -> power_monotonicity ?mutation inst
+    | Instance.Power_monotonicity -> power_monotonicity ?mutation ~leak inst
   with
   | v -> tag v
   | exception Failed m -> tag (Fail m)

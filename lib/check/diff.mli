@@ -7,8 +7,8 @@
     [run] never raises: any exception inside an optimizer is itself a
     counterexample and comes back as [Fail].
 
-    [mutation] swaps in a deliberately broken DP engine
-    ({!Bufins.Dp.mutation}) for the engine-under-test side only — the
+    [mutation] swaps in a deliberately broken DP engine for the
+    engine-under-test side only — the
     reference sides (brute force, Algorithms 1/2, the production
     [Buffopt] driver) stay healthy — to verify that campaigns catch
     known bug classes (DESIGN.md §10). The one exception is
@@ -22,7 +22,23 @@ type verdict =
   | Skip of string  (** oracle not applicable (e.g. brute intractable) *)
   | Fail of string
 
-val run : ?mutation:Bufins.Dp.mutation -> Instance.t -> verdict
+type mutation =
+  | Cq_noise_prune  (** {!Bufins.Dp.Cq_noise_prune} *)
+  | No_attach_guard  (** {!Bufins.Dp.No_attach_guard} *)
+  | Loose_pred_bound  (** {!Bufins.Dp.Loose_pred_bound} *)
+  | Stale_memo
+      (** the incremental-vs-scratch oracle never reports its RAT and
+          wire edits to the memo ({!Bufins.Dp.Memo.dirty}), so stale
+          tables survive into the next run *)
+  | Bad_power_bound
+      (** the power oracles hand the engine a budget inflated by 25% and
+          judge the answer against the real one, so solutions whose
+          total buffer energy exceeds the budget leak through *)
+(** The mutation smoke's defects (DESIGN.md §10). The first three live
+    inside the engine ({!Bufins.Dp.mutation}); the last two are staged
+    here, by the oracle that must catch them. *)
 
-val fails : ?mutation:Bufins.Dp.mutation -> Instance.t -> string option
+val run : ?mutation:mutation -> Instance.t -> verdict
+
+val fails : ?mutation:mutation -> Instance.t -> string option
 (** [Some message] iff {!run} fails — the shape {!Shrink.shrink} wants. *)

@@ -33,7 +33,7 @@ type report = {
 }
 
 val campaign :
-  ?mutation:Bufins.Dp.mutation ->
+  ?mutation:Diff.mutation ->
   ?oracle:Instance.oracle ->
   ?jobs:int ->
   ?minutes:float ->
@@ -49,7 +49,7 @@ val campaign :
     default uniform draw over {!Instance.all_oracles}. *)
 
 val replay :
-  ?mutation:Bufins.Dp.mutation -> string -> (string * Diff.verdict) list
+  ?mutation:Diff.mutation -> string -> (string * Diff.verdict) list
 (** Run every instance at the path — one [*.corpus] file, or a directory
     of them — through its oracle; unparseable files come back as [Fail].
     The committed corpus documents fixed bugs, so a healthy replay is

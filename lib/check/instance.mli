@@ -60,7 +60,7 @@ type oracle =
           constrained optimum ({!Bufins.Brute.best_slack_power}) at a
           ladder of budgets spanning zero to unconstrained, and every
           winner's energy respects the requested budget — the check the
-          {!Bufins.Dp.Bad_power_bound} mutation must trip *)
+          {!Diff.Bad_power_bound} mutation must trip *)
   | Energy_conservation
       (** the energy the frontier accumulated on the winning candidate
           ([result.energy], reconstructed via {!Bufins.Trace.energy})

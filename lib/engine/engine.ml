@@ -129,7 +129,7 @@ let optimize ?domains ?pool ?chunk ?retries ?seg_len ?kmax ~algorithm ~lib jobs
   let energy = ref 0.0 in
   let worst = ref infinity in
   let gen = ref 0 and pruned = ref 0 and pred = ref 0 and ppruned = ref 0 and peak = ref 0 in
-  let arena = ref 0 and minor = ref 0.0 and major = ref 0.0 in
+  let arena = ref 0 and minor = ref 0.0 in
   (* per-type peaks take the elementwise max across nets; libraries are
      uniform within a batch, so the first net fixes the width *)
   let twidths = ref [||] in
@@ -155,8 +155,7 @@ let optimize ?domains ?pool ?chunk ?retries ?seg_len ?kmax ~algorithm ~lib jobs
           end;
           Array.iteri (fun i w -> if w > !twidths.(i) then !twidths.(i) <- w) tw;
           arena := !arena + s.Bufins.Dp.arena;
-          minor := !minor +. s.Bufins.Dp.minor_words;
-          major := !major +. s.Bufins.Dp.major_words
+          minor := !minor +. s.Bufins.Dp.minor_words
       | Failed _ -> incr failed)
     results;
   {
@@ -176,7 +175,6 @@ let optimize ?domains ?pool ?chunk ?retries ?seg_len ?kmax ~algorithm ~lib jobs
         type_widths = !twidths;
         arena = !arena;
         minor_words = !minor;
-        major_words = !major;
       };
     timing;
   }
@@ -188,8 +186,7 @@ let failed_nets r =
 
 let signature r =
   (* determinism contract: only verdict fields — never timing and never
-     the Gc words (major_words depends on collector scheduling, which
-     varies across domain counts) *)
+     the Gc words *)
   let b = Buffer.create (64 * (Array.length r.results + 1)) in
   Array.iter
     (fun { net; outcome } ->
@@ -230,7 +227,7 @@ let summary r =
      buffer energy | worst \
      predicted slack %s | %d domains, %.3f s wall (%.1f nets/s), per-net \
      %.2f/%.2f/%.2f ms min/mean/max | sched %s | dp %d generated, %d \
-     pred-pruned, alloc %.1f/%.1f Mwords minor/major, %d trace nodes"
+     pred-pruned, alloc %.1f Mwords minor, %d trace nodes"
     r.ok r.failed r.buffers (r.energy *. 1e15)
     (* every net failed: there is no worst slack, and printing the nan
        that Float.min infinity produces reads like a computed value *)
@@ -239,5 +236,4 @@ let summary r =
     (t.lat_max_s *. 1e3) (sched_line t.sched) r.dp.Bufins.Dp.generated
     r.dp.Bufins.Dp.pred_pruned
     (r.dp.Bufins.Dp.minor_words /. 1e6)
-    (r.dp.Bufins.Dp.major_words /. 1e6)
     r.dp.Bufins.Dp.arena

@@ -198,7 +198,7 @@ let diff_tests =
             | Check.Diff.Pass -> ()
             | Check.Diff.Skip m -> Alcotest.failf "healthy run skipped: %s" m
             | Check.Diff.Fail m -> Alcotest.failf "healthy run failed: %s" m);
-            match Check.Diff.run ~mutation:Bufins.Dp.Cq_noise_prune inst with
+            match Check.Diff.run ~mutation:Check.Diff.Cq_noise_prune inst with
             | Check.Diff.Fail _ -> ()
             | Check.Diff.Pass | Check.Diff.Skip _ ->
                 Alcotest.fail "mutated engine escaped the checker")
@@ -242,7 +242,7 @@ let fuzz_tests =
            shrunk counterexample of at most 4 sinks that fails mutated,
            passes healthy, and replays from its corpus text *)
         let r =
-          Check.Fuzz.campaign ~mutation:Bufins.Dp.Cq_noise_prune ~jobs:1 ~seed:5 ~count:60
+          Check.Fuzz.campaign ~mutation:Check.Diff.Cq_noise_prune ~jobs:1 ~seed:5 ~count:60
             ()
         in
         Alcotest.(check bool) "campaign failed" true (r.Check.Fuzz.failures <> []);
@@ -253,7 +253,7 @@ let fuzz_tests =
               (Printf.sprintf "instance %d shrunk to <= 4 sinks" f.Check.Fuzz.index)
               true
               (I.sink_count shrunk <= 4);
-            (match Check.Diff.run ~mutation:Bufins.Dp.Cq_noise_prune shrunk with
+            (match Check.Diff.run ~mutation:Check.Diff.Cq_noise_prune shrunk with
             | Check.Diff.Fail _ -> ()
             | _ -> Alcotest.fail "shrunk instance no longer fails mutated");
             (match Check.Diff.run shrunk with
@@ -263,13 +263,13 @@ let fuzz_tests =
             match Check.Corpus.of_string (Check.Corpus.to_string shrunk) with
             | Error m -> Alcotest.failf "repro does not parse: %s" m
             | Ok replayed -> (
-                match Check.Diff.run ~mutation:Bufins.Dp.Cq_noise_prune replayed with
+                match Check.Diff.run ~mutation:Check.Diff.Cq_noise_prune replayed with
                 | Check.Diff.Fail _ -> ()
                 | _ -> Alcotest.fail "replayed repro no longer fails mutated"))
           r.Check.Fuzz.failures);
     case "mutation smoke: missing attach guard is caught too" (fun () ->
         let r =
-          Check.Fuzz.campaign ~mutation:Bufins.Dp.No_attach_guard ~jobs:1 ~seed:1
+          Check.Fuzz.campaign ~mutation:Check.Diff.No_attach_guard ~jobs:1 ~seed:1
             ~count:40 ()
         in
         Alcotest.(check bool) "campaign failed" true (r.Check.Fuzz.failures <> []));
@@ -280,7 +280,7 @@ let fuzz_tests =
            pred-vs-sweep oracle must flag it, with a shrunk repro of at
            most 4 sinks that fails mutated and passes healthy *)
         let r =
-          Check.Fuzz.campaign ~mutation:Bufins.Dp.Loose_pred_bound ~jobs:1 ~seed:1
+          Check.Fuzz.campaign ~mutation:Check.Diff.Loose_pred_bound ~jobs:1 ~seed:1
             ~count:80 ()
         in
         Alcotest.(check bool) "campaign failed" true (r.Check.Fuzz.failures <> []);
@@ -291,7 +291,7 @@ let fuzz_tests =
               (Printf.sprintf "instance %d shrunk to <= 4 sinks" f.Check.Fuzz.index)
               true
               (I.sink_count shrunk <= 4);
-            (match Check.Diff.run ~mutation:Bufins.Dp.Loose_pred_bound shrunk with
+            (match Check.Diff.run ~mutation:Check.Diff.Loose_pred_bound shrunk with
             | Check.Diff.Fail _ -> ()
             | _ -> Alcotest.fail "shrunk instance no longer fails mutated");
             match Check.Diff.run shrunk with
@@ -305,14 +305,14 @@ let fuzz_tests =
            edit sequence diverge from the scratch reference, with a
            shrunk repro that fails mutated and passes healthy *)
         let r =
-          Check.Fuzz.campaign ~mutation:Bufins.Dp.Stale_memo ~jobs:1 ~seed:1 ~count:60
+          Check.Fuzz.campaign ~mutation:Check.Diff.Stale_memo ~jobs:1 ~seed:1 ~count:60
             ()
         in
         Alcotest.(check bool) "campaign failed" true (r.Check.Fuzz.failures <> []);
         List.iter
           (fun (f : Check.Fuzz.failure) ->
             let shrunk = f.Check.Fuzz.shrunk in
-            (match Check.Diff.run ~mutation:Bufins.Dp.Stale_memo shrunk with
+            (match Check.Diff.run ~mutation:Check.Diff.Stale_memo shrunk with
             | Check.Diff.Fail _ -> ()
             | _ -> Alcotest.fail "shrunk instance no longer fails mutated");
             match Check.Diff.run shrunk with
@@ -325,14 +325,14 @@ let fuzz_tests =
            forbids; the power oracles must flag the over-budget winner,
            with a shrunk repro that fails mutated and passes healthy *)
         let r =
-          Check.Fuzz.campaign ~mutation:Bufins.Dp.Bad_power_bound
+          Check.Fuzz.campaign ~mutation:Check.Diff.Bad_power_bound
             ~oracle:Check.Instance.Power_vs_brute ~jobs:1 ~seed:1 ~count:40 ()
         in
         Alcotest.(check bool) "campaign failed" true (r.Check.Fuzz.failures <> []);
         List.iter
           (fun (f : Check.Fuzz.failure) ->
             let shrunk = f.Check.Fuzz.shrunk in
-            (match Check.Diff.run ~mutation:Bufins.Dp.Bad_power_bound shrunk with
+            (match Check.Diff.run ~mutation:Check.Diff.Bad_power_bound shrunk with
             | Check.Diff.Fail _ -> ()
             | _ -> Alcotest.fail "shrunk instance no longer fails mutated");
             match Check.Diff.run shrunk with

@@ -315,7 +315,7 @@ let parser_oracle_skips_dp_mutations () =
       | Check.Diff.Skip _ -> ()
       | Check.Diff.Pass -> Alcotest.fail "mutation run must skip, not pass"
       | Check.Diff.Fail m -> Alcotest.failf "mutation run must skip, not fail: %s" m)
-    [ Bufins.Dp.Cq_noise_prune; Bufins.Dp.Stale_memo ]
+    [ Check.Diff.Cq_noise_prune; Check.Diff.Stale_memo ]
 
 let parser_corpus_replays () =
   let entries =

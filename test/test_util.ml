@@ -224,20 +224,42 @@ let candidate_tests =
            generic Frontier algorithms *)
         let sorted = List.sort Bufins.Candidate.cmp_frontier cands in
         let gd, nd = (Bufins.Frontier.sweep2 ~cost ~value sorted, Bufins.Candidate.sweep_delay sorted) in
-        let gn, nn =
-          ( Bufins.Frontier.sweep_dom ~cost ~dominates:Bufins.Candidate.dominates_full sorted,
-            Bufins.Candidate.sweep_noise sorted )
+        (* the splice into an already-swept group is the sweep of the
+           merged list: split the input, sweep one half, splice the other *)
+        let group, extra =
+          List.partition (fun (a : Bufins.Candidate.t) -> a.Bufins.Candidate.q > 3e-10) sorted
         in
-        gd = nd && gn = nn);
+        let swept, _ = Bufins.Candidate.sweep_delay group in
+        let spliced, d1 = Bufins.Candidate.splice_delay swept extra in
+        let whole, dw =
+          Bufins.Frontier.sweep2 ~cost ~value
+            (List.merge Bufins.Candidate.cmp_frontier swept extra)
+        in
+        let noise = Bufins.Candidate.dominates_full in
+        gd = nd
+        && spliced = whole && d1 = dw
+        && Bufins.Frontier.sweep_dom ~cost ~dominates:noise sorted
+           = Bufins.Candidate.sweep_noise ~power:false sorted);
     qcase ~count:80 "specialized merge matches the generic walk" gen (fun cands ->
         let l = List.sort Bufins.Candidate.cmp_frontier cands in
         let r = List.rev (List.rev_map (fun a -> { a with Bufins.Candidate.c = a.Bufins.Candidate.c *. 1.5 }) l) in
-        (* fresh arena each: identical pairing order means identical
-           handle sequences, so whole records must compare equal *)
-        let ga = Bufins.Trace.create () and fa = Bufins.Trace.create () in
-        let generic = Bufins.Frontier.merge2 ~value ~join:(Bufins.Candidate.merge ~arena:ga) l r in
-        let fast, n = Bufins.Candidate.merge_delay ~arena:fa l r in
-        generic = fast && n = List.length fast);
+        (* the fused predictive merge at bound 0 is the generic walk
+           followed by the staircase sweep; it just never materializes the
+           pairings the sweep would drop, so the trace handles differ and
+           every kill moves from the sweep's drops to the pre-kills *)
+        let join = Bufins.Candidate.merge ~arena:(Bufins.Trace.create ()) in
+        let walk = Bufins.Frontier.merge2 ~value ~join l r in
+        let generic, gdrop = Bufins.Frontier.sweep2 ~cost ~value walk in
+        let fused, emitted, dropped, prekilled =
+          Bufins.Candidate.merge_sweep_delay_pred ~arena:(Bufins.Trace.create ()) ~bound:0.0
+            [ (l, r) ]
+        in
+        let coords =
+          List.map (fun (a : Bufins.Candidate.t) -> { a with Bufins.Candidate.tr = 0.0 })
+        in
+        coords generic = coords fused
+        && emitted + prekilled = List.length walk
+        && dropped + prekilled = gdrop);
     qcase ~count:80 "pareto_dom on full dominance keeps only the 4D front" gen4 (fun cands ->
         let dom = Bufins.Candidate.dominates_full in
         let kept, _ =
