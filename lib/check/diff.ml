@@ -801,6 +801,127 @@ let parser_roundtrip ?mutation (inst : Instance.t) =
         btext;
       Pass
 
+(* {2 Transient solver oracle}
+
+   Noisesim's stage decks on the forest LDL^T solver against the dense
+   LU reference. No optimizer is under test; the instance's content
+   seeds the deck variants, so a corpus entry replays the same decks. *)
+
+let transient_tol = 1e-9
+
+let transient_disagreement ?density cfg tree =
+  let worst a b =
+    let d = ref 0.0 in
+    Array.iteri (fun i x -> d := Float.max !d (Float.abs (x -. b.(i)))) a;
+    !d
+  in
+  let peaks (res : Circuit.Transient.result) (deck : Noisesim.Deck.t) =
+    List.mapi (fun i (leaf, _) -> (leaf, res.Circuit.Transient.peaks.(i))) deck.Noisesim.Deck.probes
+  in
+  match
+    List.split
+      (List.map
+         (fun g ->
+           let deck = Noisesim.Deck.of_stage ?density cfg tree ~gate:g in
+           let dt, t_end = Noisesim.Deck.window cfg deck in
+           let sim f =
+             f ?record:(Some true) deck.Noisesim.Deck.netlist ~dt ~t_end
+               ~probes:(List.map snd deck.Noisesim.Deck.probes)
+           in
+           let fast = sim Circuit.Transient.simulate in
+           let dense = sim Circuit.Transient.simulate_dense in
+           if fast.Circuit.Transient.solver <> Circuit.Transient.Forest then
+             failf "stage %d: an RC stage deck missed the forest solver" g;
+           let traces (r : Circuit.Transient.result) =
+             match r.Circuit.Transient.traces with
+             | Some t -> t
+             | None -> failf "stage %d: traces not recorded" g
+           in
+           Array.iteri
+             (fun p tr ->
+               let d = worst tr (traces dense).(p) in
+               if d > transient_tol then
+                 failf "stage %d probe %d: forest trace differs from dense by %.3g V" g p d)
+             (traces fast);
+           let d = worst fast.Circuit.Transient.finals dense.Circuit.Transient.finals in
+           if d > transient_tol then
+             failf "stage %d: forest finals differ from dense by %.3g V" g d;
+           (peaks fast deck, peaks dense deck))
+         (T.gates tree))
+  with
+  | exception Failed m -> Some m
+  | fast, dense ->
+      let verdict peaks =
+        let r = Noisesim.Verify.of_peaks tree (List.concat peaks) in
+        Printf.sprintf "sim %d metric %d bound %b" r.Noisesim.Verify.sim_violations
+          r.Noisesim.Verify.metric_violations r.Noisesim.Verify.bound_ok
+      in
+      let f = verdict fast and d = verdict dense in
+      if f = d then None else Some (Printf.sprintf "Verify verdicts differ: forest %s, dense %s" f d)
+
+(* Aggressor spans over about half the wires: one to three each, from
+   three slopes, so a deck carries several ramp sources. *)
+let random_spans rng tree =
+  let slope = Gen.process.Tech.Process.vdd /. Gen.process.Tech.Process.t_rise in
+  List.filter_map
+    (fun v ->
+      let len = if v = T.root tree then 0.0 else (T.wire_to tree v).T.length in
+      if len <= 0.0 || Util.Rng.bool rng then None
+      else
+        Some
+          ( v,
+            List.init
+              (1 + Util.Rng.int rng 3)
+              (fun _ ->
+                let near = Util.Rng.range rng 0.0 (0.8 *. len) in
+                {
+                  Coupling.near;
+                  far = Util.Rng.range rng (near +. (0.1 *. len)) len;
+                  lambda = Util.Rng.range rng 0.05 0.3;
+                  slope = slope *. Util.Rng.choice rng [| 0.5; 1.0; 2.0 |];
+                }) ))
+    (T.postorder tree)
+
+let transient_tree_vs_dense ?mutation (inst : Instance.t) =
+  match mutation with
+  | Some _ -> Skip "transient oracle: no DP engine under test"
+  | None -> (
+      let rng = Util.Rng.create (content_seed inst) in
+      let n_seg = 1 + Util.Rng.int rng 16 in
+      let cfg = { (Noisesim.Deck.default_config Gen.process) with Noisesim.Deck.n_seg } in
+      let coupled = Util.Rng.bool rng and buffered = Util.Rng.bool rng in
+      let seg_len = inst.Instance.seg_len and lib = inst.Instance.lib in
+      let density, tree =
+        if coupled then
+          let ann = Coupling.annotate inst.Instance.tree ~spans:(random_spans rng inst.Instance.tree) in
+          let ann =
+            match
+              if buffered then
+                Bufins.Buffopt.optimize_coupled ~seg_len Bufins.Buffopt.Buffopt ~lib ann
+              else None
+            with
+            | Some (_, ann') -> ann'
+            | None -> Coupling.refine ann ~max_len:seg_len
+          in
+          (Some (Coupling.density ann), Coupling.tree ann)
+        else
+          ( None,
+            match
+              if buffered then
+                Bufins.Buffopt.optimize ~seg_len Bufins.Buffopt.Buffopt ~lib inst.Instance.tree
+              else None
+            with
+            | Some run -> run.Bufins.Buffopt.report.Bufins.Eval.tree
+            | None -> segmented inst )
+      in
+      match transient_disagreement ?density cfg tree with
+      | None -> Pass
+      | Some m ->
+          failf "n_seg %d, %s, %s: %s" n_seg
+            (if coupled then "multi-aggressor" else "estimation mode")
+            (if buffered then "buffered" else "unbuffered")
+            m)
+
 let run ?mutation:m (inst : Instance.t) =
   let mutation = engine_mutation m in
   let stale = m = Some Stale_memo and leak = m = Some Bad_power_bound in
@@ -824,6 +945,7 @@ let run ?mutation:m (inst : Instance.t) =
     | Instance.Power_vs_brute -> power_vs_brute ?mutation ~leak inst
     | Instance.Energy_conservation -> energy_conservation ?mutation inst
     | Instance.Power_monotonicity -> power_monotonicity ?mutation ~leak inst
+    | Instance.Transient_tree_vs_dense -> transient_tree_vs_dense ?mutation:m inst
   with
   | v -> tag v
   | exception Failed m -> tag (Fail m)

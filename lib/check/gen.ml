@@ -67,6 +67,14 @@ let segment_for_brute tree =
 
 let random_net rng = Fixtures.random_net rng process ~max_sinks:5 ~max_len:5e-3
 
+(* one Workload net (the Table I sink-count mix, 2-16 mm) under a random
+   seed: the population Noisesim verifies in Table II *)
+let workload_net rng =
+  let cfg = { Workload.default_config with Workload.nets = 1; seed = Util.Rng.int rng 1_000_000 } in
+  match Workload.trees process (Workload.generate cfg) with
+  | [ (_, tree) ] -> tree
+  | _ -> invalid_arg "Gen.workload_net: expected one net"
+
 (* {1 Front-end fodder: random designs and libraries}
 
    These feed the parser round-trip oracle, so the float fields are
@@ -162,6 +170,11 @@ let instance_for oracle rng =
          count; monotonicity itself does not depend on the granularity *)
       Instance.make ~tree:(random_net rng) ~lib:Tech.Lib.default_library ~seg_len:1e-3
         oracle
+  | Instance.Transient_tree_vs_dense ->
+      (* the segmenting sets the deck size the dense reference pays
+         O(n^2) per step for; the oracle draws the rest from the content *)
+      Instance.make ~tree:(workload_net rng) ~lib:Tech.Lib.default_library
+        ~seg_len:(Util.Rng.range rng 400e-6 1.5e-3) oracle
 
 let instance rng =
   let oracle = Util.Rng.choice rng (Array.of_list Instance.all_oracles) in

@@ -14,6 +14,7 @@ type oracle =
   | Power_vs_brute
   | Energy_conservation
   | Power_monotonicity
+  | Transient_tree_vs_dense
 
 let all_oracles =
   [
@@ -30,6 +31,7 @@ let all_oracles =
     Power_vs_brute;
     Energy_conservation;
     Power_monotonicity;
+    Transient_tree_vs_dense;
   ]
 
 let oracle_name = function
@@ -46,6 +48,7 @@ let oracle_name = function
   | Power_vs_brute -> "power-vs-brute"
   | Energy_conservation -> "energy-conservation"
   | Power_monotonicity -> "power-monotonicity"
+  | Transient_tree_vs_dense -> "transient-tree-vs-dense"
 
 let oracle_of_name s = List.find_opt (fun o -> oracle_name o = s) all_oracles
 

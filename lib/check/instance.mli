@@ -73,6 +73,16 @@ type oracle =
           increasing budget ladder, [Dp.Power_bounded] slacks are
           non-decreasing, each winner fits its budget, and an
           unconstrained budget reproduces the [Per_count] optimum *)
+  | Transient_tree_vs_dense
+      (** Noisesim's stage decks agree on both transient solvers: every
+          deck takes the forest [LDL^T] path, its recorded traces and
+          finals match the dense LU reference within 1e-9 V, and the
+          {!Noisesim.Verify} verdicts ([sim_violations],
+          [metric_violations], [bound_ok]) are identical. The tree is a
+          workload net; the instance's content seeds the deck granularity
+          ([n_seg] 1-16), an optional multi-aggressor annotation, and
+          whether the net is verified unbuffered or after BuffOpt. DP
+          [mutation] campaigns skip this oracle. *)
 
 val all_oracles : oracle list
 

@@ -3,7 +3,8 @@ type t = { source : Netlist.node; moments : float array array }
 let transfer_moments nl ~order ~probes =
   if order < 0 then invalid_arg "Acmoments.transfer_moments: negative order";
   let sys = Mna.build nl in
-  let lu = Linalg.Mat.lu_factor sys.Mna.g in
+  let lu = Linalg.Mat.lu_factor (Mna.g sys) in
+  let c = Mna.c sys in
   let probes = Array.of_list probes in
   let extract x =
     Array.map
@@ -12,22 +13,24 @@ let transfer_moments nl ~order ~probes =
         if i < 0 then 0.0 else x.(i))
       probes
   in
-  List.map
-    (fun d ->
-      let excitation lst =
-        let b = Linalg.Vec.make (Linalg.Mat.dim sys.Mna.g) in
-        List.iter (fun (i, coeff, src) -> if src = d then b.(i) <- b.(i) -. coeff) lst;
+  List.mapi
+    (fun s d ->
+      let excitation entries =
+        let b = Linalg.Vec.make (Mna.dim sys) in
+        Array.iter
+          (fun (e : Mna.rhs) -> if e.Mna.src = s then b.(e.Mna.row) <- b.(e.Mna.row) -. e.Mna.coeff)
+          entries;
         b
       in
       let moments = Array.make (order + 1) [||] in
       let h = ref (Linalg.Mat.lu_solve lu (excitation sys.Mna.g_drv)) in
       moments.(0) <- extract !h;
       for k = 1 to order do
-        let rhs = Linalg.Mat.mul_vec sys.Mna.c !h in
+        let rhs = Linalg.Mat.mul_vec c !h in
         Linalg.Vec.scale (-1.0) rhs;
         if k = 1 then Linalg.Vec.axpy 1.0 (excitation sys.Mna.c_drv) rhs;
         h := Linalg.Mat.lu_solve lu rhs;
         moments.(k) <- extract !h
       done;
       { source = Netlist.of_id d; moments })
-    sys.Mna.sources
+    (Array.to_list sys.Mna.sources)

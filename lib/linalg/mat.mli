@@ -1,7 +1,9 @@
 (** Dense square matrices with LU factorization.
 
-    Backs the MNA circuit simulator: the conductance system of a transient
-    analysis is factored once per deck and back-substituted per time step.
+    Backs the AC-moment analyses and the dense path of the MNA transient
+    simulator (decks that are not RC forests, and the reference the
+    forest solver is checked against): the step matrix is factored once
+    per deck and back-substituted per time step.
     Partial pivoting keeps the factorization stable for the mildly
     asymmetric systems produced by companion models. *)
 

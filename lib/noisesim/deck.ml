@@ -120,9 +120,13 @@ let of_stage ?density cfg tree ~gate =
   let sources = Hashtbl.fold (fun slope node acc -> (node, slope) :: acc) aggressors [] in
   { netlist = nl; probes; sources; tau }
 
-let peak_noise ?(record = false) cfg deck =
+let window cfg deck =
   let t_end = cfg.t_rise +. Float.max (6.0 *. deck.tau) (0.5 *. cfg.t_rise) in
   let dt = Float.max (t_end /. 6000.0) (Float.min (cfg.t_rise /. 40.0) (t_end /. 400.0)) in
+  (dt, t_end)
+
+let peak_noise ?(record = false) cfg deck =
+  let dt, t_end = window cfg deck in
   let res =
     Circuit.Transient.simulate ~record deck.netlist ~dt ~t_end ~probes:(List.map snd deck.probes)
   in

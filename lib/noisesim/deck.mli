@@ -43,6 +43,10 @@ val of_stage : ?density:(int -> (float * float) list) -> config -> Rctree.Tree.t
     all wires when [density] is absent) fall back to the single
     worst-case aggressor implied by their stored current. *)
 
+val window : config -> t -> float * float
+(** [(dt, t_end)] of the deck's simulation: the window is
+    [t_rise + 6 tau] with at most 6000 steps. *)
+
 val peak_noise : ?record:bool -> config -> t -> (int * float) list
 (** Simulate the deck and return the peak |voltage| observed at every
-    stage leaf. The window is [t_rise + 6 tau] with at most 6000 steps. *)
+    stage leaf, over {!window}. *)

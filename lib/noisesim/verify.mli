@@ -30,5 +30,10 @@ val net :
     [Deck.default_config]; [density] is forwarded to {!Deck.of_stage}
     for explicit multi-aggressor decks. *)
 
+val of_peaks : Rctree.Tree.t -> (int * float) list -> report
+(** The report for simulated [(leaf, peak)] pairs of the tree, in order:
+    the metric and margin of each leaf, and the verdict counts. {!net}
+    is [of_peaks] over every stage's {!Deck.peak_noise}. *)
+
 val is_clean : report -> bool
 (** No simulated violations. *)

@@ -341,8 +341,64 @@ let fuzz_tests =
           r.Check.Fuzz.failures);
   ]
 
+(* Both transient solvers over every block200 net at the two placements
+   the signoff benchmark alternates between, after BuffOpt. *)
+let block200_signoff placement =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let path f = Filename.concat "../examples/blif" f in
+  let blif = Ingest.Blif.of_string (read (path "block200.blif")) in
+  let liberty = Ingest.Liberty.of_string (read (path "cells.lib")) in
+  let options =
+    { Ingest.Elab.default_options with Ingest.Elab.cells = liberty.Ingest.Liberty.cells; seed = placement }
+  in
+  let design, _ = Ingest.Elab.design_of_blif ~options blif in
+  let report =
+    Engine.optimize ~domains:1 ~algorithm:Bufins.Buffopt.Buffopt
+      ~lib:liberty.Ingest.Liberty.buffers
+      (Sta.Engine.batch_jobs process design)
+  in
+  Array.iter
+    (fun (r : Engine.net_result) ->
+      match r.Engine.outcome with
+      | Engine.Done run -> (
+          match
+            Check.Diff.transient_disagreement
+              (Noisesim.Deck.default_config process)
+              run.Bufins.Buffopt.report.Bufins.Eval.tree
+          with
+          | None -> ()
+          | Some m -> Alcotest.failf "placement %d net %s: %s" placement r.Engine.net m)
+      | Engine.Failed _ -> Alcotest.failf "placement %d net %s: BuffOpt failed" placement r.Engine.net)
+    report.Engine.results;
+  Alcotest.(check int) "every net simulated" (Array.length report.Engine.results) report.Engine.ok
+
+let transient_tests =
+  [
+    case "transient oracle: a campaign is clean and replays from the corpus" (fun () ->
+        let r =
+          Check.Fuzz.campaign ~oracle:I.Transient_tree_vs_dense ~jobs:1 ~seed:3 ~count:12 ()
+        in
+        Alcotest.(check int) "passed" 12 r.Check.Fuzz.passed;
+        let inst = Check.Gen.instance_for I.Transient_tree_vs_dense (Util.Rng.create 7) in
+        match Check.Corpus.of_string (Check.Corpus.to_string inst) with
+        | Ok replayed ->
+            Alcotest.(check bool) "replay passes" true (Check.Diff.run replayed = Check.Diff.Pass)
+        | Error m -> Alcotest.failf "corpus round-trip: %s" m);
+    case "transient oracle: DP mutations skip it" (fun () ->
+        let inst = Check.Gen.instance_for I.Transient_tree_vs_dense (Util.Rng.create 7) in
+        Alcotest.(check bool) "skipped" true
+          (match Check.Diff.run ~mutation:Check.Diff.Cq_noise_prune inst with
+          | Check.Diff.Skip _ -> true
+          | _ -> false));
+    Alcotest.test_case "block200 signoff: forest and dense verdicts agree (placement 1000)"
+      `Slow (fun () -> block200_signoff 1000);
+    Alcotest.test_case "block200 signoff: forest and dense verdicts agree (placement 1001)"
+      `Slow (fun () -> block200_signoff 1001);
+  ]
+
 let suites =
   [
+    ("check.transient", transient_tests);
     ("check.corpus", corpus_tests);
     ("check.invariant", invariant_tests);
     ("check.diff", diff_tests);

@@ -129,4 +129,128 @@ let transient_tests =
         Alcotest.(check bool) "convergence order" true (e2 < e1 /. 2.5));
   ]
 
-let suites = [ ("circuit.waveform", waveform_tests); ("circuit.transient", transient_tests) ]
+(* A victim tree held by [r_g], coupled to a ramp aggressor at every
+   node: the shape of a Noisesim stage deck. [extra] adds elements that
+   may push it off the forest path. *)
+let coupled_tree ?(extra = fun _ _ -> ()) () =
+  let nl = N.create () in
+  let agg = N.fresh ~label:"agg" nl in
+  N.drive nl agg (W.ramp ~t0:0.0 ~t_rise:1e-10 ~v0:0.0 ~v1:1.8);
+  let root = N.fresh ~label:"root" nl in
+  N.resistor nl root N.ground 150.0;
+  let branch from k =
+    let cursor = ref from in
+    for i = 1 to k do
+      let next = N.fresh nl in
+      N.resistor nl !cursor next (40.0 +. float_of_int i);
+      N.capacitor nl next N.ground 5e-15;
+      N.capacitor nl next agg (3e-15 +. (1e-16 *. float_of_int i));
+      cursor := next
+    done;
+    !cursor
+  in
+  let a = branch root 5 and b = branch root 3 in
+  let c = branch a 4 in
+  extra nl (a, b, c);
+  (nl, [ a; b; c; root ])
+
+let solver =
+  Alcotest.testable
+    (fun ppf s ->
+      Format.pp_print_string ppf
+        (match s with Circuit.Transient.Forest -> "forest" | Circuit.Transient.Dense -> "dense"))
+    ( = )
+
+let run_both (nl, probes) =
+  let sim f = f ?record:(Some true) nl ~dt:2e-12 ~t_end:1e-9 ~probes in
+  (sim Circuit.Transient.simulate, sim Circuit.Transient.simulate_dense)
+
+let solver_tests =
+  [
+    case "rc forest takes the forest path and matches dense" (fun () ->
+        let fast, dense = run_both (coupled_tree ()) in
+        Alcotest.check solver "simulate" Circuit.Transient.Forest fast.Circuit.Transient.solver;
+        Alcotest.check solver "reference" Circuit.Transient.Dense dense.Circuit.Transient.solver;
+        Array.iteri
+          (fun p peak -> feq ~eps:1e-12 (Printf.sprintf "peak %d" p) dense.Circuit.Transient.peaks.(p) peak)
+          fast.Circuit.Transient.peaks;
+        match (fast.Circuit.Transient.traces, dense.Circuit.Transient.traces) with
+        | Some a, Some b ->
+            Array.iteri
+              (fun p tr -> Array.iteri (fun k v -> feq ~eps:1e-12 "trace" b.(p).(k) v) tr)
+              a
+        | _ -> Alcotest.fail "traces not recorded");
+    case "a single rc is a forest" (fun () ->
+        let nl, out, tau = rc_charge () in
+        let res = Circuit.Transient.simulate nl ~dt:(tau /. 10.0) ~t_end:tau ~probes:[ out ] in
+        Alcotest.check solver "rc" Circuit.Transient.Forest res.Circuit.Transient.solver);
+    case "an inductor forces the dense path" (fun () ->
+        let fast, dense =
+          run_both
+            (coupled_tree
+               ~extra:(fun nl (_, b, _) ->
+                 let tail = N.fresh nl in
+                 N.inductor nl b tail 1e-10;
+                 N.capacitor nl tail N.ground 2e-15)
+               ())
+        in
+        Alcotest.check solver "rlc" Circuit.Transient.Dense fast.Circuit.Transient.solver;
+        Alcotest.(check (array (float 0.0))) "same run" dense.Circuit.Transient.peaks
+          fast.Circuit.Transient.peaks);
+    case "a resistor loop forces the dense path" (fun () ->
+        let fast, _ =
+          run_both (coupled_tree ~extra:(fun nl (_, b, c) -> N.resistor nl b c 500.0) ())
+        in
+        Alcotest.check solver "loop" Circuit.Transient.Dense fast.Circuit.Transient.solver);
+    case "a resistor to ground is no loop; a parallel pair is" (fun () ->
+        let fast, _ =
+          run_both (coupled_tree ~extra:(fun nl (a, _, _) -> N.resistor nl a N.ground 1e4) ())
+        in
+        Alcotest.check solver "to ground is still a forest" Circuit.Transient.Forest
+          fast.Circuit.Transient.solver;
+        let nl = N.create () in
+        let src = N.fresh nl and out = N.fresh nl in
+        N.resistor nl src out 100.0;
+        N.resistor nl out N.ground 100.0;
+        let mid = N.fresh nl in
+        N.resistor nl out mid 100.0;
+        N.resistor nl out mid 300.0;
+        N.capacitor nl mid N.ground 1e-15;
+        N.drive nl src (W.dc 1.0);
+        let res = Circuit.Transient.simulate nl ~dt:1e-12 ~t_end:1e-11 ~probes:[ mid ] in
+        Alcotest.check solver "parallel pair" Circuit.Transient.Dense res.Circuit.Transient.solver;
+        feq ~eps:1e-9 "divider" 0.5 res.Circuit.Transient.finals.(0));
+    case "a capacitor between free nodes forces the dense path" (fun () ->
+        let fast, _ =
+          run_both (coupled_tree ~extra:(fun nl (a, b, _) -> N.capacitor nl a b 1e-15) ())
+        in
+        Alcotest.check solver "coupled victims" Circuit.Transient.Dense
+          fast.Circuit.Transient.solver);
+    case "a node hung only on a capacitor is singular on the forest path" (fun () ->
+        let deck ~grounded =
+          coupled_tree
+            ~extra:(fun nl _ ->
+              let hang = N.fresh ~label:"hang" nl in
+              N.capacitor nl hang N.ground 2e-15;
+              if grounded then N.resistor nl hang N.ground 1e3)
+            ()
+        in
+        (* with a resistor to ground the same shape is a forest deck *)
+        let fast, _ = run_both (deck ~grounded:true) in
+        Alcotest.check solver "shape" Circuit.Transient.Forest fast.Circuit.Transient.solver;
+        let raises simulate =
+          let nl, probes = deck ~grounded:false in
+          match simulate ?record:None nl ~dt:2e-12 ~t_end:1e-9 ~probes with
+          | _ -> false
+          | exception Linalg.Mat.Singular _ -> true
+        in
+        Alcotest.(check bool) "forest raises" true (raises Circuit.Transient.simulate);
+        Alcotest.(check bool) "dense raises" true (raises Circuit.Transient.simulate_dense));
+  ]
+
+let suites =
+  [
+    ("circuit.waveform", waveform_tests);
+    ("circuit.transient", transient_tests);
+    ("circuit.solver", solver_tests);
+  ]
