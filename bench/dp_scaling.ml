@@ -51,7 +51,6 @@ type run = {
   pred_pruned : int;
   power_pruned : int;
   peak_width : int;
-  type_widths : int array;
   arena : int;
   minor_words : float;
 }
@@ -109,7 +108,6 @@ let scenario ?(lib = lib) ?suffix ?budget_frac ~iters ~sinks ~noise ~kmax () =
     pred_pruned = outcome.Bufins.Dp.stats.Bufins.Dp.pred_pruned;
     power_pruned = outcome.Bufins.Dp.stats.Bufins.Dp.power_pruned;
     peak_width = outcome.Bufins.Dp.stats.Bufins.Dp.peak_width;
-    type_widths = outcome.Bufins.Dp.stats.Bufins.Dp.type_widths;
     arena = outcome.Bufins.Dp.stats.Bufins.Dp.arena;
     (* per-run Gc deltas measured by the DP itself; minor words are the
        allocation-pressure headline the trace-arena refactor targets *)
@@ -121,13 +119,11 @@ let json_of_run r =
     "    {\"name\": \"%s\", \"sinks\": %d, \"noise\": %b, \"kmax\": %s, \"lib_size\": %d, \
      \"wall_seconds\": %.6f, \"slack\": %.6e, \"energy\": %.6e, \"generated\": %d, \
      \"pruned\": %d, \"pred_pruned\": %d, \"power_pruned\": %d, \"peak_width\": %d, \
-     \"type_widths\": [%s], \"arena_nodes\": %d, \"minor_words\": %.0f}"
+     \"arena_nodes\": %d, \"minor_words\": %.0f}"
     r.name r.sinks r.noise
     (match r.kmax with None -> "null" | Some k -> string_of_int k)
     r.lib_size r.seconds r.slack r.energy r.generated r.pruned r.pred_pruned r.power_pruned
-    r.peak_width
-    (String.concat ", " (Array.to_list (Array.map string_of_int r.type_widths)))
-    r.arena r.minor_words
+    r.peak_width r.arena r.minor_words
 
 let () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in

@@ -104,6 +104,17 @@ let cmp_frontier_power a b =
 let[@inline] kills ~bound (k : t) c q =
   k.q >= q || (c > k.c && q -. k.q < bound *. (c -. k.c))
 
+(* The noise-mode (4D) form of the same rule: the witness must also be
+   no heavier, carry no more current and keep at least the noise slack.
+   Upstream wires charge noise in proportion to [i], merges add [i] and
+   take the min of [ns], and every attach guard [r * i <= ns + tol] is
+   monotone in both, so whatever suffix keeps the victim noise-feasible
+   keeps the witness feasible too, and the slope term then bounds the
+   slack exactly as in delay mode. With [bound = 0] it is
+   [dominates_full]. *)
+let[@inline] kills_full ~bound (k : t) c q i ns =
+  k.c <= c && k.i <= i && k.ns >= ns && kills ~bound k c q
+
 (* Where a would-be candidate at (c, q), arriving in [cmp_frontier]
    order, lands on the newest-first staircase [kept]:
    0 — on top of [kept];
@@ -169,9 +180,9 @@ let splice_delay group cands =
   in
   go [] group cands
 
-let covered ~bound ~c ~q group =
+let covered ~bound ~c ~q ~i ~ns group =
   let rec go = function
-    | (k : t) :: tl when k.c <= c -> kills ~bound k c q || go tl
+    | (k : t) :: tl when k.c <= c -> kills_full ~bound k c q i ns || go tl
     | _ -> false
   in
   go group
@@ -180,19 +191,22 @@ let covered ~bound ~c ~q group =
    kills nothing — the "no candidate emitted yet" of [climb] *)
 let nothing = { c = nan; q = nan; i = nan; ns = nan; p = nan; meta = nan; tr = nan }
 
-let climb ?bound ?resize w group =
+let climb ?bound ?resize ~noise w group =
   (* [add_wire] over a sorted group; with [bound], a climbed candidate
-     the previously emitted one kills is never materialized, and with
-     [resize] the survivors alone record their Resize arena node (the
-     kill reads only the coordinates). Tail-mod-cons, so the climbed
-     list is built in place, without a reversed copy. *)
+     the previously emitted one kills (under the 4D rule in noise mode)
+     is never materialized, and with [resize] the survivors alone record
+     their Resize arena node (the kill reads only the coordinates).
+     Tail-mod-cons, so the climbed list is built in place, without a
+     reversed copy. *)
   let emitted = ref 0 and prekilled = ref 0 in
   let[@tail_mod_cons] rec go prev = function
     | [] -> []
     | a :: tl -> (
         let x = add_wire w a in
         match bound with
-        | Some bound when kills ~bound prev x.c x.q ->
+        | Some bound
+          when if noise then kills_full ~bound prev x.c x.q x.i x.ns
+               else kills ~bound prev x.c x.q ->
             incr prekilled;
             go prev tl
         | _ -> (
@@ -207,17 +221,21 @@ let climb ?bound ?resize w group =
   let climbed = go nothing group in
   (climbed, !emitted, !prekilled)
 
-(* [Frontier.sweep_dom ~cost:c] under [dominates_full], strengthened
-   with [k.p <= x.p] under [power]: the noise-mode sweep, quadratic per
-   group. It is the noise DP's innermost loop, so the relation is
-   written out here instead of being called through a closure. With the
-   input sorted by load, the survivors of equal load — the only ones [x]
-   may retro-dominate — are the front of [kept]. *)
-let sweep_noise ~power l =
+(* [Frontier.sweep_dom ~cost:c] under [kills_full ~bound] — with
+   [bound = 0], [dominates_full] — strengthened with [k.p <= x.p] under
+   [power]: the noise-mode sweep, quadratic per group. It is the noise
+   DP's innermost loop, so the relation is written out here instead of
+   being called through a closure. With the input sorted by load, the
+   survivors of equal load — the only ones [x] may retro-dominate — are
+   the front of [kept]; at equal load the slope term is void, so the
+   retro-kill is plain dominance. *)
+let sweep_noise ~power ~bound l =
   let dropped = ref 0 in
   let rec dominated x = function
     | [] -> false
-    | k :: tl -> (dominates_full k x && ((not power) || k.p <= x.p)) || dominated x tl
+    | k :: tl ->
+        (kills_full ~bound k x.c x.q x.i x.ns && ((not power) || k.p <= x.p))
+        || dominated x tl
   in
   let rec strip x = function
     | k :: tl when k.c = x.c ->
@@ -430,3 +448,151 @@ let merge_sweep_delay_pred ~arena ~bound walks =
     end
   in
   go []
+
+(* {1 Coordinates-first noise merge}
+
+   The noise-mode branch merge must consider every pairing of its two
+   groups, yet only a few percent of them survive the 4D sweep. So the
+   pairings are decided on their coordinates alone: (c, q, i, ns) go
+   into a flat float array, stride 4, in the order the materializing
+   merge would list them (walk by walk, left outer, right inner); an
+   index permutation is stable-sorted by [cmp_frontier]; the
+   [sweep_noise] rule runs on the coordinates; and [merge] — record
+   plus Join node — is called for the survivors only. The buffers
+   belong to one run and grow by doubling. *)
+
+type scratch = {
+  mutable xs : float array;  (* pairing coordinates, stride 4 *)
+  mutable perm : int array;  (* sort permutation of pairing ids *)
+  mutable aux : int array;  (* merge-sort buffer, then the kept stack *)
+}
+
+let scratch () = { xs = [||]; perm = [||]; aux = [||] }
+
+(* [cmp_frontier] on the coordinates of pairings [a] and [b] *)
+let[@inline] cmp_at (xs : float array) a b =
+  let a = 4 * a and b = 4 * b in
+  match Float.compare xs.(a) xs.(b) with
+  | 0 -> (
+      match Float.compare xs.(b + 1) xs.(a + 1) with
+      | 0 -> (
+          match Float.compare xs.(a + 2) xs.(b + 2) with
+          | 0 -> Float.compare xs.(b + 3) xs.(a + 3)
+          | n -> n)
+      | n -> n)
+  | n -> n
+
+(* stable top-down merge sort of [perm.(lo .. hi-1)]; a half already in
+   order relative to the other is left alone, which makes the nearly
+   sorted rows of a pairing walk cheap *)
+let rec sort_perm s lo hi =
+  if hi - lo >= 2 then begin
+    let mid = (lo + hi) / 2 in
+    sort_perm s lo mid;
+    sort_perm s mid hi;
+    let xs = s.xs and perm = s.perm and aux = s.aux in
+    if cmp_at xs perm.(mid - 1) perm.(mid) > 0 then begin
+      Array.blit perm lo aux lo (mid - lo);
+      let i = ref lo and j = ref mid and k = ref lo in
+      while !i < mid && !j < hi do
+        if cmp_at xs perm.(!j) aux.(!i) < 0 then begin
+          perm.(!k) <- perm.(!j);
+          incr j
+        end
+        else begin
+          perm.(!k) <- aux.(!i);
+          incr i
+        end;
+        incr k
+      done;
+      Array.blit aux !i perm !k (mid - !i)
+    end
+  end
+
+let merge_noise ~scratch:s ~arena ~bound walks =
+  let walks =
+    Array.of_list (List.map (fun (l, r) -> (Array.of_list l, Array.of_list r)) walks)
+  in
+  let n = Array.fold_left (fun n (l, r) -> n + (Array.length l * Array.length r)) 0 walks in
+  if Array.length s.perm < n then begin
+    let m = max n (2 * Array.length s.perm) in
+    s.xs <- Array.make (4 * m) 0.0;
+    s.perm <- Array.make m 0;
+    s.aux <- Array.make m 0
+  end;
+  let xs = s.xs and perm = s.perm and kept = s.aux in
+  let id = ref 0 in
+  Array.iter
+    (fun ((l : t array), (r : t array)) ->
+      for ia = 0 to Array.length l - 1 do
+        let a = l.(ia) in
+        for ib = 0 to Array.length r - 1 do
+          let b = r.(ib) in
+          (* the very expressions [merge] evaluates *)
+          let x = 4 * !id in
+          xs.(x) <- a.c +. b.c;
+          xs.(x + 1) <- Float.min a.q b.q;
+          xs.(x + 2) <- a.i +. b.i;
+          xs.(x + 3) <- Float.min a.ns b.ns;
+          perm.(!id) <- !id;
+          incr id
+        done
+      done)
+    walks;
+  sort_perm s 0 n;
+  (* the sweep on coordinates: [kills_full ~bound] against every kept
+     pairing, newest first. A pairing plain dominance kills is one the
+     sweep-only engine also drops ([dropped]); one only the slope term
+     kills is [prekilled]. [kept] is a stack of pairing ids in sort
+     order. *)
+  let nk = ref 0 and dropped = ref 0 and prekilled = ref 0 in
+  for r = 0 to n - 1 do
+    let x = perm.(r) in
+    let c = xs.(4 * x) and q = xs.((4 * x) + 1) in
+    let i = xs.((4 * x) + 2) and ns = xs.((4 * x) + 3) in
+    (* 0: not killed, 1: plain dominance, 2: slope term only *)
+    let verdict = ref 0 and j = ref (!nk - 1) in
+    while !verdict <> 1 && !j >= 0 do
+      let k = 4 * kept.(!j) in
+      let kc = xs.(k) and kq = xs.(k + 1) in
+      if kc <= c && xs.(k + 2) <= i && xs.(k + 3) >= ns then
+        if kq >= q then verdict := 1
+        else if c > kc && q -. kq < bound *. (c -. kc) then verdict := 2;
+      decr j
+    done;
+    match !verdict with
+    | 1 -> incr dropped
+    | 2 -> incr prekilled
+    | _ ->
+        (* retro-dominance over the equal-load top of the stack *)
+        let lo = ref !nk in
+        while !lo > 0 && xs.(4 * kept.(!lo - 1)) = c do
+          decr lo
+        done;
+        let w = ref !lo in
+        for j = !lo to !nk - 1 do
+          let k = 4 * kept.(j) in
+          if q >= xs.(k + 1) && i <= xs.(k + 2) && ns >= xs.(k + 3) then incr dropped
+          else begin
+            kept.(!w) <- kept.(j);
+            incr w
+          end
+        done;
+        kept.(!w) <- x;
+        nk := !w + 1
+  done;
+  (* materialize the survivors: pairing id -> walk -> (left, right) *)
+  let pair x =
+    let rec go j x =
+      let l, r = walks.(j) in
+      let m = Array.length r in
+      let size = Array.length l * m in
+      if x < size then merge ~arena l.(x / m) r.(x mod m) else go (j + 1) (x - size)
+    in
+    go 0 x
+  in
+  let survivors = ref [] in
+  for j = !nk - 1 downto 0 do
+    survivors := pair kept.(j) :: !survivors
+  done;
+  (!survivors, n - !prekilled, !dropped, !prekilled)

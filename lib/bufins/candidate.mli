@@ -107,17 +107,19 @@ val cmp_frontier_power : t -> t -> int
     The DP's inner loops instantiated at [t] with direct field access —
     without flambda the generic {!Frontier} functions pay an indirect
     call per element. Delay mode has one (load, slack) staircase, shared
-    by {!sweep_delay}, {!splice_delay} and every predictive kill site,
-    and one noise-mode sweep. *)
+    by {!sweep_delay}, {!splice_delay} and every predictive kill site;
+    noise mode has one 4D sweep, on lists ({!sweep_noise}) and on the
+    branch merge's flat pairing coordinates ({!merge_noise}). *)
 
 val sweep_delay : t list -> t list * int
 (** [Frontier.sweep2 ~cost:c ~value:q] on a [cmp_frontier]-sorted list:
     the delay-mode (load, slack) staircase. Returns (kept, dropped). *)
 
-val sweep_noise : power:bool -> t list -> t list * int
-(** [Frontier.sweep_dom ~cost:c ~dominates:dominates_full] on a
+val sweep_noise : power:bool -> bound:float -> t list -> t list * int
+(** [Frontier.sweep_dom ~cost:c] under {!kills_full}[ ~bound] on a
     [cmp_frontier]-sorted list: the noise-mode sweep, quadratic per
-    group. With [power] the relation is strengthened with
+    group. With [bound = 0] the relation is {!dominates_full}. With
+    [power] (where [bound] must be 0) it is strengthened with
     [a.p <= b.p] — the 5-axis power-mode noise relation — and the list
     must be [cmp_frontier_power]-sorted. *)
 
@@ -164,24 +166,41 @@ val merge_delay_power :
     narrower, but every optimizer outcome — winning slack, placements,
     sizes, by_count buckets — is byte-identical to the sweep-only
     engine's (DESIGN.md §12 has the proof). The rule is the staircase's
-    dominance test with [bound = 0] strengthened by the slope term. *)
+    dominance test with [bound = 0] strengthened by the slope term; in
+    noise mode ({!kills_full}) the witness must also carry no more
+    current and at least the noise slack. *)
 
-val covered : bound:float -> c:float -> q:float -> t list -> bool
-(** Does any member of the sorted staircase with load [<= c] kill a
-    would-be candidate at coordinates [(c, q)]? The buffer-insertion
-    pre-check, run against the target group before [add_buffer]
-    allocates anything. *)
+val kills_full : bound:float -> t -> float -> float -> float -> float -> bool
+(** [kills_full ~bound k c q i ns]: the noise-mode (4D) predictive rule.
+    Witness [k] kills a would-be candidate at [(c, q, i, ns)] when
+    [k.c <= c], [k.i <= i], [k.ns >= ns] and the slope rule holds on
+    [(c, q)]. Sound because upstream wire noise grows with [i], a merge
+    adds [i] and takes the min of [ns], and the attach guard
+    [ns - r*i >= 0] is monotone in both: every suffix that keeps the
+    victim noise-feasible keeps the witness feasible, and the slope term
+    bounds the slack as in delay mode (DESIGN.md §12). With [bound = 0]
+    it is {!dominates_full}. *)
+
+val covered : bound:float -> c:float -> q:float -> i:float -> ns:float -> t list -> bool
+(** Does any member of the load-sorted group with load [<= c] kill a
+    would-be candidate at [(c, q, i, ns)] under {!kills_full}? The
+    buffer-insertion pre-check, run against the target group before
+    [add_buffer] allocates anything. Delay mode passes
+    [i = infinity] and [ns = neg_infinity], which every candidate
+    beats, leaving the (load, slack) rule. *)
 
 val climb :
   ?bound:float ->
   ?resize:Trace.arena * int * float ->
+  noise:bool ->
   Rctree.Tree.wire ->
   t list ->
   t list * int * int
 (** [add_wire] over a sorted group, returning
     [(climbed, emitted, prekilled)]. With [bound], the kill test against
-    the previously emitted candidate is fused in, so a killed candidate
-    is never materialized; without it nothing is killed. With
+    the previously emitted candidate — {!kills_full} with [noise] — is
+    fused in, so a killed candidate is never materialized; without it
+    nothing is killed. With
     [resize = (arena, node, width)] (the wire must already be resized by
     the caller) the survivors record the wire-sizing decision (Lillis
     [18]) as a [Resize] arena node. *)
@@ -204,3 +223,31 @@ val merge_sweep_delay_pred :
     ([pred_pruned]). Selection (ties to the earliest walk) matches the
     stable merge of the materialized walks, so equal-coordinate ties
     resolve to the same trace as the sweep-only engine. *)
+
+(** {2 Coordinates-first noise merge} *)
+
+type scratch
+(** Flat working buffers of {!merge_noise}, grown on demand and reused
+    by every merge of one run. Not shareable between domains. *)
+
+val scratch : unit -> scratch
+
+val merge_noise :
+  scratch:scratch ->
+  arena:Trace.arena ->
+  bound:float ->
+  (t list * t list) list ->
+  t list * int * int * int
+(** The noise-mode branch merge: every pairing of every walk (a left
+    and a right child group feeding one target group), swept under
+    {!kills_full}[ ~bound] — with [bound = 0], exactly
+    [sweep_noise (List.stable_sort cmp_frontier pairings)], where
+    [pairings] lists the walks in order, left outer, right inner. Each
+    pairing's [(c, q, i, ns)] is computed into flat arrays and the sort
+    and sweep run on those; [merge] records a candidate and a [Join]
+    node for the survivors only. Returns
+    [(kept, generated, dropped, prekilled)]: [prekilled] pairings only
+    the slope term killed ([pred_pruned]), the rest count as
+    [generated], of which [dropped] fell to plain 4D dominance
+    ([pruned]). Survivors, their order and every tie are those of the
+    list sweep. *)

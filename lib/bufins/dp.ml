@@ -15,7 +15,6 @@ type stats = {
   pred_pruned : int;
   power_pruned : int;
   peak_width : int;
-  type_widths : int array;
   arena : int;
   minor_words : float;
 }
@@ -206,14 +205,16 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
   let nslots = 2 * nbuckets in
   let plib = Tech.Lib.prepare lib in
   let ntypes = Tech.Lib.size plib in
-  (* Predictive pruning (Li & Shi; DESIGN.md §12) is delay-mode only:
-     the slope argument bounds how a load difference erodes a slack
-     difference, which says nothing about the (i, ns) coordinates the
-     noise-mode 4D dominance must preserve, nor about the energy axis a
-     power budget must preserve (the witness may be the costlier
-     candidate). It also stays off under [prune = false] (Ablation B
-     wants the full population). *)
-  let pred = prune && (not noise) && (not power) && pruning = `Predictive in
+  (* Predictive pruning (Li & Shi; DESIGN.md §12). The slope rule bounds
+     how a load difference erodes a slack difference; in noise mode the
+     witness must also carry no more current and keep at least the noise
+     slack (Candidate.kills_full), since upstream wire noise grows with
+     [i], merges add [i] and take the min of [ns], and the attach guard
+     is monotone in both. It stays off in power mode — the slope says
+     nothing about the energy axis a budget must preserve (the witness
+     may be the costlier candidate) — and under [prune = false]
+     (Ablation B wants the full population). *)
+  let pred = prune && (not power) && pruning = `Predictive in
   let cmp_order = if power then C.cmp_frontier_power else C.cmp_frontier in
   let bounds =
     if not pred then [||]
@@ -228,16 +229,17 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
   let generated = ref 0 and pruned = ref 0 and pred_pruned = ref 0 in
   let power_pruned = ref 0 in
   let peak_width = ref 0 in
-  let type_widths = Array.make ntypes 0 in
-  let type_scratch = Array.make ntypes 0 in
   (* (c, q) staircase in delay mode, full (c, q, i, ns[, p]) dominance in
-     noise mode; the Cq_noise_prune mutation sweeps noise mode on (c, q) *)
+     noise mode; the Cq_noise_prune mutation sweeps noise mode on (c, q).
+     [bound] is the site's predictive bound (0 when predictive pruning is
+     off), read by the noise sweep only: the delay staircases kill
+     before materializing instead. *)
   let staircase = (not noise) || cq_prune in
-  let sweep cands =
+  let sweep ~bound cands =
     if not prune then cands
     else begin
       let kept, dropped =
-        if not staircase then C.sweep_noise ~power cands
+        if not staircase then C.sweep_noise ~power ~bound cands
         else if power then C.sweep_delay_power cands
         else C.sweep_delay cands
       in
@@ -295,16 +297,16 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
      already kills are dropped inside the climb, before allocation. *)
   let apply_wire ~at ~bound w tbl =
     let widths = if w.T.length <= 0.0 then [ 1.0 ] else widths in
-    let bound = if pred then Some bound else None in
+    let kill = if pred then Some bound else None in
     Array.map
       (function
         | [] -> []
         | group ->
             let family width =
               let climbed, emitted, prekilled =
-                if width = 1.0 then C.climb ?bound w group
+                if width = 1.0 then C.climb ?bound:kill ~noise:(not staircase) w group
                 else
-                  C.climb ?bound ~resize:(arena, at, width)
+                  C.climb ?bound:kill ~noise:(not staircase) ~resize:(arena, at, width)
                     (T.resize_wire w ~width ~area_frac)
                     group
               in
@@ -317,7 +319,7 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
               | [ width ] -> family width
               | _ -> F.merge_sorted cmp_order (List.map family widths)
             in
-            sweep (drop_noisy combined))
+            sweep ~bound (drop_noisy combined))
       tbl
   in
   (* Every (left slot, right slot) pairing of a branch node's two child
@@ -343,15 +345,17 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
      noise slack survives the upstream wires — and so must power mode,
      for the only budget-feasible pairing (its delay mode enumerates just
      the staircase pairings, exact by Candidate.merge_delay_power). *)
-  let exhaustive = prune && not staircase in
+  let fused = pred || (prune && (not power) && not staircase) in
+  let scratch = C.scratch () in
   let merge_groups ~bound lt rt =
-    if pred then begin
-      (* Cross-run predictive merge (DESIGN.md §12): collect the pairing
-         walks per target slot first, then run all walks feeding one slot
-         through a single fused selection. The slope rule then sees every
-         previously materialized pairing of the slot — the cross-run drops
-         the sweep-only engine pays for after materializing become
-         pre-materialization kills. *)
+    if fused then begin
+      (* Collect the pairing walks per target slot first, then decide
+         all walks feeding one slot together (DESIGN.md §12), so every
+         pairing is weighed against the whole slot before anything is
+         materialized. Delay mode runs them through one fused k-way
+         selection with the slope rule on the staircase; noise mode
+         sweeps every pairing's coordinates under the 4D rule and joins
+         the survivors only. *)
       let pending = Array.make nslots [] in
       pairings lt rt (fun t l r -> pending.(t) <- (l, r) :: pending.(t));
       Array.map
@@ -359,7 +363,8 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
           | [] -> []
           | walks ->
               let kept, emitted, dropped, prekilled =
-                C.merge_sweep_delay_pred ~arena ~bound walks
+                if staircase then C.merge_sweep_delay_pred ~arena ~bound walks
+                else C.merge_noise ~scratch ~arena ~bound walks
               in
               generated := !generated + emitted;
               pruned := !pruned + dropped;
@@ -384,7 +389,6 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
               else C.merge_delay_power ~emit lgroup rgroup;
               !pairs
             end
-            else if exhaustive then F.cross ~join:(C.merge ~arena) lgroup rgroup
             else F.merge2 ~value:(fun (a : C.t) -> a.C.q) ~join:(C.merge ~arena) lgroup rgroup
           in
           generated := !generated + List.length pairs;
@@ -393,8 +397,8 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
         (function
           | [] -> []
           | rs ->
-              if exhaustive || power then sweep (List.sort cmp_order (List.concat rs))
-              else sweep (F.merge_sorted C.cmp_frontier rs))
+              if power then sweep ~bound (List.sort cmp_order (List.concat rs))
+              else sweep ~bound (F.merge_sorted C.cmp_frontier rs))
         runs
     end
   in
@@ -467,7 +471,10 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
               if scan_s.(0) > neg_infinity then
                 if
                   pred
-                  && C.covered ~bound ~c:plib.Tech.Lib.c_in.(ti) ~q:scan_s.(0) tbl.(target)
+                  && C.covered ~bound ~c:plib.Tech.Lib.c_in.(ti) ~q:scan_s.(0)
+                       ~i:(if staircase then infinity else 0.0)
+                       ~ns:(if staircase then neg_infinity else b.Tech.Buffer.nm)
+                       tbl.(target)
                 then incr pred_pruned
                 else add target (C.add_buffer ~arena ~at:v b !scan_best)
             end
@@ -484,28 +491,8 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
               pruned := !pruned + dropped;
               tbl.(sl) <- kept
             end
-            else tbl.(sl) <- sweep (List.merge cmp_order tbl.(sl) cands))
+            else tbl.(sl) <- sweep ~bound (List.merge cmp_order tbl.(sl) cands))
       additions;
-    (* per-buffer-type frontier census at the insertion site: how many
-       candidates of each group are currently headed by each library
-       type (Li & Shi's per-type lists); the peak over all sites is the
-       type_widths statistic *)
-    Array.iter
-      (fun group ->
-        Array.fill type_scratch 0 ntypes 0;
-        List.iter
-          (fun (a : C.t) ->
-            match Trace.top_buffer arena (C.trace a) with
-            | None -> ()
-            | Some b ->
-                let ti = Tech.Lib.index_of plib b in
-                if ti >= 0 then begin
-                  let w = type_scratch.(ti) + 1 in
-                  type_scratch.(ti) <- w;
-                  if w > type_widths.(ti) then type_widths.(ti) <- w
-                end)
-          group)
-      tbl;
     tbl
   in
   let site_bound v = if pred then bounds.(v) else 0.0 in
@@ -612,7 +599,6 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
       pred_pruned = !pred_pruned;
       power_pruned = !power_pruned;
       peak_width = !peak_width;
-      type_widths;
       (* per-run delta: under a memo the arena is resident and carries
          every previous run's traces *)
       arena = Trace.size arena - arena0;

@@ -118,16 +118,20 @@ type stats = {
       (** candidates materialized: sink seeds, wire climbs (one per
           width), branch-merge pairings and buffer insertions that were
           actually allocated. Predictive pruning kills candidates {e
-          before} this point; they are counted in [pred_pruned] only. *)
+          before} this point; they are counted in [pred_pruned] only.
+          The noise-mode branch merge decides on coordinates and joins
+          only its survivors, but counts every pairing the slope term
+          did not kill, as the sweep-only engine always has. *)
   pruned : int;
-      (** materialized candidates discarded afterwards: dominance sweeps
+      (** generated candidates discarded afterwards: dominance sweeps
           plus noise-mode drops of candidates whose noise slack went
           negative *)
   pred_pruned : int;
       (** candidates the predictive engine discarded before
-          materialization (DESIGN.md §12): no record, no arena node.
-          Always 0 under [`Sweep_only], in noise mode, in power mode
-          and with [prune = false]. *)
+          materialization (DESIGN.md §12): no record, no arena node. In
+          the noise-mode branch merge, the pairings only the slope term
+          killed. Always 0 under [`Sweep_only], in power mode and with
+          [prune = false]. *)
   power_pruned : int;
       (** would-be candidates the power budget discarded before
           materialization (over-budget insertions and branch-merge
@@ -135,11 +139,6 @@ type stats = {
   peak_width : int;
       (** widest single (parity, bucket) frontier observed at any node —
           the engine's working-set measure *)
-  type_widths : int array;
-      (** per-buffer-type peak populations, indexed like the library: the
-          most candidates headed by each buffer type ({!Trace.top_buffer})
-          seen in any one (parity, bucket) group at an insertion site —
-          the widths of Li & Shi's per-type lists *)
   arena : int;
       (** solution-trace arena nodes recorded this run (DESIGN.md §11):
           one per buffer insertion, branch-merge pairing and wire-sizing
@@ -208,10 +207,10 @@ val run :
     discarded before materialization (DESIGN.md §12). Every outcome —
     slacks, placements, sizes, by_count — is byte-identical to
     [`Sweep_only]; only [generated]/[pred_pruned]/[pruned]/[arena] and
-    allocation figures move. Predictive pruning is automatically off
-    (and [pred_pruned = 0]) in noise mode, in [Power_bounded] mode and
-    under [prune = false], where the slope argument does not apply: it
-    says nothing about the noise coordinates or the energy axis.
+    allocation figures move. In noise mode the rule is the 4D
+    {!Candidate.kills_full}. Predictive pruning is automatically off
+    (and [pred_pruned = 0]) in [Power_bounded] mode, where the slope
+    says nothing about the energy axis, and under [prune = false].
     [widths] (multiples of
     minimum width, default [[1.]]) enables simultaneous wire sizing per
     {!Rctree.Tree.resize_wire} with the given [area_frac] (default

@@ -67,9 +67,6 @@ let merge2 ~value ~join l r =
   in
   go [] l r
 
-let cross ~join l r =
-  List.concat_map (fun a -> List.map (fun b -> join a b) r) l
-
 (* balanced pairwise merging: O(total log runs), not O(total * runs) *)
 let merge_sorted cmp runs =
   let rec pair_up = function

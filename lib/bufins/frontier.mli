@@ -49,11 +49,6 @@ val merge2 : value:('a -> float) -> join:('a -> 'a -> 'b) -> 'a list -> 'a list 
     increasing joined cost (costs add, and each step advances to a
     costlier element). O(|l| + |r|). *)
 
-val cross : join:('a -> 'a -> 'b) -> 'a list -> 'a list -> 'b list
-(** Every pairing, in unspecified order. The exhaustive merge used by the
-    noise-mode engine, where pairings off the (c, q) frontier can carry
-    the only surviving noise slack. O(|l|·|r|). *)
-
 val merge_sorted : ('a -> 'a -> int) -> 'a list list -> 'a list
 (** Merge several [cmp]-sorted runs into one sorted list (fold of
     [List.merge]). *)

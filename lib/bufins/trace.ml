@@ -34,15 +34,6 @@ let resize a ~node ~width ~pred = push a (Resize { node; width; pred })
 
 let check a h = if h < 0 || h >= a.len then invalid_arg "Trace: dangling handle"
 
-let top_buffer a h =
-  check a h;
-  let rec go h =
-    match a.tab.(h) with
-    | Buf { buffer; _ } -> Some buffer
-    | Resize { pred; _ } -> go pred
-    | Leaf | Join _ -> None
-  in
-  go h
 
 (* A handle's implicit solution list [sol h] is defined by the
    constructors exactly as the old eager candidate lists were built:

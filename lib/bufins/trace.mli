@@ -55,9 +55,3 @@ val energy : arena -> handle -> float
     The reconstruction-side counterpart of the candidate's [p]
     coordinate — the energy-conservation fuzz oracle checks the two
     agree exactly. *)
-
-val top_buffer : arena -> handle -> Tech.Buffer.t option
-(** The buffer a candidate's solution is currently headed by — the most
-    recent [Buf] reachable through [Resize] links only. [None] for leaf
-    and merged ([Join]-topped) solutions. Classifies candidates into the
-    per-buffer-type frontier populations {!Dp.stats} reports. *)

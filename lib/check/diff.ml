@@ -242,6 +242,8 @@ let dp_invariants ?mutation (inst : Instance.t) =
     && List.length lib <= 2
   then begin
     let un = Dp.run ?mutation ~prune:false ~noise:true ~mode:Dp.Single ~lib seg in
+    if un.Dp.stats.Dp.pred_pruned <> 0 then
+      failf "stats: unpruned run reports pred_pruned = %d" un.Dp.stats.Dp.pred_pruned;
     match (outcome.Dp.best, un.Dp.best) with
     | Some a, Some b when not (approx a.Dp.slack b.Dp.slack) ->
         failf "pruned slack %.17g differs from unpruned %.17g" a.Dp.slack b.Dp.slack
@@ -271,11 +273,9 @@ let dp_invariants ?mutation (inst : Instance.t) =
   if s.Dp.arena > s.Dp.generated + 1 then
     failf "stats: arena %d exceeds generated %d + leaf" s.Dp.arena s.Dp.generated;
   if s.Dp.minor_words < 0.0 then failf "stats: minor words %.0f" s.Dp.minor_words;
-  (* noise mode never applies the slope rule, knob or not *)
-  if s.Dp.pred_pruned <> 0 then
-    failf "stats: noise-mode run reports pred_pruned = %d" s.Dp.pred_pruned;
   (* the sweep-only engine must report no predictive activity at all and
-     reproduce the (predictive-default) delay-mode slack bit-for-bit *)
+     reproduce the (predictive-default) slack bit-for-bit, in delay mode
+     and — since the 4D rule — in noise mode *)
   let sw = Dp.run ?mutation ~pruning:`Sweep_only ~noise:false ~mode:Dp.Single ~lib seg in
   if sw.Dp.stats.Dp.pred_pruned <> 0 then
     failf "stats: Sweep_only run reports pred_pruned = %d" sw.Dp.stats.Dp.pred_pruned;
@@ -285,6 +285,16 @@ let dp_invariants ?mutation (inst : Instance.t) =
         v.Dp.slack
   | None -> failf "Sweep_only delay-mode DP returned no solution"
   | Some _ -> ());
+  let swn = Dp.run ?mutation ~pruning:`Sweep_only ~noise:true ~mode:Dp.Single ~lib seg in
+  if swn.Dp.stats.Dp.pred_pruned <> 0 then
+    failf "stats: noise-mode Sweep_only run reports pred_pruned = %d"
+      swn.Dp.stats.Dp.pred_pruned;
+  (match (swn.Dp.best, outcome.Dp.best) with
+  | Some b, Some a when b.Dp.slack <> a.Dp.slack ->
+      failf "Sweep_only noise slack %.17g differs from predictive %.17g" b.Dp.slack
+        a.Dp.slack
+  | Some _, None | None, Some _ -> failf "Sweep_only and predictive noise feasibility differ"
+  | _ -> ());
   Pass
 
 (* The trace-arena oracle: the DP no longer carries placement lists on
@@ -412,10 +422,20 @@ let pred_vs_sweep ?mutation (inst : Instance.t) =
       failf "%s: predictive considered %d > sweep generated %d" what (Dp.considered ps)
         ss.Dp.generated
   in
-  check "delay/single" ~noise:false ~mode:Dp.Single;
-  check "delay/per-count" ~noise:false ~mode:(Dp.Per_count 8);
-  check "noise/single" ~noise:true ~mode:Dp.Single;
-  check "noise/per-count" ~noise:true ~mode:(Dp.Per_count 8);
+  (* every check runs, so a divergence in noise mode shows even where
+     the delay checks already failed *)
+  let failed =
+    List.filter_map
+      (fun (what, noise, mode) ->
+        match check what ~noise ~mode with () -> None | exception Failed m -> Some m)
+      [
+        ("delay/single", false, Dp.Single);
+        ("delay/per-count", false, Dp.Per_count 8);
+        ("noise/single", true, Dp.Single);
+        ("noise/per-count", true, Dp.Per_count 8);
+      ]
+  in
+  if failed <> [] then failf "%s" (String.concat "; " failed);
   Pass
 
 (* The incremental-DP oracle (DESIGN.md §14): a deterministic schedule

@@ -4,8 +4,11 @@
 
     For each driven source [d], the transfer from its voltage to the
     free-node vector is [H_d(s) = (G + sC)^-1 (-G_fd - s C_fd)] with the
-    Maclaurin expansion [H_d(s) = sum_k h_k s^k] computed by one LU
-    factorization of [G] and one back-substitution per moment order:
+    Maclaurin expansion [H_d(s) = sum_k h_k s^k] computed by one
+    factorization of [G] and one back-substitution per moment order —
+    the leaf-first [LDL^T] of {!Forest} when the deck has no inductor
+    rows and an acyclic free-node resistor graph (O(n) per order),
+    dense LU otherwise:
 
     - [G h_0 = -G_fd]  (zero for purely capacitive coupling),
     - [G h_1 = -C h_0 - C_fd],
@@ -22,3 +25,8 @@ val transfer_moments :
     ground or a driven node yields zeros (its voltage is not part of the
     transfer). Raises [Linalg.Mat.Singular] if some free node lacks a
     resistive path to ground or a source. *)
+
+val transfer_moments_dense :
+  Netlist.t -> order:int -> probes:Netlist.node list -> t list
+(** {!transfer_moments} on dense LU whatever the deck: the reference the
+    forest path is checked against. *)

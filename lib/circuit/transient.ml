@@ -46,110 +46,28 @@ let dense_kernel sys =
 
 (* {1 Leaf-first LDL^T on an RC forest}
 
-   With no inductor rows and no capacitor between two free nodes, C is
-   diagonal and the only off-diagonal entries of G are the resistors
-   between free nodes. When those form a forest, eliminating leaves
-   first creates no fill: each unknown's row below the diagonal holds
-   only its parent, so factoring and each solve are O(n). *)
-
-(* Peel leaves of the conductance graph: [Some (order, parent_edge)] with
-   every free node in elimination order and the edge to its parent (-1
-   for a component's root, the last node of its component to go), or
-   [None] on a cycle. A node's incident edge ids are kept XOR-summed, so
-   once its degree is 1 the sum is its remaining edge. *)
-let peel n (ei : int array) (ej : int array) =
-  let degree = Array.make n 0 and incident = Array.make n 0 in
-  Array.iteri
-    (fun e i ->
-      let j = ej.(e) in
-      degree.(i) <- degree.(i) + 1;
-      degree.(j) <- degree.(j) + 1;
-      incident.(i) <- incident.(i) lxor e;
-      incident.(j) <- incident.(j) lxor e)
-    ei;
-  let order = Array.make n 0 and parent_edge = Array.make n (-1) in
-  let stack = Array.make n 0 and top = ref 0 and next = ref 0 in
-  let push v =
-    stack.(!top) <- v;
-    incr top
-  in
-  for v = n - 1 downto 0 do
-    if degree.(v) <= 1 then push v
-  done;
-  (* popping the newest leaf first keeps each chain contiguous in the order *)
-  while !top > 0 do
-    decr top;
-    let v = stack.(!top) in
-    order.(!next) <- v;
-    incr next;
-    if degree.(v) = 1 then begin
-      let e = incident.(v) in
-      let p = ei.(e) + ej.(e) - v in
-      parent_edge.(v) <- e;
-      degree.(v) <- 0;
-      degree.(p) <- degree.(p) - 1;
-      incident.(p) <- incident.(p) lxor e;
-      if degree.(p) = 1 then push p
-    end
-  done;
-  if !next = n then Some (order, parent_edge) else None
+   With C diagonal too (no capacitor between two free nodes), the step
+   matrix G + (2/h) C has G's forest pattern, so both factor leaf-first
+   without fill (Forest): O(n) to factor and per step. *)
 
 let forest_kernel (sys : Mna.t) =
-  let n = sys.Mna.nf in
-  let edges = Array.of_list sys.Mna.g_off in
-  if sys.Mna.nl > 0 || sys.Mna.c_off <> [] || Array.length edges >= max n 1 then None
-  else begin
-    let ei = Array.map (fun (e : Mna.edge) -> e.Mna.i) edges in
-    let ej = Array.map (fun (e : Mna.edge) -> e.Mna.j) edges in
-    match peel n ei ej with
+  if sys.Mna.c_off <> [] then None
+  else
+    match Forest.plan sys with
     | None -> None
-    | Some (order, parent_edge) ->
-        (* renumber unknowns into elimination order: slot k's parent
-           slot [par.(k)] is above k, so both sweeps run over slots *)
-        let slot = Array.make n 0 in
-        Array.iteri (fun k v -> slot.(v) <- k) order;
-        let par = Array.make n (-1) and off = Array.make n 0.0 in
-        Array.iteri
-          (fun k v ->
-            let e = parent_edge.(v) in
-            if e >= 0 then begin
-              par.(k) <- slot.(ei.(e) + ej.(e) - v);
-              off.(k) <- edges.(e).Mna.v
-            end)
-          order;
-        let gd = Array.map (fun v -> sys.Mna.g_diag.(v)) order in
-        let cd = Array.map (fun v -> sys.Mna.c_diag.(v)) order in
-        (* LDL^T of the matrix with diagonal [diag] and [off] to the
-           parent: the pivots' reciprocals and the multipliers *)
-        let factor diag =
-          let d = Array.copy diag and l = Array.make n 0.0 in
-          for k = 0 to n - 1 do
-            if Float.abs d.(k) < 1e-300 then raise (Linalg.Mat.Singular k);
-            let p = par.(k) in
-            if p >= 0 then begin
-              l.(k) <- off.(k) /. d.(k);
-              d.(p) <- d.(p) -. (l.(k) *. off.(k))
-            end
-          done;
-          (Array.map (fun d -> 1.0 /. d) d, l)
-        in
-        (* back substitution, x <- (D L^T)^-1 y *)
-        let backward dinv l y x =
-          for k = n - 1 downto 0 do
-            let p = par.(k) in
-            x.(k) <- (if p >= 0 then (y.(k) *. dinv.(k)) -. (l.(k) *. x.(p)) else y.(k) *. dinv.(k))
-          done
-        in
+    | Some plan ->
+        let n = Array.length plan.Forest.order in
+        let par = plan.Forest.par and off = plan.Forest.off in
+        let gd = Forest.gather plan sys.Mna.g_diag in
+        let cd = Forest.gather plan sys.Mna.c_diag in
         let solve_dc b =
-          let dinv, l = factor gd in
-          for k = 0 to n - 1 do
-            let p = par.(k) in
-            if p >= 0 then b.(p) <- b.(p) -. (l.(k) *. b.(k))
-          done;
-          backward dinv l b b
+          let f = Forest.factor plan gd in
+          Forest.forward plan f b;
+          Forest.backward plan f b b
         in
         let stepper two_h =
-          let dinv, l = factor (Array.init n (fun k -> gd.(k) +. (two_h *. cd.(k)))) in
+          let f = Forest.factor plan (Array.init n (fun k -> gd.(k) +. (two_h *. cd.(k)))) in
+          let l = f.Forest.l in
           let bd = Array.init n (fun k -> (two_h *. cd.(k)) -. gd.(k)) in
           fun x b ->
             (* one leaf-first pass forms B x + b and eliminates it:
@@ -165,10 +83,9 @@ let forest_kernel (sys : Mna.t) =
               end
               else b.(k) <- b.(k) +. (bd.(k) *. x.(k))
             done;
-            backward dinv l b x
+            Forest.backward plan f b x
         in
-        Some { solver = Forest; slot; solve_dc; stepper }
-  end
+        Some { solver = Forest; slot = plan.Forest.slot; solve_dc; stepper }
 
 (* {1 The stepping loop} *)
 

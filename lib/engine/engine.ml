@@ -130,9 +130,6 @@ let optimize ?domains ?pool ?chunk ?retries ?seg_len ?kmax ~algorithm ~lib jobs
   let worst = ref infinity in
   let gen = ref 0 and pruned = ref 0 and pred = ref 0 and ppruned = ref 0 and peak = ref 0 in
   let arena = ref 0 and minor = ref 0.0 in
-  (* per-type peaks take the elementwise max across nets; libraries are
-     uniform within a batch, so the first net fixes the width *)
-  let twidths = ref [||] in
   Array.iter
     (fun { outcome; _ } ->
       match outcome with
@@ -147,13 +144,6 @@ let optimize ?domains ?pool ?chunk ?retries ?seg_len ?kmax ~algorithm ~lib jobs
           pred := !pred + s.Bufins.Dp.pred_pruned;
           ppruned := !ppruned + s.Bufins.Dp.power_pruned;
           peak := max !peak s.Bufins.Dp.peak_width;
-          let tw = s.Bufins.Dp.type_widths in
-          if Array.length !twidths < Array.length tw then begin
-            let m = Array.make (Array.length tw) 0 in
-            Array.blit !twidths 0 m 0 (Array.length !twidths);
-            twidths := m
-          end;
-          Array.iteri (fun i w -> if w > !twidths.(i) then !twidths.(i) <- w) tw;
           arena := !arena + s.Bufins.Dp.arena;
           minor := !minor +. s.Bufins.Dp.minor_words
       | Failed _ -> incr failed)
@@ -172,7 +162,6 @@ let optimize ?domains ?pool ?chunk ?retries ?seg_len ?kmax ~algorithm ~lib jobs
         pred_pruned = !pred;
         power_pruned = !ppruned;
         peak_width = !peak;
-        type_widths = !twidths;
         arena = !arena;
         minor_words = !minor;
       };

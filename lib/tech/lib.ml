@@ -57,8 +57,3 @@ let prepare lib =
   }
 
 let size p = Array.length p.bufs
-
-let index_of p (b : Buffer.t) =
-  let n = Array.length p.bufs in
-  let rec go i = if i >= n then -1 else if p.bufs.(i) == b then i else go (i + 1) in
-  go 0

@@ -45,7 +45,3 @@ val prepare : Buffer.t list -> prepared
 
 val size : prepared -> int
 
-val index_of : prepared -> Buffer.t -> int
-(** Index of a buffer (by physical identity) in [bufs]; [-1] when the
-    buffer is not from this library. Used to bucket candidates into
-    per-type statistics. *)

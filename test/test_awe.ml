@@ -50,6 +50,29 @@ let acmoments_tests =
         Alcotest.(check int) "two sources" 2 (List.length ms);
         let total = List.fold_left (fun acc (m : Circuit.Acmoments.t) -> acc +. m.Circuit.Acmoments.moments.(1).(0)) 0.0 ms in
         feq_rel "superposition" ~eps:1e-12 (100.0 *. 30e-15) total);
+    qcase ~count:12 "forest and dense moments agree on workload decks" workload_tree_gen
+      (fun t ->
+        let cfg = Noisesim.Deck.default_config process in
+        List.for_all
+          (fun g ->
+            let deck = Noisesim.Deck.of_stage cfg t ~gate:g in
+            let nl = deck.Noisesim.Deck.netlist in
+            let probes = List.map snd deck.Noisesim.Deck.probes in
+            let fast = Circuit.Acmoments.transfer_moments nl ~order:3 ~probes in
+            let dense = Circuit.Acmoments.transfer_moments_dense nl ~order:3 ~probes in
+            (* relative to the largest magnitude of each (source, order)
+               row, so exact zeros (h0 of pure coupling) compare too *)
+            let agree (a : Circuit.Acmoments.t) (b : Circuit.Acmoments.t) =
+              Array.for_all2
+                (fun ra rb ->
+                  let scale = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0.0 rb in
+                  Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-9 *. scale) ra rb)
+                a.Circuit.Acmoments.moments b.Circuit.Acmoments.moments
+            in
+            Circuit.Forest.plan (Circuit.Mna.build nl) <> None
+            && List.length fast = List.length dense
+            && List.for_all2 agree fast dense)
+          (Rctree.Tree.gates t));
     case "negative order rejected" (fun () ->
         let nl = N.create () in
         ignore (N.fresh nl);

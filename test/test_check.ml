@@ -298,6 +298,32 @@ let fuzz_tests =
             | Check.Diff.Pass | Check.Diff.Skip _ -> ()
             | Check.Diff.Fail m -> Alcotest.failf "shrunk instance fails healthy: %s" m)
           r.Check.Fuzz.failures);
+    case "noise-mode mutation smoke: a weakened predictive bound is caught" (fun () ->
+        (* DESIGN.md section 12: the noise-mode 4D rule multiplies the
+           same upstream-resistance bound, so the inflated bound must
+           make a noise/... check of pred-vs-sweep diverge as well, not
+           only the delay checks *)
+        let noise_failures =
+          List.filter
+            (fun seed ->
+              let inst = Check.Gen.instance_for I.Pred_vs_sweep (Util.Rng.create seed) in
+              match Check.Diff.run ~mutation:Check.Diff.Loose_pred_bound inst with
+              | Check.Diff.Fail m ->
+                  let rec has i =
+                    i + 6 <= String.length m && (String.sub m i 6 = "noise/" || has (i + 1))
+                  in
+                  has 0
+              | Check.Diff.Pass | Check.Diff.Skip _ -> false)
+            (List.init 20 Fun.id)
+        in
+        Alcotest.(check bool) "some noise-mode check fails" true (noise_failures <> []);
+        (* and healthy, those instances pass *)
+        List.iter
+          (fun seed ->
+            match Check.Diff.run (Check.Gen.instance_for I.Pred_vs_sweep (Util.Rng.create seed)) with
+            | Check.Diff.Pass | Check.Diff.Skip _ -> ()
+            | Check.Diff.Fail m -> Alcotest.failf "seed %d fails healthy: %s" seed m)
+          noise_failures);
     case "mutation smoke: a stale incremental memo is caught" (fun () ->
         (* DESIGN.md section 14: under-invalidate the DP memo (the edited
            node only, ancestors keep tables computed for the old subtree)

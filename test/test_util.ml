@@ -239,7 +239,7 @@ let candidate_tests =
         gd = nd
         && spliced = whole && d1 = dw
         && Bufins.Frontier.sweep_dom ~cost ~dominates:noise sorted
-           = Bufins.Candidate.sweep_noise ~power:false sorted);
+           = Bufins.Candidate.sweep_noise ~power:false ~bound:0.0 sorted);
     qcase ~count:80 "specialized merge matches the generic walk" gen (fun cands ->
         let l = List.sort Bufins.Candidate.cmp_frontier cands in
         let r = List.rev (List.rev_map (fun a -> { a with Bufins.Candidate.c = a.Bufins.Candidate.c *. 1.5 }) l) in
@@ -335,6 +335,40 @@ let candidate_tests =
         let h, sol, sizes = build prog in
         Bufins.Trace.placements arena h = List.rev sol
         && Bufins.Trace.sizes arena h = sizes);
+    (let scratch = Bufins.Candidate.scratch () in
+     qcase ~count:80 "coordinates-first noise merge matches the list sweep"
+       QCheck2.Gen.(pair gen4 gen4)
+       (fun (a, b) ->
+         (* every candidate carries a unique energy tag, so a pairing's
+            [p] names it and ties are checked to resolve to the same
+            pairing; [m] repeats [l]'s coordinates, so the second walk
+            ties the first everywhere. One scratch serves every case. *)
+         let tag id = List.mapi (fun k x -> { x with Bufins.Candidate.p = float_of_int (id k) }) in
+         let sorted = List.sort Bufins.Candidate.cmp_frontier a in
+         let l = tag (fun k -> 1000 * (k + 1)) sorted in
+         let m = tag (fun k -> 1000 * (k + 100)) sorted in
+         let r = tag Fun.id (List.sort Bufins.Candidate.cmp_frontier b) in
+         let walks = [ (l, r); (m, r) ] in
+         let arena = Bufins.Trace.create () in
+         let pairs =
+           List.concat_map
+             (fun (l, r) ->
+               List.concat_map (fun x -> List.map (Bufins.Candidate.merge ~arena x) r) l)
+             walks
+         in
+         let sorted_pairs = List.stable_sort Bufins.Candidate.cmp_frontier pairs in
+         let strip = List.map (fun (x : Bufins.Candidate.t) -> { x with Bufins.Candidate.tr = 0.0 }) in
+         List.for_all
+           (fun bound ->
+             let listed, ldrop = Bufins.Candidate.sweep_noise ~power:false ~bound sorted_pairs in
+             let fast, generated, dropped, prekilled =
+               Bufins.Candidate.merge_noise ~scratch ~arena:(Bufins.Trace.create ()) ~bound walks
+             in
+             strip listed = strip fast
+             && generated + prekilled = List.length pairs
+             && dropped + prekilled = ldrop
+             && (bound > 0.0 || prekilled = 0))
+           [ 0.0; 1e5 ]));
   ]
 
 let clock_tests =
