@@ -14,8 +14,8 @@ let algo_of_string = function
       match String.index_opt s '-' with
       | Some i when String.sub s 0 i = "delayopt" -> (
           match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-          | Some k -> Ok (Bufins.Buffopt.Delayopt k)
-          | None -> Error (`Msg ("bad algorithm: " ^ s)))
+          | Some k when k >= 0 -> Ok (Bufins.Buffopt.Delayopt k)
+          | Some _ | None -> Error (`Msg ("bad algorithm: " ^ s)))
       | Some i when String.sub s 0 i = "power" -> (
           (* budget is given in fJ on the command line; the library works in J *)
           match float_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
@@ -315,11 +315,27 @@ let algo_arg =
            power-$(i,fJ) for a delay optimization under a buffer-energy budget in \
            femtojoules (e.g. power-60).")
 
+(* A numeric flag is range-checked where Cmdliner parses it, so run,
+   batch and serve reject a bad value alike, before any work starts. *)
+let checked parse ok expected pp =
+  let parse s =
+    match parse s with
+    | Some x when ok x -> Ok x
+    | Some _ | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv (parse, pp)
+
 let seg_arg =
-  Arg.(value & opt float 500.0 & info [ "seg" ] ~docv:"UM" ~doc:"Wire-segmenting length, um.")
+  let um =
+    checked float_of_string_opt
+      (fun x -> Float.is_finite x && x > 0.0)
+      "a finite length > 0" Format.pp_print_float
+  in
+  Arg.(value & opt um 500.0 & info [ "seg" ] ~docv:"UM" ~doc:"Wire-segmenting length, um.")
 
 let kmax_arg =
-  Arg.(value & opt int 16 & info [ "kmax" ] ~docv:"K" ~doc:"Buffer-count search bound.")
+  let count = checked int_of_string_opt (fun k -> k >= 0) "an integer >= 0" Format.pp_print_int in
+  Arg.(value & opt count 16 & info [ "kmax" ] ~docv:"K" ~doc:"Buffer-count search bound.")
 
 let sim_arg =
   Arg.(value & flag & info [ "simulate" ] ~doc:"Also run the transient noise simulator.")

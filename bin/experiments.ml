@@ -684,27 +684,6 @@ let fig_metal () =
 (* ------------------------------------------------------------------ *)
 (* Extension: power-delay trade-off under an energy-budgeted DP         *)
 
-(* the scaling bench's 800-sink caterpillar (bench/dp_scaling.ml) *)
-let power_tree sinks =
-  let rng = Util.Rng.create 99 in
-  let b = Rctree.Builder.create () in
-  let so = Rctree.Builder.add_source b ~r_drv:100.0 ~d_drv:30e-12 in
-  let attach = ref [ so ] in
-  for k = 0 to sinks - 1 do
-    let parent = List.nth !attach (Util.Rng.int rng (List.length !attach)) in
-    let v =
-      Rctree.Builder.add_internal b ~parent
-        ~wire:(Rctree.Tree.wire_of_length process (Util.Rng.range rng 0.2e-3 1.5e-3))
-        ()
-    in
-    attach := v :: !attach;
-    ignore
-      (Rctree.Builder.add_sink b ~parent:v
-         ~wire:(Rctree.Tree.wire_of_length process (Util.Rng.range rng 0.2e-3 1e-3))
-         ~name:(Printf.sprintf "s%d" k) ~c_sink:15e-15 ~rat:4e-9 ~nm:0.8)
-  done;
-  Rctree.Builder.finish b
-
 let monotone name slacks =
   let ok =
     fst
@@ -717,14 +696,14 @@ let monotone name slacks =
   if not ok then exit 1
 
 let fig_power jobs =
-  (* Part 1: the scaling bench's 800-sink net. The budgeted DP carries a
+  (* Part 1: the 800-sink caterpillar net. The budgeted DP carries a
      3-axis (load, slack, energy) frontier whose width grows much faster
      than the 2-axis one, so the big-net curve uses the four weakest
      buffer types and kmax = 8 — enough library variety for the budget
      to pick sizes, small enough to keep the sweep under a minute. *)
   let plib = List.filteri (fun i _ -> i < 4) lib in
   let kmax = 8 in
-  let seg = Rctree.Segment.refine (power_tree 800) ~max_len:500e-6 in
+  let seg = Rctree.Segment.refine (Fixtures.caterpillar process 800) ~max_len:500e-6 in
   let best_exn (o : Bufins.Dp.outcome) = Option.get o.Bufins.Dp.best in
   let unc =
     best_exn (Bufins.Dp.run ~noise:false ~mode:(Bufins.Dp.Per_count kmax) ~lib:plib seg)

@@ -73,3 +73,21 @@ let random_net rng p ~max_sinks ~max_len =
          ~nm:(Util.Rng.range rng 0.5 1.2))
   done;
   B.finish b
+
+let caterpillar p sinks =
+  let rng = Util.Rng.create 99 in
+  let b = B.create () in
+  let so = B.add_source b ~r_drv:100.0 ~d_drv:30e-12 in
+  let attach = ref [ so ] in
+  for k = 0 to sinks - 1 do
+    let parent = List.nth !attach (Util.Rng.int rng (List.length !attach)) in
+    let v =
+      B.add_internal b ~parent ~wire:(T.wire_of_length p (Util.Rng.range rng 0.2e-3 1.5e-3)) ()
+    in
+    attach := v :: !attach;
+    ignore
+      (B.add_sink b ~parent:v
+         ~wire:(T.wire_of_length p (Util.Rng.range rng 0.2e-3 1e-3))
+         ~name:(Printf.sprintf "s%d" k) ~c_sink:15e-15 ~rat:4e-9 ~nm:0.8)
+  done;
+  B.finish b

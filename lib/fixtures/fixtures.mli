@@ -28,3 +28,10 @@ val random_net :
 (** A random topology with 1..[max_sinks] sinks, random wire lengths up
     to [max_len], random driver/sink electricals; used by property
     tests. Trees are built via random attachment so all shapes occur. *)
+
+val caterpillar : Tech.Process.t -> int -> Rctree.Tree.t
+(** The scale-test net: [sinks] internal nodes, each hung off a random
+    earlier one (source included) and carrying one sink (15 fF, 4 ns
+    RAT, 0.8 V margin). Wires are 0.2-1.5 mm to internal nodes and
+    0.2-1 mm to sinks, drawn from a fixed [Util.Rng.create 99] stream,
+    so a given size always yields the same tree. *)

@@ -253,9 +253,13 @@ let workload_jobs n seed =
     (Workload.generate { Workload.default_config with Workload.nets = n; seed })
 
 let batch_parallel_equals_sequential () =
-  let jobs = workload_jobs 30 1998 in
+  let jobs = workload_jobs 60 1998 in
   let r1 = Engine.optimize ~domains:1 ~algorithm:Bufins.Buffopt.Buffopt ~lib jobs in
+  let r2 = Engine.optimize ~domains:2 ~algorithm:Bufins.Buffopt.Buffopt ~lib jobs in
   let r4 = Engine.optimize ~domains:4 ~chunk:1 ~algorithm:Bufins.Buffopt.Buffopt ~lib jobs in
+  Alcotest.(check string)
+    "byte-identical aggregate signature at 1 vs 2 domains"
+    (Engine.signature r1) (Engine.signature r2);
   Alcotest.(check string)
     "byte-identical aggregate signature at 1 vs 4 domains"
     (Engine.signature r1) (Engine.signature r4);

@@ -195,21 +195,22 @@ let liberty_roundtrip_exact () =
         lib.Ingest.Liberty.warnings)
     (seeds 20)
 
+(* ten small random designs plus one 480-gate Sta.Gen design *)
 let blif_roundtrip_deterministic () =
+  let big = Sta.Gen.random { Sta.Gen.default_config with Sta.Gen.gates = 480; seed = 2026 } in
   List.iter
-    (fun seed ->
-      let d = Check.Gen.random_design (Util.Rng.create seed) in
+    (fun (name, d) ->
       let b = Ingest.Elab.blif_of_design d in
       let text = Ingest.Blif.to_string b in
       let b2 = Ingest.Blif.of_string text in
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d: rendering is a fixpoint" seed)
-        text (Ingest.Blif.to_string b2);
+      Alcotest.(check string) (name ^ ": rendering is a fixpoint") text (Ingest.Blif.to_string b2);
       let elab x = Sta.Netfmt.to_string (fst (Ingest.Elab.design_of_blif x)) in
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d: elaboration is reproducible" seed)
-        (elab b) (elab b2))
-    (seeds 10)
+      Alcotest.(check string) (name ^ ": elaboration is reproducible") (elab b) (elab b2))
+    (("480 gates", big)
+    :: List.map
+         (fun seed ->
+           (Printf.sprintf "seed %d" seed, Check.Gen.random_design (Util.Rng.create seed)))
+         (seeds 10))
 
 (* ------------------------------------------------------------------ *)
 (* The committed example corpus                                        *)
