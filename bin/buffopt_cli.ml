@@ -333,9 +333,12 @@ let seg_arg =
   in
   Arg.(value & opt um 500.0 & info [ "seg" ] ~docv:"UM" ~doc:"Wire-segmenting length, um.")
 
+let int_at_least lo =
+  checked int_of_string_opt (fun k -> k >= lo) (Printf.sprintf "an integer >= %d" lo)
+    Format.pp_print_int
+
 let kmax_arg =
-  let count = checked int_of_string_opt (fun k -> k >= 0) "an integer >= 0" Format.pp_print_int in
-  Arg.(value & opt count 16 & info [ "kmax" ] ~docv:"K" ~doc:"Buffer-count search bound.")
+  Arg.(value & opt (int_at_least 0) 16 & info [ "kmax" ] ~docv:"K" ~doc:"Buffer-count search bound.")
 
 let sim_arg =
   Arg.(value & flag & info [ "simulate" ] ~doc:"Also run the transient noise simulator.")
@@ -350,7 +353,7 @@ let jobs_arg =
 let retries_arg =
   Arg.(
     value
-    & opt int 0
+    & opt (int_at_least 0) 0
     & info [ "retries" ] ~docv:"R" ~doc:"Re-runs of a net whose optimization raised.")
 
 let liberty_arg =
@@ -415,7 +418,7 @@ let () =
   let fuzz =
     let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"Campaign master seed.") in
     let count =
-      Arg.(value & opt int 1000 & info [ "count" ] ~docv:"N" ~doc:"Instances to test.")
+      Arg.(value & opt (int_at_least 0) 1000 & info [ "count" ] ~docv:"N" ~doc:"Instances to test.")
     in
     let minutes =
       Arg.(
@@ -470,7 +473,9 @@ let () =
         $ replay)
   in
   let gen_design =
-    let gates = Arg.(value & opt int 120 & info [ "gates" ] ~docv:"N" ~doc:"Gate count.") in
+    let gates =
+      Arg.(value & opt (int_at_least 1) 120 & info [ "gates" ] ~docv:"N" ~doc:"Gate count.")
+    in
     let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Generator seed.") in
     let out =
       Arg.(value & opt (some string) None & info [ "o" ] ~docv:"FILE" ~doc:"Output path.")

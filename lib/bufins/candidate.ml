@@ -257,90 +257,33 @@ let sweep_noise ~power ~bound l =
   let kept = List.fold_left push [] l in
   (List.rev kept, !dropped)
 
-module FM = Map.Make (Float)
+type scratch = Flat.t
+
+let scratch = Flat.create
 
 (* The 3-axis delay-power sweep is O(n log n), not quadratic: the input
    is sorted by [cmp_frontier_power], so every already-kept candidate
-   has load <= the current one and only the (q, p) axes remain. Those
-   survivors form a staircase — p strictly increases with q among
-   mutually non-dominated (q, p) points — kept in a map from q to the
-   cheapest p seen at or above that q. A candidate is dominated iff the
-   staircase point with the smallest q >= its own carries p <= its own;
-   a kept candidate evicts the staircase points it (q, p)-dominates.
+   has load <= the current one and only the (q, p) axes remain. The
+   survivors' (q, p) points form a staircase, kept with key [-q] so
+   that [Flat.stair_add]'s orientation fits: a candidate is dominated
+   iff the member with the smallest q >= its own carries p <= its own,
+   and a kept candidate evicts the members it (q, p)-dominates.
    Dominated-but-kept duplicates in (c, q) with off-order p (possible
    when the i / ns tie-breaks interleave) are retained — harmless for
    exactness, they are weakly dominated and never extend the frontier. *)
-let sweep_delay_power l =
+let sweep_delay_power ~scratch:(s : Flat.t) l =
+  s.sn <- 0;
   let dropped = ref 0 in
-  let stairs = ref FM.empty in
-  let keep (x : t) =
-    let dominated =
-      match FM.find_first_opt (fun q -> q >= x.q) !stairs with
-      | Some (_, p) -> p <= x.p
-      | None -> false
-    in
-    if dominated then begin
-      incr dropped;
-      false
-    end
-    else begin
-      let rec purge m =
-        match FM.find_last_opt (fun q -> q <= x.q) m with
-        | Some (q, p) when p >= x.p -> purge (FM.remove q m)
-        | _ -> m
-      in
-      stairs := FM.add x.q x.p (purge !stairs);
-      true
-    end
+  let kept =
+    List.filter
+      (fun (x : t) ->
+        Flat.stair_add s (-.x.q) x.p 0
+        ||
+        (incr dropped;
+         false))
+      l
   in
-  let kept = List.filter keep l in
   (kept, !dropped)
-
-(* Exact delay-power branch merge (DESIGN.md §16), avoiding the full
-   |L| x |R| pairing walk. Both inputs are 3-axis frontiers; the merged
-   slack is [min qa qb], so walking one side in descending q while the
-   other side's already-passed (q >=) members are folded into a (c, p)
-   staircase enumerates a superset of the merged frontier: a pairing
-   with an off-staircase partner is weakly dominated by the same
-   pairing through the staircase member that (c, p)-covers it, at equal
-   or better merged q. Two passes — L against R's staircase (q ties
-   included), then R against L's strictly-above staircase — see every
-   pairing that can matter exactly once. [emit] receives (left, right)
-   in frontier order. *)
-let merge_delay_power ~emit lgroup rgroup =
-  let byq_desc = List.stable_sort (fun (a : t) (b : t) -> Float.compare b.q a.q) in
-  let pass ~strict walk prefix emit_pair =
-    let prefix = Array.of_list (byq_desc prefix) in
-    let n = Array.length prefix in
-    let stair = ref FM.empty in
-    let add (b : t) =
-      let dominated =
-        match FM.find_last_opt (fun c -> c <= b.c) !stair with
-        | Some (_, (k : t)) -> k.p <= b.p
-        | None -> false
-      in
-      if not dominated then begin
-        let rec purge m =
-          match FM.find_first_opt (fun c -> c >= b.c) m with
-          | Some (c, (k : t)) when k.p >= b.p -> purge (FM.remove c m)
-          | _ -> m
-        in
-        stair := FM.add b.c b (purge !stair)
-      end
-    in
-    let j = ref 0 in
-    List.iter
-      (fun (a : t) ->
-        let ahead (b : t) = if strict then b.q > a.q else b.q >= a.q in
-        while !j < n && ahead prefix.(!j) do
-          add prefix.(!j);
-          incr j
-        done;
-        FM.iter (fun _ b -> emit_pair a b) !stair)
-      (byq_desc walk)
-  in
-  pass ~strict:false lgroup rgroup (fun a b -> emit a b);
-  pass ~strict:true rgroup lgroup (fun b a -> emit a b)
 
 let merge_sweep_delay_pred ~arena ~bound walks =
   (* The cross-run form of the merge kill: every Van Ginneken pairing
@@ -449,77 +392,22 @@ let merge_sweep_delay_pred ~arena ~bound walks =
   in
   go []
 
-(* {1 Coordinates-first noise merge}
+(* {1 Coordinates-first branch merges}
 
-   The noise-mode branch merge must consider every pairing of its two
-   groups, yet only a few percent of them survive the 4D sweep. So the
-   pairings are decided on their coordinates alone: (c, q, i, ns) go
-   into a flat float array, stride 4, in the order the materializing
-   merge would list them (walk by walk, left outer, right inner); an
-   index permutation is stable-sorted by [cmp_frontier]; the
-   [sweep_noise] rule runs on the coordinates; and [merge] — record
-   plus Join node — is called for the survivors only. The buffers
-   belong to one run and grow by doubling. *)
+   A branch merge weighs many more pairings than survive its sweep. So
+   the pairings are decided on their coordinates alone: (c, q, i, ns, p)
+   go into the scratch's flat array, stride 5, in the order the
+   materializing merge would list them; an index permutation is
+   stable-sorted by [cmp_frontier_power]; the sweep runs on the
+   coordinates; and [merge] — record plus Join node — is called for the
+   survivors only. *)
 
-type scratch = {
-  mutable xs : float array;  (* pairing coordinates, stride 4 *)
-  mutable perm : int array;  (* sort permutation of pairing ids *)
-  mutable aux : int array;  (* merge-sort buffer, then the kept stack *)
-}
-
-let scratch () = { xs = [||]; perm = [||]; aux = [||] }
-
-(* [cmp_frontier] on the coordinates of pairings [a] and [b] *)
-let[@inline] cmp_at (xs : float array) a b =
-  let a = 4 * a and b = 4 * b in
-  match Float.compare xs.(a) xs.(b) with
-  | 0 -> (
-      match Float.compare xs.(b + 1) xs.(a + 1) with
-      | 0 -> (
-          match Float.compare xs.(a + 2) xs.(b + 2) with
-          | 0 -> Float.compare xs.(b + 3) xs.(a + 3)
-          | n -> n)
-      | n -> n)
-  | n -> n
-
-(* stable top-down merge sort of [perm.(lo .. hi-1)]; a half already in
-   order relative to the other is left alone, which makes the nearly
-   sorted rows of a pairing walk cheap *)
-let rec sort_perm s lo hi =
-  if hi - lo >= 2 then begin
-    let mid = (lo + hi) / 2 in
-    sort_perm s lo mid;
-    sort_perm s mid hi;
-    let xs = s.xs and perm = s.perm and aux = s.aux in
-    if cmp_at xs perm.(mid - 1) perm.(mid) > 0 then begin
-      Array.blit perm lo aux lo (mid - lo);
-      let i = ref lo and j = ref mid and k = ref lo in
-      while !i < mid && !j < hi do
-        if cmp_at xs perm.(!j) aux.(!i) < 0 then begin
-          perm.(!k) <- perm.(!j);
-          incr j
-        end
-        else begin
-          perm.(!k) <- aux.(!i);
-          incr i
-        end;
-        incr k
-      done;
-      Array.blit aux !i perm !k (mid - !i)
-    end
-  end
-
-let merge_noise ~scratch:s ~arena ~bound walks =
+let merge_noise ~scratch:(s : Flat.t) ~arena ~bound walks =
   let walks =
     Array.of_list (List.map (fun (l, r) -> (Array.of_list l, Array.of_list r)) walks)
   in
   let n = Array.fold_left (fun n (l, r) -> n + (Array.length l * Array.length r)) 0 walks in
-  if Array.length s.perm < n then begin
-    let m = max n (2 * Array.length s.perm) in
-    s.xs <- Array.make (4 * m) 0.0;
-    s.perm <- Array.make m 0;
-    s.aux <- Array.make m 0
-  end;
+  Flat.reserve s ~used:0 ~origins:false n;
   let xs = s.xs and perm = s.perm and kept = s.aux in
   let id = ref 0 in
   Array.iter
@@ -528,18 +416,20 @@ let merge_noise ~scratch:s ~arena ~bound walks =
         let a = l.(ia) in
         for ib = 0 to Array.length r - 1 do
           let b = r.(ib) in
-          (* the very expressions [merge] evaluates *)
-          let x = 4 * !id in
+          (* the very expressions [merge] evaluates; energy is no
+             axis of the noise order, so every pairing ties on it *)
+          let x = 5 * !id in
           xs.(x) <- a.c +. b.c;
           xs.(x + 1) <- Float.min a.q b.q;
           xs.(x + 2) <- a.i +. b.i;
           xs.(x + 3) <- Float.min a.ns b.ns;
+          xs.(x + 4) <- 0.0;
           perm.(!id) <- !id;
           incr id
         done
       done)
     walks;
-  sort_perm s 0 n;
+  Flat.sort_perm s 0 n;
   (* the sweep on coordinates: [kills_full ~bound] against every kept
      pairing, newest first. A pairing plain dominance kills is one the
      sweep-only engine also drops ([dropped]); one only the slope term
@@ -548,12 +438,12 @@ let merge_noise ~scratch:s ~arena ~bound walks =
   let nk = ref 0 and dropped = ref 0 and prekilled = ref 0 in
   for r = 0 to n - 1 do
     let x = perm.(r) in
-    let c = xs.(4 * x) and q = xs.((4 * x) + 1) in
-    let i = xs.((4 * x) + 2) and ns = xs.((4 * x) + 3) in
+    let c = xs.(5 * x) and q = xs.((5 * x) + 1) in
+    let i = xs.((5 * x) + 2) and ns = xs.((5 * x) + 3) in
     (* 0: not killed, 1: plain dominance, 2: slope term only *)
     let verdict = ref 0 and j = ref (!nk - 1) in
     while !verdict <> 1 && !j >= 0 do
-      let k = 4 * kept.(!j) in
+      let k = 5 * kept.(!j) in
       let kc = xs.(k) and kq = xs.(k + 1) in
       if kc <= c && xs.(k + 2) <= i && xs.(k + 3) >= ns then
         if kq >= q then verdict := 1
@@ -566,12 +456,12 @@ let merge_noise ~scratch:s ~arena ~bound walks =
     | _ ->
         (* retro-dominance over the equal-load top of the stack *)
         let lo = ref !nk in
-        while !lo > 0 && xs.(4 * kept.(!lo - 1)) = c do
+        while !lo > 0 && xs.(5 * kept.(!lo - 1)) = c do
           decr lo
         done;
         let w = ref !lo in
         for j = !lo to !nk - 1 do
-          let k = 4 * kept.(j) in
+          let k = 5 * kept.(j) in
           if q >= xs.(k + 1) && i <= xs.(k + 2) && ns >= xs.(k + 3) then incr dropped
           else begin
             kept.(!w) <- kept.(j);
@@ -596,3 +486,99 @@ let merge_noise ~scratch:s ~arena ~bound walks =
     survivors := pair kept.(j) :: !survivors
   done;
   (!survivors, n - !prekilled, !dropped, !prekilled)
+
+let by_slack group =
+  let a = Array.of_list group in
+  Array.stable_sort (fun (x : t) (y : t) -> Float.compare y.q x.q) a;
+  a
+
+(* The delay-power branch merge (DESIGN.md §16). The merged slack is
+   [min qa qb], so walking one side in descending q while the other
+   side's already-passed (q >=) members are folded into a (c, p)
+   staircase enumerates a superset of the merged frontier: a pairing
+   with an off-staircase partner is weakly dominated by the same
+   pairing through the staircase member that (c, p)-covers it, at equal
+   or better merged q. Two passes per walk — left against the right
+   side's staircase (q ties included), then right against the left
+   side's strictly-above staircase — see every pairing that can matter
+   exactly once. A staircase member's energy falls as its load rises,
+   so the over-budget members for one walking candidate are a prefix,
+   found by binary search and never emitted.
+
+   Emitted pairings go to the scratch in walk order, each walk in its
+   emission order; the permutation lists the walks as given and each
+   walk newest pairing first, the order the materializing merge
+   concatenated them in, so the stable sort breaks full ties the same
+   way. The (q, p) sweep then runs on the coordinates. *)
+let merge_delay_power ~scratch:(s : Flat.t) ~arena ~budget ~prune walks =
+  let walks = Array.of_list walks in
+  let n = ref 0 and over = ref 0 in
+  (* pairing [il] x [ir] of walk [w] *)
+  let emit w il ir =
+    let (l : t array), (r : t array) = walks.(w) in
+    let a = l.(il) and b = r.(ir) in
+    Flat.reserve s ~used:!n ~origins:true (!n + 1);
+    let x = 5 * !n and y = 3 * !n in
+    s.xs.(x) <- a.c +. b.c;
+    s.xs.(x + 1) <- Float.min a.q b.q;
+    s.xs.(x + 2) <- a.i +. b.i;
+    s.xs.(x + 3) <- Float.min a.ns b.ns;
+    s.xs.(x + 4) <- a.p +. b.p;
+    s.js.(y) <- w;
+    s.js.(y + 1) <- il;
+    s.js.(y + 2) <- ir;
+    incr n
+  in
+  (* [walk] against the staircase of [prefix]; [pair] emits one pairing
+     given the walking candidate's and the member's indices *)
+  let pass ~strict (walk : t array) (prefix : t array) pair =
+    s.sn <- 0;
+    let j = ref 0 in
+    Array.iteri
+      (fun ia (a : t) ->
+        while
+          !j < Array.length prefix
+          && if strict then prefix.(!j).q > a.q else prefix.(!j).q >= a.q
+        do
+          let b = prefix.(!j) in
+          ignore (Flat.stair_add s b.c b.p !j);
+          incr j
+        done;
+        let lo = ref 0 and hi = ref s.sn in
+        while !lo < !hi do
+          let mid = (!lo + !hi) lsr 1 in
+          if a.p +. s.sv.(mid) > budget then lo := mid + 1 else hi := mid
+        done;
+        over := !over + !lo;
+        for k = !lo to s.sn - 1 do
+          pair ia s.si.(k)
+        done)
+      walk
+  in
+  Array.iteri
+    (fun w (l, r) ->
+      let first = !n in
+      pass ~strict:false l r (emit w);
+      pass ~strict:true r l (fun ir il -> emit w il ir);
+      for k = first to !n - 1 do
+        s.perm.(k) <- first + !n - 1 - k
+      done)
+    walks;
+  let n = !n in
+  Flat.sort_perm s 0 n;
+  let kept = s.aux and nk = ref 0 in
+  s.sn <- 0;
+  for r = 0 to n - 1 do
+    let x = s.perm.(r) in
+    if (not prune) || Flat.stair_add s (-.s.xs.((5 * x) + 1)) s.xs.((5 * x) + 4) x then begin
+      kept.(!nk) <- x;
+      incr nk
+    end
+  done;
+  let survivors = ref [] in
+  for k = !nk - 1 downto 0 do
+    let y = 3 * kept.(k) in
+    let l, r = walks.(s.js.(y)) in
+    survivors := merge ~arena l.(s.js.(y + 1)) r.(s.js.(y + 2)) :: !survivors
+  done;
+  (!survivors, n, n - !nk, !over)

@@ -11,7 +11,10 @@
     Besides the per-candidate operations this module holds the DP's
     specialized kernels: one wire climb, one (load, slack) staircase
     shared by the delay sweep, the insertion splice and the predictive
-    merge, and the power-mode staircases. *)
+    merge, the power-mode staircases on flat sorted arrays, and the
+    coordinates-first branch merges of noise and power mode, which
+    decide every pairing on its coordinates and materialize survivors
+    only. *)
 
 type t = {
   c : float;  (** downstream load seen here, F (eq. 1) *)
@@ -109,7 +112,17 @@ val cmp_frontier_power : t -> t -> int
     call per element. Delay mode has one (load, slack) staircase, shared
     by {!sweep_delay}, {!splice_delay} and every predictive kill site;
     noise mode has one 4D sweep, on lists ({!sweep_noise}) and on the
-    branch merge's flat pairing coordinates ({!merge_noise}). *)
+    branch merge's flat pairing coordinates ({!merge_noise}); power
+    mode keeps its 2D staircases in a {!scratch}'s sorted arrays
+    ({!sweep_delay_power}, {!merge_delay_power}). *)
+
+type scratch
+(** A run's {!Flat} working buffers, grown on demand and reused by
+    every kernel call of that run: the pairing coordinates, sort
+    permutation and kept stack of the coordinates-first merges, and the
+    power-mode staircase. Not shareable between domains. *)
+
+val scratch : unit -> scratch
 
 val sweep_delay : t list -> t list * int
 (** [Frontier.sweep2 ~cost:c ~value:q] on a [cmp_frontier]-sorted list:
@@ -132,26 +145,17 @@ val splice_delay : t list -> t list -> t list * int
     dominant allocation before this existed. Returns (kept, dropped)
     with drop counts identical to the unfused composition. *)
 
-val sweep_delay_power : t list -> t list * int
+val sweep_delay_power : scratch:scratch -> t list -> t list * int
 (** Dominance sweep under the power-mode delay relation — {!dominates}
     strengthened with [a.p <= b.p], sound because every upstream
     operation is monotone non-decreasing in [p] — on a
     [cmp_frontier_power]-sorted list, O(n log n): with load already
-    sorted, survivors reduce to a (slack, energy) staircase kept in a
-    map, so each element costs one staircase lookup plus amortized
-    eviction. Returns (kept, dropped). May retain a weakly dominated
-    equal-(c, q) duplicate when the i / ns tie-breaks interleave the
-    energy order — never anything that extends the frontier. *)
-
-val merge_delay_power :
-  emit:(t -> t -> unit) -> t list -> t list -> unit
-(** Exact delay-power branch merge: calls [emit left right] for every
-    pairing of the two 3-axis frontiers that can contribute to the
-    merged frontier, skipping pairings whose partner is (load, energy)-
-    dominated within the equal-or-better-slack prefix of its side —
-    those merges are weakly dominated by an emitted one. Walks each
-    side in descending slack against the other side's staircase;
-    typically far below the |L| x |R| full pairing walk. *)
+    sorted, survivors reduce to a (slack, energy) staircase kept in the
+    scratch's sorted arrays, so each element costs one binary search
+    plus an amortized eviction blit. Returns (kept, dropped). May retain
+    a weakly dominated equal-(c, q) duplicate when the i / ns tie-breaks
+    interleave the energy order — never anything that extends the
+    frontier. *)
 
 (** {2 Predictive pruning (Li & Shi)}
 
@@ -224,13 +228,7 @@ val merge_sweep_delay_pred :
     stable merge of the materialized walks, so equal-coordinate ties
     resolve to the same trace as the sweep-only engine. *)
 
-(** {2 Coordinates-first noise merge} *)
-
-type scratch
-(** Flat working buffers of {!merge_noise}, grown on demand and reused
-    by every merge of one run. Not shareable between domains. *)
-
-val scratch : unit -> scratch
+(** {2 Coordinates-first branch merges} *)
 
 val merge_noise :
   scratch:scratch ->
@@ -243,7 +241,7 @@ val merge_noise :
     {!kills_full}[ ~bound] — with [bound = 0], exactly
     [sweep_noise (List.stable_sort cmp_frontier pairings)], where
     [pairings] lists the walks in order, left outer, right inner. Each
-    pairing's [(c, q, i, ns)] is computed into flat arrays and the sort
+    pairing's coordinates are computed into the scratch and the sort
     and sweep run on those; [merge] records a candidate and a [Join]
     node for the survivors only. Returns
     [(kept, generated, dropped, prekilled)]: [prekilled] pairings only
@@ -251,3 +249,33 @@ val merge_noise :
     [generated], of which [dropped] fell to plain 4D dominance
     ([pruned]). Survivors, their order and every tie are those of the
     list sweep. *)
+
+val by_slack : t list -> t array
+(** A group stable-sorted by slack, descending: the order in which
+    {!merge_delay_power} walks and folds it. A branch node sorts each
+    child group once and hands the array to every walk that reads it. *)
+
+val merge_delay_power :
+  scratch:scratch ->
+  arena:Trace.arena ->
+  budget:float ->
+  prune:bool ->
+  (t array * t array) list ->
+  t list * int * int * int
+(** The delay-power branch merge of the walks (left and right
+    {!by_slack} groups) feeding one target group. It enumerates only
+    the pairings that can reach the merged 3-axis frontier — each side
+    walked in descending slack against a (load, energy) staircase of
+    the other side's equal-or-better-slack members; a skipped pairing
+    is weakly dominated by an enumerated one — and skips those whose
+    energy exceeds [budget] before writing anything. The rest are
+    decided on their coordinates: sorted by [cmp_frontier_power],
+    swept as {!sweep_delay_power} would (not at all without [prune]),
+    and only the survivors are joined with {!merge}. Survivors, their
+    order and every tie are those of materializing the pairings, walk
+    by walk, each walk newest pairing first, then
+    [sweep_delay_power (List.sort cmp_frontier_power pairings)].
+    Returns [(kept, generated, dropped, over_budget)]: [generated]
+    in-budget pairings, [dropped] of which the sweep removed
+    ([pruned]), and [over_budget] pairings skipped for energy
+    ([power_pruned]). *)

@@ -235,12 +235,13 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
      off), read by the noise sweep only: the delay staircases kill
      before materializing instead. *)
   let staircase = (not noise) || cq_prune in
+  let scratch = C.scratch () in
   let sweep ~bound cands =
     if not prune then cands
     else begin
       let kept, dropped =
         if not staircase then C.sweep_noise ~power ~bound cands
-        else if power then C.sweep_delay_power cands
+        else if power then C.sweep_delay_power ~scratch cands
         else C.sweep_delay cands
       in
       pruned := !pruned + dropped;
@@ -323,32 +324,54 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
       tbl
   in
   (* Every (left slot, right slot) pairing of a branch node's two child
-     tables that may merge — equal parity, bucket sum within kmax — with
-     the slot the pairing lands in. *)
+     tables that may merge — equal parity, bucket sum within kmax, both
+     groups non-empty — with the slot the pairing lands in. *)
   let pairings lt rt f =
     for sl = 0 to nslots - 1 do
-      match lt.(sl) with
-      | [] -> ()
-      | lgroup ->
-          let p = sl land 1 and kl = sl asr 1 in
-          for kr = 0 to nbuckets - 1 do
-            if kl + kr <= kmax then
-              match rt.((2 * kr) + p) with
-              | [] -> ()
-              | rgroup -> f ((if counted then 2 * (kl + kr) else 0) + p) lgroup rgroup
-          done
+      if lt.(sl) <> [] then begin
+        let p = sl land 1 and kl = sl asr 1 in
+        for kr = 0 to nbuckets - 1 do
+          let sr = (2 * kr) + p in
+          if kl + kr <= kmax && rt.(sr) <> [] then
+            f ((if counted then 2 * (kl + kr) else 0) + p) sl sr
+        done
+      end
     done
   in
   (* Join the two child tables of a branch node. Delay mode walks the two
      frontiers linearly (Van Ginneken); noise mode must consider every
      pairing — a pairing off the (c, q) frontier can be the only one whose
      noise slack survives the upstream wires — and so must power mode,
-     for the only budget-feasible pairing (its delay mode enumerates just
-     the staircase pairings, exact by Candidate.merge_delay_power). *)
+     for the only budget-feasible pairing. Delay-power mode enumerates
+     just the staircase pairings (exact by Candidate.merge_delay_power)
+     and, like noise mode, decides them on their coordinates, joining
+     the survivors only; the materializing merge is left to noise-power
+     mode and to the power-off modes under [prune = false]. *)
   let fused = pred || (prune && (not power) && not staircase) in
-  let scratch = C.scratch () in
+  let delay_power = power && not noise in
+  let pending lt rt walk =
+    let pending = Array.make nslots [] in
+    pairings lt rt (fun t sl sr -> pending.(t) <- walk sl sr :: pending.(t));
+    pending
+  in
   let merge_groups ~bound lt rt =
-    if fused then begin
+    if delay_power then begin
+      (* each child group is sorted by slack once, for all its walks *)
+      let ls = Array.map C.by_slack lt and rs = Array.map C.by_slack rt in
+      Array.map
+        (function
+          | [] -> []
+          | walks ->
+              let kept, considered, dropped, over =
+                C.merge_delay_power ~scratch ~arena ~budget:eff_budget ~prune walks
+              in
+              generated := !generated + considered;
+              pruned := !pruned + dropped;
+              power_pruned := !power_pruned + over;
+              kept)
+        (pending lt rt (fun sl sr -> (ls.(sl), rs.(sr))))
+    end
+    else if fused then begin
       (* Collect the pairing walks per target slot first, then decide
          all walks feeding one slot together (DESIGN.md §12), so every
          pairing is weighed against the whole slot before anything is
@@ -356,8 +379,6 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
          selection with the slope rule on the staircase; noise mode
          sweeps every pairing's coordinates under the 4D rule and joins
          the survivors only. *)
-      let pending = Array.make nslots [] in
-      pairings lt rt (fun t l r -> pending.(t) <- (l, r) :: pending.(t));
       Array.map
         (function
           | [] -> []
@@ -370,23 +391,27 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
               pruned := !pruned + dropped;
               pred_pruned := !pred_pruned + prekilled;
               kept)
-        pending
+        (pending lt rt (fun sl sr -> (lt.(sl), rt.(sr))))
     end
     else begin
       let runs = Array.make nslots [] in
-      pairings lt rt (fun t lgroup rgroup ->
+      pairings lt rt (fun t sl sr ->
+          let lgroup = lt.(sl) and rgroup = rt.(sr) in
           let pairs =
             if power then begin
-              (* the budget check is fused in before [merge] materializes
-                 anything: over-budget pairings cost no allocation and no
-                 arena node, and are counted as [power_pruned] *)
+              (* noise-power mode: every pairing, with the budget check
+                 fused in before [merge] materializes anything —
+                 over-budget pairings cost no allocation and no arena
+                 node, and are counted as [power_pruned] *)
               let pairs = ref [] in
-              let emit (a : C.t) (b : C.t) =
-                if a.C.p +. b.C.p > eff_budget then incr power_pruned
-                else pairs := C.merge ~arena a b :: !pairs
-              in
-              if noise then List.iter (fun a -> List.iter (fun b -> emit a b) rgroup) lgroup
-              else C.merge_delay_power ~emit lgroup rgroup;
+              List.iter
+                (fun (a : C.t) ->
+                  List.iter
+                    (fun (b : C.t) ->
+                      if a.C.p +. b.C.p > eff_budget then incr power_pruned
+                      else pairs := C.merge ~arena a b :: !pairs)
+                    rgroup)
+                lgroup;
               !pairs
             end
             else F.merge2 ~value:(fun (a : C.t) -> a.C.q) ~join:(C.merge ~arena) lgroup rgroup
@@ -421,7 +446,18 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
       (fun sl group ->
         (* the slot-level bucket check covers per-candidate count
            eligibility: a counted group holds one exact count *)
-        if group <> [] && sl asr 1 < kmax then
+        if group <> [] && sl asr 1 < kmax then begin
+          (* power mode: the group's candidate indices by energy,
+             ascending — the insertion-energy order of every type *)
+          let cands, by_energy =
+            if not power then ([||], [||])
+            else begin
+              let cands = Array.of_list group in
+              let ord = Array.init (Array.length cands) Fun.id in
+              Array.stable_sort (fun x y -> Float.compare cands.(x).C.p cands.(y).C.p) ord;
+              (cands, ord)
+            end
+          in
           for ti = 0 to ntypes - 1 do
             let b = plib.Tech.Lib.bufs.(ti) in
             let p = sl land 1 in
@@ -433,35 +469,45 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
                  both resulting slack and energy, so the single best-slack
                  scan is replaced by the (slack, energy) Pareto staircase
                  of the source group — every staircase member is an
-                 insertion no other source can dominate. Over-budget
-                 members are skipped before materialization and counted as
-                 [power_pruned]. *)
-              let eligible =
-                List.filter_map
-                  (fun (a : C.t) ->
-                    if (not guard) || C.noise_ok ~r_gate:b.Tech.Buffer.r_b a then
-                      Some
-                        ( a.C.q -. Tech.Buffer.gate_delay b ~load:a.C.c,
-                          a.C.p +. plib.Tech.Lib.energy.(ti),
-                          a )
-                    else None)
-                  group
-              in
-              let eligible =
-                List.stable_sort
-                  (fun (s1, p1, _) (s2, p2, _) ->
-                    match Float.compare s2 s1 with 0 -> Float.compare p1 p2 | n -> n)
-                  eligible
-              in
-              let best_p = ref infinity in
+                 insertion no other source can dominate. One pass in
+                 energy order finds it: a run of equal insertion energy
+                 yields its best-slack source (the first in group order
+                 on ties) when that slack beats every cheaper run's.
+                 Members are added in the order of falling slack; the
+                 over-budget ones are skipped before materialization and
+                 counted as [power_pruned]. *)
+              let e = plib.Tech.Lib.energy.(ti) in
+              let n = Array.length cands in
+              let members = ref [] in
+              (* best slack of the cheaper runs; NaN until the first
+                 member, so that member beats it whatever its slack *)
+              let best = ref nan in
+              let k = ref 0 in
+              while !k < n do
+                let pw = cands.(by_energy.(!k)).C.p +. e in
+                let rep = ref (-1) and rep_s = ref neg_infinity in
+                while !k < n && cands.(by_energy.(!k)).C.p +. e = pw do
+                  let j = by_energy.(!k) in
+                  let a = cands.(j) in
+                  (if (not guard) || C.noise_ok ~r_gate:b.Tech.Buffer.r_b a then
+                     let s = a.C.q -. Tech.Buffer.gate_delay b ~load:a.C.c in
+                     if !rep < 0 || s > !rep_s || (s = !rep_s && j < !rep) then begin
+                       rep := j;
+                       rep_s := s
+                     end);
+                  incr k
+                done;
+                if !rep >= 0 && not (!rep_s <= !best) then begin
+                  best := !rep_s;
+                  members := !rep :: !members
+                end
+              done;
               List.iter
-                (fun (_, pw, a) ->
-                  if pw < !best_p then begin
-                    best_p := pw;
-                    if pw > eff_budget then incr power_pruned
-                    else add target (C.add_buffer ~arena ~at:v b a)
-                  end)
-                eligible
+                (fun j ->
+                  let a = cands.(j) in
+                  if a.C.p +. e > eff_budget then incr power_pruned
+                  else add target (C.add_buffer ~arena ~at:v b a))
+                !members
             end
             else begin
               scan_s.(0) <- neg_infinity;
@@ -478,7 +524,8 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
                 then incr pred_pruned
                 else add target (C.add_buffer ~arena ~at:v b !scan_best)
             end
-          done)
+          done
+        end)
       tbl;
     Array.iteri
       (fun sl cands ->

@@ -8,28 +8,45 @@ open Helpers
    sweep (the b of the O(bn^2) multi-type DP), and the energy-budgeted
    DP on 4 types with kmax = 8 at half the unconstrained winner's energy.
    The winner's slack and energy are pinned to the bit (as %h), with its
-   buffer count. *)
+   buffer count and an MD5 digest of its (node, buffer name) placement
+   list, so a change in where the buffers go fails even when the
+   totals hold. *)
 let dp_scenarios =
   [
-    (* mode, sinks, buffer types, slack, energy, buffers *)
-    (`Delay 16, 50, 11, "0x1.e52442e1f6405p-29", "0x1.d48df40e0b4bfp-41", 16);
-    (`Delay 16, 200, 11, "0x1.6f0244940ccdep-29", "0x1.08456f136fc87p-40", 16);
-    (`Delay 16, 800, 11, "-0x1.fe62fe224d966p-31", "0x1.dca93648c032bp-41", 16);
-    (`Noise, 50, 11, "0x1.edc694b74ccf6p-29", "0x1.8161cc8ac101fp-40", 63);
-    (`Noise, 200, 11, "0x1.d36f1e532166bp-29", "0x1.ab9de598c68c7p-38", 281);
-    (`Noise, 800, 11, "0x1.b456c7892e5b2p-29", "0x1.a003aece5a084p-36", 1098);
-    (`Delay 16, 200, 1, "-0x1.e194ff317564cp-29", "0x1.3749ef34bc35fp-44", 16);
-    (`Delay 16, 200, 4, "0x1.c5ae7b20e9142p-30", "0x1.4c5d9b66f8f45p-42", 16);
-    (`Delay 16, 200, 8, "0x1.6f0244940ccdep-29", "0x1.08456f136fc87p-40", 16);
-    (`Delay 16, 800, 1, "-0x1.a1c118fb919acp-26", "0x1.3749ef34bc35fp-44", 16);
-    (`Delay 16, 800, 4, "-0x1.553675ead0b1cp-28", "0x1.64af621717a89p-42", 16);
-    (`Delay 16, 800, 8, "-0x1.fe62fe224d966p-31", "0x1.dca93648c032bp-41", 16);
-    (`Half_budget 8, 50, 4, "0x1.722584a52e5b9p-29", "0x1.3749ef34bc36p-44", 7);
-    (`Half_budget 8, 200, 4, "-0x1.1c8f52d3b282cp-31", "0x1.71a7cc0e9f802p-44", 7);
-    (`Half_budget 8, 800, 4, "-0x1.ba35d7a6de6b7p-27", "0x1.7824010a636bep-44", 8);
+    (* mode, sinks, buffer types, slack, energy, buffers, placements *)
+    (`Delay 16, 50, 11, "0x1.e52442e1f6405p-29", "0x1.d48df40e0b4bfp-41", 16,
+      "96bc82e6b233b2cf1d56fd3def8b174a");
+    (`Delay 16, 200, 11, "0x1.6f0244940ccdep-29", "0x1.08456f136fc87p-40", 16,
+      "4c6336cf51d2a5c1b198ca028ffc817d");
+    (`Delay 16, 800, 11, "-0x1.fe62fe224d966p-31", "0x1.dca93648c032bp-41", 16,
+      "09cf8e4aed7f7fff43638c7c0dc27175");
+    (`Noise, 50, 11, "0x1.edc694b74ccf6p-29", "0x1.8161cc8ac101fp-40", 63,
+      "9644a7b1a55ef704ab4a07a26892c73e");
+    (`Noise, 200, 11, "0x1.d36f1e532166bp-29", "0x1.ab9de598c68c7p-38", 281,
+      "4f2fedec9bf10ee1da4473d419bab892");
+    (`Noise, 800, 11, "0x1.b456c7892e5b2p-29", "0x1.a003aece5a084p-36", 1098,
+      "20b37685560969b2e9af91a523a0d7e1");
+    (`Delay 16, 200, 1, "-0x1.e194ff317564cp-29", "0x1.3749ef34bc35fp-44", 16,
+      "414461144b10d3b584abdf35d8007c47");
+    (`Delay 16, 200, 4, "0x1.c5ae7b20e9142p-30", "0x1.4c5d9b66f8f45p-42", 16,
+      "82b4a75cfacaf6867aa54aeb93341c7e");
+    (`Delay 16, 200, 8, "0x1.6f0244940ccdep-29", "0x1.08456f136fc87p-40", 16,
+      "4c6336cf51d2a5c1b198ca028ffc817d");
+    (`Delay 16, 800, 1, "-0x1.a1c118fb919acp-26", "0x1.3749ef34bc35fp-44", 16,
+      "e56be56e60f8460641e7d3d602a43f74");
+    (`Delay 16, 800, 4, "-0x1.553675ead0b1cp-28", "0x1.64af621717a89p-42", 16,
+      "4a2f39179924ce7fa8351aecc6752429");
+    (`Delay 16, 800, 8, "-0x1.fe62fe224d966p-31", "0x1.dca93648c032bp-41", 16,
+      "09cf8e4aed7f7fff43638c7c0dc27175");
+    (`Half_budget 8, 50, 4, "0x1.722584a52e5b9p-29", "0x1.3749ef34bc36p-44", 7,
+      "75ac6795fa63b7bdbf50af109c42b3b0");
+    (`Half_budget 8, 200, 4, "-0x1.1c8f52d3b282cp-31", "0x1.71a7cc0e9f802p-44", 7,
+      "de49593d3cdf1107e9b4abeb1cd94f07");
+    (`Half_budget 8, 800, 4, "-0x1.ba35d7a6de6b7p-27", "0x1.7824010a636bep-44", 8,
+      "be6fb32e95583defe7677c387facf156");
   ]
 
-let dp_scenario (mode, sinks, types, slack, energy, buffers) =
+let dp_scenario (mode, sinks, types, slack, energy, buffers, placements) =
   let lib = List.filteri (fun i _ -> i < types) lib in
   let seg = Rctree.Segment.refine (Fixtures.caterpillar process sinks) ~max_len:500e-6 in
   let best ~noise mode = Option.get (Bufins.Dp.run ~noise ~mode ~lib seg).Bufins.Dp.best in
@@ -46,7 +63,15 @@ let dp_scenario (mode, sinks, types, slack, energy, buffers) =
   let name = Printf.sprintf "%s, %d sinks, b = %d" name sinks types in
   Alcotest.(check string) (name ^ ": slack") slack (Printf.sprintf "%h" r.Bufins.Dp.slack);
   Alcotest.(check string) (name ^ ": energy") energy (Printf.sprintf "%h" r.Bufins.Dp.energy);
-  Alcotest.(check int) (name ^ ": buffers") buffers r.Bufins.Dp.count
+  Alcotest.(check int) (name ^ ": buffers") buffers r.Bufins.Dp.count;
+  let digest =
+    List.map
+      (fun (p : Rctree.Surgery.placement) ->
+        Printf.sprintf "%d %s" p.Rctree.Surgery.node p.Rctree.Surgery.buffer.Tech.Buffer.name)
+      r.Bufins.Dp.placements
+    |> String.concat ";" |> Digest.string |> Digest.to_hex
+  in
+  Alcotest.(check string) (name ^ ": placements") placements digest
 
 (* Serve's incremental re-optimize on the 800-sink net (delay mode,
    kmax = 16): four single-sink RAT edits through a resident Dp.Memo

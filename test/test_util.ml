@@ -201,6 +201,63 @@ let candidate_tests =
   in
   let cost (a : Bufins.Candidate.t) = a.Bufins.Candidate.c in
   let value (a : Bufins.Candidate.t) = a.Bufins.Candidate.q in
+  (* power-mode candidates on exact binary grids (sums of grid points are
+     exact), so loads, slacks and energies tie often, also after a merge *)
+  let grid c q p =
+    mk (Float.ldexp (float_of_int c) (-50)) (Float.ldexp (float_of_int q) (-33))
+    |> fun x -> { x with Bufins.Candidate.p = Float.ldexp (float_of_int p) (-50) }
+  in
+  let gen_power =
+    QCheck2.Gen.(
+      list_size (int_range 1 40)
+        (map
+           (fun ((c, q, p), (i, ns)) ->
+             { (grid c q p) with Bufins.Candidate.i = float_of_int i *. 1e-3;
+               ns = float_of_int ns *. 0.1 })
+           (pair
+              (triple (int_range 1 6) (int_range 0 6) (int_range 0 6))
+              (pair (int_range 0 2) (int_range 0 2)))))
+  in
+  (* a DP group: sorted, current and noise slack fixed, as in delay mode *)
+  let gen_group =
+    QCheck2.Gen.(
+      map
+        (List.sort Bufins.Candidate.cmp_frontier_power)
+        (list_size (int_range 1 12)
+           (map
+              (fun (c, q, p) -> grid c q p)
+              (triple (int_range 1 6) (int_range 0 6) (int_range 0 7)))))
+  in
+  (* the quadratic reference of the 3-axis sweep on a sorted list *)
+  let ref_sweep_power l =
+    List.rev
+      (List.fold_left
+         (fun kept (x : Bufins.Candidate.t) ->
+           if
+             List.exists
+               (fun (k : Bufins.Candidate.t) ->
+                 k.Bufins.Candidate.q >= x.Bufins.Candidate.q
+                 && k.Bufins.Candidate.p <= x.Bufins.Candidate.p)
+               kept
+           then kept
+           else x :: kept)
+         [] l)
+  in
+  let scratch = Bufins.Candidate.scratch () in
+  let sweep_power = Bufins.Candidate.sweep_delay_power ~scratch in
+  (* the DP's delay-power branch merge of the walks feeding one slot;
+     its counts must add up: every in-budget pairing is generated, and
+     all but the survivors are dropped *)
+  let merge_power ?(arena = Bufins.Trace.create ()) ~budget walks =
+    let kept, generated, dropped, _ =
+      Bufins.Candidate.merge_delay_power ~scratch ~arena ~budget
+        ~prune:true
+        (List.map (fun (l, r) -> (Bufins.Candidate.by_slack l, Bufins.Candidate.by_slack r)) walks)
+    in
+    if generated - dropped <> List.length kept then Alcotest.fail "merge counts";
+    kept
+  in
+  let strip = List.map (fun (x : Bufins.Candidate.t) -> { x with Bufins.Candidate.tr = 0.0 }) in
   [
     qcase ~count:80 "pareto2 keeps only the pareto front" gen (fun cands ->
         let kept, dropped = Bufins.Frontier.pareto2 ~cost ~value cands in
@@ -369,6 +426,97 @@ let candidate_tests =
              && dropped + prekilled = ldrop
              && (bound > 0.0 || prekilled = 0))
            [ 0.0; 1e5 ]));
+    qcase ~count:200 "delay-power sweep matches the quadratic 3-axis sweep" gen_power
+      (fun cands ->
+        (* load is sorted, so a candidate falls iff an earlier survivor
+           has at least its slack for at most its energy; i and ns vary
+           and reorder equal-(c, q) runs without joining the relation *)
+        let sorted = List.sort Bufins.Candidate.cmp_frontier_power cands in
+        let kept, dropped = sweep_power sorted in
+        let reference = ref_sweep_power sorted in
+        List.length kept = List.length reference
+        && List.for_all2 ( == ) kept reference
+        && dropped = List.length sorted - List.length kept);
+    qcase ~count:300 "delay-power branch merge matches the exhaustive pairing sweep"
+      QCheck2.Gen.(quad gen_group gen_group gen_group (int_range 0 14))
+      (fun (l, r, m, cut) ->
+        (* two walks into one slot, the second sharing the first's right
+           group; the budget sits on the exact grid of pairing energies,
+           so it cuts through ties *)
+        let budget = Float.ldexp (float_of_int cut) (-50) in
+        let walks = [ (l, r); (m, r) ] in
+        let arena = Bufins.Trace.create () in
+        let exhaustive =
+          List.concat_map
+            (fun (l, r) ->
+              List.concat_map
+                (fun (a : Bufins.Candidate.t) ->
+                  List.filter_map
+                    (fun (b : Bufins.Candidate.t) ->
+                      if a.Bufins.Candidate.p +. b.Bufins.Candidate.p > budget then None
+                      else Some (Bufins.Candidate.merge ~arena a b))
+                    r)
+                l)
+            walks
+        in
+        let reference =
+          ref_sweep_power (List.sort Bufins.Candidate.cmp_frontier_power exhaustive)
+        in
+        let kept = merge_power ~budget walks in
+        strip kept = strip reference);
+    qcase ~count:300 "delay-power branch merge breaks ties as the materializing merge did"
+      QCheck2.Gen.(quad gen_group gen_group gen_group (int_range 0 14))
+      (fun (l, r, m, cut) ->
+        (* Every input candidate is tagged with its own Buf node, so a
+           survivor's placements name its pairing. The reference
+           enumerates the staircase pairings with lists, materializes
+           them in emission order, lists each walk newest pairing first
+           and the walks in the order given, then sorts stably and
+           sweeps: the coordinates-first merge must pick the same
+           pairing out of every run of equal coordinates. *)
+        let budget = Float.ldexp (float_of_int cut) (-50) in
+        let arena = Bufins.Trace.create () in
+        let buffer = List.hd Tech.Lib.default_library in
+        let next = ref 0 in
+        let tag =
+          List.map (fun (x : Bufins.Candidate.t) ->
+              incr next;
+              let h = Bufins.Trace.buf arena ~node:!next ~dist:0.0 ~buffer ~pred:Bufins.Trace.leaf in
+              { x with Bufins.Candidate.tr = float_of_int h })
+        in
+        let l = tag l and r = tag r and m = tag m in
+        let walks = [ (l, r); (m, r) ] in
+        let open Bufins.Candidate in
+        let slack_order g = Array.to_list (by_slack g) in
+        let pass ~strict walk prefix emit =
+          List.iter
+            (fun a ->
+              let ahead = List.filter (fun b -> if strict then b.q > a.q else b.q >= a.q) prefix in
+              let stair =
+                List.fold_left
+                  (fun st b ->
+                    if List.exists (fun k -> k.c <= b.c && k.p <= b.p) st then st
+                    else b :: List.filter (fun k -> not (k.c >= b.c && k.p >= b.p)) st)
+                  [] ahead
+              in
+              List.iter (emit a) (List.sort (fun x y -> Float.compare x.c y.c) stair))
+            walk
+        in
+        let run (l, r) =
+          let pairs = ref [] in
+          let emit a b = if a.p +. b.p <= budget then pairs := merge ~arena a b :: !pairs in
+          pass ~strict:false (slack_order l) (slack_order r) emit;
+          pass ~strict:true (slack_order r) (slack_order l) (fun b a -> emit a b);
+          !pairs
+        in
+        let reference =
+          ref_sweep_power (List.stable_sort cmp_frontier_power (List.concat_map run walks))
+        in
+        let kept = merge_power ~arena ~budget walks in
+        let nodes (x : t) =
+          List.map (fun p -> p.Rctree.Surgery.node) (Bufins.Trace.placements arena (trace x))
+        in
+        List.map nodes kept = List.map nodes reference);
   ]
 
 let clock_tests =
