@@ -400,7 +400,10 @@ let () =
   in
   let flow =
     let iters =
-      Arg.(value & opt int 2 & info [ "iterations" ] ~docv:"N" ~doc:"STA/optimize rounds.")
+      Arg.(
+        value
+        & opt (int_at_least 1) 2
+        & info [ "iterations" ] ~docv:"N" ~doc:"STA/optimize rounds.")
     in
     let cells =
       Arg.(
@@ -421,9 +424,14 @@ let () =
       Arg.(value & opt (int_at_least 0) 1000 & info [ "count" ] ~docv:"N" ~doc:"Instances to test.")
     in
     let minutes =
+      let m =
+        checked float_of_string_opt
+          (fun x -> Float.is_finite x && x >= 0.0)
+          "a finite value >= 0" Format.pp_print_float
+      in
       Arg.(
         value
-        & opt float 0.0
+        & opt m 0.0
         & info [ "minutes" ] ~docv:"M"
             ~doc:"Stop drawing new instances after $(docv) minutes (0 = no budget).")
     in

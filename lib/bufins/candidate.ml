@@ -93,16 +93,15 @@ let cmp_frontier_power a b =
    node's {!Rctree.Upbound} value: every upstream operation costs a
    candidate at least [bound] seconds of slack per farad of extra load,
    so a would-be candidate at (c, q) whose slack lead over a lighter
-   same-group survivor [k] is below [bound *. dc] can never strictly win
-   at the source. With [bound = 0] the rule is plain dominance
-   ([k.q >= q]). Every kill compares against survivors of the same
-   (parity, bucket) group, which keeps every optimizer outcome
+   same-group survivor at (kc, kq) is below [bound *. dc] can never
+   strictly win at the source. With [bound = 0] the rule is plain
+   dominance ([kq >= q]). Every kill compares against survivors of the
+   same (parity, bucket) group, which keeps every optimizer outcome
    byte-identical to the sweep-only engine's: the witness either still
    dominates at the source or plainly kills the victim at the next
    sweep. *)
 
-let[@inline] kills ~bound (k : t) c q =
-  k.q >= q || (c > k.c && q -. k.q < bound *. (c -. k.c))
+let[@inline] kills ~bound kc kq c q = kq >= q || (c > kc && q -. kq < bound *. (c -. kc))
 
 (* The noise-mode (4D) form of the same rule: the witness must also be
    no heavier, carry no more current and keep at least the noise slack.
@@ -113,37 +112,27 @@ let[@inline] kills ~bound (k : t) c q =
    slack exactly as in delay mode. With [bound = 0] it is
    [dominates_full]. *)
 let[@inline] kills_full ~bound (k : t) c q i ns =
-  k.c <= c && k.i <= i && k.ns >= ns && kills ~bound k c q
+  k.c <= c && k.i <= i && k.ns >= ns && kills ~bound k.c k.q c q
 
-(* Where a would-be candidate at (c, q), arriving in [cmp_frontier]
-   order, lands on the newest-first staircase [kept]:
-   0 — on top of [kept];
-   1 — killed by the newest survivor;
-   2 — it retro-dominates the newest survivor (equal load, no better
-       slack), which is dropped, and lands on the tail;
-   3 — as 2, but the next survivor then kills it.
-   An int code rather than a variant so the caller decides whether to
-   materialize anything, and nothing is allocated to say so. *)
-let[@inline] stair ~bound kept c q =
-  match kept with
-  | k :: tl when k.c = c && k.q <= q -> (
-      match tl with k2 :: _ when kills ~bound k2 c q -> 3 | _ -> 2)
-  | k :: _ when kills ~bound k c q -> 1
-  | _ -> 0
-
-(* the staircase push of an already-materialized candidate *)
+(* The staircase push of a candidate arriving in [cmp_frontier] order
+   onto the newest-first staircase [kept]: it first retro-dominates the
+   newest survivor if that one has its load and no better slack (the
+   survivor is dropped), then either the survivor now newest kills it or
+   it lands on top. [merge_delay] runs the same two steps, with the
+   slope rule, on pairing coordinates. *)
 let push dropped kept x =
-  match stair ~bound:0.0 kept x.c x.q with
-  | 0 -> x :: kept
-  | 1 ->
+  let kept =
+    match kept with
+    | k :: tl when k.c = x.c && k.q <= x.q ->
+        incr dropped;
+        tl
+    | _ -> kept
+  in
+  match kept with
+  | k :: _ when kills ~bound:0.0 k.c k.q x.c x.q ->
       incr dropped;
       kept
-  | 2 ->
-      incr dropped;
-      x :: List.tl kept
-  | _ ->
-      dropped := !dropped + 2;
-      List.tl kept
+  | _ -> x :: kept
 
 let sweep_delay l =
   let dropped = ref 0 in
@@ -206,7 +195,7 @@ let climb ?bound ?resize ~noise w group =
         match bound with
         | Some bound
           when if noise then kills_full ~bound prev x.c x.q x.i x.ns
-               else kills ~bound prev x.c x.q ->
+               else kills ~bound prev.c prev.q x.c x.q ->
             incr prekilled;
             go prev tl
         | _ -> (
@@ -222,25 +211,22 @@ let climb ?bound ?resize ~noise w group =
   (climbed, !emitted, !prekilled)
 
 (* [Frontier.sweep_dom ~cost:c] under [kills_full ~bound] — with
-   [bound = 0], [dominates_full] — strengthened with [k.p <= x.p] under
-   [power]: the noise-mode sweep, quadratic per group. It is the noise
-   DP's innermost loop, so the relation is written out here instead of
-   being called through a closure. With the input sorted by load, the
-   survivors of equal load — the only ones [x] may retro-dominate — are
-   the front of [kept]; at equal load the slope term is void, so the
-   retro-kill is plain dominance. *)
-let sweep_noise ~power ~bound l =
+   [bound = 0], [dominates_full]: the noise-mode sweep, quadratic per
+   group. It is the noise DP's innermost loop, so the relation is
+   written out here instead of being called through a closure. With the
+   input sorted by load, the survivors of equal load — the only ones [x]
+   may retro-dominate — are the front of [kept]; at equal load the slope
+   term is void, so the retro-kill is plain dominance. *)
+let sweep_noise ~bound l =
   let dropped = ref 0 in
   let rec dominated x = function
     | [] -> false
-    | k :: tl ->
-        (kills_full ~bound k x.c x.q x.i x.ns && ((not power) || k.p <= x.p))
-        || dominated x tl
+    | k :: tl -> kills_full ~bound k x.c x.q x.i x.ns || dominated x tl
   in
   let rec strip x = function
     | k :: tl when k.c = x.c ->
         let tl = strip x tl in
-        if dominates_full x k && ((not power) || x.p <= k.p) then begin
+        if dominates_full x k then begin
           incr dropped;
           tl
         end
@@ -285,151 +271,117 @@ let sweep_delay_power ~scratch:(s : Flat.t) l =
   in
   (kept, !dropped)
 
-let merge_sweep_delay_pred ~arena ~bound walks =
-  (* The cross-run form of the merge kill: every Van Ginneken pairing
-     walk feeding one (parity, bucket) group advances through a single
-     k-way selection, and the staircase push — with the slope rule — is
-     applied to each pairing's coordinates before [merge] records a Join
-     arena node. The kept staircase doubles as the witness index: a
-     pairing from one (kl, kr) walk is killed by a lighter pairing from
-     any other walk of the same group, which is exactly the population
-     the sweep-only engine sweeps after materializing everything.
-     Selection order (pairing [cmp_frontier], ties to the earliest walk)
-     matches the stable pairwise merge of the materialized runs, so ties
-     between equal-coordinate pairings resolve to the same trace as the
-     sweep-only engine; the slope rule only fires on strictly heavier
-     pairings, never on ties. *)
-  let walks = Array.of_list walks in
-  let n = Array.length walks in
-  let ls = Array.make n [] and rs = Array.make n [] in
-  (* each walk's current head-pairing coordinates, cached flat and
-     refreshed only when that walk advances — [pop] runs once per
-     pairing over every walk, so recomputing four coordinates per walk
-     per call dominated the merge otherwise. [hc = infinity] marks an
-     exhausted walk (loads are finite). *)
-  let hc = Array.make n infinity
-  and hq = Array.make n 0.0
-  and hi = Array.make n 0.0
-  and hns = Array.make n 0.0 in
-  let refill j =
-    match (ls.(j), rs.(j)) with
-    | (a : t) :: _, (b : t) :: _ ->
-        hc.(j) <- a.c +. b.c;
-        hq.(j) <- Float.min a.q b.q;
-        hi.(j) <- a.i +. b.i;
-        hns.(j) <- Float.min a.ns b.ns
-    | _ -> hc.(j) <- infinity
-  in
-  Array.iteri
-    (fun j (l, r) ->
-      ls.(j) <- l;
-      rs.(j) <- r;
-      refill j)
-    walks;
-  let emitted = ref 0 and dropped = ref 0 and prekilled = ref 0 in
-  let bq = ref 0.0 and bi = ref 0.0 and bns = ref 0.0 in
-  let bc = ref infinity in
-  let pop () =
-    (* smallest head pairing under cmp_frontier on (c, q, i, ns);
-       scanning ascending and replacing only on strictly-better keeps
-       ties with the earliest walk *)
-    let best = ref (-1) in
-    bc := infinity;
-    for j = 0 to n - 1 do
-      let cf = hc.(j) in
-      if cf < !bc then begin
-        best := j;
-        bc := cf;
-        bq := hq.(j);
-        bi := hi.(j);
-        bns := hns.(j)
-      end
-      else if cf = !bc && cf < infinity then begin
-        let qf = hq.(j) in
-        if
-          qf > !bq
-          || (qf = !bq && (hi.(j) < !bi || (hi.(j) = !bi && hns.(j) > !bns)))
-        then begin
-          best := j;
-          bq := qf;
-          bi := hi.(j);
-          bns := hns.(j)
-        end
-      end
-    done;
-    !best
-  in
-  let rec go kept =
-    let j = pop () in
-    if j < 0 then (List.rev kept, !emitted, !dropped, !prekilled)
-    else begin
-      match (ls.(j), rs.(j)) with
-      | (a : t) :: ltl, (b : t) :: rtl -> (
-          if a.q < b.q then ls.(j) <- ltl
-          else if b.q < a.q then rs.(j) <- rtl
-          else begin
-            ls.(j) <- ltl;
-            rs.(j) <- rtl
-          end;
-          refill j;
-          match stair ~bound kept !bc !bq with
-          | 0 ->
-              incr emitted;
-              go (merge ~arena a b :: kept)
-          | 1 ->
-              incr prekilled;
-              go kept
-          | 2 ->
-              incr dropped;
-              incr emitted;
-              go (merge ~arena a b :: List.tl kept)
-          | _ ->
-              incr dropped;
-              incr prekilled;
-              go (List.tl kept))
-      | _ -> assert false
-    end
-  in
-  go []
-
 (* {1 Coordinates-first branch merges}
 
    A branch merge weighs many more pairings than survive its sweep. So
-   the pairings are decided on their coordinates alone: (c, q, i, ns, p)
-   go into the scratch's flat array, stride 5, in the order the
-   materializing merge would list them; an index permutation is
-   stable-sorted by [cmp_frontier_power]; the sweep runs on the
-   coordinates; and [merge] — record plus Join node — is called for the
-   survivors only. *)
+   the pairings are decided on their coordinates alone. Each walk — a
+   left and a right child group, as arrays built once per branch node,
+   feeding one target group — writes its pairings into the scratch:
+   (c, q, i, ns, p) at stride 5 and the (walk, left, right) origin at
+   stride 3. An index permutation is put in the order the materializing
+   merge would list them, the sweep runs on the coordinates, and
+   [merge] — record plus Join node — is called for the survivors only,
+   through their origins. *)
+
+(* pairing [n]: members [il] of [l] and [ir] of [r] of walk [w], with
+   the very expressions [merge] evaluates and energy [p] *)
+let[@inline] put (s : Flat.t) n w il ir (a : t) (b : t) p =
+  let x = 5 * n and y = 3 * n in
+  s.xs.(x) <- a.c +. b.c;
+  s.xs.(x + 1) <- Float.min a.q b.q;
+  s.xs.(x + 2) <- a.i +. b.i;
+  s.xs.(x + 3) <- Float.min a.ns b.ns;
+  s.xs.(x + 4) <- p;
+  s.js.(y) <- w;
+  s.js.(y + 1) <- il;
+  s.js.(y + 2) <- ir
+
+(* the survivors — pairing ids [s.aux.(0 .. nk-1)], in sort order — joined *)
+let joined (s : Flat.t) ~arena walks nk =
+  let survivors = ref [] in
+  for k = nk - 1 downto 0 do
+    let y = 3 * s.aux.(k) in
+    let (l : t array), (r : t array) = walks.(s.js.(y)) in
+    survivors := merge ~arena l.(s.js.(y + 1)) r.(s.js.(y + 2)) :: !survivors
+  done;
+  !survivors
+
+(* The delay-mode merge. Each walk is Van Ginneken's: join the heads,
+   then advance the side with the smaller slack, both on a tie. The
+   walks are merged as runs, in the order given, ties to the earlier
+   walk, as the sweep-only engine's [Frontier.merge_sorted] merges
+   them; a run is never re-sorted, because where rounding ties two
+   loads it can be out of [cmp_frontier] order, and its order decides
+   which of two equal pairings survives. [push] then runs with the
+   slope rule on the coordinates. The kept stack doubles as the witness
+   index: a pairing from one walk is killed by a lighter pairing from
+   any other walk of the slot, exactly the population the sweep-only
+   engine sweeps after materializing everything; the slope rule fires
+   only on strictly heavier pairings, never on ties. *)
+let merge_delay ~scratch:(s : Flat.t) ~arena ~bound walks =
+  let walks = Array.of_list walks in
+  let nw = Array.length walks in
+  let starts = Array.make (nw + 1) 0 in
+  Array.iteri
+    (fun w ((l : t array), (r : t array)) ->
+      let n = ref starts.(w) and il = ref 0 and ir = ref 0 in
+      Flat.reserve s ~used:!n (!n + Array.length l + Array.length r - 1);
+      while !il < Array.length l && !ir < Array.length r do
+        let a = l.(!il) and b = r.(!ir) in
+        put s !n w !il !ir a b 0.0;
+        s.perm.(!n) <- !n;
+        incr n;
+        if a.q < b.q then incr il
+        else if b.q < a.q then incr ir
+        else begin
+          incr il;
+          incr ir
+        end
+      done;
+      starts.(w + 1) <- !n)
+    walks;
+  let n = starts.(nw) in
+  Flat.merge_runs s starts 0 nw;
+  let xs = s.xs and kept = s.aux in
+  let nk = ref 0 and dropped = ref 0 and prekilled = ref 0 in
+  let top () = 5 * kept.(!nk - 1) in
+  for r = 0 to n - 1 do
+    let x = s.perm.(r) in
+    let c = xs.(5 * x) and q = xs.((5 * x) + 1) in
+    if !nk > 0 && xs.(top ()) = c && xs.(top () + 1) <= q then begin
+      incr dropped;
+      decr nk
+    end;
+    if !nk > 0 && kills ~bound xs.(top ()) xs.(top () + 1) c q then incr prekilled
+    else begin
+      kept.(!nk) <- x;
+      incr nk
+    end
+  done;
+  (joined s ~arena walks !nk, n - !prekilled, !dropped, !prekilled)
 
 let merge_noise ~scratch:(s : Flat.t) ~arena ~bound walks =
-  let walks =
-    Array.of_list (List.map (fun (l, r) -> (Array.of_list l, Array.of_list r)) walks)
+  let walks = Array.of_list walks in
+  let n =
+    Array.fold_left
+      (fun n ((l : t array), (r : t array)) -> n + (Array.length l * Array.length r))
+      0 walks
   in
-  let n = Array.fold_left (fun n (l, r) -> n + (Array.length l * Array.length r)) 0 walks in
-  Flat.reserve s ~used:0 ~origins:false n;
-  let xs = s.xs and perm = s.perm and kept = s.aux in
+  Flat.reserve s ~used:0 n;
   let id = ref 0 in
-  Array.iter
-    (fun ((l : t array), (r : t array)) ->
-      for ia = 0 to Array.length l - 1 do
-        let a = l.(ia) in
-        for ib = 0 to Array.length r - 1 do
-          let b = r.(ib) in
-          (* the very expressions [merge] evaluates; energy is no
-             axis of the noise order, so every pairing ties on it *)
-          let x = 5 * !id in
-          xs.(x) <- a.c +. b.c;
-          xs.(x + 1) <- Float.min a.q b.q;
-          xs.(x + 2) <- a.i +. b.i;
-          xs.(x + 3) <- Float.min a.ns b.ns;
-          xs.(x + 4) <- 0.0;
-          perm.(!id) <- !id;
+  Array.iteri
+    (fun w ((l : t array), (r : t array)) ->
+      for il = 0 to Array.length l - 1 do
+        for ir = 0 to Array.length r - 1 do
+          (* energy is no axis of the noise order: every pairing ties on it *)
+          put s !id w il ir l.(il) r.(ir) 0.0;
+          s.perm.(!id) <- !id;
           incr id
         done
       done)
     walks;
   Flat.sort_perm s 0 n;
+  let xs = s.xs and perm = s.perm and kept = s.aux in
   (* the sweep on coordinates: [kills_full ~bound] against every kept
      pairing, newest first. A pairing plain dominance kills is one the
      sweep-only engine also drops ([dropped]); one only the slope term
@@ -471,21 +423,7 @@ let merge_noise ~scratch:(s : Flat.t) ~arena ~bound walks =
         kept.(!w) <- x;
         nk := !w + 1
   done;
-  (* materialize the survivors: pairing id -> walk -> (left, right) *)
-  let pair x =
-    let rec go j x =
-      let l, r = walks.(j) in
-      let m = Array.length r in
-      let size = Array.length l * m in
-      if x < size then merge ~arena l.(x / m) r.(x mod m) else go (j + 1) (x - size)
-    in
-    go 0 x
-  in
-  let survivors = ref [] in
-  for j = !nk - 1 downto 0 do
-    survivors := pair kept.(j) :: !survivors
-  done;
-  (!survivors, n - !prekilled, !dropped, !prekilled)
+  (joined s ~arena walks !nk, n - !prekilled, !dropped, !prekilled)
 
 let by_slack group =
   let a = Array.of_list group in
@@ -517,16 +455,8 @@ let merge_delay_power ~scratch:(s : Flat.t) ~arena ~budget ~prune walks =
   let emit w il ir =
     let (l : t array), (r : t array) = walks.(w) in
     let a = l.(il) and b = r.(ir) in
-    Flat.reserve s ~used:!n ~origins:true (!n + 1);
-    let x = 5 * !n and y = 3 * !n in
-    s.xs.(x) <- a.c +. b.c;
-    s.xs.(x + 1) <- Float.min a.q b.q;
-    s.xs.(x + 2) <- a.i +. b.i;
-    s.xs.(x + 3) <- Float.min a.ns b.ns;
-    s.xs.(x + 4) <- a.p +. b.p;
-    s.js.(y) <- w;
-    s.js.(y + 1) <- il;
-    s.js.(y + 2) <- ir;
+    Flat.reserve s ~used:!n (!n + 1);
+    put s !n w il ir a b (a.p +. b.p);
     incr n
   in
   (* [walk] against the staircase of [prefix]; [pair] emits one pairing
@@ -575,10 +505,4 @@ let merge_delay_power ~scratch:(s : Flat.t) ~arena ~budget ~prune walks =
       incr nk
     end
   done;
-  let survivors = ref [] in
-  for k = !nk - 1 downto 0 do
-    let y = 3 * kept.(k) in
-    let l, r = walks.(s.js.(y)) in
-    survivors := merge ~arena l.(s.js.(y + 1)) r.(s.js.(y + 2)) :: !survivors
-  done;
-  (!survivors, n, n - !nk, !over)
+  (joined s ~arena walks !nk, n, n - !nk, !over)

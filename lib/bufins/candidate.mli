@@ -10,10 +10,10 @@
 
     Besides the per-candidate operations this module holds the DP's
     specialized kernels: one wire climb, one (load, slack) staircase
-    shared by the delay sweep, the insertion splice and the predictive
-    merge, the power-mode staircases on flat sorted arrays, and the
-    coordinates-first branch merges of noise and power mode, which
-    decide every pairing on its coordinates and materialize survivors
+    shared by the delay sweep, the insertion splice and the delay-mode
+    merge, the power-mode staircases on flat sorted arrays, and one
+    branch-merge shape in three modes — delay, noise and power — which
+    decides every pairing on its coordinates and materializes survivors
     only. *)
 
 type t = {
@@ -110,17 +110,18 @@ val cmp_frontier_power : t -> t -> int
     The DP's inner loops instantiated at [t] with direct field access —
     without flambda the generic {!Frontier} functions pay an indirect
     call per element. Delay mode has one (load, slack) staircase, shared
-    by {!sweep_delay}, {!splice_delay} and every predictive kill site;
-    noise mode has one 4D sweep, on lists ({!sweep_noise}) and on the
-    branch merge's flat pairing coordinates ({!merge_noise}); power
-    mode keeps its 2D staircases in a {!scratch}'s sorted arrays
-    ({!sweep_delay_power}, {!merge_delay_power}). *)
+    by {!sweep_delay}, {!splice_delay}, every predictive kill site and
+    the branch merge's flat pairing coordinates ({!merge_delay}); noise
+    mode has one 4D sweep, on lists ({!sweep_noise}) and on pairing
+    coordinates ({!merge_noise}); power mode keeps its 2D staircases in
+    a {!scratch}'s sorted arrays ({!sweep_delay_power},
+    {!merge_delay_power}). *)
 
 type scratch
 (** A run's {!Flat} working buffers, grown on demand and reused by
-    every kernel call of that run: the pairing coordinates, sort
-    permutation and kept stack of the coordinates-first merges, and the
-    power-mode staircase. Not shareable between domains. *)
+    every kernel call of that run: the pairing coordinates, origins,
+    sort permutation and kept stack of the coordinates-first merges, and
+    the power-mode staircase. Not shareable between domains. *)
 
 val scratch : unit -> scratch
 
@@ -128,13 +129,10 @@ val sweep_delay : t list -> t list * int
 (** [Frontier.sweep2 ~cost:c ~value:q] on a [cmp_frontier]-sorted list:
     the delay-mode (load, slack) staircase. Returns (kept, dropped). *)
 
-val sweep_noise : power:bool -> bound:float -> t list -> t list * int
+val sweep_noise : bound:float -> t list -> t list * int
 (** [Frontier.sweep_dom ~cost:c] under {!kills_full}[ ~bound] on a
     [cmp_frontier]-sorted list: the noise-mode sweep, quadratic per
-    group. With [bound = 0] the relation is {!dominates_full}. With
-    [power] (where [bound] must be 0) it is strengthened with
-    [a.p <= b.p] — the 5-axis power-mode noise relation — and the list
-    must be [cmp_frontier_power]-sorted. *)
+    group. With [bound = 0] the relation is {!dominates_full}. *)
 
 val splice_delay : t list -> t list -> t list * int
 (** [splice_delay group cands] =
@@ -209,46 +207,46 @@ val climb :
     the caller) the survivors record the wire-sizing decision (Lillis
     [18]) as a [Resize] arena node. *)
 
-val merge_sweep_delay_pred :
+(** {2 Coordinates-first branch merges}
+
+    Each merges the walks — a left and a right child group, as arrays,
+    feeding one (parity, bucket) target group — of one branch node.
+    Each pairing's coordinates and its (walk, left, right) origin go
+    into the scratch, the sort and the sweep run on those, and
+    {!merge} records a candidate and a [Join] node for the survivors
+    only. Every kernel returns [(kept, generated, dropped, skipped)]:
+    [generated] pairings count as materialized, the way the
+    materializing merge counted them, [dropped] of those fell to plain
+    dominance ([pruned]), and [skipped] were never counted as generated
+    ([pred_pruned], or [power_pruned] in power mode). Survivors, their
+    order and every tie are those of the materializing merge. *)
+
+val merge_delay :
+  scratch:scratch ->
   arena:Trace.arena ->
   bound:float ->
-  (t list * t list) list ->
+  (t array * t array) list ->
   t list * int * int * int
-(** The fused predictive branch merge. Each element of the input is
-    one Van Ginneken pairing walk (a left and a right child group)
-    feeding the same (parity, bucket) target group; the walks advance
-    through a single fused k-way selection and the staircase push — with
-    the slope rule — is applied to each pairing's coordinates {e before}
-    a [Join] arena node is recorded. Returns
-    [(kept, emitted, dropped, prekilled)]: [emitted] pairings were
-    materialized (count them as [generated]), [dropped] of those were
-    then retro-killed by an equal-load pairing ([pruned]), and
-    [prekilled] pairings were discarded pre-materialization
-    ([pred_pruned]). Selection (ties to the earliest walk) matches the
-    stable merge of the materialized walks, so equal-coordinate ties
-    resolve to the same trace as the sweep-only engine. *)
-
-(** {2 Coordinates-first branch merges} *)
+(** The delay-mode branch merge under predictive pruning: each walk's
+    Van Ginneken pairings ({!Frontier.merge2}), the walks merged as
+    runs ({!Frontier.merge_sorted} [cmp_frontier]: each walk in its own
+    order, ties to the earlier walk) and pushed onto the (load, slack)
+    staircase with the slope rule at [bound]. With [bound = 0] the
+    survivors are exactly [sweep_delay] of that merge. [skipped]
+    pairings the newest survivor killed; [dropped] survivors a later
+    pairing of equal load retro-dominated. *)
 
 val merge_noise :
   scratch:scratch ->
   arena:Trace.arena ->
   bound:float ->
-  (t list * t list) list ->
+  (t array * t array) list ->
   t list * int * int * int
-(** The noise-mode branch merge: every pairing of every walk (a left
-    and a right child group feeding one target group), swept under
+(** The noise-mode branch merge: every pairing of every walk, swept under
     {!kills_full}[ ~bound] — with [bound = 0], exactly
     [sweep_noise (List.stable_sort cmp_frontier pairings)], where
-    [pairings] lists the walks in order, left outer, right inner. Each
-    pairing's coordinates are computed into the scratch and the sort
-    and sweep run on those; [merge] records a candidate and a [Join]
-    node for the survivors only. Returns
-    [(kept, generated, dropped, prekilled)]: [prekilled] pairings only
-    the slope term killed ([pred_pruned]), the rest count as
-    [generated], of which [dropped] fell to plain 4D dominance
-    ([pruned]). Survivors, their order and every tie are those of the
-    list sweep. *)
+    [pairings] lists the walks in order, left outer, right inner.
+    [skipped] pairings only the slope term killed. *)
 
 val by_slack : t list -> t array
 (** A group stable-sorted by slack, descending: the order in which
@@ -269,13 +267,10 @@ val merge_delay_power :
     the other side's equal-or-better-slack members; a skipped pairing
     is weakly dominated by an enumerated one — and skips those whose
     energy exceeds [budget] before writing anything. The rest are
-    decided on their coordinates: sorted by [cmp_frontier_power],
-    swept as {!sweep_delay_power} would (not at all without [prune]),
-    and only the survivors are joined with {!merge}. Survivors, their
-    order and every tie are those of materializing the pairings, walk
-    by walk, each walk newest pairing first, then
+    decided on their coordinates: sorted by [cmp_frontier_power] and
+    swept as {!sweep_delay_power} would (not at all without [prune]).
+    Survivors, their order and every tie are those of materializing the
+    pairings, walk by walk, each walk newest pairing first, then
     [sweep_delay_power (List.sort cmp_frontier_power pairings)].
-    Returns [(kept, generated, dropped, over_budget)]: [generated]
-    in-budget pairings, [dropped] of which the sweep removed
-    ([pruned]), and [over_budget] pairings skipped for energy
-    ([power_pruned]). *)
+    [generated] counts the in-budget pairings, [dropped] those the
+    sweep removed, and [skipped] those over budget. *)

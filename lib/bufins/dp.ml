@@ -195,6 +195,7 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
      axis and an insertion budget. *)
   let power = match mode with Power_bounded _ -> true | Single | Per_count _ -> false in
   if power && not (budget >= 0.0) then invalid_arg "Dp.run: negative power budget";
+  if power && noise then invalid_arg "Dp.run: power mode is delay-only";
   (* ulp-scale headroom: candidate energy accumulates in tree-merge order,
      so at an exact-boundary budget (the sum of k buffer energies) the
      optimum can land one rounding step above the nominal budget. The
@@ -229,18 +230,18 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
   let generated = ref 0 and pruned = ref 0 and pred_pruned = ref 0 in
   let power_pruned = ref 0 in
   let peak_width = ref 0 in
-  (* (c, q) staircase in delay mode, full (c, q, i, ns[, p]) dominance in
-     noise mode; the Cq_noise_prune mutation sweeps noise mode on (c, q).
-     [bound] is the site's predictive bound (0 when predictive pruning is
-     off), read by the noise sweep only: the delay staircases kill
-     before materializing instead. *)
+  (* (c, q) staircase in delay mode ((c, q, p) in power mode), full
+     (c, q, i, ns) dominance in noise mode; the Cq_noise_prune mutation
+     sweeps noise mode on (c, q). [bound] is the site's predictive bound
+     (0 when predictive pruning is off), read by the noise sweep only:
+     the delay staircases kill before materializing instead. *)
   let staircase = (not noise) || cq_prune in
   let scratch = C.scratch () in
   let sweep ~bound cands =
     if not prune then cands
     else begin
       let kept, dropped =
-        if not staircase then C.sweep_noise ~power ~bound cands
+        if not staircase then C.sweep_noise ~bound cands
         else if power then C.sweep_delay_power ~scratch cands
         else C.sweep_delay cands
       in
@@ -341,89 +342,51 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
   (* Join the two child tables of a branch node. Delay mode walks the two
      frontiers linearly (Van Ginneken); noise mode must consider every
      pairing — a pairing off the (c, q) frontier can be the only one whose
-     noise slack survives the upstream wires — and so must power mode,
-     for the only budget-feasible pairing. Delay-power mode enumerates
-     just the staircase pairings (exact by Candidate.merge_delay_power)
-     and, like noise mode, decides them on their coordinates, joining
-     the survivors only; the materializing merge is left to noise-power
-     mode and to the power-off modes under [prune = false]. *)
-  let fused = pred || (prune && (not power) && not staircase) in
-  let delay_power = power && not noise in
-  let pending lt rt walk =
-    let pending = Array.make nslots [] in
-    pairings lt rt (fun t sl sr -> pending.(t) <- walk sl sr :: pending.(t));
-    pending
-  in
+     noise slack survives the upstream wires — and power mode enumerates
+     just the staircase pairings (exact by Candidate.merge_delay_power).
+     The pruned engines decide pairings on their coordinates and join the
+     survivors only (DESIGN.md §12): the walks feeding one slot are
+     collected first and decided together, so every pairing is weighed
+     against the whole slot before anything is materialized. The
+     sweep-only delay engine and the power-off modes under
+     [prune = false] materialize every walk's pairings and merge the
+     runs. *)
+  let coords = power || pred || (prune && not staircase) in
   let merge_groups ~bound lt rt =
-    if delay_power then begin
-      (* each child group is sorted by slack once, for all its walks *)
-      let ls = Array.map C.by_slack lt and rs = Array.map C.by_slack rt in
+    if coords then begin
+      (* each child group becomes an array once, for all its walks; power
+         mode walks it in slack order *)
+      let arr = if power then C.by_slack else Array.of_list in
+      let ls = Array.map arr lt and rs = Array.map arr rt in
+      let pending = Array.make nslots [] in
+      pairings lt rt (fun t sl sr -> pending.(t) <- (ls.(sl), rs.(sr)) :: pending.(t));
       Array.map
         (function
           | [] -> []
           | walks ->
-              let kept, considered, dropped, over =
-                C.merge_delay_power ~scratch ~arena ~budget:eff_budget ~prune walks
+              let kept, considered, dropped, skipped =
+                if power then
+                  C.merge_delay_power ~scratch ~arena ~budget:eff_budget ~prune walks
+                else if staircase then C.merge_delay ~scratch ~arena ~bound walks
+                else C.merge_noise ~scratch ~arena ~bound walks
               in
               generated := !generated + considered;
               pruned := !pruned + dropped;
-              power_pruned := !power_pruned + over;
+              let skips = if power then power_pruned else pred_pruned in
+              skips := !skips + skipped;
               kept)
-        (pending lt rt (fun sl sr -> (ls.(sl), rs.(sr))))
-    end
-    else if fused then begin
-      (* Collect the pairing walks per target slot first, then decide
-         all walks feeding one slot together (DESIGN.md §12), so every
-         pairing is weighed against the whole slot before anything is
-         materialized. Delay mode runs them through one fused k-way
-         selection with the slope rule on the staircase; noise mode
-         sweeps every pairing's coordinates under the 4D rule and joins
-         the survivors only. *)
-      Array.map
-        (function
-          | [] -> []
-          | walks ->
-              let kept, emitted, dropped, prekilled =
-                if staircase then C.merge_sweep_delay_pred ~arena ~bound walks
-                else C.merge_noise ~scratch ~arena ~bound walks
-              in
-              generated := !generated + emitted;
-              pruned := !pruned + dropped;
-              pred_pruned := !pred_pruned + prekilled;
-              kept)
-        (pending lt rt (fun sl sr -> (lt.(sl), rt.(sr))))
+        pending
     end
     else begin
       let runs = Array.make nslots [] in
       pairings lt rt (fun t sl sr ->
-          let lgroup = lt.(sl) and rgroup = rt.(sr) in
           let pairs =
-            if power then begin
-              (* noise-power mode: every pairing, with the budget check
-                 fused in before [merge] materializes anything —
-                 over-budget pairings cost no allocation and no arena
-                 node, and are counted as [power_pruned] *)
-              let pairs = ref [] in
-              List.iter
-                (fun (a : C.t) ->
-                  List.iter
-                    (fun (b : C.t) ->
-                      if a.C.p +. b.C.p > eff_budget then incr power_pruned
-                      else pairs := C.merge ~arena a b :: !pairs)
-                    rgroup)
-                lgroup;
-              !pairs
-            end
-            else F.merge2 ~value:(fun (a : C.t) -> a.C.q) ~join:(C.merge ~arena) lgroup rgroup
+            F.merge2 ~value:(fun (a : C.t) -> a.C.q) ~join:(C.merge ~arena) lt.(sl) rt.(sr)
           in
           generated := !generated + List.length pairs;
           if pairs <> [] then runs.(t) <- pairs :: runs.(t));
       Array.map
-        (function
-          | [] -> []
-          | rs ->
-              if power then sweep ~bound (List.sort cmp_order (List.concat rs))
-              else sweep ~bound (F.merge_sorted C.cmp_frontier rs))
+        (function [] -> [] | rs -> sweep ~bound (F.merge_sorted C.cmp_frontier rs))
         runs
     end
   in
@@ -489,12 +452,11 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
                 while !k < n && cands.(by_energy.(!k)).C.p +. e = pw do
                   let j = by_energy.(!k) in
                   let a = cands.(j) in
-                  (if (not guard) || C.noise_ok ~r_gate:b.Tech.Buffer.r_b a then
-                     let s = a.C.q -. Tech.Buffer.gate_delay b ~load:a.C.c in
-                     if !rep < 0 || s > !rep_s || (s = !rep_s && j < !rep) then begin
-                       rep := j;
-                       rep_s := s
-                     end);
+                  let s = a.C.q -. Tech.Buffer.gate_delay b ~load:a.C.c in
+                  if !rep < 0 || s > !rep_s || (s = !rep_s && j < !rep) then begin
+                    rep := j;
+                    rep_s := s
+                  end;
                   incr k
                 done;
                 if !rep >= 0 && not (!rep_s <= !best) then begin

@@ -30,8 +30,12 @@
     group through the one (load, slack) staircase of {!Candidate}
     (plain dominance, or the predictive slope kill at the node's
     {!Rctree.Upbound} bound), every noise-mode group through
-    {!Candidate.sweep_noise}, and power mode through its staircases. The
-    sweep-only reference merges run the generic {!Frontier} walk.
+    {!Candidate.sweep_noise}, and power mode through its staircases.
+    The pruned branch merges share one shape — pairing coordinates
+    first, survivors joined through their recorded origins
+    ({!Candidate.merge_delay}, {!Candidate.merge_noise},
+    {!Candidate.merge_delay_power}); the sweep-only delay engine and
+    [prune = false] run the generic {!Frontier} walk.
 
     Candidates are flat float records whose solutions live in a per-run
     {!Trace} arena; placement lists are reconstructed only for the
@@ -42,15 +46,15 @@ type mode =
   | Single  (** one candidate list per parity; unbounded buffer count *)
   | Per_count of int  (** lists indexed by exact buffer count [0..kmax] *)
   | Power_bounded of { budget : float; kmax : int }
-      (** power mode (DESIGN.md §16): maximize slack subject to a total
-          buffer-energy [budget] (J). Bucketed by exact count like
-          [Per_count kmax]; the energy coordinate joins the dominance
-          relation (3-axis in delay mode, 5-axis in noise mode), branch
-          merges go exhaustive (a pairing off the (c, q) frontier can be
-          the only budget-feasible one), and insertions come from each
-          source group's (slack, energy) Pareto staircase. Over-budget
-          candidates are discarded before materialization and counted in
-          [power_pruned]. *)
+      (** power mode (DESIGN.md §16), delay-only: maximize slack subject
+          to a total buffer-energy [budget] (J). Bucketed by exact count
+          like [Per_count kmax]; the energy coordinate joins the
+          (load, slack) dominance relation, branch merges enumerate every
+          pairing on a (load, energy) staircase (a pairing off the (c, q)
+          frontier can be the only budget-feasible one), and insertions
+          come from each source group's (slack, energy) Pareto staircase.
+          Over-budget candidates are discarded before materialization and
+          counted in [power_pruned]. *)
 
 type mutation =
   | Cq_noise_prune
@@ -119,9 +123,11 @@ type stats = {
           width), branch-merge pairings and buffer insertions that were
           actually allocated. Predictive pruning kills candidates {e
           before} this point; they are counted in [pred_pruned] only.
-          The noise-mode branch merge decides on coordinates and joins
-          only its survivors, but counts every pairing the slope term
-          did not kill, as the sweep-only engine always has. *)
+          The coordinates-first branch merges of every mode join only
+          their survivors, but count every pairing the slope rule did
+          not kill (in power mode, every in-budget pairing) as the
+          materializing merge did, so this figure is the same whichever
+          merge runs. *)
   pruned : int;
       (** generated candidates discarded afterwards: dominance sweeps
           plus noise-mode drops of candidates whose noise slack went
@@ -193,11 +199,12 @@ val run :
   lib:Tech.Buffer.t list ->
   Rctree.Tree.t ->
   outcome
-(** Raises [Invalid_argument] on an empty library or a tree that already
-    contains buffers. With [noise = true], [best = None] means no
-    noise-feasible solution exists at the given segmenting (the paper's
-    remedy: segment finer or extend the library; see
-    [Buffopt.optimize]). [prune] (default true) disables candidate
+(** Raises [Invalid_argument] on an empty library, a tree that already
+    contains buffers, a negative power budget, or [Power_bounded] with
+    [noise = true] (power mode is delay-only). With [noise = true],
+    [best = None] means no noise-feasible solution exists at the given
+    segmenting (the paper's remedy: segment finer or extend the
+    library; see [Buffopt.optimize]). [prune] (default true) disables candidate
     pruning when false — exponential; only for Ablation B on small
     trees (the branch merge then falls back to the linear walk in both
     modes, matching the pruned delay-mode exploration). [pruning]

@@ -2,7 +2,7 @@
 
 type t = {
   mutable xs : float array;  (* pairing coordinates, stride 5: c, q, i, ns, p *)
-  mutable js : int array;  (* delay-power pairing origin, stride 3: walk, left, right *)
+  mutable js : int array;  (* pairing origins, stride 3: walk, left, right *)
   mutable perm : int array;  (* sort permutation of pairing ids *)
   mutable aux : int array;  (* merge-sort buffer, then the kept stack *)
   mutable sk : float array;  (* staircase keys, strictly ascending *)
@@ -14,22 +14,18 @@ type t = {
 let create () =
   { xs = [||]; js = [||]; perm = [||]; aux = [||]; sk = [||]; sv = [||]; si = [||]; sn = 0 }
 
-(* room for [n] pairings, keeping the first [used] written; the origin
-   ints only where the caller records them *)
-let reserve s ~used ~origins n =
+(* room for [n] pairings, keeping the first [used] written *)
+let reserve s ~used n =
   if Array.length s.perm < n then begin
     let m = max n (2 * Array.length s.perm) in
-    let xs = Array.make (5 * m) 0.0 and perm = Array.make m 0 in
+    let xs = Array.make (5 * m) 0.0 and js = Array.make (3 * m) 0 and perm = Array.make m 0 in
     Array.blit s.xs 0 xs 0 (5 * used);
+    Array.blit s.js 0 js 0 (3 * used);
     Array.blit s.perm 0 perm 0 used;
     s.xs <- xs;
+    s.js <- js;
     s.perm <- perm;
     s.aux <- Array.make m 0
-  end;
-  if origins && Array.length s.js < 3 * n then begin
-    let js = Array.make (3 * Array.length s.perm) 0 in
-    Array.blit s.js 0 js 0 (3 * used);
-    s.js <- js
   end
 
 (* The 2D staircase every power-mode kernel keeps (DESIGN.md §16): the
@@ -97,6 +93,26 @@ let[@inline] cmp_at (xs : float array) a b =
       | n -> n)
   | n -> n
 
+(* the stable merge of the runs [perm.(lo .. mid-1)] and
+   [perm.(mid .. hi-1)]: the smaller head goes first, the left one on
+   ties *)
+let merge s lo mid hi =
+  let xs = s.xs and perm = s.perm and aux = s.aux in
+  Array.blit perm lo aux lo (mid - lo);
+  let i = ref lo and j = ref mid and k = ref lo in
+  while !i < mid && !j < hi do
+    if cmp_at xs perm.(!j) aux.(!i) < 0 then begin
+      perm.(!k) <- perm.(!j);
+      incr j
+    end
+    else begin
+      perm.(!k) <- aux.(!i);
+      incr i
+    end;
+    incr k
+  done;
+  Array.blit aux !i perm !k (mid - !i)
+
 (* stable top-down merge sort of [perm.(lo .. hi-1)]; a half already in
    order relative to the other is left alone, which makes the nearly
    sorted rows of a pairing walk cheap *)
@@ -105,21 +121,16 @@ let rec sort_perm s lo hi =
     let mid = (lo + hi) / 2 in
     sort_perm s lo mid;
     sort_perm s mid hi;
-    let xs = s.xs and perm = s.perm and aux = s.aux in
-    if cmp_at xs perm.(mid - 1) perm.(mid) > 0 then begin
-      Array.blit perm lo aux lo (mid - lo);
-      let i = ref lo and j = ref mid and k = ref lo in
-      while !i < mid && !j < hi do
-        if cmp_at xs perm.(!j) aux.(!i) < 0 then begin
-          perm.(!k) <- perm.(!j);
-          incr j
-        end
-        else begin
-          perm.(!k) <- aux.(!i);
-          incr i
-        end;
-        incr k
-      done;
-      Array.blit aux !i perm !k (mid - !i)
-    end
+    if cmp_at s.xs s.perm.(mid - 1) s.perm.(mid) > 0 then merge s lo mid hi
+  end
+
+(* balanced pairwise merging of runs [lo .. hi-1]; no shortcut, since a
+   run need not be sorted and its last element says nothing about the
+   rest *)
+let rec merge_runs s starts lo hi =
+  if hi - lo >= 2 then begin
+    let mid = (lo + hi) / 2 in
+    merge_runs s starts lo mid;
+    merge_runs s starts mid hi;
+    merge s starts.(lo) starts.(mid) starts.(hi)
   end

@@ -1,9 +1,9 @@
 (** Flat working buffers of the DP's coordinates-first kernels
-    ({!Candidate.merge_noise}, {!Candidate.merge_delay_power},
-    {!Candidate.sweep_delay_power}): pairing coordinates and their sort
-    permutation, and the power-mode 2D staircase, in plain arrays that
-    one run reuses and grows by doubling. Not shareable between
-    domains. *)
+    ({!Candidate.merge_delay}, {!Candidate.merge_noise},
+    {!Candidate.merge_delay_power}, {!Candidate.sweep_delay_power}):
+    pairing coordinates, origins and their sort permutation, and the
+    power-mode 2D staircase, in plain arrays that one run reuses and
+    grows by doubling. Not shareable between domains. *)
 
 type t = {
   mutable xs : float array;  (** pairing coordinates, stride 5: c, q, i, ns, p *)
@@ -18,10 +18,10 @@ type t = {
 
 val create : unit -> t
 
-val reserve : t -> used:int -> origins:bool -> int -> unit
-(** [reserve s ~used ~origins n]: room for [n] pairings in [xs],
-    [perm] and [aux] (and in [js] with [origins]), keeping the first
-    [used] pairings' coordinates, permutation entries and origins. *)
+val reserve : t -> used:int -> int -> unit
+(** [reserve s ~used n]: room for [n] pairings in [xs], [js], [perm]
+    and [aux], keeping the first [used] pairings' coordinates, origins
+    and permutation entries. *)
 
 val stair_add : t -> float -> float -> int -> bool
 (** [stair_add s k v id] inserts the point [(k, v)], tagged [id], into
@@ -35,3 +35,10 @@ val sort_perm : t -> int -> int -> unit
     {!Candidate.cmp_frontier_power} on the pairings' [xs] coordinates
     (load ascending, slack descending, current ascending, noise slack
     descending, energy ascending). *)
+
+val merge_runs : t -> int array -> int -> int -> unit
+(** [merge_runs s starts lo hi] merges the runs [lo .. hi-1] of
+    [perm], run [k] being [perm.(starts.(k) .. starts.(k+1)-1)], by the
+    same order as {!sort_perm}: the smallest head goes first, the
+    earliest run's on ties, and every run keeps its own order, sorted or
+    not — [Frontier.merge_sorted] on the runs. *)

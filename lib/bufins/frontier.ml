@@ -75,12 +75,3 @@ let merge_sorted cmp runs =
   in
   let rec go = function [] -> [] | [ r ] -> r | rs -> go (pair_up rs) in
   go runs
-
-let best ~score ~eligible l =
-  let pick acc x =
-    if not (eligible x) then acc
-    else
-      let s = score x in
-      match acc with Some (_, s') when s' >= s -> acc | _ -> Some (x, s)
-  in
-  Option.map fst (List.fold_left pick None l)

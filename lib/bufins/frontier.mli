@@ -50,10 +50,7 @@ val merge2 : value:('a -> float) -> join:('a -> 'a -> 'b) -> 'a list -> 'a list 
     costlier element). O(|l| + |r|). *)
 
 val merge_sorted : ('a -> 'a -> int) -> 'a list list -> 'a list
-(** Merge several [cmp]-sorted runs into one sorted list (fold of
-    [List.merge]). *)
-
-val best : score:('a -> float) -> eligible:('a -> bool) -> 'a list -> 'a option
-(** Single scan for the highest-scoring eligible candidate — the
-    buffer-insertion step's argmax of post-buffer slack over a frontier.
-    [None] when nothing is eligible. *)
+(** Merge several runs by balanced pairwise [List.merge]s: the smallest
+    head under [cmp] goes first, the earliest run's on ties, and every
+    run keeps its own order, so [cmp]-sorted runs give one sorted
+    list. *)

@@ -331,9 +331,9 @@ let tests =
     case "golden: power-on outcomes are pinned bit for bit at two budgets" (fun () ->
         (* The multi-type default-library net under [Power_bounded]: every
            per-count slack (hex float), placement and solution energy at a
-           tight and a loose budget, in delay and noise mode, under both
-           candidate engines. The budgets are literal so the pin does not
-           depend on any other run. *)
+           tight and a loose budget, under both candidate engines. The
+           budgets are literal so the pin does not depend on any other
+           run. Power mode is delay-only: noise mode refuses it. *)
         let tree =
           Fixtures.random_net (Util.Rng.create 42) process ~max_sinks:5 ~max_len:5e-3
         in
@@ -369,31 +369,25 @@ let tests =
         let golden =
           [
             ( "delay tight",
-              false,
               tight,
               "0=-0x1.0ea47786a8cd7p-29:0x0p+0:|1=-0x1.8bba1ff79b504p-32:0x1.3749ef34bc35fp-44:24/bufx32|2=0x1.fe69fe869ba36p-34:0x1.6b2b9712db944p-44:12/bufx16,26/bufx16|3=0x1.ec28f79f64a66p-33:0x1.9f0d3ef0faf28p-44:10/bufx16,20/invx8,26/invx16|4=0x1.2d7f2be9f772ap-32:0x1.ac05a8e882ca2p-44:6/invx8,12/invx16,23/invx4,26/invx16|5=0x1.731b5706e952fp-32:0x1.a0594989bbbb4p-44:6/invx8,12/invx16,24/invx8,27/invx1,38/invx8|6=0x1.93d580bc22ab6p-32:0x1.b3cde87d077eap-44:49/bufx1,6/invx8,12/invx16,24/invx8,27/invx1,38/invx8" );
             ( "delay loose",
-              false,
               loose,
               "0=-0x1.0ea47786a8cd7p-29:0x0p+0:|1=-0x1.8bba1ff79b504p-32:0x1.3749ef34bc35fp-44:24/bufx32|2=0x1.a81d2cd2267a4p-33:0x1.3749ef34bc35fp-43:12/bufx32,26/bufx32|3=0x1.419fa8d41c112p-32:0x1.30cdba38f84a2p-43:6/invx16,12/invx16,26/bufx32|4=0x1.9ccb54bf9fdbep-32:0x1.cc72b1d356652p-43:6/invx16,12/invx16,20/bufx32,26/bufx32|5=0x1.e983ba0a92b22p-32:0x1.c5f67cd792794p-43:6/invx16,12/invx16,20/invx16,26/invx16,39/bufx32|6=0x1.0d025bfdd88a5p-31:0x1.cd18b71fb6c98p-43:6/invx16,12/invx16,21/invx16,26/bufx32,27/invx1,40/invx16" );
-            ( "noise tight",
-              true,
-              tight,
-              "0=-|1=-|2=-|3=-|4=-|5=0x1.1f5a3d4deca6ap-32:0x1.cc72b1d356652p-44:6/invx8,12/invx8,20/invx8,26/invx16,40/bufx4|6=0x1.21c3fcf87d56cp-32:0x1.bf7a47dbce8d8p-44:6/invx8,12/invx8,21/bufx8,26/invx8,28/invx4,40/invx4" );
-            ( "noise loose",
-              true,
-              loose,
-              "0=-|1=-|2=-|3=-|4=-|5=0x1.e983ba0a92b22p-32:0x1.c5f67cd792794p-43:6/invx16,12/invx16,20/invx16,26/invx16,39/bufx32|6=0x1.04d9056e85de5p-31:0x1.af43c36664cp-43:6/invx16,12/invx16,21/bufx16,26/invx16,27/invx8,39/invx16" );
           ]
         in
         List.iter
           (fun (pname, pruning) ->
             List.iter
-              (fun (tag, noise, budget, expect) ->
+              (fun (tag, budget, expect) ->
                 Alcotest.(check string)
                   (Printf.sprintf "%s %s" pname tag)
-                  expect (line ~pruning ~noise budget))
-              golden)
+                  expect (line ~pruning ~noise:false budget))
+              golden;
+            Alcotest.check_raises
+              (pname ^ " noise refuses power mode")
+              (Invalid_argument "Dp.run: power mode is delay-only")
+              (fun () -> ignore (line ~pruning ~noise:true tight)))
           [ ("pred", `Predictive); ("sweep", `Sweep_only) ]);
     case "finer segmenting can rescue infeasibility" (fun () ->
         let t = Fixtures.two_pin process ~len:12e-3 in

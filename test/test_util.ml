@@ -218,6 +218,33 @@ let candidate_tests =
               (triple (int_range 1 6) (int_range 0 6) (int_range 0 6))
               (pair (int_range 0 2) (int_range 0 2)))))
   in
+  (* A delay-mode merge slot: 2-3 walks over swept groups. Loads come on
+     three scales — small integers, 1 + k ulp and multiples of 256 — so
+     a tiny load added to a big one rounds the ulps away: such a walk
+     ties two loads after rounding and lists them out of [cmp_frontier]
+     order. Walks share groups, so coordinates also tie across walks. *)
+  let gen_slot =
+    QCheck2.Gen.(
+      let group =
+        map2
+          (fun scale pts ->
+            let c k =
+              match scale with
+              | 0 -> float_of_int k
+              | 1 -> 1.0 +. (float_of_int k *. epsilon_float)
+              | _ -> Float.ldexp (float_of_int k) 8
+            in
+            fst
+              (Bufins.Candidate.sweep_delay
+                 (List.sort Bufins.Candidate.cmp_frontier
+                    (List.map (fun (k, q) -> mk (c k) (float_of_int q)) pts))))
+          (int_range 0 2)
+          (list_size (int_range 1 8) (pair (int_range 0 6) (int_range 0 6)))
+      in
+      let* pool = array_repeat 4 group in
+      let* n = int_range 2 3 in
+      list_repeat n (map2 (fun l r -> (pool.(l), pool.(r))) (int_range 0 3) (int_range 0 3)))
+  in
   (* a DP group: sorted, current and noise slack fixed, as in delay mode *)
   let gen_group =
     QCheck2.Gen.(
@@ -296,27 +323,35 @@ let candidate_tests =
         gd = nd
         && spliced = whole && d1 = dw
         && Bufins.Frontier.sweep_dom ~cost ~dominates:noise sorted
-           = Bufins.Candidate.sweep_noise ~power:false ~bound:0.0 sorted);
-    qcase ~count:80 "specialized merge matches the generic walk" gen (fun cands ->
-        let l = List.sort Bufins.Candidate.cmp_frontier cands in
-        let r = List.rev (List.rev_map (fun a -> { a with Bufins.Candidate.c = a.Bufins.Candidate.c *. 1.5 }) l) in
-        (* the fused predictive merge at bound 0 is the generic walk
-           followed by the staircase sweep; it just never materializes the
-           pairings the sweep would drop, so the trace handles differ and
-           every kill moves from the sweep's drops to the pre-kills *)
-        let join = Bufins.Candidate.merge ~arena:(Bufins.Trace.create ()) in
-        let walk = Bufins.Frontier.merge2 ~value ~join l r in
-        let generic, gdrop = Bufins.Frontier.sweep2 ~cost ~value walk in
-        let fused, emitted, dropped, prekilled =
-          Bufins.Candidate.merge_sweep_delay_pred ~arena:(Bufins.Trace.create ()) ~bound:0.0
-            [ (l, r) ]
-        in
-        let coords =
-          List.map (fun (a : Bufins.Candidate.t) -> { a with Bufins.Candidate.tr = 0.0 })
-        in
-        coords generic = coords fused
-        && emitted + prekilled = List.length walk
-        && dropped + prekilled = gdrop);
+           = Bufins.Candidate.sweep_noise ~bound:0.0 sorted);
+    (let scratch = Bufins.Candidate.scratch () in
+     qcase ~count:300 "specialized merge matches the generic walk" gen_slot (fun walks ->
+         (* The delay-mode merge at bound 0 is every walk's Van Ginneken
+            pairings, the walks merged as runs, then the staircase sweep.
+            It never materializes what the sweep drops, so trace handles
+            differ and every kill of an arriving pairing moves from the
+            sweep's drops to the pre-kills. Each walk tags its left
+            members with their own energy and the right members with a
+            small one, so a survivor's [p] names its pairing and ties
+            must resolve to the same pairing. *)
+         let tag id =
+           List.mapi (fun k x -> { x with Bufins.Candidate.p = float_of_int (id k) })
+         in
+         let left w k = 1000 * ((100 * w) + k + 1) in
+         let walks = List.mapi (fun w (l, r) -> (tag (left w) l, tag succ r)) walks in
+         let join = Bufins.Candidate.merge ~arena:(Bufins.Trace.create ()) in
+         let runs = List.map (fun (l, r) -> Bufins.Frontier.merge2 ~value ~join l r) walks in
+         let generic, gdrop =
+           Bufins.Frontier.sweep2 ~cost ~value
+             (Bufins.Frontier.merge_sorted Bufins.Candidate.cmp_frontier runs)
+         in
+         let fused, emitted, dropped, prekilled =
+           Bufins.Candidate.merge_delay ~scratch ~arena:(Bufins.Trace.create ()) ~bound:0.0
+             (List.map (fun (l, r) -> (Array.of_list l, Array.of_list r)) walks)
+         in
+         strip generic = strip fused
+         && emitted + prekilled = List.length (List.concat runs)
+         && dropped + prekilled = gdrop));
     qcase ~count:80 "pareto_dom on full dominance keeps only the 4D front" gen4 (fun cands ->
         let dom = Bufins.Candidate.dominates_full in
         let kept, _ =
@@ -417,9 +452,10 @@ let candidate_tests =
          let strip = List.map (fun (x : Bufins.Candidate.t) -> { x with Bufins.Candidate.tr = 0.0 }) in
          List.for_all
            (fun bound ->
-             let listed, ldrop = Bufins.Candidate.sweep_noise ~power:false ~bound sorted_pairs in
+             let listed, ldrop = Bufins.Candidate.sweep_noise ~bound sorted_pairs in
              let fast, generated, dropped, prekilled =
-               Bufins.Candidate.merge_noise ~scratch ~arena:(Bufins.Trace.create ()) ~bound walks
+               Bufins.Candidate.merge_noise ~scratch ~arena:(Bufins.Trace.create ()) ~bound
+                 (List.map (fun (l, r) -> (Array.of_list l, Array.of_list r)) walks)
              in
              strip listed = strip fast
              && generated + prekilled = List.length pairs
