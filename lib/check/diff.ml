@@ -866,7 +866,16 @@ let transient_disagreement ?density cfg tree =
            let d = worst fast.Circuit.Transient.finals dense.Circuit.Transient.finals in
            if d > transient_tol then
              failf "stage %d: forest finals differ from dense by %.3g V" g d;
-           (peaks fast deck, peaks dense deck))
+           (* the early exit must not move a peak by a single bit *)
+           let full = peaks fast deck in
+           List.iter2
+             (fun (leaf, early) (_, whole) ->
+               if Int64.bits_of_float early <> Int64.bits_of_float whole then
+                 failf "stage %d leaf %d: early-exit peak %h, full window %h" g leaf early
+                   whole)
+             (Noisesim.Deck.peak_noise cfg deck)
+             full;
+           (full, peaks dense deck))
          (T.gates tree))
   with
   | exception Failed m -> Some m

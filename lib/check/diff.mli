@@ -44,8 +44,10 @@ val transient_disagreement :
   ?density:(int -> (float * float) list) -> Noisesim.Deck.config -> Rctree.Tree.t -> string option
 (** The {!Instance.Transient_tree_vs_dense} check on one tree: [None]
     when every stage deck takes the forest solver, its traces and finals
-    agree with the dense reference within 1e-9 V, and both give the same
-    {!Noisesim.Verify} verdicts; otherwise what differed. [config] must
+    agree with the dense reference within 1e-9 V, {!Noisesim.Deck.peak_noise}
+    (which may stop early) gives the full-window forest peaks bit for bit,
+    and both solvers give the same {!Noisesim.Verify} verdicts; otherwise
+    what differed. [config] must
     have [l_per_m = 0] (an RLC deck never takes the forest solver). *)
 
 val fails : ?mutation:mutation -> Instance.t -> string option

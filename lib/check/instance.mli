@@ -76,7 +76,9 @@ type oracle =
   | Transient_tree_vs_dense
       (** Noisesim's stage decks agree on both transient solvers: every
           deck takes the forest [LDL^T] path, its recorded traces and
-          finals match the dense LU reference within 1e-9 V, and the
+          finals match the dense LU reference within 1e-9 V, the
+          early-exit {!Noisesim.Deck.peak_noise} peaks equal the
+          full-window forest peaks bit for bit, and the
           {!Noisesim.Verify} verdicts ([sim_violations],
           [metric_violations], [bound_ok]) are identical. The tree is a
           workload net; the instance's content seeds the deck granularity

@@ -21,6 +21,42 @@ let waveform_tests =
         feq "at 2.0" 1.0 (W.value w 2.0);
         feq "deriv down" (-1.0) (W.deriv w 2.0);
         feq "clamp right" 0.0 (W.value w 10.0));
+    case "settle: the instant from which the value is constant" (fun () ->
+        Alcotest.(check (float 0.0)) "dc" neg_infinity (W.settle (W.dc 1.0));
+        let r = W.ramp ~t0:1.0 ~t_rise:2.0 ~v0:0.0 ~v1:4.0 in
+        Alcotest.(check (float 0.0)) "ramp" 3.0 (W.settle r);
+        let p = W.pwl [ (0.0, 0.0); (1.0, 2.0); (3.0, 0.5) ] in
+        Alcotest.(check (float 0.0)) "pwl" 3.0 (W.settle p);
+        List.iter
+          (fun (name, w) ->
+            let s = W.settle w in
+            List.iter
+              (fun dt ->
+                Alcotest.(check (float 0.0)) name (W.value w s) (W.value w (s +. dt)))
+              [ 0.0; 1e-12; 0.5; 1e9 ])
+          [ ("ramp", r); ("pwl", p) ];
+        (* a Noisesim-style ramp, whose end rounds *)
+        let t_rise = 1.8 /. 7.3e9 in
+        let d = W.ramp ~t0:0.0 ~t_rise ~v0:0.0 ~v1:1.8 in
+        Alcotest.(check (float 0.0)) "rounded ramp end" 1.8 (W.value d (W.settle d)));
+    case "bad ramps and pwls raise Invalid_argument" (fun () ->
+        let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+        List.iter
+          (fun t_rise ->
+            Alcotest.(check bool)
+              (Printf.sprintf "ramp t_rise %g" t_rise)
+              true
+              (raises (fun () -> W.ramp ~t0:0.0 ~t_rise ~v0:0.0 ~v1:1.0)))
+          [ 0.0; -1e-12; Float.nan; neg_infinity ];
+        List.iter
+          (fun (name, pts) -> Alcotest.(check bool) name true (raises (fun () -> W.pwl pts)))
+          [
+            ("empty", []);
+            ("repeated time", [ (0.0, 0.0); (0.0, 1.0) ]);
+            ("decreasing", [ (1.0, 0.0); (0.5, 1.0) ]);
+            ("nan time", [ (0.0, 0.0); (Float.nan, 1.0) ]);
+            ("single nan", [ (Float.nan, 1.0) ]);
+          ]);
   ]
 
 (* RC low-pass step: v(t) = V (1 - exp(-t/RC)) *)
