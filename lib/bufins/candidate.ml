@@ -6,8 +6,19 @@ module T = Rctree.Tree
    and tr hold small non-negative ints exactly: meta = 2*count + parity,
    tr = the solution's Trace.handle. p is the solution's accumulated
    buffer energy (J); it rides along for free in every mode and becomes a
-   pruning axis only in power mode (DESIGN.md §16). *)
-type t = { c : float; q : float; i : float; ns : float; p : float; meta : float; tr : float }
+   pruning axis only in power mode (DESIGN.md §16). tr is mutable for
+   one writer only: [materialize] gives a surviving insertion stand-in
+   (whose tr is negative until then) its Trace node, before the group
+   leaves the node it was built at. *)
+type t = {
+  c : float;
+  q : float;
+  i : float;
+  ns : float;
+  p : float;
+  meta : float;
+  mutable tr : float;
+}
 
 let parity a = int_of_float a.meta land 1
 let count a = int_of_float a.meta asr 1
@@ -33,7 +44,9 @@ let add_wire (w : T.wire) a =
     ns = a.ns -. (w.T.res *. (a.i +. (w.T.cur /. 2.0)));
   }
 
-let add_buffer ~arena ~at (b : Tech.Buffer.t) a =
+(* [b] inserted on top of [a], with solution handle [tr] (an int, so
+   that no boxed float is passed) *)
+let buffered (b : Tech.Buffer.t) a tr =
   (* meta + 2 bumps the count; the xor flips the parity bit only *)
   let m = int_of_float a.meta + 2 in
   let m = if b.Tech.Buffer.inverting then m lxor 1 else m in
@@ -44,8 +57,35 @@ let add_buffer ~arena ~at (b : Tech.Buffer.t) a =
     ns = b.Tech.Buffer.nm;
     p = a.p +. b.Tech.Buffer.energy;
     meta = float_of_int m;
-    tr = float_of_int (Trace.buf arena ~node:at ~dist:0.0 ~buffer:b ~pred:(trace a));
+    tr = float_of_int tr;
   }
+
+let add_buffer ~arena ~at b a =
+  buffered b a (Trace.buf arena ~node:at ~dist:0.0 ~buffer:b ~pred:(trace a))
+
+(* A stand-in's [tr] is [-(1 + k + ntypes * trace a)] for type [k] on
+   source [a]: negative, so it names no arena node, and exact, so
+   [materialize] reads the type and the source's handle back. *)
+let stand_in ~ntypes k b a = buffered b a (-(1 + k + (ntypes * trace a)))
+
+let materialize ~arena ~at (bufs : Tech.Buffer.t array) ~c_max group =
+  let ntypes = Array.length bufs in
+  (* a stand-in's load is its type's c_in <= c_max, and the group is
+     sorted by load: past the first heavier member there is none left
+     (a NaN load sorts first and does not end the walk) *)
+  let rec go = function
+    | x :: tl when not (x.c > c_max) ->
+        if x.tr < 0.0 then begin
+          let e = -int_of_float x.tr - 1 in
+          x.tr <-
+            float_of_int
+              (Trace.buf arena ~node:at ~dist:0.0 ~buffer:bufs.(e mod ntypes)
+                 ~pred:(e / ntypes))
+        end;
+        go tl
+    | _ -> ()
+  in
+  go group
 
 let add_driver (d : T.driver) a = { a with q = a.q -. (d.T.d_drv +. (d.T.r_drv *. a.c)) }
 
@@ -55,6 +95,26 @@ let add_driver (d : T.driver) a = { a with q = a.q -. (d.T.d_drv +. (d.T.r_drv *
 let noise_tol = 1e-12
 
 let noise_ok ~r_gate a = r_gate *. a.i <= a.ns +. noise_tol
+
+(* One pass over the group for every type at once, with the very
+   expressions of [noise_ok] and [Tech.Buffer.gate_delay]; the running
+   best lives in float and int arrays, so the pass stores no pointer. *)
+let best_sources ~guard ~r_b ~d_b (group : t array) slack pick =
+  Array.fill slack 0 (Array.length slack) neg_infinity;
+  for j = 0 to Array.length group - 1 do
+    let a = group.(j) in
+    let room = a.ns +. noise_tol in
+    for k = 0 to Array.length slack - 1 do
+      let r = r_b.(k) in
+      if (not guard) || r *. a.i <= room then begin
+        let s = a.q -. (d_b.(k) +. (r *. a.c)) in
+        if s > slack.(k) then begin
+          slack.(k) <- s;
+          pick.(k) <- j
+        end
+      end
+    done
+  done
 
 let merge ~arena a b =
   assert (parity a = parity b);

@@ -14,7 +14,9 @@
     merge, the power-mode staircases on flat sorted arrays, and one
     branch-merge shape in three modes — delay, noise and power — which
     decides every pairing on its coordinates and materializes survivors
-    only. *)
+    only, and the buffer insertion's one-pass source choice
+    ({!best_sources}) with its survivors-only materialization
+    ({!stand_in}, {!materialize}). *)
 
 type t = {
   c : float;  (** downstream load seen here, F (eq. 1) *)
@@ -23,7 +25,10 @@ type t = {
   ns : float;  (** noise slack, V (eq. 12) *)
   p : float;  (** accumulated buffer energy of the solution, J *)
   meta : float;  (** [2*count + parity], an exact small int; see {!count} *)
-  tr : float;  (** solution {!Trace.handle}, an exact small int; see {!trace} *)
+  mutable tr : float;
+      (** solution {!Trace.handle}, an exact small int; see {!trace}.
+          Negative only on an insertion {!stand_in}, which
+          {!materialize} alone writes. *)
 }
 (** Deliberately all-float: an OCaml record whose fields are all floats
     is stored flat (header + unboxed doubles, 8 words here), while one
@@ -58,6 +63,22 @@ val add_buffer : arena:Trace.arena -> at:int -> Tech.Buffer.t -> t -> t
     Performs no noise check — callers decide (that check is exactly what
     distinguishes Algorithm 3 from Van Ginneken). *)
 
+val stand_in : ntypes:int -> int -> Tech.Buffer.t -> t -> t
+(** [stand_in ~ntypes k b a] is [add_buffer]'s candidate for [b], type
+    [k] of an [ntypes]-type library, inserted on [a] — every coordinate
+    bit for bit — but it appends no arena node: its [tr] is negative
+    and encodes [k] and [trace a]. Buffer insertion decides on
+    stand-ins (the splice or sweep reads coordinates only) and
+    {!materialize}s the survivors; no stand-in may outlive its node. *)
+
+val materialize :
+  arena:Trace.arena -> at:int -> Tech.Buffer.t array -> c_max:float -> t list -> unit
+(** [materialize ~arena ~at bufs ~c_max group] gives every stand-in in
+    the load-sorted [group] its [Buf] node at [at], in place, as
+    [add_buffer] would have; [bufs] is the library the stand-ins'
+    type indices refer to and [c_max] its largest [c_in]. The walk
+    stops at the first member heavier than [c_max]. *)
+
 val add_driver : Rctree.Tree.driver -> t -> t
 (** Account for the source gate: [q -= d_drv + r_drv*c]. Noise is the
     caller's check ([r_drv *. i <= ns]). *)
@@ -71,6 +92,24 @@ val noise_tol : float
 val noise_ok : r_gate:float -> t -> bool
 (** Would a gate with output resistance [r_gate] driving this candidate
     respect every downstream noise margin? ([r_gate *. i <= ns +. noise_tol]) *)
+
+val best_sources :
+  guard:bool ->
+  r_b:float array ->
+  d_b:float array ->
+  t array ->
+  float array ->
+  int array ->
+  unit
+(** [best_sources ~guard ~r_b ~d_b group slack pick]: the buffer
+    insertion's source choice for every type [k] of a library given by
+    its [r_b] and [d_b] arrays, in one pass over [group]. [slack.(k)]
+    becomes the best [a.q -. Tech.Buffer.gate_delay b_k ~load:a.c] over
+    the members [a] that {!noise_ok}[ ~r_gate:r_b.(k)] admits (all of
+    them without [guard]), and [pick.(k)] the first index reaching it.
+    A type no member improves on [neg_infinity] keeps
+    [slack.(k) = neg_infinity] and an unspecified [pick.(k)]. The
+    arrays have one cell per type. *)
 
 val merge : arena:Trace.arena -> t -> t -> t
 (** Join the two branches at a node: loads and currents add, slacks take
@@ -187,7 +226,7 @@ val covered : bound:float -> c:float -> q:float -> i:float -> ns:float -> t list
 (** Does any member of the load-sorted group with load [<= c] kill a
     would-be candidate at [(c, q, i, ns)] under {!kills_full}? The
     buffer-insertion pre-check, run against the target group before
-    [add_buffer] allocates anything. Delay mode passes
+    anything is allocated for the insertion. Delay mode passes
     [i = infinity] and [ns = neg_infinity], which every candidate
     beats, leaving the (load, slack) rule. *)
 

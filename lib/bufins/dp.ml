@@ -117,6 +117,8 @@ module Memo = struct
   let stored t =
     Array.fold_left (fun a e -> if e = None then a else a + 1) 0 t.entries
 
+  let arena_nodes t = Trace.size t.arena - 1
+
   let hits t = t.hits
 
   let misses t = t.misses
@@ -262,27 +264,13 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
   in
   (* in noise mode a gate never drives a candidate it would make noisy *)
   let guard = noise && attach_guard in
-  (* One scan state for the whole run: the per-(group, type) best-slack
-     scans of insert_buffers touch every candidate once per buffer type,
-     so their working state must not allocate per scan. The running
-     slack lives in a float array (unboxed stores) and the best
-     candidate in a ref (pointer store); [scan_s.(0) > neg_infinity]
-     doubles as the found flag. *)
-  let scan_s = Array.make 1 neg_infinity in
-  let scan_best =
-    ref { C.c = 0.0; q = 0.0; i = 0.0; ns = 0.0; p = 0.0; meta = 0.0; tr = 0.0 }
-  in
-  let rec scan (b : Tech.Buffer.t) = function
-    | [] -> ()
-    | (a : C.t) :: tl ->
-        (if (not guard) || C.noise_ok ~r_gate:b.Tech.Buffer.r_b a then
-           let s = a.C.q -. Tech.Buffer.gate_delay b ~load:a.C.c in
-           if s > scan_s.(0) then begin
-             scan_best := a;
-             scan_s.(0) <- s
-           end);
-        scan b tl
-  in
+  (* One source-choice state for the whole run: [C.best_sources] writes
+     each group's per-type best slack and source index into these
+     unboxed arrays, so the insertion scan allocates nothing per type.
+     [c_max] bounds every insertion's load, hence where its stand-ins
+     can sit in a load-sorted group. *)
+  let best_s = Array.make ntypes neg_infinity and best_i = Array.make ntypes 0 in
+  let c_max = Array.fold_left Float.max neg_infinity plib.Tech.Lib.c_in in
   let note_width tbl =
     Array.iter
       (fun group ->
@@ -393,12 +381,14 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
   (* Step 5 (Figs. 5 and 11): buffer insertions at a feasible node. All
      insertions of one buffer type into one group share their load (c_in),
      current (0) and noise slack (the buffer's own margin) — only the
-     resulting slack differs — so a single scan for the best-slack eligible
-     candidate per (group, type) materializes the one insertion that can
-     survive pruning. In noise mode a buffer is never attached to a
-     candidate it would make noisy; the unbuffered noise frontier itself
-     stays in the group, so a quieter-but-slower candidate survives for
-     upstream wires to consume. *)
+     resulting slack differs — so the best-slack eligible source per
+     (group, type) gives the one insertion that can survive pruning; one
+     pass over the group finds it for every type ([C.best_sources]). In
+     noise mode a buffer is never attached to a candidate it would make
+     noisy; the unbuffered noise frontier itself stays in the group, so a
+     quieter-but-slower candidate survives for upstream wires to consume.
+     Outside power mode an insertion enters its target's splice or sweep
+     as a [C.stand_in], and only the survivors get their Trace node. *)
   let insert_buffers ~bound v tbl =
     let additions = Array.make nslots [] in
     let add target cand =
@@ -411,14 +401,19 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
            eligibility: a counted group holds one exact count *)
         if group <> [] && sl asr 1 < kmax then begin
           (* power mode: the group's candidate indices by energy,
-             ascending — the insertion-energy order of every type *)
-          let cands, by_energy =
-            if not power then ([||], [||])
+             ascending — the insertion-energy order of every type;
+             otherwise every type's best source, in one pass *)
+          let cands = Array.of_list group in
+          let by_energy =
+            if not power then begin
+              C.best_sources ~guard ~r_b:plib.Tech.Lib.r_b ~d_b:plib.Tech.Lib.d_b cands best_s
+                best_i;
+              [||]
+            end
             else begin
-              let cands = Array.of_list group in
               let ord = Array.init (Array.length cands) Fun.id in
               Array.stable_sort (fun x y -> Float.compare cands.(x).C.p cands.(y).C.p) ord;
-              (cands, ord)
+              ord
             end
           in
           for ti = 0 to ntypes - 1 do
@@ -472,36 +467,36 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
                 !members
             end
             else begin
-              scan_s.(0) <- neg_infinity;
-              scan b group;
               (* one insertion per (group, type); its destination group is
                  known before anything is materialized *)
-              if scan_s.(0) > neg_infinity then
+              let q = best_s.(ti) in
+              if q > neg_infinity then
                 if
                   pred
-                  && C.covered ~bound ~c:plib.Tech.Lib.c_in.(ti) ~q:scan_s.(0)
+                  && C.covered ~bound ~c:plib.Tech.Lib.c_in.(ti) ~q
                        ~i:(if staircase then infinity else 0.0)
                        ~ns:(if staircase then neg_infinity else b.Tech.Buffer.nm)
                        tbl.(target)
                 then incr pred_pruned
-                else add target (C.add_buffer ~arena ~at:v b !scan_best)
+                else add target (C.stand_in ~ntypes ti b cands.(best_i.(ti)))
             end
           done
         end)
       tbl;
-    Array.iteri
-      (fun sl cands ->
-        match cands with
-        | [] -> ()
-        | _ ->
-            let cands = List.sort cmp_order cands in
-            if (not power) && prune && staircase then begin
-              let kept, dropped = C.splice_delay tbl.(sl) cands in
-              pruned := !pruned + dropped;
-              tbl.(sl) <- kept
-            end
-            else tbl.(sl) <- sweep ~bound (List.merge cmp_order tbl.(sl) cands))
-      additions;
+    (* a loop, not an iterator: no closure allocated per node *)
+    for sl = 0 to nslots - 1 do
+      match additions.(sl) with
+      | [] -> ()
+      | cands ->
+          let cands = List.sort cmp_order cands in
+          if (not power) && prune && staircase then begin
+            let kept, dropped = C.splice_delay tbl.(sl) cands in
+            pruned := !pruned + dropped;
+            tbl.(sl) <- kept
+          end
+          else tbl.(sl) <- sweep ~bound (List.merge cmp_order tbl.(sl) cands);
+          if not power then C.materialize ~arena ~at:v plib.Tech.Lib.bufs ~c_max tbl.(sl)
+    done;
     tbl
   in
   let site_bound v = if pred then bounds.(v) else 0.0 in

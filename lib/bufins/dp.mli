@@ -110,6 +110,10 @@ module Memo : sig
   val stored : t -> int
   (** Entries currently cached. *)
 
+  val arena_nodes : t -> int
+  (** Nodes in the resident arena besides its leaf: every trace node
+      the runs since the last [clear] appended, live or not. *)
+
   val hits : t -> int
   (** Lifetime count of cached tables reused by [run ?memo]. *)
 
@@ -148,7 +152,7 @@ type stats = {
   arena : int;
       (** solution-trace arena nodes recorded this run (DESIGN.md §11):
           one per buffer insertion, branch-merge pairing and wire-sizing
-          decision that was actually materialized. Under [?memo] this is
+          decision that survived to be materialized. Under [?memo] this is
           the run's delta into the resident arena. *)
   minor_words : float;
       (** words this domain allocated on the minor heap during the run

@@ -226,15 +226,18 @@ let percentile sorted p =
 let do_stats t =
   let lat = Array.of_list t.opt_lat in
   Array.sort compare lat;
+  (* the daemon's resident DP state, summed over the loaded nets *)
+  let total f = Array.fold_left (fun a ns -> a + f ns.memo) 0 t.nets in
   Ok
     (Printf.sprintf
        "requests=%d errors=%d optimizes=%d cache_hits=%d incr=%d full=%d \
-        hit_rate=%.3f p50_ms=%.3f p99_ms=%.3f"
+        hit_rate=%.3f p50_ms=%.3f p99_ms=%.3f memo_entries=%d arena_nodes=%d"
        t.requests t.errors t.optimizes t.cache_hits t.incremental t.full
        (if t.optimizes = 0 then 0.0
         else float_of_int t.cache_hits /. float_of_int t.optimizes)
        (percentile lat 0.50 *. 1e3)
-       (percentile lat 0.99 *. 1e3))
+       (percentile lat 0.99 *. 1e3)
+       (total Bufins.Dp.Memo.stored) (total Bufins.Dp.Memo.arena_nodes))
 
 let handle t (req : Protocol.request) =
   t.requests <- t.requests + 1;

@@ -389,6 +389,30 @@ let tests =
               (Invalid_argument "Dp.run: power mode is delay-only")
               (fun () -> ignore (line ~pruning ~noise:true tight)))
           [ ("pred", `Predictive); ("sweep", `Sweep_only) ]);
+    case "insertion counters are pinned; dropped insertions leave no arena node" (fun () ->
+        (* The 50-sink caterpillar in delay mode (Per_count 16) and noise
+           mode (Single). Every counter is the per-type scan's, which
+           built a record and a Buf node for every insertion; [arena]
+           was 24,353 and 3,256 nodes then, and an insertion its sweep
+           drops no longer leaves one. *)
+        let seg = Rctree.Segment.refine (Fixtures.caterpillar process 50) ~max_len:500e-6 in
+        List.iter
+          (fun (name, noise, mode, (gen, pruned, pred, power, width), arena_before) ->
+            let s = (Bufins.Dp.run ~noise ~mode ~lib seg).Bufins.Dp.stats in
+            let check what = Alcotest.(check int) (name ^ ": " ^ what) in
+            check "generated" gen s.Bufins.Dp.generated;
+            check "pruned" pruned s.Bufins.Dp.pruned;
+            check "pred_pruned" pred s.Bufins.Dp.pred_pruned;
+            check "power_pruned" power s.Bufins.Dp.power_pruned;
+            check "peak_width" width s.Bufins.Dp.peak_width;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: arena %d below %d" name s.Bufins.Dp.arena arena_before)
+              true
+              (s.Bufins.Dp.arena < arena_before))
+          [
+            ("delay k16", false, Bufins.Dp.Per_count 16, (41238, 10535, 25602, 0, 31), 24353);
+            ("noise", true, Bufins.Dp.Single, (9095, 5142, 317, 0, 16), 3256);
+          ]);
     case "finer segmenting can rescue infeasibility" (fun () ->
         let t = Fixtures.two_pin process ~len:12e-3 in
         let coarse = Rctree.Segment.refine t ~max_len:6e-3 in

@@ -174,6 +174,40 @@ let session_served_classes () =
       "p99_ms=";
     ]
 
+(* the integer value of [key=] in a reply line *)
+let field key line =
+  let prefix = key ^ "=" in
+  match List.find_opt (String.starts_with ~prefix) (String.split_on_char ' ' line) with
+  | Some kv ->
+      let n = String.length prefix in
+      int_of_string (String.sub kv n (String.length kv - n))
+  | None -> Alcotest.failf "no %s in %S" prefix line
+
+let session_memory_stats () =
+  (* stats reports the resident memo entries and arena nodes summed over
+     the nets; update-noise clears one net's memo, so its share, and
+     only its share, drops to zero *)
+  let s = S.create () in
+  let empty = expect_ok s "stats" in
+  Alcotest.(check (pair int int)) "nothing loaded" (0, 0)
+    (field "memo_entries" empty, field "arena_nodes" empty);
+  ignore (expect_ok s "load workload 2 5");
+  let sizes () =
+    let st = expect_ok s "stats" in
+    (field "memo_entries" st, field "arena_nodes" st)
+  in
+  let e2, a2 = sizes () in
+  ignore (expect_ok s "update-noise 0 1.7");
+  let e1, a1 = sizes () in
+  ignore (expect_ok s "update-noise 1 1.7");
+  let e0, a0 = sizes () in
+  Alcotest.(check (pair int int)) "both memos cleared" (0, 0) (e0, a0);
+  Alcotest.(check bool) "net 1 holds entries and nodes" true (e1 > 0 && a1 > 0);
+  Alcotest.(check bool) "net 0 held entries and nodes" true (e2 > e1 && a2 > a1);
+  ignore (expect_ok s "optimize 1");
+  let e, a = sizes () in
+  Alcotest.(check bool) "a re-optimize refills net 1's memo" true (e > 0 && a > 0)
+
 let session_edit_revert_is_deterministic () =
   (* editing a RAT and reverting it must reproduce the original payload
      byte for byte — the fingerprint cache and the memo agree with
@@ -342,6 +376,7 @@ let suites =
         case "range checks: unloaded, out-of-range, root wire" session_range_checks;
         case "served classes: hit, incr, full" session_served_classes;
         case "edit/revert reproduces the pinned payload" session_edit_revert_is_deterministic;
+        case "stats: memo entries and arena nodes, reset by update-noise" session_memory_stats;
       ] );
     ( "serve.server",
       [

@@ -553,6 +553,114 @@ let candidate_tests =
           List.map (fun p -> p.Rctree.Surgery.node) (Bufins.Trace.placements arena (trace x))
         in
         List.map nodes kept = List.map nodes reference);
+    (* The insertion's one-pass source choice against the per-type scan
+       it replaced, on groups with duplicate members, equal slacks,
+       currents and noise slacks on the [noise_tol] boundary, and
+       magnitudes from subnormal to 1e300 in every coordinate. *)
+    (let module C = Bufins.Candidate in
+     (* the per-type scan as buffer insertion ran it: one walk over the
+        group per type, the first source in group order on equal slack *)
+     let scan ~guard (b : Tech.Buffer.t) group =
+       let best = ref neg_infinity and pick = ref (-1) in
+       List.iteri
+         (fun j (a : C.t) ->
+           if (not guard) || C.noise_ok ~r_gate:b.Tech.Buffer.r_b a then begin
+             let s = a.C.q -. Tech.Buffer.gate_delay b ~load:a.C.c in
+             if s > !best then begin
+               best := s;
+               pick := j
+             end
+           end)
+         group;
+       (!best, !pick)
+     in
+     let extreme = [ 0.0; 5e-324; 2.5e-310; 1e-300; 1e300 ] in
+     let coord scale =
+       QCheck2.Gen.(
+         let* sign = oneofl [ 1.0; -1.0 ] in
+         map (fun x -> sign *. x)
+           (oneof [ oneofl extreme; map (fun k -> float_of_int k *. scale) (int_range 0 4) ]))
+     in
+     let positive scale =
+       QCheck2.Gen.(
+         oneof
+           [ oneofl [ 5e-324; 2.5e-310; 1e-300; 1e300 ];
+             map (fun k -> float_of_int k *. scale) (int_range 1 4) ])
+     in
+     let gen =
+       QCheck2.Gen.(
+         let* types =
+           list_size (int_range 1 11)
+             (map2
+                (fun r_b d_b ->
+                  Tech.Buffer.make ~name:"b" ~inverting:false ~c_in:1e-15 ~r_b ~d_b ~nm:0.8 ())
+                (positive 100.0)
+                (oneof [ pure 0.0; positive 1e-11 ]))
+         in
+         let rs =
+           Array.of_list (List.map (fun (b : Tech.Buffer.t) -> b.Tech.Buffer.r_b) types)
+         in
+         let member =
+           let* c = coord 1e-15 and* q = coord 1e-10 and* i = coord 1e-3 and* ns = coord 0.1 in
+           (* half the members sit on, or one ulp beside, some type's
+              attach boundary [r *. i = ns +. noise_tol] *)
+           let* edge = int_range 0 5 and* k = int_range 0 (Array.length rs - 1) in
+           let ns =
+             let at = (rs.(k) *. i) -. C.noise_tol in
+             match edge with 0 -> at | 1 -> Float.pred at | 2 -> Float.succ at | _ -> ns
+           in
+           pure { C.c; q; i; ns; p = 0.0; meta = 0.0; tr = 0.0 }
+         in
+         let* pool = array_repeat 3 member in
+         let* group =
+           list_size (int_range 1 12)
+             (oneof [ member; map (fun k -> pool.(k)) (int_range 0 2) ])
+         in
+         pure (types, group))
+     in
+     qcase ~count:2000 "one-pass source choice matches the per-type scan bit for bit" gen
+       (fun (types, group) ->
+         let bufs = Array.of_list types in
+         let n = Array.length bufs in
+         let slack = Array.make n 0.0 and pick = Array.make n 0 in
+         List.for_all
+           (fun guard ->
+             C.best_sources ~guard
+               ~r_b:(Array.map (fun (b : Tech.Buffer.t) -> b.Tech.Buffer.r_b) bufs)
+               ~d_b:(Array.map (fun (b : Tech.Buffer.t) -> b.Tech.Buffer.d_b) bufs)
+               (Array.of_list group) slack pick;
+             Array.for_all Fun.id
+               (Array.mapi
+                  (fun k b ->
+                    let s, j = scan ~guard b group in
+                    Int64.equal (Int64.bits_of_float s) (Int64.bits_of_float slack.(k))
+                    && (s = neg_infinity || j = pick.(k)))
+                  bufs))
+           [ true; false ]));
+    case "a materialized stand-in is the candidate add_buffer builds" (fun () ->
+        let module C = Bufins.Candidate in
+        let bufs = Array.of_list Tech.Lib.default_library in
+        let ntypes = Array.length bufs in
+        let c_max =
+          Array.fold_left (fun m (b : Tech.Buffer.t) -> Float.max m b.Tech.Buffer.c_in) 0.0
+            bufs
+        in
+        let arena = Bufins.Trace.create () in
+        let src = C.add_buffer ~arena ~at:3 bufs.(0) (mk 2e-14 1e-9) in
+        List.iter
+          (fun k ->
+            let eager = C.add_buffer ~arena ~at:7 bufs.(k) src in
+            let x = C.stand_in ~ntypes k bufs.(k) src in
+            Alcotest.(check bool) "no arena node yet" true (C.trace x < 0);
+            (* a heavier member ends the walk *)
+            let heavy = { (mk (2.0 *. c_max) 0.0) with C.tr = -1.0 } in
+            C.materialize ~arena ~at:7 bufs ~c_max [ x; heavy ];
+            Alcotest.(check bool) "heavier member untouched" true (heavy.C.tr = -1.0);
+            Alcotest.(check bool) "coordinates" true ({ x with C.tr = eager.C.tr } = eager);
+            Alcotest.(check bool) "placements" true
+              (Bufins.Trace.placements arena (C.trace x)
+              = Bufins.Trace.placements arena (C.trace eager)))
+          [ 0; 5; ntypes - 1 ]);
   ]
 
 let clock_tests =
