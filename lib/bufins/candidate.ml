@@ -307,23 +307,29 @@ type scratch = Flat.t
 
 let scratch = Flat.create
 
+(* [Flat.stair_add] of the point (k, v) *)
+let[@inline] stair_add (st : Flat.stair) k v id =
+  st.pt.(0) <- k;
+  st.pt.(1) <- v;
+  Flat.stair_add st id
+
 (* The 3-axis delay-power sweep is O(n log n), not quadratic: the input
    is sorted by [cmp_frontier_power], so every already-kept candidate
    has load <= the current one and only the (q, p) axes remain. The
    survivors' (q, p) points form a staircase, kept with key [-q] so
-   that [Flat.stair_add]'s orientation fits: a candidate is dominated
+   that [stair_add]'s orientation fits: a candidate is dominated
    iff the member with the smallest q >= its own carries p <= its own,
    and a kept candidate evicts the members it (q, p)-dominates.
    Dominated-but-kept duplicates in (c, q) with off-order p (possible
    when the i / ns tie-breaks interleave) are retained — harmless for
    exactness, they are weakly dominated and never extend the frontier. *)
 let sweep_delay_power ~scratch:(s : Flat.t) l =
-  s.sn <- 0;
+  s.st.sn <- 0;
   let dropped = ref 0 in
   let kept =
     List.filter
       (fun (x : t) ->
-        Flat.stair_add s (-.x.q) x.p 0
+        stair_add s.st (-.x.q) x.p 0
         ||
         (incr dropped;
          false))
@@ -338,31 +344,32 @@ let sweep_delay_power ~scratch:(s : Flat.t) l =
    left and a right child group, as arrays built once per branch node,
    feeding one target group — writes its pairings into the scratch:
    (c, q, i, ns, p) at stride 5 and the (walk, left, right) origin at
-   stride 3. An index permutation is put in the order the materializing
-   merge would list them, the sweep runs on the coordinates, and
+   stride 2, the two indices packed in one int. An index permutation
+   orders them for the sweep, which runs on the coordinates, and
    [merge] — record plus Join node — is called for the survivors only,
-   through their origins. *)
+   through their origins, in the order the materializing merge would
+   list them. *)
 
 (* pairing [n]: members [il] of [l] and [ir] of [r] of walk [w], with
    the very expressions [merge] evaluates and energy [p] *)
 let[@inline] put (s : Flat.t) n w il ir (a : t) (b : t) p =
-  let x = 5 * n and y = 3 * n in
+  let x = 5 * n and y = 2 * n in
   s.xs.(x) <- a.c +. b.c;
   s.xs.(x + 1) <- Float.min a.q b.q;
   s.xs.(x + 2) <- a.i +. b.i;
   s.xs.(x + 3) <- Float.min a.ns b.ns;
   s.xs.(x + 4) <- p;
   s.js.(y) <- w;
-  s.js.(y + 1) <- il;
-  s.js.(y + 2) <- ir
+  s.js.(y + 1) <- (il lsl 32) lor ir
 
-(* the survivors — pairing ids [s.aux.(0 .. nk-1)], in sort order — joined *)
-let joined (s : Flat.t) ~arena walks nk =
+(* the survivors — pairing ids [ids.(0 .. nk-1)], in sort order — joined *)
+let joined (s : Flat.t) ~arena walks ids nk =
   let survivors = ref [] in
   for k = nk - 1 downto 0 do
-    let y = 3 * s.aux.(k) in
+    let y = 2 * ids.(k) in
     let (l : t array), (r : t array) = walks.(s.js.(y)) in
-    survivors := merge ~arena l.(s.js.(y + 1)) r.(s.js.(y + 2)) :: !survivors
+    let o = s.js.(y + 1) in
+    survivors := merge ~arena l.(o lsr 32) r.(o land 0xffffffff) :: !survivors
   done;
   !survivors
 
@@ -418,7 +425,7 @@ let merge_delay ~scratch:(s : Flat.t) ~arena ~bound walks =
       incr nk
     end
   done;
-  (joined s ~arena walks !nk, n - !prekilled, !dropped, !prekilled)
+  (joined s ~arena walks kept !nk, n - !prekilled, !dropped, !prekilled)
 
 let merge_noise ~scratch:(s : Flat.t) ~arena ~bound walks =
   let walks = Array.of_list walks in
@@ -440,7 +447,7 @@ let merge_noise ~scratch:(s : Flat.t) ~arena ~bound walks =
         done
       done)
     walks;
-  Flat.sort_perm s 0 n;
+  Flat.sort_perm s Flat.Plain 0 n;
   let xs = s.xs and perm = s.perm and kept = s.aux in
   (* the sweep on coordinates: [kills_full ~bound] against every kept
      pairing, newest first. A pairing plain dominance kills is one the
@@ -483,12 +490,24 @@ let merge_noise ~scratch:(s : Flat.t) ~arena ~bound walks =
         kept.(!w) <- x;
         nk := !w + 1
   done;
-  (joined s ~arena walks !nk, n - !prekilled, !dropped, !prekilled)
+  (joined s ~arena walks kept !nk, n - !prekilled, !dropped, !prekilled)
 
 let by_slack group =
   let a = Array.of_list group in
   Array.stable_sort (fun (x : t) (y : t) -> Float.compare y.q x.q) a;
   a
+
+(* The group's indices by energy, ascending, ties by index: the
+   insertion-energy order of every buffer type *)
+let by_energy ~scratch:(s : Flat.t) (group : t array) =
+  let n = Array.length group in
+  Flat.reserve s ~used:0 n;
+  for k = 0 to n - 1 do
+    s.xs.((5 * k) + 4) <- group.(k).p;
+    s.perm.(k) <- k
+  done;
+  Flat.sort_perm s Flat.Energy 0 n;
+  s.perm
 
 (* The delay-power branch merge (DESIGN.md §16). The merged slack is
    [min qa qb], so walking one side in descending q while the other
@@ -496,73 +515,125 @@ let by_slack group =
    staircase enumerates a superset of the merged frontier: a pairing
    with an off-staircase partner is weakly dominated by the same
    pairing through the staircase member that (c, p)-covers it, at equal
-   or better merged q. Two passes per walk — left against the right
-   side's staircase (q ties included), then right against the left
-   side's strictly-above staircase — see every pairing that can matter
-   exactly once. A staircase member's energy falls as its load rises,
+   or better merged q. Each walk runs two passes — left against the
+   right side's staircase (q ties included), right against the left
+   side's strictly-above staircase — that see every pairing that can
+   matter exactly once. They run interleaved, in descending q with the
+   right member first on equal q, each member visiting the other side's
+   staircase and then joining its own; every pairing takes its walking
+   member's slack. A staircase member's energy falls as its load rises,
    so the over-budget members for one walking candidate are a prefix,
    found by binary search and never emitted.
 
-   Emitted pairings go to the scratch in walk order, each walk in its
-   emission order; the permutation lists the walks as given and each
-   walk newest pairing first, the order the materializing merge
-   concatenated them in, so the stable sort breaks full ties the same
-   way. The (q, p) sweep then runs on the coordinates. *)
+   All walks of the slot advance together, the member of highest slack
+   next, so the pairings arrive in falling slack, and the sweep runs as
+   they come: each block of equal slack is sorted by load, current,
+   noise slack, energy and rank, then swept on a (c, p) staircase, and
+   only its survivors stay in the scratch. A pairing survives iff no
+   earlier one has load <= and energy <= its own. Earlier means slack
+   >=, and a pairing that weakly dominates another on all three axes
+   precedes it in this order iff it does in [cmp_frontier_power]-then-
+   rank order, so the survivors are those of the load-order (q, p)
+   sweep; only they are sorted into that order and joined. A pairing's
+   rank is its place in the order the materializing merge concatenated
+   the pairings in: the walks as given, each walk newest pairing first,
+   its left pass emitted before its right one. *)
 let merge_delay_power ~scratch:(s : Flat.t) ~arena ~budget ~prune walks =
   let walks = Array.of_list walks in
-  let n = ref 0 and over = ref 0 in
-  (* pairing [il] x [ir] of walk [w] *)
-  let emit w il ir =
+  let nw = Array.length walks in
+  Flat.reserve_walks s nw;
+  s.st.sn <- 0;
+  let cur = s.cur and next_q = s.next_q in
+  (* pairing ids [bs .. n-1] form the open block; the survivors of the
+     closed ones are stored below it *)
+  let n = ref 0 and bs = ref 0 and generated = ref 0 and over = ref 0 in
+  (* [a], member [ia] of walk [w]'s left side (with [left]) or right
+     side, against [st], the other side's staircase: one pairing per
+     in-budget member, in rising load. [cur.(k)] counts the pass's
+     pairings. *)
+  let visit (st : Flat.stair) w (l : t array) (r : t array) ~left ia (a : t) k =
+    let lo = ref 0 and hi = ref st.sn in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if a.p +. st.sv.(mid) > budget then lo := mid + 1 else hi := mid
+    done;
+    over := !over + !lo;
+    Flat.reserve s ~used:!n (!n + st.sn - !lo);
+    generated := !generated + st.sn - !lo;
+    (* newest first, the right pass before the left one, walk by walk *)
+    let base = ((2 * w) + if left then 1 else 0) lsl 40 in
+    for m = !lo to st.sn - 1 do
+      let ib = st.si.(m) in
+      if left then begin
+        let b = r.(ib) in
+        put s !n w ia ib a b (a.p +. b.p)
+      end
+      else begin
+        let b = l.(ib) in
+        put s !n w ib ia b a (b.p +. a.p)
+      end;
+      s.rank.(!n) <- base - 1 - cur.(k);
+      s.perm.(!n) <- !n;
+      cur.(k) <- cur.(k) + 1;
+      incr n
+    done
+  in
+  (* walk [w]'s next member: the right one on equal slack *)
+  let next w =
     let (l : t array), (r : t array) = walks.(w) in
-    let a = l.(il) and b = r.(ir) in
-    Flat.reserve s ~used:!n (!n + 1);
-    put s !n w il ir a b (a.p +. b.p);
-    incr n
+    let il = cur.(5 * w) and ir = cur.((5 * w) + 1) in
+    if ir < Array.length r && (il = Array.length l || r.(ir).q >= l.(il).q) then begin
+      cur.((5 * w) + 4) <- 2;
+      next_q.(w) <- r.(ir).q
+    end
+    else if il < Array.length l then begin
+      cur.((5 * w) + 4) <- 1;
+      next_q.(w) <- l.(il).q
+    end
+    else cur.((5 * w) + 4) <- 0
   in
-  (* [walk] against the staircase of [prefix]; [pair] emits one pairing
-     given the walking candidate's and the member's indices *)
-  let pass ~strict (walk : t array) (prefix : t array) pair =
-    s.sn <- 0;
-    let j = ref 0 in
-    Array.iteri
-      (fun ia (a : t) ->
-        while
-          !j < Array.length prefix
-          && if strict then prefix.(!j).q > a.q else prefix.(!j).q >= a.q
-        do
-          let b = prefix.(!j) in
-          ignore (Flat.stair_add s b.c b.p !j);
-          incr j
-        done;
-        let lo = ref 0 and hi = ref s.sn in
-        while !lo < !hi do
-          let mid = (!lo + !hi) lsr 1 in
-          if a.p +. s.sv.(mid) > budget then lo := mid + 1 else hi := mid
-        done;
-        over := !over + !lo;
-        for k = !lo to s.sn - 1 do
-          pair ia s.si.(k)
-        done)
-      walk
-  in
-  Array.iteri
-    (fun w (l, r) ->
-      let first = !n in
-      pass ~strict:false l r (emit w);
-      pass ~strict:true r l (fun ir il -> emit w il ir);
-      for k = first to !n - 1 do
-        s.perm.(k) <- first + !n - 1 - k
-      done)
-    walks;
-  let n = !n in
-  Flat.sort_perm s 0 n;
-  let kept = s.aux and nk = ref 0 in
-  s.sn <- 0;
-  for r = 0 to n - 1 do
-    let x = s.perm.(r) in
-    if (not prune) || Flat.stair_add s (-.s.xs.((5 * x) + 1)) s.xs.((5 * x) + 4) x then begin
-      kept.(!nk) <- x;
-      incr nk
+  for w = 0 to nw - 1 do
+    next w
+  done;
+  let live = ref true in
+  while !live do
+    (* the walk whose next member has the highest slack *)
+    let w = ref (-1) in
+    for v = 0 to nw - 1 do
+      if cur.((5 * v) + 4) > 0 && (!w < 0 || Float.compare next_q.(v) next_q.(!w) > 0) then
+        w := v
+    done;
+    if !w < 0 then live := false
+    else begin
+      let w = !w in
+      (* a lower slack closes the open block *)
+      if !n > !bs && Float.compare next_q.(w) s.xs.((5 * !bs) + 1) < 0 then begin
+        if prune then n := Flat.sweep_block s !bs !n;
+        bs := !n
+      end;
+      let (l : t array), (r : t array) = walks.(w) in
+      let il = cur.(5 * w) and ir = cur.((5 * w) + 1) in
+      (* a side's staircase serves only the other side's members still
+         to come: none left, nothing to add *)
+      if cur.((5 * w) + 4) = 2 then begin
+        let b = r.(ir) in
+        visit s.walk_st.(2 * w) w l r ~left:false ir b ((5 * w) + 3);
+        if il < Array.length l then ignore (stair_add s.walk_st.((2 * w) + 1) b.c b.p ir);
+        cur.((5 * w) + 1) <- ir + 1
+      end
+      else begin
+        let a = l.(il) in
+        visit s.walk_st.((2 * w) + 1) w l r ~left:true il a ((5 * w) + 2);
+        if ir < Array.length r then ignore (stair_add s.walk_st.(2 * w) a.c a.p il);
+        cur.(5 * w) <- il + 1
+      end;
+      next w
     end
   done;
-  (joined s ~arena walks !nk, n, n - !nk, !over)
+  if prune && !n > !bs then n := Flat.sweep_block s !bs !n;
+  let nk = !n in
+  for x = 0 to nk - 1 do
+    s.perm.(x) <- x
+  done;
+  Flat.sort_perm s Flat.Load 0 nk;
+  (joined s ~arena walks s.perm nk, !generated, !generated - nk, !over)

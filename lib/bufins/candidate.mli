@@ -292,6 +292,12 @@ val by_slack : t list -> t array
     {!merge_delay_power} walks and folds it. A branch node sorts each
     child group once and hands the array to every walk that reads it. *)
 
+val by_energy : scratch:scratch -> t array -> int array
+(** [by_energy ~scratch group]: the group's indices, ascending by
+    energy, ties by index, in the first [Array.length group] entries of
+    the returned array — a scratch array, valid until the scratch's next
+    use. Buffer insertion's energy order in power mode. *)
+
 val merge_delay_power :
   scratch:scratch ->
   arena:Trace.arena ->
@@ -306,10 +312,12 @@ val merge_delay_power :
     the other side's equal-or-better-slack members; a skipped pairing
     is weakly dominated by an enumerated one — and skips those whose
     energy exceeds [budget] before writing anything. The rest are
-    decided on their coordinates: sorted by [cmp_frontier_power] and
-    swept as {!sweep_delay_power} would (not at all without [prune]).
-    Survivors, their order and every tie are those of materializing the
-    pairings, walk by walk, each walk newest pairing first, then
-    [sweep_delay_power (List.sort cmp_frontier_power pairings)].
+    decided on their coordinates, in the falling-slack order the walks
+    emit them in, against a (load, energy) staircase; only the
+    survivors are sorted by [cmp_frontier_power] (every pairing without
+    [prune], which sweeps nothing). Survivors, their order and every
+    tie are those of materializing the pairings, walk by walk, each
+    walk newest pairing first, then
+    [sweep_delay_power (List.stable_sort cmp_frontier_power pairings)].
     [generated] counts the in-budget pairings, [dropped] those the
     sweep removed, and [skipped] those over budget. *)

@@ -410,11 +410,7 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
                 best_i;
               [||]
             end
-            else begin
-              let ord = Array.init (Array.length cands) Fun.id in
-              Array.stable_sort (fun x y -> Float.compare cands.(x).C.p cands.(y).C.p) ord;
-              ord
-            end
+            else C.by_energy ~scratch cands
           in
           for ti = 0 to ntypes - 1 do
             let b = plib.Tech.Lib.bufs.(ti) in
@@ -435,6 +431,9 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
                  over-budget ones are skipped before materialization and
                  counted as [power_pruned]. *)
               let e = plib.Tech.Lib.energy.(ti) in
+              (* [Tech.Buffer.gate_delay]'s expression on the prepared
+                 arrays: no call and no boxed float per source *)
+              let d_b = plib.Tech.Lib.d_b.(ti) and r_b = plib.Tech.Lib.r_b.(ti) in
               let n = Array.length cands in
               let members = ref [] in
               (* best slack of the cheaper runs; NaN until the first
@@ -447,7 +446,7 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
                 while !k < n && cands.(by_energy.(!k)).C.p +. e = pw do
                   let j = by_energy.(!k) in
                   let a = cands.(j) in
-                  let s = a.C.q -. Tech.Buffer.gate_delay b ~load:a.C.c in
+                  let s = a.C.q -. (d_b +. (r_b *. a.C.c)) in
                   if !rep < 0 || s > !rep_s || (s = !rep_s && j < !rep) then begin
                     rep := j;
                     rep_s := s

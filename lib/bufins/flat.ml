@@ -1,44 +1,86 @@
 (* One run's reusable arrays, grown by doubling (flat.mli). *)
 
-type t = {
-  mutable xs : float array;  (* pairing coordinates, stride 5: c, q, i, ns, p *)
-  mutable js : int array;  (* pairing origins, stride 3: walk, left, right *)
-  mutable perm : int array;  (* sort permutation of pairing ids *)
-  mutable aux : int array;  (* merge-sort buffer, then the kept stack *)
-  mutable sk : float array;  (* staircase keys, strictly ascending *)
-  mutable sv : float array;  (* staircase values, strictly descending *)
-  mutable si : int array;  (* staircase member ids *)
-  mutable sn : int;  (* staircase size *)
+type stair = {
+  mutable sk : float array;  (* keys, strictly ascending *)
+  mutable sv : float array;  (* values, strictly descending *)
+  mutable si : int array;  (* member ids *)
+  mutable sn : int;  (* size *)
+  pt : float array;  (* the point [stair_add] inserts: key, value *)
 }
 
+type t = {
+  mutable xs : float array;  (* pairing coordinates, stride 5: c, q, i, ns, p *)
+  mutable js : int array;  (* pairing origins, stride 2: walk, left lsl 32 lor right *)
+  mutable rank : int array;  (* pairing tie ranks *)
+  mutable perm : int array;  (* sort permutation of pairing ids *)
+  mutable aux : int array;  (* merge-sort buffer, then the kept stack or marks *)
+  st : stair;
+  mutable walk_st : stair array;  (* two per walk: the left side's, the right side's *)
+  mutable cur : int array;
+      (* five per walk: left and right cursors, left and right pass counts, next side *)
+  mutable next_q : float array;  (* per walk: its next member's slack *)
+}
+
+let stair () = { sk = [||]; sv = [||]; si = [||]; sn = 0; pt = [| 0.0; 0.0 |] }
+
+(* origins and ranks pack two fields into one int *)
 let create () =
-  { xs = [||]; js = [||]; perm = [||]; aux = [||]; sk = [||]; sv = [||]; si = [||]; sn = 0 }
+  if Sys.int_size < 63 then invalid_arg "Flat.create: needs 63-bit ints";
+  {
+    xs = [||];
+    js = [||];
+    rank = [||];
+    perm = [||];
+    aux = [||];
+    st = stair ();
+    walk_st = [||];
+    cur = [||];
+    next_q = [||];
+  }
 
 (* room for [n] pairings, keeping the first [used] written *)
 let reserve s ~used n =
   if Array.length s.perm < n then begin
     let m = max n (2 * Array.length s.perm) in
-    let xs = Array.make (5 * m) 0.0 and js = Array.make (3 * m) 0 and perm = Array.make m 0 in
-    Array.blit s.xs 0 xs 0 (5 * used);
-    Array.blit s.js 0 js 0 (3 * used);
-    Array.blit s.perm 0 perm 0 used;
-    s.xs <- xs;
-    s.js <- js;
-    s.perm <- perm;
+    let grow a stride z =
+      let b = Array.make (stride * m) z in
+      Array.blit a 0 b 0 (stride * used);
+      b
+    in
+    s.xs <- grow s.xs 5 0.0;
+    s.js <- grow s.js 2 0;
+    s.rank <- grow s.rank 1 0;
+    s.perm <- grow s.perm 1 0;
     s.aux <- Array.make m 0
   end
+
+(* room for [nw] walks, their staircases empty and cursors at 0 *)
+let reserve_walks s nw =
+  if Array.length s.next_q < nw then begin
+    let m = max nw (2 * Array.length s.next_q) in
+    let old = s.walk_st in
+    s.walk_st <- Array.init (2 * m) (fun k -> if k < Array.length old then old.(k) else stair ());
+    s.cur <- Array.make (5 * m) 0;
+    s.next_q <- Array.make m 0.0
+  end;
+  for k = 0 to (2 * nw) - 1 do
+    s.walk_st.(k).sn <- 0
+  done;
+  Array.fill s.cur 0 (5 * nw) 0
 
 (* The 2D staircase every power-mode kernel keeps (DESIGN.md §16): the
    (key, value) points of its members, mutually non-dominated, so
    values strictly fall as keys rise, in sorted parallel arrays.
-   [stair_add s k v id] refuses a point that a member with key <= k
+   [stair_add st k v id] refuses a point that a member with key <= k
    and value <= v dominates — the member just left of [k]'s position
    is the only one to ask — and otherwise evicts the members it
    dominates (key >= k, value >= v: a contiguous run from that
    position) and takes their place with one blit. Returns whether the
-   point went in. *)
-let stair_add s k v id =
-  let n = s.sn and keys = s.sk and vals = s.sv in
+   point went in. The point comes in [st.pt], so that no float is boxed
+   on the way in. *)
+let stair_add st id =
+  let k = st.pt.(0) and v = st.pt.(1) in
+  let n = st.sn and keys = st.sk and vals = st.sv in
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
@@ -61,19 +103,19 @@ let stair_add s k v id =
         Array.blit a 0 b 0 n;
         b
       in
-      s.sk <- grow keys 0.0;
-      s.sv <- grow vals 0.0;
-      s.si <- grow s.si 0
+      st.sk <- grow keys 0.0;
+      st.sv <- grow vals 0.0;
+      st.si <- grow st.si 0
     end;
     if shift <> 0 then begin
-      Array.blit s.sk !j s.sk (!j + shift) (n - !j);
-      Array.blit s.sv !j s.sv (!j + shift) (n - !j);
-      Array.blit s.si !j s.si (!j + shift) (n - !j)
+      Array.blit st.sk !j st.sk (!j + shift) (n - !j);
+      Array.blit st.sv !j st.sv (!j + shift) (n - !j);
+      Array.blit st.si !j st.si (!j + shift) (n - !j)
     end;
-    s.sk.(lo) <- k;
-    s.sv.(lo) <- v;
-    s.si.(lo) <- id;
-    s.sn <- n + shift;
+    st.sk.(lo) <- k;
+    st.sv.(lo) <- v;
+    st.si.(lo) <- id;
+    st.sn <- n + shift;
     true
   end
 
@@ -93,15 +135,35 @@ let[@inline] cmp_at (xs : float array) a b =
       | n -> n)
   | n -> n
 
-(* the stable merge of the runs [perm.(lo .. mid-1)] and
+type order = Plain | Load | Slack | Energy
+
+let[@inline] by_load s a b =
+  match cmp_at s.xs a b with 0 -> Int.compare s.rank.(a) s.rank.(b) | n -> n
+
+(* the order [o] on pairings [a] and [b]; every order but [Plain] ends
+   on a key no two pairings share. On equal slack, [Load] is [Slack]'s
+   tail. *)
+let[@inline] cmp s o a b =
+  let xs = s.xs in
+  match o with
+  | Plain -> cmp_at xs a b
+  | Load -> by_load s a b
+  | Slack -> (
+      match Float.compare xs.((5 * b) + 1) xs.((5 * a) + 1) with 0 -> by_load s a b | n -> n)
+  | Energy -> (
+      match Float.compare xs.((5 * a) + 4) xs.((5 * b) + 4) with
+      | 0 -> Int.compare a b
+      | n -> n)
+
+(* the stable merge, by [o], of the runs [perm.(lo .. mid-1)] and
    [perm.(mid .. hi-1)]: the smaller head goes first, the left one on
    ties *)
-let merge s lo mid hi =
-  let xs = s.xs and perm = s.perm and aux = s.aux in
+let merge s o lo mid hi =
+  let perm = s.perm and aux = s.aux in
   Array.blit perm lo aux lo (mid - lo);
   let i = ref lo and j = ref mid and k = ref lo in
   while !i < mid && !j < hi do
-    if cmp_at xs perm.(!j) aux.(!i) < 0 then begin
+    if cmp s o perm.(!j) aux.(!i) < 0 then begin
       perm.(!k) <- perm.(!j);
       incr j
     end
@@ -113,15 +175,15 @@ let merge s lo mid hi =
   done;
   Array.blit aux !i perm !k (mid - !i)
 
-(* stable top-down merge sort of [perm.(lo .. hi-1)]; a half already in
-   order relative to the other is left alone, which makes the nearly
-   sorted rows of a pairing walk cheap *)
-let rec sort_perm s lo hi =
+(* stable top-down merge sort of [perm.(lo .. hi-1)] by [o]; a half
+   already in order relative to the other is left alone, which makes
+   the nearly sorted rows of a pairing walk cheap *)
+let rec sort_perm s o lo hi =
   if hi - lo >= 2 then begin
     let mid = (lo + hi) / 2 in
-    sort_perm s lo mid;
-    sort_perm s mid hi;
-    if cmp_at s.xs s.perm.(mid - 1) s.perm.(mid) > 0 then merge s lo mid hi
+    sort_perm s o lo mid;
+    sort_perm s o mid hi;
+    if cmp s o s.perm.(mid - 1) s.perm.(mid) > 0 then merge s o lo mid hi
   end
 
 (* balanced pairwise merging of runs [lo .. hi-1]; no shortcut, since a
@@ -132,5 +194,41 @@ let rec merge_runs s starts lo hi =
     let mid = (lo + hi) / 2 in
     merge_runs s starts lo mid;
     merge_runs s starts mid hi;
-    merge s starts.(lo) starts.(mid) starts.(hi)
+    merge s Plain starts.(lo) starts.(mid) starts.(hi)
+  end
+
+(* pairing [x] onto [st] at (load, energy), if nothing there dominates it *)
+let sweep_one s x =
+  s.st.pt.(0) <- s.xs.(5 * x);
+  s.st.pt.(1) <- s.xs.((5 * x) + 4);
+  stair_add s.st x
+
+(* The sweep of pairings [lo .. hi-1], all of one slack: in [Slack]
+   order, each goes onto [st] or is dropped; the survivors move down to
+   [lo ..], in id order, and their end is returned. *)
+let sweep_block s lo hi =
+  if hi - lo = 1 then if sweep_one s lo then hi else lo
+  else begin
+    let xs = s.xs in
+    sort_perm s Slack lo hi;
+    let keep = s.aux in
+    for r = lo to hi - 1 do
+      let x = s.perm.(r) in
+      keep.(x - lo) <- (if sweep_one s x then 1 else 0)
+    done;
+    let nk = ref lo in
+    for x = lo to hi - 1 do
+      if keep.(x - lo) = 1 then begin
+        if !nk < x then begin
+          for k = 0 to 4 do
+            xs.((5 * !nk) + k) <- xs.((5 * x) + k)
+          done;
+          s.js.(2 * !nk) <- s.js.(2 * x);
+          s.js.((2 * !nk) + 1) <- s.js.((2 * x) + 1);
+          s.rank.(!nk) <- s.rank.(x)
+        end;
+        incr nk
+      end
+    done;
+    !nk
   end

@@ -413,6 +413,24 @@ let tests =
             ("delay k16", false, Bufins.Dp.Per_count 16, (41238, 10535, 25602, 0, 31), 24353);
             ("noise", true, Bufins.Dp.Single, (9095, 5142, 317, 0, 16), 3256);
           ]);
+    case "power-mode counters and arena are pinned" (fun () ->
+        (* The 50-sink caterpillar under [Power_bounded] on the first
+           four library types, kmax 8, at half the Per_count 8 winner's
+           energy (literal, so the pin depends on no other run). The
+           branch merge decides its pairings on coordinates and joins
+           the survivors only, so every counter and the arena are those
+           of the materializing merge's enumeration. *)
+        let lib = List.filteri (fun i _ -> i < 4) lib in
+        let seg = Rctree.Segment.refine (Fixtures.caterpillar process 50) ~max_len:500e-6 in
+        let mode = Bufins.Dp.Power_bounded { budget = 0x1.3a8809b29e2bdp-44; kmax = 8 } in
+        let s = (Bufins.Dp.run ~noise:false ~mode ~lib seg).Bufins.Dp.stats in
+        let check what = Alcotest.(check int) ("power: " ^ what) in
+        check "generated" 469569 s.Bufins.Dp.generated;
+        check "pruned" 265814 s.Bufins.Dp.pruned;
+        check "pred_pruned" 0 s.Bufins.Dp.pred_pruned;
+        check "power_pruned" 73331 s.Bufins.Dp.power_pruned;
+        check "peak_width" 1267 s.Bufins.Dp.peak_width;
+        check "arena" 99342 s.Bufins.Dp.arena);
     case "finer segmenting can rescue infeasibility" (fun () ->
         let t = Fixtures.two_pin process ~len:12e-3 in
         let coarse = Rctree.Segment.refine t ~max_len:6e-3 in

@@ -275,13 +275,13 @@ let candidate_tests =
   (* the DP's delay-power branch merge of the walks feeding one slot;
      its counts must add up: every in-budget pairing is generated, and
      all but the survivors are dropped *)
-  let merge_power ?(arena = Bufins.Trace.create ()) ~budget walks =
+  let merge_power ?(arena = Bufins.Trace.create ()) ?(prune = true) ~budget walks =
     let kept, generated, dropped, _ =
-      Bufins.Candidate.merge_delay_power ~scratch ~arena ~budget
-        ~prune:true
+      Bufins.Candidate.merge_delay_power ~scratch ~arena ~budget ~prune
         (List.map (fun (l, r) -> (Bufins.Candidate.by_slack l, Bufins.Candidate.by_slack r)) walks)
     in
     if generated - dropped <> List.length kept then Alcotest.fail "merge counts";
+    if (not prune) && dropped <> 0 then Alcotest.fail "an unpruned merge dropped pairings";
     kept
   in
   let strip = List.map (fun (x : Bufins.Candidate.t) -> { x with Bufins.Candidate.tr = 0.0 }) in
@@ -428,8 +428,27 @@ let candidate_tests =
         Bufins.Trace.placements arena h = List.rev sol
         && Bufins.Trace.sizes arena h = sizes);
     (let scratch = Bufins.Candidate.scratch () in
-     qcase ~count:80 "coordinates-first noise merge matches the list sweep"
-       QCheck2.Gen.(pair gen4 gen4)
+     (* coordinates from subnormal to 1e300 beside small grid values,
+        slacks and noise slacks of either sign; members repeat a pool's
+        loads, so equal loads (and equal merged loads) are common *)
+     let gen_extreme =
+       QCheck2.Gen.(
+         let mag scale =
+           oneof
+             [ oneofl [ 0.0; 5e-324; 2.5e-310; 1e-300; 1e300 ];
+               map (fun k -> float_of_int k *. scale) (int_range 1 6) ]
+         in
+         let signed scale = map2 (fun sign x -> sign *. x) (oneofl [ 1.0; -1.0 ]) (mag scale) in
+         let* loads = array_repeat 3 (mag 1e-15) in
+         list_size (int_range 1 30)
+           (let* c = oneof [ mag 1e-15; map (fun k -> loads.(k)) (int_range 0 2) ]
+            and* q = signed 1e-10
+            and* i = mag 1e-3
+            and* ns = signed 0.1 in
+            pure { (mk c q) with Bufins.Candidate.i; ns }))
+     in
+     qcase ~count:300 "coordinates-first noise merge matches the list sweep"
+       QCheck2.Gen.(oneof [ pair gen4 gen4; pair gen_extreme gen_extreme ])
        (fun (a, b) ->
          (* every candidate carries a unique energy tag, so a pairing's
             [p] names it and ties are checked to resolve to the same
@@ -462,6 +481,15 @@ let candidate_tests =
              && dropped + prekilled = ldrop
              && (bound > 0.0 || prekilled = 0))
            [ 0.0; 1e5 ]));
+    qcase ~count:200 "insertion's energy order is the stable sort by energy" gen_power
+      (fun cands ->
+        (* grid energies, so ties are common and must keep group order *)
+        let a = Array.of_list cands in
+        let by_energy = Bufins.Candidate.by_energy ~scratch a in
+        List.init (Array.length a) (fun k -> by_energy.(k))
+        = List.stable_sort
+            (fun x y -> Float.compare a.(x).Bufins.Candidate.p a.(y).Bufins.Candidate.p)
+            (List.init (Array.length a) Fun.id));
     qcase ~count:200 "delay-power sweep matches the quadratic 3-axis sweep" gen_power
       (fun cands ->
         (* load is sorted, so a candidate falls iff an earlier survivor
@@ -509,7 +537,12 @@ let candidate_tests =
            them in emission order, lists each walk newest pairing first
            and the walks in the order given, then sorts stably and
            sweeps: the coordinates-first merge must pick the same
-           pairing out of every run of equal coordinates. *)
+           pairing out of every run of equal coordinates. The three
+           walks share groups, and the groups' slacks come from seven
+           grid values, so equal merged slacks arrive from different
+           walks and from both passes of one walk. Without pruning,
+           every in-budget pairing must come out in that stable
+           order. *)
         let budget = Float.ldexp (float_of_int cut) (-50) in
         let arena = Bufins.Trace.create () in
         let buffer = List.hd Tech.Lib.default_library in
@@ -521,7 +554,7 @@ let candidate_tests =
               { x with Bufins.Candidate.tr = float_of_int h })
         in
         let l = tag l and r = tag r and m = tag m in
-        let walks = [ (l, r); (m, r) ] in
+        let walks = [ (l, r); (m, r); (l, m) ] in
         let open Bufins.Candidate in
         let slack_order g = Array.to_list (by_slack g) in
         let pass ~strict walk prefix emit =
@@ -545,14 +578,14 @@ let candidate_tests =
           pass ~strict:true (slack_order r) (slack_order l) (fun b a -> emit a b);
           !pairs
         in
-        let reference =
-          ref_sweep_power (List.stable_sort cmp_frontier_power (List.concat_map run walks))
-        in
-        let kept = merge_power ~arena ~budget walks in
+        let listed = List.stable_sort cmp_frontier_power (List.concat_map run walks) in
         let nodes (x : t) =
           List.map (fun p -> p.Rctree.Surgery.node) (Bufins.Trace.placements arena (trace x))
         in
-        List.map nodes kept = List.map nodes reference);
+        List.map nodes (merge_power ~arena ~budget walks)
+        = List.map nodes (ref_sweep_power listed)
+        && List.map nodes (merge_power ~arena ~prune:false ~budget walks)
+           = List.map nodes listed);
     (* The insertion's one-pass source choice against the per-type scan
        it replaced, on groups with duplicate members, equal slacks,
        currents and noise slacks on the [noise_tol] boundary, and
