@@ -114,15 +114,10 @@ let dot_cmd file out optimize =
   | None -> print_string (Rctree.Dot.render ~name:net.Steiner.Net.nname tree));
   0
 
-(* the front end: .blif or .design input, optional .lib cell/buffer
-   libraries, one warning line when the readers skipped anything *)
-let load_design file cells liberty =
-  let options =
-    match cells with
-    | Some c -> { Ingest.Elab.default_options with Ingest.Elab.cells = Sta.Cellfile.read c }
-    | None -> Ingest.Elab.default_options
-  in
-  let design, buffers, warnings = Ingest.Elab.load ~options ?liberty file in
+(* the front end: .blif or .design input, an optional .lib cell/buffer
+   library, one warning line when the readers skipped anything *)
+let load_design file liberty =
+  let design, buffers, warnings = Ingest.Elab.load ?liberty file in
   if warnings > 0 then Printf.eprintf "front-end: %d warning(s)\n" warnings;
   Printf.printf "design: %s\n" (Sta.Design.stats design);
   (design, buffers)
@@ -133,7 +128,7 @@ let batch_cmd file algo seg_um kmax jobs retries liberty =
       prerr_endline m;
       1
   | Ok algorithm ->
-      let design, lib = load_design file None liberty in
+      let design, lib = load_design file liberty in
       (* one STA pass supplies every net's RATs measured from its driving
          pin — the same derivation the full flow uses per round *)
       let jobs_list = Sta.Engine.batch_jobs process design in
@@ -149,8 +144,8 @@ let batch_cmd file algo seg_um kmax jobs retries liberty =
           List.iter (Printf.eprintf "infeasible net: %s\n") bad;
           1)
 
-let flow_cmd file iterations cells liberty =
-  let design, lib = load_design file cells liberty in
+let flow_cmd file iterations liberty =
+  let design, lib = load_design file liberty in
   let r = Sta.Flow.optimize ~iterations process ~lib design in
   print_endline (Sta.Flow.summary r);
   if r.Sta.Flow.after.Sta.Engine.noisy_nets > 0 || r.Sta.Flow.after.Sta.Engine.wns < 0.0 then 1
@@ -405,18 +400,12 @@ let () =
         & opt (int_at_least 1) 2
         & info [ "iterations" ] ~docv:"N" ~doc:"STA/optimize rounds.")
     in
-    let cells =
-      Arg.(
-        value
-        & opt (some file) None
-        & info [ "cells" ] ~docv:"FILE" ~doc:"Cell library file (see Sta.Cellfile).")
-    in
     Cmd.v
       (Cmd.info "flow"
          ~doc:
            "Run the STA-driven whole-design flow on a design file or BLIF netlist (see \
             buffopt gen-design).")
-      Term.(const flow_cmd $ file_arg $ iters $ cells $ liberty_arg)
+      Term.(const flow_cmd $ file_arg $ iters $ liberty_arg)
   in
   let fuzz =
     let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"Campaign master seed.") in

@@ -44,15 +44,15 @@ let add_wire (w : T.wire) a =
     ns = a.ns -. (w.T.res *. (a.i +. (w.T.cur /. 2.0)));
   }
 
-(* [b] inserted on top of [a], with solution handle [tr] (an int, so
-   that no boxed float is passed) *)
-let buffered (b : Tech.Buffer.t) a tr =
+(* [b] inserted on top of [a] at slack [q], with solution handle [tr]
+   (an int, so that no boxed float is passed) *)
+let buffered (b : Tech.Buffer.t) a q tr =
   (* meta + 2 bumps the count; the xor flips the parity bit only *)
   let m = int_of_float a.meta + 2 in
   let m = if b.Tech.Buffer.inverting then m lxor 1 else m in
   {
     c = b.Tech.Buffer.c_in;
-    q = a.q -. Tech.Buffer.gate_delay b ~load:a.c;
+    q;
     i = 0.0;
     ns = b.Tech.Buffer.nm;
     p = a.p +. b.Tech.Buffer.energy;
@@ -61,12 +61,14 @@ let buffered (b : Tech.Buffer.t) a tr =
   }
 
 let add_buffer ~arena ~at b a =
-  buffered b a (Trace.buf arena ~node:at ~dist:0.0 ~buffer:b ~pred:(trace a))
+  buffered b a
+    (a.q -. Tech.Buffer.gate_delay b ~load:a.c)
+    (Trace.buf arena ~node:at ~dist:0.0 ~buffer:b ~pred:(trace a))
 
 (* A stand-in's [tr] is [-(1 + k + ntypes * trace a)] for type [k] on
    source [a]: negative, so it names no arena node, and exact, so
    [materialize] reads the type and the source's handle back. *)
-let stand_in ~ntypes k b a = buffered b a (-(1 + k + (ntypes * trace a)))
+let stand_in ~ntypes k b a q = buffered b a q (-(1 + k + (ntypes * trace a)))
 
 let materialize ~arena ~at (bufs : Tech.Buffer.t array) ~c_max group =
   let ntypes = Array.length bufs in
@@ -95,26 +97,6 @@ let add_driver (d : T.driver) a = { a with q = a.q -. (d.T.d_drv +. (d.T.r_drv *
 let noise_tol = 1e-12
 
 let noise_ok ~r_gate a = r_gate *. a.i <= a.ns +. noise_tol
-
-(* One pass over the group for every type at once, with the very
-   expressions of [noise_ok] and [Tech.Buffer.gate_delay]; the running
-   best lives in float and int arrays, so the pass stores no pointer. *)
-let best_sources ~guard ~r_b ~d_b (group : t array) slack pick =
-  Array.fill slack 0 (Array.length slack) neg_infinity;
-  for j = 0 to Array.length group - 1 do
-    let a = group.(j) in
-    let room = a.ns +. noise_tol in
-    for k = 0 to Array.length slack - 1 do
-      let r = r_b.(k) in
-      if (not guard) || r *. a.i <= room then begin
-        let s = a.q -. (d_b.(k) +. (r *. a.c)) in
-        if s > slack.(k) then begin
-          slack.(k) <- s;
-          pick.(k) <- j
-        end
-      end
-    done
-  done
 
 let merge ~arena a b =
   assert (parity a = parity b);
@@ -508,6 +490,90 @@ let by_energy ~scratch:(s : Flat.t) (group : t array) =
   done;
   Flat.sort_perm s Flat.Energy 0 n;
   s.perm
+
+(* Buffer insertion's source choice (Figs. 5 and 11; candidate.mli).
+   The slack is [noise_ok]'s and [Tech.Buffer.gate_delay]'s very
+   expression on the prepared arrays: no call, no boxed float. *)
+let sources ~scratch:(s : Flat.t) ~power ~guard (lib : Tech.Lib.prepared) (group : t array) =
+  let r_b = lib.Tech.Lib.r_b and d_b = lib.Tech.Lib.d_b in
+  let ntypes = Array.length r_b and n = Array.length group in
+  let m = ref 0 in
+  if not power then begin
+    (* one pass for every type, the running best in entry [k] *)
+    Flat.reserve s ~used:0 ntypes;
+    let xs = s.xs and js = s.js in
+    for k = 0 to ntypes - 1 do
+      xs.((5 * k) + 1) <- neg_infinity
+    done;
+    for j = 0 to n - 1 do
+      let a = group.(j) in
+      let room = a.ns +. noise_tol in
+      for k = 0 to ntypes - 1 do
+        let r = r_b.(k) in
+        if (not guard) || r *. a.i <= room then begin
+          let q = a.q -. (d_b.(k) +. (r *. a.c)) in
+          if q > xs.((5 * k) + 1) then begin
+            xs.((5 * k) + 1) <- q;
+            js.((2 * k) + 1) <- j
+          end
+        end
+      done
+    done;
+    (* the types some source reached, moved down *)
+    for k = 0 to ntypes - 1 do
+      if xs.((5 * k) + 1) > neg_infinity then begin
+        xs.((5 * !m) + 1) <- xs.((5 * k) + 1);
+        js.(2 * !m) <- k;
+        js.((2 * !m) + 1) <- js.((2 * k) + 1);
+        incr m
+      end
+    done
+  end
+  else begin
+    (* One pass in energy order per type: a run of equal insertion
+       energy yields its best-slack source, the first in group order on
+       ties, when that slack beats every cheaper run's. At most every
+       source is on every type's staircase; the energy order lives in
+       [perm], clear of the entries. *)
+    Flat.reserve s ~used:0 (ntypes * n);
+    let order = by_energy ~scratch:s group in
+    for k = 0 to ntypes - 1 do
+      let e = lib.Tech.Lib.energy.(k) and d = d_b.(k) and r = r_b.(k) in
+      (* [best]: the best slack of the cheaper runs, NaN until the first
+         member, so that member beats it whatever its slack *)
+      let best = ref nan and members = ref [] and x = ref 0 in
+      while !x < n do
+        let pw = group.(order.(!x)).p +. e in
+        let rep = ref (-1) and rep_q = ref neg_infinity in
+        while !x < n && group.(order.(!x)).p +. e = pw do
+          let j = order.(!x) in
+          let a = group.(j) in
+          if (not guard) || r *. a.i <= a.ns +. noise_tol then begin
+            let q = a.q -. (d +. (r *. a.c)) in
+            if !rep < 0 || q > !rep_q || (q = !rep_q && j < !rep) then begin
+              rep := j;
+              rep_q := q
+            end
+          end;
+          incr x
+        done;
+        if !rep >= 0 && not (!rep_q <= !best) then begin
+          best := !rep_q;
+          members := !rep :: !members
+        end
+      done;
+      (* found in rising slack, listed in falling slack *)
+      List.iter
+        (fun j ->
+          let a = group.(j) in
+          s.xs.((5 * !m) + 1) <- a.q -. (d +. (r *. a.c));
+          s.js.(2 * !m) <- k;
+          s.js.((2 * !m) + 1) <- j;
+          incr m)
+        !members
+    done
+  end;
+  !m
 
 (* The delay-power branch merge (DESIGN.md §16). The merged slack is
    [min qa qb], so walking one side in descending q while the other

@@ -14,9 +14,9 @@
     merge, the power-mode staircases on flat sorted arrays, and one
     branch-merge shape in three modes — delay, noise and power — which
     decides every pairing on its coordinates and materializes survivors
-    only, and the buffer insertion's one-pass source choice
-    ({!best_sources}) with its survivors-only materialization
-    ({!stand_in}, {!materialize}). *)
+    only, and buffer insertion's one source choice for every mode
+    ({!sources}) with its survivors-only materialization ({!stand_in},
+    {!materialize}). *)
 
 type t = {
   c : float;  (** downstream load seen here, F (eq. 1) *)
@@ -63,13 +63,14 @@ val add_buffer : arena:Trace.arena -> at:int -> Tech.Buffer.t -> t -> t
     Performs no noise check — callers decide (that check is exactly what
     distinguishes Algorithm 3 from Van Ginneken). *)
 
-val stand_in : ntypes:int -> int -> Tech.Buffer.t -> t -> t
-(** [stand_in ~ntypes k b a] is [add_buffer]'s candidate for [b], type
+val stand_in : ntypes:int -> int -> Tech.Buffer.t -> t -> float -> t
+(** [stand_in ~ntypes k b a q] is [add_buffer]'s candidate for [b], type
     [k] of an [ntypes]-type library, inserted on [a] — every coordinate
-    bit for bit — but it appends no arena node: its [tr] is negative
-    and encodes [k] and [trace a]. Buffer insertion decides on
-    stand-ins (the splice or sweep reads coordinates only) and
-    {!materialize}s the survivors; no stand-in may outlive its node. *)
+    bit for bit, given [q], the insertion's slack as {!sources} computes
+    it — but it appends no arena node: its [tr] is negative and encodes
+    [k] and [trace a]. Buffer insertion decides on stand-ins (the splice
+    or sweep reads coordinates only) and {!materialize}s the survivors;
+    no stand-in may outlive its node. *)
 
 val materialize :
   arena:Trace.arena -> at:int -> Tech.Buffer.t array -> c_max:float -> t list -> unit
@@ -92,24 +93,6 @@ val noise_tol : float
 val noise_ok : r_gate:float -> t -> bool
 (** Would a gate with output resistance [r_gate] driving this candidate
     respect every downstream noise margin? ([r_gate *. i <= ns +. noise_tol]) *)
-
-val best_sources :
-  guard:bool ->
-  r_b:float array ->
-  d_b:float array ->
-  t array ->
-  float array ->
-  int array ->
-  unit
-(** [best_sources ~guard ~r_b ~d_b group slack pick]: the buffer
-    insertion's source choice for every type [k] of a library given by
-    its [r_b] and [d_b] arrays, in one pass over [group]. [slack.(k)]
-    becomes the best [a.q -. Tech.Buffer.gate_delay b_k ~load:a.c] over
-    the members [a] that {!noise_ok}[ ~r_gate:r_b.(k)] admits (all of
-    them without [guard]), and [pick.(k)] the first index reaching it.
-    A type no member improves on [neg_infinity] keeps
-    [slack.(k) = neg_infinity] and an unspecified [pick.(k)]. The
-    arrays have one cell per type. *)
 
 val merge : arena:Trace.arena -> t -> t -> t
 (** Join the two branches at a node: loads and currents add, slacks take
@@ -156,11 +139,12 @@ val cmp_frontier_power : t -> t -> int
     a {!scratch}'s sorted arrays ({!sweep_delay_power},
     {!merge_delay_power}). *)
 
-type scratch
+type scratch = Flat.t
 (** A run's {!Flat} working buffers, grown on demand and reused by
     every kernel call of that run: the pairing coordinates, origins,
     sort permutation and kept stack of the coordinates-first merges, and
-    the power-mode staircase. Not shareable between domains. *)
+    the power-mode staircase, and the insertion sources {!sources}
+    chooses. Not shareable between domains. *)
 
 val scratch : unit -> scratch
 
@@ -297,6 +281,25 @@ val by_energy : scratch:scratch -> t array -> int array
     energy, ties by index, in the first [Array.length group] entries of
     the returned array — a scratch array, valid until the scratch's next
     use. Buffer insertion's energy order in power mode. *)
+
+val sources :
+  scratch:scratch -> power:bool -> guard:bool -> Tech.Lib.prepared -> t array -> int
+(** [sources ~scratch ~power ~guard lib group]: buffer insertion's
+    source choice for every type of [lib] on one group, the paper's
+    Step 5 (Figs. 5 and 11). A source is a member [a] of [group] that
+    {!noise_ok}[ ~r_gate:r_b] admits for the type (every member without
+    [guard]); its insertion slack is
+    [a.q -. Tech.Buffer.gate_delay b ~load:a.c] and its energy
+    [a.p +. b.energy]. Without [power], each type gets its best-slack
+    source, the first in group order on equal slack, unless no source
+    reaches a slack above [neg_infinity]. With [power], each type gets
+    its (slack, energy) staircase: every source that no other source
+    weakly dominates — none has slack [>=] and energy [<=] its own
+    unless both are equal and it comes later in the group. Returns the
+    number [n] of entries; entry [m < n] is type [js.(2m)], source
+    index [js.(2m+1)] and insertion slack [xs.(5m+1)] of the scratch,
+    the types ascending and, within a type, the slacks falling. Valid
+    until the scratch's next use. *)
 
 val merge_delay_power :
   scratch:scratch ->

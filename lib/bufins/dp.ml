@@ -39,7 +39,8 @@ type outcome = { best : result option; by_count : result option array; stats : s
    Every frontier is kept sorted by Candidate.cmp_frontier (load
    ascending) end-to-end: wires shift whole groups monotonically, the
    linear merge emits its pairings in load order, and buffer insertions
-   splice in at most one sorted candidate per (group, buffer type).
+   splice in sorted: at most one per (group, buffer type), or in power
+   mode one per member of a type's (slack, energy) staircase.
    Pruning is therefore a single linear sweep per group — (c, q)
    staircase in delay mode, full (c, q, i, ns) dominance in noise mode
    (see Candidate.dominates_full for why delay-mode pruning loses
@@ -251,6 +252,16 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
       kept
     end
   in
+  (* sorted insertions into a group: the fused staircase splice in
+     delay mode, a merge and a sweep otherwise *)
+  let splice_in ~bound group cands =
+    if prune && staircase && not power then begin
+      let kept, dropped = C.splice_delay group cands in
+      pruned := !pruned + dropped;
+      kept
+    end
+    else sweep ~bound (List.merge cmp_order group cands)
+  in
   let drop_noisy cands =
     if not noise then cands
     else
@@ -264,12 +275,8 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
   in
   (* in noise mode a gate never drives a candidate it would make noisy *)
   let guard = noise && attach_guard in
-  (* One source-choice state for the whole run: [C.best_sources] writes
-     each group's per-type best slack and source index into these
-     unboxed arrays, so the insertion scan allocates nothing per type.
-     [c_max] bounds every insertion's load, hence where its stand-ins
-     can sit in a load-sorted group. *)
-  let best_s = Array.make ntypes neg_infinity and best_i = Array.make ntypes 0 in
+  (* [c_max] bounds every insertion's load, hence where its stand-ins
+     can sit in a load-sorted group *)
   let c_max = Array.fold_left Float.max neg_infinity plib.Tech.Lib.c_in in
   let note_width tbl =
     Array.iter
@@ -378,106 +385,45 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
         runs
     end
   in
-  (* Step 5 (Figs. 5 and 11): buffer insertions at a feasible node. All
-     insertions of one buffer type into one group share their load (c_in),
-     current (0) and noise slack (the buffer's own margin) — only the
-     resulting slack differs — so the best-slack eligible source per
-     (group, type) gives the one insertion that can survive pruning; one
-     pass over the group finds it for every type ([C.best_sources]). In
-     noise mode a buffer is never attached to a candidate it would make
-     noisy; the unbuffered noise frontier itself stays in the group, so a
-     quieter-but-slower candidate survives for upstream wires to consume.
-     Outside power mode an insertion enters its target's splice or sweep
-     as a [C.stand_in], and only the survivors get their Trace node. *)
+  (* Step 5 (Figs. 5 and 11): buffer insertions at a feasible node.
+     [C.sources] chooses every type's sources for a group: the one
+     best-slack source, or in power mode the (slack, energy) staircase
+     of sources. In noise mode a buffer is never attached to a candidate
+     it would make noisy; the unbuffered noise frontier itself stays in
+     the group, so a quieter-but-slower candidate survives for upstream
+     wires to consume. Each source's destination group is known before
+     anything is materialized: an over-budget insertion is counted as
+     [power_pruned], one the target group already covers as
+     [pred_pruned], and the rest enter the target's splice or sweep as
+     [C.stand_in]s; only the survivors get their Trace node. *)
   let insert_buffers ~bound v tbl =
     let additions = Array.make nslots [] in
-    let add target cand =
-      incr generated;
-      additions.(target) <- cand :: additions.(target)
-    in
     Array.iteri
       (fun sl group ->
         (* the slot-level bucket check covers per-candidate count
            eligibility: a counted group holds one exact count *)
         if group <> [] && sl asr 1 < kmax then begin
-          (* power mode: the group's candidate indices by energy,
-             ascending — the insertion-energy order of every type;
-             otherwise every type's best source, in one pass *)
           let cands = Array.of_list group in
-          let by_energy =
-            if not power then begin
-              C.best_sources ~guard ~r_b:plib.Tech.Lib.r_b ~d_b:plib.Tech.Lib.d_b cands best_s
-                best_i;
-              [||]
-            end
-            else C.by_energy ~scratch cands
-          in
-          for ti = 0 to ntypes - 1 do
-            let b = plib.Tech.Lib.bufs.(ti) in
+          let n = C.sources ~scratch ~power ~guard plib cands in
+          for m = 0 to n - 1 do
+            let ti = scratch.Flat.js.(2 * m) in
+            let a = cands.(scratch.Flat.js.((2 * m) + 1)) in
+            let q = scratch.Flat.xs.((5 * m) + 1) in
             let p = sl land 1 in
             let p' = if plib.Tech.Lib.inverting.(ti) then 1 - p else p in
             let target = (if counted then 2 * ((sl asr 1) + 1) else 0) + p' in
-            if power then begin
-              (* Power mode: sources of one (group, type) share the
-                 insertion's load / current / noise slack but differ in
-                 both resulting slack and energy, so the single best-slack
-                 scan is replaced by the (slack, energy) Pareto staircase
-                 of the source group — every staircase member is an
-                 insertion no other source can dominate. One pass in
-                 energy order finds it: a run of equal insertion energy
-                 yields its best-slack source (the first in group order
-                 on ties) when that slack beats every cheaper run's.
-                 Members are added in the order of falling slack; the
-                 over-budget ones are skipped before materialization and
-                 counted as [power_pruned]. *)
-              let e = plib.Tech.Lib.energy.(ti) in
-              (* [Tech.Buffer.gate_delay]'s expression on the prepared
-                 arrays: no call and no boxed float per source *)
-              let d_b = plib.Tech.Lib.d_b.(ti) and r_b = plib.Tech.Lib.r_b.(ti) in
-              let n = Array.length cands in
-              let members = ref [] in
-              (* best slack of the cheaper runs; NaN until the first
-                 member, so that member beats it whatever its slack *)
-              let best = ref nan in
-              let k = ref 0 in
-              while !k < n do
-                let pw = cands.(by_energy.(!k)).C.p +. e in
-                let rep = ref (-1) and rep_s = ref neg_infinity in
-                while !k < n && cands.(by_energy.(!k)).C.p +. e = pw do
-                  let j = by_energy.(!k) in
-                  let a = cands.(j) in
-                  let s = a.C.q -. (d_b +. (r_b *. a.C.c)) in
-                  if !rep < 0 || s > !rep_s || (s = !rep_s && j < !rep) then begin
-                    rep := j;
-                    rep_s := s
-                  end;
-                  incr k
-                done;
-                if !rep >= 0 && not (!rep_s <= !best) then begin
-                  best := !rep_s;
-                  members := !rep :: !members
-                end
-              done;
-              List.iter
-                (fun j ->
-                  let a = cands.(j) in
-                  if a.C.p +. e > eff_budget then incr power_pruned
-                  else add target (C.add_buffer ~arena ~at:v b a))
-                !members
-            end
+            let b = plib.Tech.Lib.bufs.(ti) in
+            if a.C.p +. plib.Tech.Lib.energy.(ti) > eff_budget then incr power_pruned
+            else if
+              pred
+              && C.covered ~bound ~c:plib.Tech.Lib.c_in.(ti) ~q
+                   ~i:(if staircase then infinity else 0.0)
+                   ~ns:(if staircase then neg_infinity else b.Tech.Buffer.nm)
+                   tbl.(target)
+            then incr pred_pruned
             else begin
-              (* one insertion per (group, type); its destination group is
-                 known before anything is materialized *)
-              let q = best_s.(ti) in
-              if q > neg_infinity then
-                if
-                  pred
-                  && C.covered ~bound ~c:plib.Tech.Lib.c_in.(ti) ~q
-                       ~i:(if staircase then infinity else 0.0)
-                       ~ns:(if staircase then neg_infinity else b.Tech.Buffer.nm)
-                       tbl.(target)
-                then incr pred_pruned
-                else add target (C.stand_in ~ntypes ti b cands.(best_i.(ti)))
+              incr generated;
+              additions.(target) <- C.stand_in ~ntypes ti b a q :: additions.(target)
             end
           done
         end)
@@ -487,14 +433,8 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
       match additions.(sl) with
       | [] -> ()
       | cands ->
-          let cands = List.sort cmp_order cands in
-          if (not power) && prune && staircase then begin
-            let kept, dropped = C.splice_delay tbl.(sl) cands in
-            pruned := !pruned + dropped;
-            tbl.(sl) <- kept
-          end
-          else tbl.(sl) <- sweep ~bound (List.merge cmp_order tbl.(sl) cands);
-          if not power then C.materialize ~arena ~at:v plib.Tech.Lib.bufs ~c_max tbl.(sl)
+          tbl.(sl) <- splice_in ~bound tbl.(sl) (List.sort cmp_order cands);
+          C.materialize ~arena ~at:v plib.Tech.Lib.bufs ~c_max tbl.(sl)
     done;
     tbl
   in

@@ -35,7 +35,10 @@
     first, survivors joined through their recorded origins
     ({!Candidate.merge_delay}, {!Candidate.merge_noise},
     {!Candidate.merge_delay_power}); the sweep-only delay engine and
-    [prune = false] run the generic {!Frontier} walk.
+    [prune = false] run the generic {!Frontier} walk. Every buffer
+    insertion, in every mode, takes its sources from
+    {!Candidate.sources} and enters its target group as a
+    {!Candidate.stand_in}; only the survivors are materialized.
 
     Candidates are flat float records whose solutions live in a per-run
     {!Trace} arena; placement lists are reconstructed only for the
@@ -151,9 +154,11 @@ type stats = {
           the engine's working-set measure *)
   arena : int;
       (** solution-trace arena nodes recorded this run (DESIGN.md §11):
-          one per buffer insertion, branch-merge pairing and wire-sizing
-          decision that survived to be materialized. Under [?memo] this is
-          the run's delta into the resident arena. *)
+          one per buffer insertion its target group's splice or sweep
+          kept, in every mode; one per branch-merge pairing the merge's
+          sweep kept; one per wire-sizing decision the climb emitted.
+          Under [?memo] this is the run's delta into the resident
+          arena. *)
   minor_words : float;
       (** words this domain allocated on the minor heap during the run
           ([Gc.minor_words] delta — domain-local, so concurrent domains

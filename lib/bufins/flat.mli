@@ -1,10 +1,11 @@
 (** Flat working buffers of the DP's coordinates-first kernels
     ({!Candidate.merge_delay}, {!Candidate.merge_noise},
     {!Candidate.merge_delay_power}, {!Candidate.sweep_delay_power},
-    {!Candidate.by_energy}): pairing coordinates, origins, tie ranks and
-    their sort permutation, and the power-mode 2D staircases and walk
-    cursors, in plain arrays that one run reuses and grows by doubling.
-    Not shareable between domains. *)
+    {!Candidate.by_energy}, {!Candidate.sources}): pairing coordinates,
+    origins, tie ranks and their sort permutation, buffer insertion's
+    sources, and the power-mode 2D staircases and walk cursors, in plain
+    arrays that one run reuses and grows by doubling. Not shareable
+    between domains. *)
 
 type stair = {
   mutable sk : float array;  (** keys, strictly ascending *)

@@ -18,17 +18,6 @@ let sweep2 ~cost ~value l =
   let kept = List.fold_left push [] l in
   (List.rev kept, !dropped)
 
-let pareto2 ~cost ~value l =
-  let sorted =
-    List.sort
-      (fun a b ->
-        match Float.compare (cost a) (cost b) with
-        | 0 -> Float.compare (value b) (value a)
-        | n -> n)
-      l
-  in
-  sweep2 ~cost ~value sorted
-
 let sweep_dom ~cost ~dominates l =
   let dropped = ref 0 in
   let kept =

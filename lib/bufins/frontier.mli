@@ -20,10 +20,6 @@ val sweep2 : cost:('a -> float) -> value:('a -> float) -> 'a list -> 'a list * i
     may appear in any value order. Survivors form a staircase: strictly
     increasing cost and strictly increasing value. O(n). *)
 
-val pareto2 : cost:('a -> float) -> value:('a -> float) -> 'a list -> 'a list * int
-(** [sweep2] after sorting by (cost asc, value desc): full-service pruning
-    of an unordered candidate list. O(n log n). *)
-
 val sweep_dom : cost:('a -> float) -> dominates:('a -> 'a -> bool) -> 'a list -> 'a list * int
 (** Sweep for higher-dimensional dominance relations. Input must be sorted
     by non-decreasing cost, and [dominates a b] must imply

@@ -47,11 +47,11 @@ type oracle =
   | Parser_roundtrip
       (** the ingest front end survives adversarial text: random
           designs and libraries round-trip through {!Sta.Netfmt},
-          {!Sta.Cellfile}, {!Ingest.Liberty} and {!Ingest.Blif}
-          bit-identically, and deterministic mutations of the rendered
-          texts (truncations, junk insertions, duplicated lines,
-          deleted spans) always parse to [Ok] or a located [Parse] /
-          [Error] naming the file — never another exception. The
+          {!Ingest.Liberty} and {!Ingest.Blif} bit-identically, and
+          deterministic mutations of the rendered texts (truncations,
+          junk insertions, duplicated lines, deleted spans) always
+          parse to [Ok] or a located [Parse] / [Error] naming the file
+          — never another exception. The
           random inputs are seeded from the instance's content, so a
           corpus entry replays the same battery. DP [mutation]
           campaigns skip this oracle: there is no engine under test. *)

@@ -396,8 +396,14 @@ let of_string ?(path = "<string>") text =
         let d_intr = (rise_d +. fall_d) /. 2.0 in
         let r_out = (rise_r +. fall_r) /. 2.0 in
         let n_inputs = List.length ins in
-        cells := Sta.Cell.{ cname; n_inputs; c_in; r_out; d_intr; nm } :: !cells;
-        if n_inputs = 1 then
+        (* a non-physical gate — negative input load, no drive (a
+           missing timing group defaults to 0 ohm), no noise margin —
+           is skipped, as an unusable buffer is below *)
+        let physical = c_in >= 0.0 && r_out > 0.0 && nm > 0.0 in
+        if physical then
+          cells := Sta.Cell.{ cname; n_inputs; c_in; r_out; d_intr; nm } :: !cells
+        else warn ();
+        if physical && n_inputs = 1 then
           Option.iter
             (fun fn ->
               let fn = normalize_fn fn and a = first_in.p_name in
@@ -410,15 +416,11 @@ let of_string ?(path = "<string>") text =
                       warn ();
                       None
                 in
-                (* {!Tech.Buffer.make} asserts sane electricals; a
-                   truncated or miscaled file can produce garbage here
-                   (e.g. a missing timing group defaults to 0 ohm),
+                (* {!Tech.Buffer.make} also asserts a non-negative
+                   delay and energy; a miscaled file can break either,
                    which makes the cell unusable as a buffer — not a
                    crash *)
-                if
-                  c_in >= 0.0 && r_out > 0.0 && d_intr >= 0.0 && nm > 0.0
-                  && match energy with Some e -> e >= 0.0 | None -> true
-                then
+                if d_intr >= 0.0 && match energy with Some e -> e >= 0.0 | None -> true then
                   buffers :=
                     Tech.Buffer.make ~name:cname ~inverting ~c_in ~r_b:r_out ~d_b:d_intr
                       ~nm ?energy ()

@@ -29,9 +29,11 @@ type t = {
 
 val of_string : ?path:string -> string -> t
 (** Parse one library; [path] (default ["<string>"]) labels {!Parse}
-    locations. Cells missing an input pin, an output pin, or timing are
-    skipped with a warning rather than rejected; duplicate cell names
-    are a {!Parse}. *)
+    locations. Cells missing an input pin, an output pin, or timing, and
+    cells with non-physical electricals (input capacitance below 0,
+    drive resistance or noise margin not above 0), are skipped with a
+    warning rather than rejected; duplicate cell names are a
+    {!Parse}. *)
 
 val read : string -> t
 

@@ -20,7 +20,7 @@ exception Parse of string
 val of_string : ?cells:Cell.t list -> ?path:string -> string -> Design.t
 (** Parse and validate a design from a string; raises {!Parse} on
     syntax errors and on designs rejected by {!Design.validate}.
-    [cells] (default {!Cell.library}, e.g. from {!Cellfile.read})
+    [cells] (default {!Cell.library}, e.g. a Liberty file's cells)
     resolves instance cell names; [path] (default ["<string>"]) labels
     {!Parse} locations. *)
 

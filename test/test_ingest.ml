@@ -116,8 +116,51 @@ let liberty_unusable_buffer_is_skipped () =
   in
   let lib = Ingest.Liberty.of_string text in
   Alcotest.(check int) "no buffer modeled" 0 (List.length lib.Ingest.Liberty.buffers);
-  Alcotest.(check int) "still a cell" 1 (List.length lib.Ingest.Liberty.cells);
+  Alcotest.(check int) "no gate cell either" 0 (List.length lib.Ingest.Liberty.cells);
   Alcotest.(check bool) "warned" true (lib.Ingest.Liberty.warnings > 0)
+
+(* a gate cell with a negative input load, no drive or no noise margin
+   is skipped with a warning, as such a buffer cell is; a 2-input cell
+   with no function is a gate only *)
+let liberty_nonphysical_gate_is_skipped () =
+  let read ~cap ~res ~nm =
+    Ingest.Liberty.of_string
+      (Printf.sprintf
+         "library (l) {\n\
+         \  time_unit : \"1ps\";\n\
+         \  capacitive_load_unit (1, ff);\n\
+         \  cell (g) {\n\
+         \    pin (a) { direction : input; capacitance : %s; noise_margin : %s; }\n\
+         \    pin (b) { direction : input; capacitance : 1; }\n\
+         \    pin (y) {\n\
+         \      direction : output;\n\
+         \      timing () {\n\
+         \        related_pin : \"a\";\n\
+         \        intrinsic_rise : 1;\n\
+         \        intrinsic_fall : 1;\n\
+         \        rise_resistance : %s;\n\
+         \        fall_resistance : %s;\n\
+         \      }\n\
+         \    }\n\
+         \  }\n\
+          }\n"
+         cap nm res res)
+  in
+  let lib = read ~cap:"2" ~res:"0.5" ~nm:"0.8" in
+  Alcotest.(check int) "physical: kept" 1 (List.length lib.Ingest.Liberty.cells);
+  Alcotest.(check int) "physical: no warning" 0 lib.Ingest.Liberty.warnings;
+  List.iter
+    (fun (what, cap, res, nm) ->
+      let lib = read ~cap ~res ~nm in
+      Alcotest.(check int) (what ^ ": skipped") 0 (List.length lib.Ingest.Liberty.cells);
+      Alcotest.(check int) (what ^ ": warned") 1 lib.Ingest.Liberty.warnings)
+    [
+      ("negative input load", "-1", "0.5", "0.8");
+      ("zero drive resistance", "2", "0", "0.8");
+      ("negative drive resistance", "2", "-0.5", "0.8");
+      ("zero noise margin", "2", "0.5", "0");
+      ("negative noise margin", "2", "0.5", "-0.1");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Error messages name the identifier and the candidate-set size       *)
@@ -140,16 +183,6 @@ let netfmt_errors_name_candidates () =
   expect ~msg:"f.net:2: unknown instance g9 as net source (0 declared)"
     "po q 0 0 100 30 0.8\nnet n g9 po:q\n"
 
-let cellfile_errors_name_candidates () =
-  let expect ~msg text =
-    match Sta.Cellfile.of_string ~path:"f.cells" text with
-    | _ -> Alcotest.failf "expected Cellfile.Parse %s" msg
-    | exception Sta.Cellfile.Parse m -> Alcotest.(check string) "message" msg m
-  in
-  expect ~msg:"f.cells:2: duplicate cell a" "cell a 2 1 1 1 1\ncell a 2 1 1 1 1\n";
-  expect ~msg:"f.cells:1: unknown directive gate" "gate a 2 1 1 1 1\n";
-  expect ~msg:"f.cells:1: non-physical parameters for a" "cell a 2 -1 1 1 1\n"
-
 (* ------------------------------------------------------------------ *)
 (* Write -> read round-trips on random inputs                          *)
 
@@ -163,16 +196,6 @@ let netfmt_roundtrip_fixpoint () =
         (Printf.sprintf "seed %d: rendering is a fixpoint" seed)
         text (Sta.Netfmt.to_string d2))
     (seeds 10)
-
-let cellfile_roundtrip_exact () =
-  List.iter
-    (fun seed ->
-      let cells = Check.Gen.random_cells (Util.Rng.create seed) in
-      let back = Sta.Cellfile.of_string (Sta.Cellfile.to_string cells) in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: bit-identical library" seed)
-        true (back = cells))
-    (seeds 20)
 
 let liberty_roundtrip_exact () =
   List.iter
@@ -347,16 +370,14 @@ let suites =
         case "10 MB single line: located error, no hang" huge_single_line;
         case "liberty: garbage buffer electricals skipped, not crashed"
           liberty_unusable_buffer_is_skipped;
+        case "liberty: non-physical gate cells skipped with a warning"
+          liberty_nonphysical_gate_is_skipped;
         case "netfmt: errors name identifier and candidate count"
           netfmt_errors_name_candidates;
-        case "cellfile: errors name identifier and candidate count"
-          cellfile_errors_name_candidates;
       ] );
     ( "ingest.roundtrip",
       [
         case "netfmt: random designs render to a fixpoint" netfmt_roundtrip_fixpoint;
-        case "cellfile: random libraries round-trip bit-identically"
-          cellfile_roundtrip_exact;
         case "liberty: random libraries round-trip bit-identically"
           liberty_roundtrip_exact;
         case "blif: random designs round-trip deterministically"

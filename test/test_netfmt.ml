@@ -61,29 +61,28 @@ let tests =
         let r = match Sta.Netfmt.read path with exception Sta.Netfmt.Parse _ -> true | _ -> false in
         Sys.remove path;
         Alcotest.(check bool) "raises" true r);
-  ]
-
-
-(* appended: cell library files *)
-let cellfile_tests =
-  [
-    case "round trip preserves the library" (fun () ->
-        let path = Filename.temp_file "cells" ".lib" in
-        Sta.Cellfile.write path Sta.Cell.library;
-        let cells = Sta.Cellfile.read path in
-        Sys.remove path;
-        Alcotest.(check int) "count" (List.length Sta.Cell.library) (List.length cells);
-        List.iter2
-          (fun (a : Sta.Cell.t) (b : Sta.Cell.t) ->
-            Alcotest.(check string) "name" a.Sta.Cell.cname b.Sta.Cell.cname;
-            Alcotest.(check int) "inputs" a.Sta.Cell.n_inputs b.Sta.Cell.n_inputs;
-            feq_rel "c_in" ~eps:1e-6 a.Sta.Cell.c_in b.Sta.Cell.c_in;
-            feq_rel "r_out" ~eps:1e-6 a.Sta.Cell.r_out b.Sta.Cell.r_out)
-          Sta.Cell.library cells);
     case "design file resolves against a custom library" (fun () ->
-        let cpath = tmp_write "cell myinv 1 5.0 300 20 0.75\n" in
-        let cells = Sta.Cellfile.read cpath in
-        Sys.remove cpath;
+        (* one gate cell, no function: a gate, not a buffer *)
+        let lpath =
+          tmp_write
+            "library (custom) {\n\
+            \  time_unit : \"1ps\";\n\
+            \  capacitive_load_unit (1, ff);\n\
+            \  cell (myinv) {\n\
+            \    pin (a) { direction : input; capacitance : 5; noise_margin : 0.75; }\n\
+            \    pin (y) {\n\
+            \      direction : output;\n\
+            \      timing () {\n\
+            \        related_pin : \"a\";\n\
+            \        intrinsic_rise : 20;\n\
+            \        intrinsic_fall : 20;\n\
+            \        rise_resistance : 300e-3;\n\
+            \        fall_resistance : 300e-3;\n\
+            \      }\n\
+            \    }\n\
+            \  }\n\
+             }\n"
+        in
         let dpath =
           tmp_write
             "pi in 0 0 0 100 20\n\
@@ -92,25 +91,15 @@ let cellfile_tests =
              net n0 pi:in g0:0\n\
              net n1 g0 po:out\n"
         in
-        let d = Sta.Netfmt.read ~cells dpath in
+        let d, buffers, warnings = Ingest.Elab.load ~liberty:lpath dpath in
+        Sys.remove lpath;
         Sys.remove dpath;
-        Alcotest.(check string) "cell used" "myinv"
-          d.Sta.Design.instances.(0).Sta.Design.cell.Sta.Cell.cname;
-        feq "margin carried" 0.75 d.Sta.Design.instances.(0).Sta.Design.cell.Sta.Cell.nm);
-    case "duplicates and junk rejected" (fun () ->
-        let reject content =
-          let path = tmp_write content in
-          let r =
-            match Sta.Cellfile.read path with exception Sta.Cellfile.Parse _ -> true | _ -> false
-          in
-          Sys.remove path;
-          r
-        in
-        Alcotest.(check bool) "duplicate" true
-          (reject "cell a 1 5 300 20 0.8\ncell a 1 5 300 20 0.8\n");
-        Alcotest.(check bool) "empty" true (reject "# nothing\n");
-        Alcotest.(check bool) "bad number" true (reject "cell a 1 x 300 20 0.8\n");
-        Alcotest.(check bool) "zero resistance" true (reject "cell a 1 5 0 20 0.8\n"));
+        Alcotest.(check int) "no warnings" 0 warnings;
+        Alcotest.(check bool) "built-in buffers" true (buffers = Tech.Lib.default_library);
+        let cell = d.Sta.Design.instances.(0).Sta.Design.cell in
+        Alcotest.(check string) "cell used" "myinv" cell.Sta.Cell.cname;
+        feq "margin carried" 0.75 cell.Sta.Cell.nm;
+        feq_rel "drive carried" ~eps:1e-12 300.0 cell.Sta.Cell.r_out);
   ]
 
-let suites = [ ("sta.netfmt", tests); ("sta.cellfile", cellfile_tests) ]
+let suites = [ ("sta.netfmt", tests) ]
