@@ -34,5 +34,7 @@ val by_count :
   lib:Tech.Buffer.t list ->
   Rctree.Tree.t ->
   Dp.outcome
-(** Noise-constrained best slack per exact buffer count; the substrate
-    for Problem 3 (see {!Buffopt}). *)
+(** Noise-constrained best slack per exact buffer count
+    ([Dp.Per_count], every bucket exact). Problem 3 ({!Buffopt.problem3})
+    reads only the count-slack front of these buckets and runs
+    [Dp.Up_to] instead. *)

@@ -1,7 +1,7 @@
 type t = { result : Dp.result; timing_met : bool }
 
 let problem3 ?pruning ?memo ~kmax ~lib tree =
-  let outcome = Alg3.by_count ?pruning ?memo ~kmax ~lib tree in
+  let outcome = Dp.run ?pruning ?memo ~noise:true ~mode:(Dp.Up_to kmax) ~lib tree in
   let candidates =
     Array.to_list outcome.Dp.by_count |> List.filter_map (fun r -> r)
   in

@@ -6,7 +6,11 @@
     running Algorithm 3 with Lillis count-indexed candidate lists and
     picking the smallest count whose best solution meets timing; when no
     count meets timing, the maximum-slack noise-clean solution is
-    returned (fewest buffers among ties).
+    returned (fewest buffers among ties). Both picks lie on the
+    count-slack front, so the lists run under count dominance
+    ({!Dp.Up_to}, DESIGN.md §17): a candidate that one with fewer
+    buffers dominates is dropped, and the pick is byte-identical to the
+    one over exact per-count buckets.
 
     [optimize] is the end-to-end entry point used by the experiments: it
     segments the tree, runs the requested optimizer, and retries with
@@ -25,8 +29,10 @@ val problem3 :
   lib:Tech.Buffer.t list ->
   Rctree.Tree.t ->
   t option
-(** The Problem 3 selection rule over {!Alg3.by_count}; [None] when no
-    noise-feasible solution exists at this segmenting. *)
+(** The Problem 3 selection rule over the count-slack front of the
+    noise-mode DP ([Dp.Up_to kmax]); the same choice as over
+    {!Alg3.by_count}'s exact buckets. [None] when no noise-feasible
+    solution exists at this segmenting. *)
 
 type algorithm =
   | Buffopt  (** noise + delay, fewest buffers meeting timing (Problem 3) *)

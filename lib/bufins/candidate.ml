@@ -319,6 +319,65 @@ let sweep_delay_power ~scratch:(s : Flat.t) l =
   in
   (kept, !dropped)
 
+(* Count dominance (DESIGN.md §17): [group] loses every member that a
+   member of [front], the survivors of the same parity's lower counts,
+   dominates. Both are sorted by load, so the witnesses no heavier than
+   a member are a prefix of [front]. In delay mode [front] is a (load,
+   slack) staircase, so the heaviest of them is the one to ask
+   ([kills] at bound 0), and once [front] is passed, the rest of the
+   group's staircase climbs clear of it and is shared; noise mode asks
+   each of them [dominates_full]; power mode folds them into the
+   scratch staircase, keyed by [-q] and valued by [p], and asks it
+   [Flat.stair_covers]. *)
+let rec dominated_full x = function
+  | (y : t) :: tl when y.c <= x.c -> dominates_full y x || dominated_full x tl
+  | _ -> false
+
+let count_sweep ~scratch:(s : Flat.t) ~noise ~power front group =
+  let dropped = ref 0 in
+  let drop () =
+    incr dropped;
+    false
+  in
+  let kept =
+    match front with
+    | [] -> group
+    | _ when noise -> List.filter (fun x -> (not (dominated_full x front)) || drop ()) group
+    | _ when power ->
+        let st = s.st in
+        st.sn <- 0;
+        let rest = ref front in
+        let rec feed (x : t) = function
+          | (y : t) :: tl when y.c <= x.c ->
+              ignore (stair_add st (-.y.q) y.p 0);
+              feed x tl
+          | l -> rest := l
+        in
+        List.filter
+          (fun (x : t) ->
+            feed x !rest;
+            st.pt.(0) <- -.x.q;
+            st.pt.(1) <- x.p;
+            (not (Flat.stair_covers st)) || drop ())
+          group
+    | _ ->
+        (* [w]: the heaviest front member passed, [nothing] before the
+           first *)
+        let[@tail_mod_cons] rec go w front group =
+          match (group, front) with
+          | [], _ -> []
+          | x :: _, (y : t) :: ftl when y.c <= x.c -> go y ftl group
+          | x :: tl, _ ->
+              if kills ~bound:0.0 w.c w.q x.c x.q then begin
+                incr dropped;
+                go w front tl
+              end
+              else match front with [] -> group | _ -> x :: go w front tl
+        in
+        go nothing front group
+  in
+  (kept, !dropped)
+
 (* {1 Coordinates-first branch merges}
 
    A branch merge weighs many more pairings than survive its sweep. So

@@ -178,6 +178,18 @@ val sweep_delay_power : scratch:scratch -> t list -> t list * int
     interleave the energy order — never anything that extends the
     frontier. *)
 
+val count_sweep :
+  scratch:scratch -> noise:bool -> power:bool -> t list -> t list -> t list * int
+(** [count_sweep ~scratch ~noise ~power front group]: count dominance
+    (DESIGN.md §17). Drops every member of the load-sorted [group] that
+    a member of the load-sorted [front] — the survivors of the groups of
+    the same parity and fewer buffers — dominates: under
+    {!dominates_full} with [noise]; under {!dominates} strengthened with
+    [a.p <= b.p], through the scratch's staircase, with [power]; and
+    otherwise under {!dominates}, where [front] and [group] must be
+    (load, slack) staircases, as every swept delay-mode group is.
+    Returns (kept, dropped); [kept] keeps [group]'s order. *)
+
 (** {2 Predictive pruning (Li & Shi)}
 
     [bound] is the {!Rctree.Upbound} value of the node the candidates

@@ -5,6 +5,7 @@ module F = Frontier
 type mode =
   | Single
   | Per_count of int
+  | Up_to of int
   | Power_bounded of { budget : float; kmax : int }
 
 type mutation = Cq_noise_prune | No_attach_guard | Loose_pred_bound
@@ -35,7 +36,7 @@ type result = {
 type outcome = { best : result option; by_count : result option array; stats : stats }
 
 (* Candidate sets are arrays of frontiers indexed by [2*bucket + parity];
-   bucket is the buffer count in Per_count mode and 0 in Single mode.
+   bucket is the buffer count in the counted modes and 0 in Single mode.
    Every frontier is kept sorted by Candidate.cmp_frontier (load
    ascending) end-to-end: wires shift whole groups monotonically, the
    linear merge emits its pairings in load order, and buffer insertions
@@ -190,13 +191,22 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
   let counted, kmax, budget =
     match mode with
     | Single -> (false, max_int, infinity)
-    | Per_count k -> (true, k, infinity)
+    | Per_count k | Up_to k -> (true, k, infinity)
     | Power_bounded { budget; kmax } -> (true, kmax, budget)
+  in
+  (* Count dominance (DESIGN.md §17): every counted mode but Per_count
+     wants only the count-slack front, so a candidate that a
+     same-parity one with fewer buffers dominates is dropped; Per_count
+     keeps every bucket exact. *)
+  let front_only =
+    match mode with Up_to _ | Power_bounded _ -> true | Single | Per_count _ -> false
   in
   let nbuckets = if counted then kmax + 1 else 1 in
   (* Power mode (DESIGN.md §16): the energy coordinate becomes a pruning
      axis and an insertion budget. *)
-  let power = match mode with Power_bounded _ -> true | Single | Per_count _ -> false in
+  let power =
+    match mode with Power_bounded _ -> true | Single | Per_count _ | Up_to _ -> false
+  in
   if power && not (budget >= 0.0) then invalid_arg "Dp.run: negative power budget";
   if power && noise then invalid_arg "Dp.run: power mode is delay-only";
   (* ulp-scale headroom: candidate energy accumulates in tree-merge order,
@@ -438,6 +448,30 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
     done;
     tbl
   in
+  (* count dominance over a node's final table, parity by parity in
+     rising count: [front] holds the survivors of the lower counts, as
+     a (load, slack) staircase in delay mode and a load-sorted list
+     otherwise *)
+  let outcount = prune && front_only in
+  let count_sweep tbl =
+    for p = 0 to 1 do
+      let front = ref [] in
+      for k = 0 to nbuckets - 1 do
+        match tbl.((2 * k) + p) with
+        | [] -> ()
+        | group ->
+            let kept, dropped =
+              C.count_sweep ~scratch ~noise:(not staircase) ~power !front group
+            in
+            pruned := !pruned + dropped;
+            tbl.((2 * k) + p) <- kept;
+            if k < kmax then
+              front :=
+                if staircase && not power then fst (C.splice_delay !front kept)
+                else List.merge cmp_order !front kept
+      done
+    done
+  in
   let site_bound v = if pred then bounds.(v) else 0.0 in
   (* Memo plumbing for [above]. A hit restores the cached table, copied
      because [insert_buffers] mutates its input table in place; a store
@@ -470,13 +504,15 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
     | T.Buffered _ | T.Source _ -> assert false
     | T.Internal ->
         let bound = site_bound v in
-        let base =
+        let base, branch =
           match T.children tree v with
-          | [ c ] -> above c
-          | [ cl; cr ] -> merge_groups ~bound (above cl) (above cr)
+          | [ c ] -> (above c, false)
+          | [ cl; cr ] -> (merge_groups ~bound (above cl) (above cr), true)
           | _ -> assert false
         in
-        let base = if T.feasible tree v then insert_buffers ~bound v base else base in
+        let feasible = T.feasible tree v in
+        let base = if feasible then insert_buffers ~bound v base else base in
+        if outcount && (feasible || branch) then count_sweep base;
         note_width base;
         base
   and above c =
@@ -524,6 +560,17 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
       | Some (prev : C.t) when prev.C.q >= a.C.q -> ()
       | Some _ | None -> winners.(idx) <- Some a)
     !finals;
+  (* the count-slack front: a count's winner stays only where its slack
+     beats every lower count's *)
+  if front_only then begin
+    let top = ref neg_infinity in
+    Array.iteri
+      (fun k -> function
+        | Some (a : C.t) when a.C.q > !top -> top := a.C.q
+        | Some _ -> winners.(k) <- None
+        | None -> ())
+      winners
+  end;
   let reconstructed =
     Array.map
       (Option.map (fun (a : C.t) ->

@@ -10,8 +10,11 @@
       are dropped as unrecoverable — [noise = true]. Optimal for a
       single-buffer library under Theorem 5's assumptions.
     - The Lillis indexed extension [18]: candidate lists bucketed by the
-      exact number of inserted buffers — [mode = Per_count kmax] — used
-      by BuffOpt for Problem 3 and by DelayOpt(k) (Tables III/IV).
+      number of inserted buffers. [mode = Per_count kmax] keeps every
+      count's bucket exact (Table IV); [mode = Up_to kmax] drops every
+      candidate that a same-parity one with fewer buffers dominates
+      and returns the count-slack front, which is all BuffOpt's
+      Problem 3 and DelayOpt(k) (Table III) read.
     - Inverting-buffer polarity tracking [18]: candidates carry the
       parity of inversions below; merges require equal parity and the
       root accepts only parity-0 candidates.
@@ -47,11 +50,26 @@
 
 type mode =
   | Single  (** one candidate list per parity; unbounded buffer count *)
-  | Per_count of int  (** lists indexed by exact buffer count [0..kmax] *)
+  | Per_count of int
+      (** lists indexed by exact buffer count [0..kmax]; every bucket
+          is exact *)
+  | Up_to of int
+      (** at most [kmax] buffers, bucketed like [Per_count kmax], with
+          count dominance (DESIGN.md §17): after each branch or
+          insertion node's table is final, every candidate that a
+          same-parity candidate with fewer buffers dominates — on the
+          mode's own relation, (load, slack) or (load, slack, current,
+          noise slack) — is dropped and counted in [pruned]. [by_count]
+          is the count-slack front: entry [j] is [Some] only where its
+          slack is strictly above every lower count's, and there it is
+          byte-identical to [Per_count kmax]'s entry [j]; [best] equals
+          [Per_count kmax]'s. *)
   | Power_bounded of { budget : float; kmax : int }
       (** power mode (DESIGN.md §16), delay-only: maximize slack subject
-          to a total buffer-energy [budget] (J). Bucketed by exact count
-          like [Per_count kmax]; the energy coordinate joins the
+          to a total buffer-energy [budget] (J). Bucketed by count and
+          pruned by count dominance like [Up_to kmax], with energy in
+          the relation, and [by_count] is likewise the count-slack front
+          of the in-budget solutions. The energy coordinate joins the
           (load, slack) dominance relation, branch merges enumerate every
           pairing on a (load, energy) staircase (a pairing off the (c, q)
           frontier can be the only budget-feasible one), and insertions
@@ -136,9 +154,9 @@ type stats = {
           materializing merge did, so this figure is the same whichever
           merge runs. *)
   pruned : int;
-      (** generated candidates discarded afterwards: dominance sweeps
-          plus noise-mode drops of candidates whose noise slack went
-          negative *)
+      (** generated candidates discarded afterwards: dominance sweeps,
+          count dominance ([Up_to], [Power_bounded]) and noise-mode drops
+          of candidates whose noise slack went negative *)
   pred_pruned : int;
       (** candidates the predictive engine discarded before
           materialization (DESIGN.md §12): no record, no arena node. In
@@ -181,7 +199,10 @@ type result = {
 
 type outcome = {
   best : result option;  (** highest-slack solution over all counts *)
-  by_count : result option array;  (** [Per_count]: best per exact count; [Single]: singleton *)
+  by_count : result option array;
+      (** [Per_count]: best per exact count; [Up_to] and [Power_bounded]:
+          the count-slack front, [None] at every count whose best slack
+          does not beat every lower count's; [Single]: singleton *)
   stats : stats;
 }
 
@@ -213,10 +234,11 @@ val run :
     [noise = true] (power mode is delay-only). With [noise = true],
     [best = None] means no noise-feasible solution exists at the given
     segmenting (the paper's remedy: segment finer or extend the
-    library; see [Buffopt.optimize]). [prune] (default true) disables candidate
-    pruning when false — exponential; only for Ablation B on small
-    trees (the branch merge then falls back to the linear walk in both
-    modes, matching the pruned delay-mode exploration). [pruning]
+    library; see [Buffopt.optimize]). [prune] (default true) disables
+    candidate pruning, count dominance included, when false —
+    exponential; only for Ablation B on small trees (the branch merge
+    then falls back to the linear walk in both modes, matching the
+    pruned delay-mode exploration). [pruning]
     (default [`Predictive]) selects the Li & Shi predictive engine:
     wire climbs, branch-merge pairings and buffer insertions are
     pre-checked against the node's {!Rctree.Upbound} slope bound and

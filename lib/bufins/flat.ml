@@ -68,6 +68,21 @@ let reserve_walks s nw =
   done;
   Array.fill s.cur 0 (5 * nw) 0
 
+(* the number of members with key <= the point's *)
+let stair_pos st =
+  let k = st.pt.(0) and keys = st.sk in
+  let lo = ref 0 and hi = ref st.sn in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if keys.(mid) <= k then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* [stair_add]'s refusal test alone *)
+let stair_covers st =
+  let h = stair_pos st in
+  h > 0 && st.sv.(h - 1) <= st.pt.(1)
+
 (* The 2D staircase every power-mode kernel keeps (DESIGN.md §16): the
    (key, value) points of its members, mutually non-dominated, so
    values strictly fall as keys rise, in sorted parallel arrays.
@@ -81,12 +96,7 @@ let reserve_walks s nw =
 let stair_add st id =
   let k = st.pt.(0) and v = st.pt.(1) in
   let n = st.sn and keys = st.sk and vals = st.sv in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if keys.(mid) <= k then lo := mid + 1 else hi := mid
-  done;
-  let h = !lo in
+  let h = stair_pos st in
   if h > 0 && vals.(h - 1) <= v then false
   else begin
     (* an equal-key member has a higher value here: it is evicted too *)

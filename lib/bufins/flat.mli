@@ -58,6 +58,11 @@ val stair_add : stair -> int -> bool
     in [st.pt] rather than as arguments, so that no float is boxed for
     the call. *)
 
+val stair_covers : stair -> bool
+(** [stair_covers st]: does a member with key [<=] and value [<=] those
+    of the point in [st.pt] dominate it? [stair_add]'s refusal test,
+    without the insertion. O(log n). *)
+
 (** The orders on pairing ids:
     - [Plain]: {!Candidate.cmp_frontier_power} on the [xs] coordinates
       (load ascending, slack descending, current ascending, noise slack

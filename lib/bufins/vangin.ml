@@ -7,7 +7,7 @@ let run ?pruning ?memo ~lib tree =
   best_exn (Dp.run ?pruning ?memo ~noise:false ~mode:Dp.Single ~lib tree)
 
 let run_max ?pruning ?memo ~max_buffers ~lib tree =
-  best_exn (Dp.run ?pruning ?memo ~noise:false ~mode:(Dp.Per_count max_buffers) ~lib tree)
+  best_exn (Dp.run ?pruning ?memo ~noise:false ~mode:(Dp.Up_to max_buffers) ~lib tree)
 
 let by_count ?pruning ?memo ~kmax ~lib tree =
   (Dp.run ?pruning ?memo ~noise:false ~mode:(Dp.Per_count kmax) ~lib tree).Dp.by_count

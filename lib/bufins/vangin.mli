@@ -24,7 +24,9 @@ val run_max :
   Rctree.Tree.t ->
   Dp.result
 (** DelayOpt(k): best slack using at most [max_buffers] buffers
-    (Table III). *)
+    (Table III). Runs under count dominance ({!Dp.Up_to}, DESIGN.md
+    §17): the winner is byte-identical to the best of {!by_count}'s
+    exact buckets. *)
 
 val by_count :
   ?pruning:[ `Predictive | `Sweep_only ] ->
@@ -34,7 +36,8 @@ val by_count :
   Rctree.Tree.t ->
   Dp.result option array
 (** Best slack for each exact buffer count [0..kmax] (Table IV pairs
-    DelayOpt and BuffOpt at equal counts). *)
+    DelayOpt and BuffOpt at equal counts): [Dp.Per_count], every bucket
+    exact. *)
 
 val run_power :
   ?pruning:[ `Predictive | `Sweep_only ] ->

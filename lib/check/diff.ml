@@ -438,6 +438,89 @@ let pred_vs_sweep ?mutation (inst : Instance.t) =
   if failed <> [] then failf "%s" (String.concat "; " failed);
   Pass
 
+(* The count-front oracle (DESIGN.md §17): [Up_to k] drops every
+   candidate that a same-parity one with fewer buffers dominates, and
+   must still return, entry by entry and byte for byte, the strict
+   count-slack front of [Per_count k]'s exact buckets — the counts whose
+   best slack beats every lower count's — with the same [best], in
+   delay and noise modes and under both candidate engines, which must
+   also agree with each other. A mutation goes to every run. *)
+let count_front ?mutation (inst : Instance.t) =
+  let lib = inst.Instance.lib in
+  let seg = segmented inst in
+  let kmax = 8 in
+  let bits = Int64.bits_of_float in
+  let same what (a : Dp.result option) (b : Dp.result option) =
+    match (a, b) with
+    | None, None -> ()
+    | Some a, None -> failf "%s: slack %.17g vs none" what a.Dp.slack
+    | None, Some b -> failf "%s: none vs slack %.17g" what b.Dp.slack
+    | Some a, Some b ->
+        if bits a.Dp.slack <> bits b.Dp.slack then
+          failf "%s: slack %h vs %h" what a.Dp.slack b.Dp.slack;
+        if a.Dp.count <> b.Dp.count then failf "%s: count %d vs %d" what a.Dp.count b.Dp.count;
+        if bits a.Dp.energy <> bits b.Dp.energy then
+          failf "%s: energy %h vs %h" what a.Dp.energy b.Dp.energy;
+        let placement (p : Rctree.Surgery.placement) =
+          ( p.Rctree.Surgery.node,
+            bits p.Rctree.Surgery.dist,
+            p.Rctree.Surgery.buffer.Tech.Buffer.name )
+        in
+        if List.map placement a.Dp.placements <> List.map placement b.Dp.placements then
+          failf "%s: placements differ" what;
+        let size (v, w) = (v, bits w) in
+        if List.map size a.Dp.sizes <> List.map size b.Dp.sizes then
+          failf "%s: wire sizes differ" what
+  in
+  let same_outcome what (a : Dp.outcome) (b : Dp.outcome) =
+    same (what ^ " best") a.Dp.best b.Dp.best;
+    if Array.length a.Dp.by_count <> Array.length b.Dp.by_count then
+      failf "%s: by_count length %d vs %d" what (Array.length a.Dp.by_count)
+        (Array.length b.Dp.by_count);
+    Array.iteri
+      (fun k r -> same (Printf.sprintf "%s count %d" what k) r b.Dp.by_count.(k))
+      a.Dp.by_count
+  in
+  let strict_front (o : Dp.outcome) =
+    let top = ref neg_infinity in
+    {
+      o with
+      Dp.by_count =
+        Array.map
+          (function
+            | Some (r : Dp.result) when r.Dp.slack > !top ->
+                top := r.Dp.slack;
+                Some r
+            | Some _ | None -> None)
+          o.Dp.by_count;
+    }
+  in
+  let check noise =
+    let tag = if noise then "noise" else "delay" in
+    let up name pruning =
+      let run mode = Dp.run ?mutation ~pruning ~noise ~mode ~lib seg in
+      let o = run (Dp.Up_to kmax) in
+      let s = o.Dp.stats in
+      if Dp.considered s <> Dp.survivors s + s.Dp.pruned + s.Dp.pred_pruned then
+        failf "%s/%s up-to: accounting broken" tag name;
+      same_outcome
+        (Printf.sprintf "%s/%s up-to vs per-count front" tag name)
+        o
+        (strict_front (run (Dp.Per_count kmax)));
+      o
+    in
+    same_outcome (tag ^ " up-to pred vs sweep") (up "pred" `Predictive) (up "sweep" `Sweep_only)
+  in
+  (* both modes run, so a noise-mode divergence shows even where the
+     delay check already failed *)
+  let failed =
+    List.filter_map
+      (fun noise -> match check noise with () -> None | exception Failed m -> Some m)
+      [ false; true ]
+  in
+  if failed <> [] then failf "%s" (String.concat "; " failed);
+  Pass
+
 (* The incremental-DP oracle (DESIGN.md §14): a deterministic schedule
    of edits — RAT nudges, wire rescalings, noise-environment flips — is
    replayed twice. The incremental side threads one resident
@@ -445,8 +528,11 @@ let pred_vs_sweep ?mutation (inst : Instance.t) =
    the serve daemon would: the edited node's path to the root for RAT
    and wire edits, the whole memo for a noise-environment change. The
    scratch side runs a fresh memo-less DP per step. Every step, in
-   delay and noise mode alike, the two must agree exactly — same
-   feasibility, bit-equal slack, identical placements and wire sizes.
+   delay and noise mode alike, and in the noise-mode [Up_to] mode that
+   the serve daemon's Problem 3 runs through its memo
+   ({!Bufins.Buffopt.problem3}), the two must agree exactly — same
+   feasibility, bit-equal slack, identical placements and wire sizes,
+   for [best] and every [by_count] entry.
    The [Stale_memo] mutation never reports RAT and wire edits to the
    memo, so the tables computed for the old subtrees survive into the
    next run — exactly what this oracle exists to catch. *)
@@ -454,12 +540,9 @@ let incremental_vs_scratch ?mutation ~stale (inst : Instance.t) =
   let lib = inst.Instance.lib in
   let seg = segmented inst in
   let memo_d = Dp.Memo.create () and memo_n = Dp.Memo.create () in
-  let dirty tree v =
-    if not stale then begin
-      Dp.Memo.dirty memo_d tree v;
-      Dp.Memo.dirty memo_n tree v
-    end
-  in
+  let memo_u = Dp.Memo.create () in
+  let memos = [ memo_d; memo_n; memo_u ] in
+  let dirty tree v = if not stale then List.iter (fun m -> Dp.Memo.dirty m tree v) memos in
   let eq_step what (a : Dp.result option) (b : Dp.result option) =
     match (a, b) with
     | None, None -> ()
@@ -477,11 +560,19 @@ let incremental_vs_scratch ?mutation ~stale (inst : Instance.t) =
   in
   let check step tree =
     List.iter
-      (fun (tag, noise, memo) ->
-        let inc = Dp.run ?mutation ~memo ~noise ~mode:Dp.Single ~lib tree in
-        let scr = Dp.run ?mutation ~noise ~mode:Dp.Single ~lib tree in
-        eq_step (Printf.sprintf "step %d %s" step tag) inc.Dp.best scr.Dp.best)
-      [ ("delay", false, memo_d); ("noise", true, memo_n) ]
+      (fun (tag, noise, mode, memo) ->
+        let inc = Dp.run ?mutation ~memo ~noise ~mode ~lib tree in
+        let scr = Dp.run ?mutation ~noise ~mode ~lib tree in
+        let what = Printf.sprintf "step %d %s" step tag in
+        eq_step what inc.Dp.best scr.Dp.best;
+        Array.iteri
+          (fun k r -> eq_step (Printf.sprintf "%s count %d" what k) r scr.Dp.by_count.(k))
+          inc.Dp.by_count)
+      [
+        ("delay", false, Dp.Single, memo_d);
+        ("noise", true, Dp.Single, memo_n);
+        ("noise/up-to", true, Dp.Up_to 16, memo_u);
+      ]
   in
   (* the edit schedule is a pure function of the instance, so corpus
      replays are deterministic *)
@@ -522,8 +613,7 @@ let incremental_vs_scratch ?mutation ~stale (inst : Instance.t) =
            every cached table is suspect — full invalidation *)
         let f = if Util.Rng.bool rng then 0.5 else 1.8 in
         tree := T.map_wires !tree (fun _ w -> { w with T.cur = w.T.cur *. f });
-        Dp.Memo.clear memo_d;
-        Dp.Memo.clear memo_n);
+        List.iter Dp.Memo.clear memos);
     check step !tree
   done;
   Pass
@@ -965,6 +1055,7 @@ let run ?mutation:m (inst : Instance.t) =
     | Instance.Energy_conservation -> energy_conservation ?mutation inst
     | Instance.Power_monotonicity -> power_monotonicity ?mutation ~leak inst
     | Instance.Transient_tree_vs_dense -> transient_tree_vs_dense ?mutation:m inst
+    | Instance.Count_front -> count_front ?mutation inst
   with
   | v -> tag v
   | exception Failed m -> tag (Fail m)

@@ -144,7 +144,7 @@ let instance_for oracle rng =
   | Instance.Pred_vs_sweep ->
       Instance.make ~tree:(random_net rng) ~lib:Tech.Lib.default_library ~seg_len:500e-6
         oracle
-  | Instance.Incremental_vs_scratch ->
+  | Instance.Incremental_vs_scratch | Instance.Count_front ->
       Instance.make ~tree:(random_net rng) ~lib:Tech.Lib.default_library ~seg_len:500e-6
         oracle
   | Instance.Parser_roundtrip ->

@@ -15,6 +15,7 @@ type oracle =
   | Energy_conservation
   | Power_monotonicity
   | Transient_tree_vs_dense
+  | Count_front
 
 let all_oracles =
   [
@@ -32,6 +33,7 @@ let all_oracles =
     Energy_conservation;
     Power_monotonicity;
     Transient_tree_vs_dense;
+    Count_front;
   ]
 
 let oracle_name = function
@@ -49,6 +51,7 @@ let oracle_name = function
   | Energy_conservation -> "energy-conservation"
   | Power_monotonicity -> "power-monotonicity"
   | Transient_tree_vs_dense -> "transient-tree-vs-dense"
+  | Count_front -> "count-front"
 
 let oracle_of_name s = List.find_opt (fun o -> oracle_name o = s) all_oracles
 

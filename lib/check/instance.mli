@@ -40,10 +40,12 @@ type oracle =
       (** a deterministic sequence of edits — RAT nudges, wire
           rescalings, noise-environment flips — replayed incrementally
           through one resident {!Bufins.Dp.Memo} (dirtying the edited
-          path, as the serve daemon does) must produce, at every step
-          and in both delay and noise modes, exactly the outcome of a
-          fresh scratch run: same feasibility, bit-equal slack,
-          identical placements and wire sizes *)
+          path, as the serve daemon does) must produce, at every step,
+          in delay and noise modes and in the noise-mode [Dp.Up_to] run
+          of the serve daemon's Problem 3 (each with its own memo),
+          exactly the outcome of a fresh scratch run: same feasibility,
+          bit-equal slack, identical placements and wire sizes, for
+          [best] and every [by_count] entry *)
   | Parser_roundtrip
       (** the ingest front end survives adversarial text: random
           designs and libraries round-trip through {!Sta.Netfmt},
@@ -85,6 +87,14 @@ type oracle =
           ([n_seg] 1-16), an optional multi-aggressor annotation, and
           whether the net is verified unbuffered or after BuffOpt. DP
           [mutation] campaigns skip this oracle. *)
+  | Count_front
+      (** count dominance is exact on the count-slack front
+          (DESIGN.md §17): [Dp.Up_to k]'s [by_count] equals the strict
+          front of [Dp.Per_count k]'s buckets — every count whose best
+          slack beats every lower count's — entry by entry and byte for
+          byte (slack, count, energy, placements, sizes), with the same
+          [best], in delay and noise modes, under both candidate
+          engines, which also agree with each other *)
 
 val all_oracles : oracle list
 

@@ -28,6 +28,29 @@ type net_state = {
   sinks : int array;
 }
 
+(* A float ring of the last [Array.length xs] samples: [n] counts every
+   sample ever added, and sample [j] lives in slot [j mod cap]. *)
+module Window = struct
+  type t = { xs : float array; mutable n : int }
+
+  let create cap =
+    if cap <= 0 then invalid_arg "Session.Window.create: capacity must be positive";
+    { xs = Array.make cap 0.0; n = 0 }
+
+  let add w x =
+    w.xs.(w.n mod Array.length w.xs) <- x;
+    w.n <- w.n + 1
+
+  let percentile w p =
+    let n = min w.n (Array.length w.xs) in
+    if n = 0 then 0.0
+    else begin
+      let s = Array.sub w.xs 0 n in
+      Array.sort Float.compare s;
+      s.(min (n - 1) (int_of_float ((Float.of_int (n - 1) *. p) +. 0.5)))
+    end
+end
+
 type t = {
   opts : options;
   pool : Engine.Pool.t option;
@@ -44,9 +67,10 @@ type t = {
   mutable cache_hits : int;
   mutable incremental : int;
   mutable full : int;
-  mutable opt_lat : float list;  (** optimize handling latencies, s *)
+  opt_lat : Window.t;  (** the last [cache_cap] optimize handling latencies, s *)
 }
 
+(* bounds both the result cache and the latency window *)
 let cache_cap = 4096
 
 let create ?pool ?(options = default_options) () =
@@ -61,7 +85,7 @@ let create ?pool ?(options = default_options) () =
     cache_hits = 0;
     incremental = 0;
     full = 0;
-    opt_lat = [];
+    opt_lat = Window.create cache_cap;
   }
 
 let loaded t = Array.length t.nets
@@ -218,14 +242,7 @@ let do_update_noise t i scale =
   Bufins.Dp.Memo.clear ns.memo;
   Ok (Printf.sprintf "net=%d scale=%g" i scale)
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (Float.of_int (n - 1) *. p +. 0.5)))
-
 let do_stats t =
-  let lat = Array.of_list t.opt_lat in
-  Array.sort compare lat;
   (* the daemon's resident DP state, summed over the loaded nets *)
   let total f = Array.fold_left (fun a ns -> a + f ns.memo) 0 t.nets in
   Ok
@@ -235,8 +252,8 @@ let do_stats t =
        t.requests t.errors t.optimizes t.cache_hits t.incremental t.full
        (if t.optimizes = 0 then 0.0
         else float_of_int t.cache_hits /. float_of_int t.optimizes)
-       (percentile lat 0.50 *. 1e3)
-       (percentile lat 0.99 *. 1e3)
+       (Window.percentile t.opt_lat 0.50 *. 1e3)
+       (Window.percentile t.opt_lat 0.99 *. 1e3)
        (total Bufins.Dp.Memo.stored) (total Bufins.Dp.Memo.arena_nodes))
 
 let handle t (req : Protocol.request) =
@@ -255,7 +272,7 @@ let handle t (req : Protocol.request) =
         | Protocol.Shutdown -> Ok "bye")
   in
   (match req with
-  | Protocol.Optimize _ -> t.opt_lat <- dt :: t.opt_lat
+  | Protocol.Optimize _ -> Window.add t.opt_lat dt
   | _ -> ());
   let shutdown = req = Protocol.Shutdown in
   match outcome with

@@ -30,6 +30,25 @@ val default_options : options
 (** BuffOpt (Problem 3), the default library and process, 500 um
     segmenting, kmax 16. *)
 
+(** The latency window behind [stats]' [p50_ms] and [p99_ms]: a float
+    ring that keeps the last [cap] samples, so a long-lived daemon holds
+    and sorts at most [cap] latencies (the session's [cap] is its result
+    cache's size cap, 4,096). *)
+module Window : sig
+  type t
+
+  val create : int -> t
+  (** An empty window of capacity [cap]; raises [Invalid_argument]
+      unless [cap > 0]. *)
+
+  val add : t -> float -> unit
+  (** Record a sample, overwriting the oldest once the window is full. *)
+
+  val percentile : t -> float -> float
+  (** [percentile w p], [p] in [\[0, 1\]]: the nearest-rank percentile
+      of the samples held (0 when there are none). *)
+end
+
 type t
 
 val create : ?pool:Engine.Pool.t -> ?options:options -> unit -> t

@@ -10,7 +10,9 @@ open Helpers
    The winner's slack and energy are pinned to the bit (as %h), with its
    buffer count and an MD5 digest of its (node, buffer name) placement
    list, so a change in where the buffers go fails even when the
-   totals hold. *)
+   totals hold. Every delay row runs twice, with exact buckets
+   (Per_count) and under count dominance (Up_to, DESIGN.md §17), against
+   the same pins. *)
 let dp_scenarios =
   [
     (* mode, sinks, buffer types, slack, energy, buffers, placements *)
@@ -50,28 +52,40 @@ let dp_scenario (mode, sinks, types, slack, energy, buffers, placements) =
   let lib = List.filteri (fun i _ -> i < types) lib in
   let seg = Rctree.Segment.refine (Fixtures.caterpillar process sinks) ~max_len:500e-6 in
   let best ~noise mode = Option.get (Bufins.Dp.run ~noise ~mode ~lib seg).Bufins.Dp.best in
-  let name, r =
+  let runs =
     match mode with
-    | `Delay k -> (Printf.sprintf "delay k%d" k, best ~noise:false (Bufins.Dp.Per_count k))
-    | `Noise -> ("noise", best ~noise:true Bufins.Dp.Single)
+    | `Delay k ->
+        [
+          (Printf.sprintf "delay k%d" k, best ~noise:false (Bufins.Dp.Per_count k));
+          (Printf.sprintf "up-to k%d" k, best ~noise:false (Bufins.Dp.Up_to k));
+        ]
+    | `Noise -> [ ("noise", best ~noise:true Bufins.Dp.Single) ]
     | `Half_budget k ->
         let unc = best ~noise:false (Bufins.Dp.Per_count k) in
         let budget = 0.5 *. unc.Bufins.Dp.energy in
-        ( Printf.sprintf "power k%d" k,
-          best ~noise:false (Bufins.Dp.Power_bounded { budget; kmax = k }) )
+        [
+          ( Printf.sprintf "power k%d" k,
+            best ~noise:false (Bufins.Dp.Power_bounded { budget; kmax = k }) );
+        ]
   in
-  let name = Printf.sprintf "%s, %d sinks, b = %d" name sinks types in
-  Alcotest.(check string) (name ^ ": slack") slack (Printf.sprintf "%h" r.Bufins.Dp.slack);
-  Alcotest.(check string) (name ^ ": energy") energy (Printf.sprintf "%h" r.Bufins.Dp.energy);
-  Alcotest.(check int) (name ^ ": buffers") buffers r.Bufins.Dp.count;
-  let digest =
-    List.map
-      (fun (p : Rctree.Surgery.placement) ->
-        Printf.sprintf "%d %s" p.Rctree.Surgery.node p.Rctree.Surgery.buffer.Tech.Buffer.name)
-      r.Bufins.Dp.placements
-    |> String.concat ";" |> Digest.string |> Digest.to_hex
-  in
-  Alcotest.(check string) (name ^ ": placements") placements digest
+  List.iter
+    (fun (name, (r : Bufins.Dp.result)) ->
+      let name = Printf.sprintf "%s, %d sinks, b = %d" name sinks types in
+      Alcotest.(check string) (name ^ ": slack") slack (Printf.sprintf "%h" r.Bufins.Dp.slack);
+      Alcotest.(check string)
+        (name ^ ": energy") energy
+        (Printf.sprintf "%h" r.Bufins.Dp.energy);
+      Alcotest.(check int) (name ^ ": buffers") buffers r.Bufins.Dp.count;
+      let digest =
+        List.map
+          (fun (p : Rctree.Surgery.placement) ->
+            Printf.sprintf "%d %s" p.Rctree.Surgery.node
+              p.Rctree.Surgery.buffer.Tech.Buffer.name)
+          r.Bufins.Dp.placements
+        |> String.concat ";" |> Digest.string |> Digest.to_hex
+      in
+      Alcotest.(check string) (name ^ ": placements") placements digest)
+    runs
 
 (* Serve's incremental re-optimize on the 800-sink net (delay mode,
    kmax = 16): four single-sink RAT edits through a resident Dp.Memo

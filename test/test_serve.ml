@@ -208,6 +208,25 @@ let session_memory_stats () =
   let e, a = sizes () in
   Alcotest.(check bool) "a re-optimize refills net 1's memo" true (e > 0 && a > 0)
 
+let latency_window_keeps_the_last_samples () =
+  (* the stats percentiles of N + m optimize latencies are those of the
+     last N: the window forgets the oldest m *)
+  let rng = Util.Rng.create 17 in
+  List.iter
+    (fun (cap, m) ->
+      let xs = Array.init (cap + m) (fun _ -> Util.Rng.range rng 0.0 1e-2) in
+      let all = S.Window.create cap and last = S.Window.create cap in
+      Array.iter (S.Window.add all) xs;
+      Array.iteri (fun j x -> if j >= m then S.Window.add last x) xs;
+      List.iter
+        (fun p ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%d + %d: percentile %g" cap m p)
+            (S.Window.percentile last p) (S.Window.percentile all p))
+        [ 0.0; 0.5; 0.99; 1.0 ])
+    [ (1, 3); (7, 0); (7, 5); (7, 20); (4096, 1); (4096, 5000) ];
+  Alcotest.(check (float 0.0)) "empty window" 0.0 (S.Window.percentile (S.Window.create 4) 0.5)
+
 let session_edit_revert_is_deterministic () =
   (* editing a RAT and reverting it must reproduce the original payload
      byte for byte — the fingerprint cache and the memo agree with
@@ -377,6 +396,8 @@ let suites =
         case "served classes: hit, incr, full" session_served_classes;
         case "edit/revert reproduces the pinned payload" session_edit_revert_is_deterministic;
         case "stats: memo entries and arena nodes, reset by update-noise" session_memory_stats;
+        case "stats: latency percentiles over the last 4,096 optimizes"
+          latency_window_keeps_the_last_samples;
       ] );
     ( "serve.server",
       [
