@@ -122,7 +122,7 @@ let load_design file liberty =
   Printf.printf "design: %s\n" (Sta.Design.stats design);
   (design, buffers)
 
-let batch_cmd file algo seg_um kmax jobs retries liberty =
+let batch_cmd file algo seg_um kmax jobs liberty =
   match algo_of_string algo with
   | Error (`Msg m) ->
       prerr_endline m;
@@ -134,8 +134,7 @@ let batch_cmd file algo seg_um kmax jobs retries liberty =
       let jobs_list = Sta.Engine.batch_jobs process design in
       let domains = if jobs <= 0 then Engine.Pool.default_domains () else jobs in
       let r =
-        Engine.optimize ~domains ~retries ~seg_len:(seg_um *. 1e-6) ~kmax ~algorithm ~lib
-          jobs_list
+        Engine.optimize ~domains ~seg_len:(seg_um *. 1e-6) ~kmax ~algorithm ~lib jobs_list
       in
       print_endline (Engine.summary r);
       (match Engine.failed_nets r with
@@ -345,12 +344,6 @@ let jobs_arg =
     & info [ "jobs" ] ~docv:"N"
         ~doc:"Worker domains for batch optimization (0 = one per recommended core).")
 
-let retries_arg =
-  Arg.(
-    value
-    & opt (int_at_least 0) 0
-    & info [ "retries" ] ~docv:"R" ~doc:"Re-runs of a net whose optimization raised.")
-
 let liberty_arg =
   Arg.(
     value
@@ -390,8 +383,7 @@ let () =
            "Optimize every net of a design (.design or .blif, see buffopt gen-design) on a \
             domain pool. Exits nonzero when any net is infeasible, naming it on stderr.")
       Term.(
-        const batch_cmd $ file_arg $ algo_arg $ seg_arg $ kmax_arg $ jobs_arg $ retries_arg
-        $ liberty_arg)
+        const batch_cmd $ file_arg $ algo_arg $ seg_arg $ kmax_arg $ jobs_arg $ liberty_arg)
   in
   let flow =
     let iters =

@@ -15,9 +15,9 @@
       is merged in job order, so the same job list produces the same
       {!signature} at 1 domain and at 64.
     - {b Fault isolation.} An exception or an infeasible net becomes
-      that job's {!outcome}; it never kills the batch. A [retries] knob
-      re-runs jobs that raised (an {!Infeasible} verdict is
-      deterministic and is never retried).
+      that job's {!outcome}; it never kills the batch. A job is run
+      once: every job is deterministic, so one that raised would raise
+      again.
     - {b Timing is labeled.} All times are wall-clock seconds from
       {!Util.Clock}, never [Sys.time] CPU seconds, which double-count
       under parallelism. Timing lives in its own {!timing} record and
@@ -27,9 +27,8 @@ module Pool = Pool
 
 type 'a outcome =
   | Done of 'a
-  | Failed of { attempts : int; error : string }
-      (** [attempts] runs were made; the last raised [error] (or was
-          infeasible). *)
+  | Failed of { error : string }
+      (** the job raised [error], or was {!Infeasible} with that message *)
 
 type timing = {
   domains : int;  (** worker domains actually used *)
@@ -49,7 +48,6 @@ val map :
   ?pool:Pool.t ->
   ?chunk:int ->
   ?costs:int array ->
-  ?retries:int ->
   ('a -> 'b) ->
   'a list ->
   'b outcome array * timing
@@ -61,8 +59,7 @@ val map :
     results are byte-identical either way. [chunk] / [costs] control
     chunk sizing and
     shard balance (see {!Pool.run} — [costs.(i)] is job [i]'s estimated
-    cost); [retries] (default 0) is how many times a job that raised is
-    re-run before it is recorded as [Failed]. [f] must be safe to run
+    cost). A job that raises is recorded as [Failed]. [f] must be safe to run
     concurrently with itself on distinct elements (pure functions and
     functions over immutable inputs qualify; everything in [Bufins] /
     [Noisesim] does). Workers accumulate outcomes and latencies in
@@ -72,7 +69,8 @@ val map :
 
 exception Infeasible of string
 (** Raised by a job to record a deterministic per-job failure — e.g. no
-    noise-feasible solution for a net. Never retried by {!map}. *)
+    noise-feasible solution for a net; {!map} records its message as
+    the [Failed] error. *)
 
 (** {1 Batch BuffOpt} *)
 
@@ -98,7 +96,6 @@ val optimize :
   ?domains:int ->
   ?pool:Pool.t ->
   ?chunk:int ->
-  ?retries:int ->
   ?seg_len:float ->
   ?kmax:int ->
   algorithm:Bufins.Buffopt.algorithm ->
