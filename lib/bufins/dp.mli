@@ -9,7 +9,7 @@
       it would violate, and candidates whose noise slack goes negative
       are dropped as unrecoverable — [noise = true]. Optimal for a
       single-buffer library under Theorem 5's assumptions.
-    - The Lillis indexed extension [18]: candidate lists bucketed by the
+    - The Lillis indexed extension [18]: candidate groups bucketed by the
       number of inserted buffers. [mode = Per_count kmax] keeps every
       count's bucket exact (Table IV); [mode = Up_to kmax] drops every
       candidate that a same-parity one with fewer buffers dominates
@@ -19,39 +19,35 @@
       parity of inversions below; merges require equal parity and the
       root accepts only parity-0 candidates.
 
-    Candidate groups — one per (parity, bucket) — are {!Frontier}s kept
-    sorted by load end-to-end, so pruning is a linear sweep and branch
-    merging the linear Van Ginneken walk. Delay mode prunes on
-    (load, slack) dominance; noise mode prunes on the full
-    (load, slack, current, noise-slack) dominance and merges branch
-    pairings exhaustively, because a candidate or pairing off the
-    (load, slack) frontier can carry the only noise slack that survives
-    the upstream wires (see {!Candidate.dominates_full}).
-
-    One kernel per job: every wire goes through {!Candidate.climb},
-    every branch node through one pairing enumerator, every delay-mode
-    group through the one (load, slack) staircase of {!Candidate}
-    (plain dominance, or the predictive slope kill at the node's
-    {!Rctree.Upbound} bound), every noise-mode group through
-    {!Candidate.sweep_noise}, and power mode through its staircases.
-    The pruned branch merges share one shape — pairing coordinates
-    first, survivors joined through their recorded origins
-    ({!Candidate.merge_delay}, {!Candidate.merge_noise},
-    {!Candidate.merge_delay_power}); the sweep-only delay engine and
-    [prune = false] run the generic {!Frontier} walk. Every buffer
-    insertion, in every mode, takes its sources from
-    {!Candidate.sources} and enters its target group as a
-    {!Candidate.stand_in}; only the survivors are materialized.
-
-    Candidates are flat float records whose solutions live in a per-run
-    {!Trace} arena; placement lists are reconstructed only for the
-    winning root candidates, so [result] still exposes eager placement
-    and sizing lists while the DP itself never copies a solution. *)
+    A node's table holds one {!Flat.group} per (parity, bucket) slot:
+    the candidates as flat rows of coordinates and a {!Trace} handle,
+    sorted by load end to end, so pruning is a linear sweep and branch
+    merging the linear Van Ginneken walk. This is the DP's one
+    candidate representation, from sink to root, and no table changes
+    once built. Delay mode prunes on (load, slack) dominance; noise mode
+    prunes on the full (load, slack, current, noise-slack) dominance and
+    merges branch pairings exhaustively, because a candidate or pairing
+    off the (load, slack) frontier can carry the only noise slack that
+    survives the upstream wires (see {!Candidate.kills_full}).
+    One kernel per dominance relation: {!Candidate.sweep_delay} (the
+    (load, slack) staircase, with the predictive slope kill at the
+    node's {!Rctree.Upbound} bound), {!Candidate.sweep_full} (the 4D
+    noise relation) and {!Candidate.sweep_power} (the power-mode
+    staircase). Every wire goes through {!Candidate.climb}, every
+    branch node through one pairing enumerator and the coordinates-first
+    merges ({!Candidate.merge_delay}, {!Candidate.merge_noise},
+    {!Candidate.merge_delay_power}), every buffer insertion through
+    {!Candidate.sources} and {!Flat.splice}, and every count-dominance
+    pass through {!Candidate.count_sweep}; a pairing or insertion gets
+    its trace node only if it survives ({!Flat.write}). Placement lists
+    are reconstructed only for the winning root candidates, so [result]
+    still exposes eager placement and sizing lists while the DP itself
+    never copies a solution. *)
 
 type mode =
-  | Single  (** one candidate list per parity; unbounded buffer count *)
+  | Single  (** one candidate group per parity; unbounded buffer count *)
   | Per_count of int
-      (** lists indexed by exact buffer count [0..kmax]; every bucket
+      (** groups indexed by exact buffer count [0..kmax]; every bucket
           is exact *)
   | Up_to of int
       (** at most [kmax] buffers, bucketed like [Per_count kmax], with
