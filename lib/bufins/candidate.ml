@@ -175,105 +175,107 @@ let sweep_power (s : Flat.t) n =
   done;
   !nk
 
-(* Count dominance (DESIGN.md §17). Every group is sorted by load, so
-   the witnesses no heavier than a row are a prefix of each front group
-   and of [st]. *)
-let count_sweep (s : Flat.t) ~noise ~power (st : Flat.stair) front (g : Flat.group) =
-  let m = rows g in
-  Flat.reserve s ~used:0 m;
-  let keep = s.perm and nk = ref 0 in
-  if not (noise || power) then begin
-    (* the rows rise in load, so the member asked — the heaviest no
-       heavier than the row — only moves right *)
-    let h = ref 0 in
-    for k = 0 to m - 1 do
-      let c = g.(6 * k) in
-      while !h < st.sn && st.sk.(!h) <= c do
-        incr h
-      done;
-      if not (!h > 0 && st.sv.(!h - 1) <= -.g.((6 * k) + 1)) then begin
-        keep.(!nk) <- k;
-        incr nk
-      end
-    done;
-    (* the survivors and [st]'s members merged by load, then slack, into
-       the scratch staircase, keeping each point whose -slack falls
-       below all before it; the two staircases then trade arrays *)
-    let t = s.st and cap = st.sn + !nk in
-    if Array.length t.sk < cap then begin
-      t.sk <- Array.make (2 * cap) 0.0;
-      t.sv <- Array.make (2 * cap) 0.0;
-      t.si <- Array.make (2 * cap) 0
+(* {1 Count dominance} (DESIGN.md §17) *)
+
+type front = {
+  mutable cq : Flat.stair;  (* delay and noise modes: the survivors at (load, -slack) *)
+  mutable spare : Flat.stair;  (* the next [cq] is merged into it *)
+  mutable gs : Flat.group list;  (* noise and power modes: the survivors' groups *)
+}
+
+let front () = { cq = Flat.stair (); spare = Flat.stair (); gs = [] }
+
+let front_clear f =
+  f.cq.sn <- 0;
+  f.gs <- []
+
+(* [g]'s rows and [cq]'s members merged by load, then slack, into the
+   spare, keeping each point whose -slack falls below all before it *)
+let front_add f ~noise ~power (g : Flat.group) =
+  let st = f.cq and t = f.spare and m = rows g in
+  if m > 0 && not power then begin
+    if Array.length t.sk < st.sn + m then begin
+      t.sk <- Array.make (2 * (st.sn + m)) 0.0;
+      t.sv <- Array.make (2 * (st.sn + m)) 0.0
     end;
-    let a = ref 0 and r = ref 0 and n = ref 0 and key = ref 0.0 and v = ref 0.0 in
-    while !a < st.sn || !r < !nk do
-      let x = 6 * keep.(if !r < !nk then !r else 0) in
-      if
-        !r = !nk
-        || (!a < st.sn && (st.sk.(!a) < g.(x) || (st.sk.(!a) = g.(x) && st.sv.(!a) <= -.g.(x + 1))))
-      then begin
-        key := st.sk.(!a);
-        v := st.sv.(!a);
-        incr a
-      end
-      else begin
-        key := g.(x);
-        v := -.g.(x + 1);
-        incr r
-      end;
-      if !n = 0 || !v < t.sv.(!n - 1) then begin
-        t.sk.(!n) <- !key;
-        t.sv.(!n) <- !v;
+    let a = ref 0 and r = ref 0 and n = ref 0 in
+    while !a < st.sn || !r < m do
+      let x = 6 * if !r < m then !r else 0 in
+      let old =
+        !r = m
+        || (!a < st.sn
+           && (st.sk.(!a) < g.(x) || (st.sk.(!a) = g.(x) && st.sv.(!a) <= -.g.(x + 1))))
+      in
+      let k = if old then st.sk.(!a) else g.(x) in
+      let v = if old then st.sv.(!a) else -.g.(x + 1) in
+      if old then incr a else incr r;
+      if !n = 0 || v < t.sv.(!n - 1) then begin
+        t.sk.(!n) <- k;
+        t.sv.(!n) <- v;
         incr n
       end
     done;
-    let sk = st.sk and sv = st.sv and si = st.si in
-    st.sk <- t.sk;
-    st.sv <- t.sv;
-    st.si <- t.si;
-    st.sn <- !n;
-    t.sk <- sk;
-    t.sv <- sv;
-    t.si <- si
-  end
-  else begin
-    let fronts = Array.of_list front in
-    let nf = Array.length fronts in
-    (* [next.(t)]: front group [t]'s first row not yet folded *)
-    let next = Array.make nf 0 and st = s.st in
-    st.sn <- 0;
-    for k = 0 to m - 1 do
-      let c = g.(6 * k) and q = g.((6 * k) + 1) in
-      let i = g.((6 * k) + 2) and ns = g.((6 * k) + 3) in
-      let d = ref false in
-      for t = 0 to nf - 1 do
-        let f = fronts.(t) and y = ref (if power then next.(t) else 0) in
-        while (not !d) && !y < rows f && f.(6 * !y) <= c do
-          if power then ignore (stair_add st (-.f.((6 * !y) + 1)) f.((6 * !y) + 4) 0)
-          else
-            d :=
-              kills_full ~bound:0.0 f.(6 * !y) f.((6 * !y) + 1) f.((6 * !y) + 2) f.((6 * !y) + 3) c
-                q i ns;
-          incr y
-        done;
-        next.(t) <- !y
-      done;
-      if power then begin
-        st.pt.(0) <- -.q;
-        st.pt.(1) <- g.((6 * k) + 4);
-        d := Flat.stair_covers st
-      end;
-      if not !d then begin
-        keep.(!nk) <- k;
-        incr nk
-      end
-    done
+    t.sn <- !n;
+    f.cq <- t;
+    f.spare <- st
   end;
-  if !nk = m then g else Flat.gather g keep !nk
+  if (noise || power) && m > 0 then f.gs <- g :: f.gs
+
+(* In delay and noise modes the member asked first is the heaviest no
+   heavier than the row ([h], walked as the load grows) *)
+let front_drop (s : Flat.t) f ~noise ~power ~from n =
+  let xs = s.xs and perm = s.perm and st = f.cq and fold = s.st in
+  fold.sn <- 0;
+  (* power mode: each group's first row not yet folded *)
+  let gs = Array.of_list f.gs in
+  let next = Array.make (Array.length gs) 0 in
+  let nk = ref 0 and h = ref 0 in
+  for r = 0 to n - 1 do
+    let x = perm.(r) in
+    let a = 6 * x in
+    let c = xs.(a) and q = xs.(a + 1) in
+    let d = ref (x >= from) in
+    if !d && not power then begin
+      while !h < st.sn && st.sk.(!h) <= c do
+        incr h
+      done;
+      d := !h > 0 && st.sv.(!h - 1) <= -.q
+    end;
+    if !d && power then begin
+      (* the groups' rows no heavier than the row, folded into a
+         (-q, p) staircase: what it covers does not depend on the
+         order they came in *)
+      for t = 0 to Array.length gs - 1 do
+        let g = gs.(t) and y = next.(t) in
+        if y < rows g && g.(6 * y) <= c then next.(t) <- Flat.stair_fold fold g y c
+      done;
+      fold.pt.(0) <- -.q;
+      fold.pt.(1) <- xs.(a + 4);
+      d := Flat.stair_covers fold
+    end
+    else if !d && noise then begin
+      let i = xs.(a + 2) and ns = xs.(a + 3) in
+      d := false;
+      for t = 0 to Array.length gs - 1 do
+        let g = gs.(t) and y = ref 0 in
+        while (not !d) && !y < rows g && g.(6 * !y) <= c do
+          let b = 6 * !y in
+          d := kills_full ~bound:0.0 g.(b) g.(b + 1) g.(b + 2) g.(b + 3) c q i ns;
+          incr y
+        done
+      done
+    end;
+    if not !d then begin
+      perm.(!nk) <- x;
+      incr nk
+    end
+  done;
+  !nk
 
 (* {1 Coordinates-first branch merges}: the pairings are staged with
-   their children's handles as origin, decided on their coordinates,
-   and only the survivors get their [Join] node ([Flat.write]). *)
+   their children's handles as origin and decided on their
+   coordinates; only the survivors the caller writes get their [Join]
+   node. *)
 
 (* pairing row [n]: member [il] of [l] and [ir] of [r] *)
 let[@inline] put (s : Flat.t) n (l : Flat.group) il (r : Flat.group) ir =
@@ -286,16 +288,12 @@ let[@inline] put (s : Flat.t) n (l : Flat.group) il (r : Flat.group) ir =
   s.js.(2 * n) <- 1;
   s.js.((2 * n) + 1) <- (trace l il lsl 32) lor trace r ir
 
-let no_bufs : Tech.Buffer.t array = [||]
-
-let joined s ~arena nk = Flat.write s ~arena ~at:0 ~bufs:no_bufs nk
-
 (* Each walk is Van Ginneken's: join the heads, then advance the side
    with the smaller slack, both on a tie. The walks are merged as runs,
    never re-sorted: where rounding ties two loads a run can be out of
    frontier order, and its order decides which of two equal pairings
    survives. *)
-let merge_delay (s : Flat.t) ~arena ~bound ~prune walks =
+let merge_delay (s : Flat.t) ~bound ~prune walks =
   let walks = Array.of_list walks in
   let nw = Array.length walks in
   let starts = Array.make (nw + 1) 0 in
@@ -321,9 +319,9 @@ let merge_delay (s : Flat.t) ~arena ~bound ~prune walks =
   let n = starts.(nw) in
   Flat.merge_runs s Flat.Plain starts 0 nw;
   let nk, killed = if prune then sweep_delay s ~bound n else (n, 0) in
-  (joined s ~arena nk, n - killed, n - killed - nk, killed)
+  (nk, n - killed, n - killed - nk, killed)
 
-let merge_noise (s : Flat.t) ~arena ~bound walks =
+let merge_noise (s : Flat.t) ~bound walks =
   let n =
     List.fold_left (fun n (l, r) -> n + (rows l * rows r)) 0 walks
   in
@@ -341,24 +339,23 @@ let merge_noise (s : Flat.t) ~arena ~bound walks =
     walks;
   Flat.sort_perm s Flat.Plain 0 n;
   let nk, slope = sweep_full s ~bound n in
-  (joined s ~arena nk, n - slope, n - slope - nk, slope)
+  (nk, n - slope, n - slope - nk, slope)
 
-let by_slack (g : Flat.group) =
-  let ids = Array.init (rows g) Fun.id in
-  Array.stable_sort (fun a b -> Float.compare g.((6 * b) + 1) g.((6 * a) + 1)) ids;
-  (g, ids)
-
-(* The group's indices by energy, ascending, ties by index: the
-   insertion-energy order of every buffer type *)
-let by_energy (s : Flat.t) (g : Flat.group) =
+(* The group's indices ascending by energy, or with [slack] by falling
+   slack, ties by index: [Flat.Energy] on what column 4 is given *)
+let by_key (s : Flat.t) ~slack (g : Flat.group) =
   let n = rows g in
   Flat.reserve s ~used:0 n;
   for k = 0 to n - 1 do
-    s.xs.((6 * k) + 4) <- g.((6 * k) + 4);
+    s.xs.((6 * k) + 4) <- (if slack then -.g.((6 * k) + 1) else g.((6 * k) + 4));
     s.perm.(k) <- k
   done;
   Flat.sort_perm s Flat.Energy 0 n;
   s.perm
+
+let by_slack s g = (g, Array.sub (by_key s ~slack:true g) 0 (rows g))
+
+let by_energy s g = by_key s ~slack:false g
 
 (* Buffer insertion's source choice (Figs. 5 and 11; candidate.mli).
    The slack is the attach guard's and [Tech.Buffer.gate_delay]'s very
@@ -463,10 +460,10 @@ let stand_in (s : Flat.t) n (lib : Tech.Lib.prepared) k (g : Flat.group) j q =
    first on ties, and all walks of the slot advance together, so the
    pairings arrive in falling slack. Each block of equal slack is
    sorted and swept on a (c, p) staircase as it closes; only the
-   survivors are sorted into [Flat.Power] order and joined. A pairing's
+   survivors are sorted into [Flat.Load] order. A pairing's
    rank is its place in the order the walks define the pairings: the
    walks as given, each newest pairing first, its left pass first. *)
-let merge_delay_power (s : Flat.t) ~arena ~budget ~prune walks =
+let merge_delay_power (s : Flat.t) ~budget ~prune walks =
   let walks = Array.of_list walks in
   let nw = Array.length walks in
   Flat.reserve_walks s nw;
@@ -558,4 +555,4 @@ let merge_delay_power (s : Flat.t) ~arena ~budget ~prune walks =
     s.perm.(x) <- x
   done;
   Flat.sort_perm s Flat.Load 0 nk;
-  (joined s ~arena nk, !generated, !generated - nk, !over)
+  (nk, !generated, !generated - nk, !over)

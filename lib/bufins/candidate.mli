@@ -91,24 +91,34 @@ val sweep_power : Flat.t -> int -> int
     tie-breaks interleave the energy order — never anything that
     extends the frontier. *)
 
-val count_sweep :
-  Flat.t ->
-  noise:bool ->
-  power:bool ->
-  Flat.stair ->
-  Flat.group list ->
-  Flat.group ->
-  Flat.group
-(** [count_sweep s ~noise ~power st front g]: count dominance
-    (DESIGN.md §17), count by count in rising order within one parity.
-    [g] without every row that a row of a lower count dominates: under
-    {!kills_full} at bound 0 with [noise], under {!sweep_power}'s
-    relation with [power] — the lower counts' rows read from [front],
-    their load-sorted groups — and otherwise under {!kills} at bound 0,
-    against [st], the staircase of the lower counts' survivors keyed by
-    load and valued by [-q], which then takes [g]'s survivors (empty it
-    with [st.sn <- 0] before a parity's first count). [g] itself when
-    nothing falls. *)
+(** {2 Count dominance} (DESIGN.md §17) *)
+
+type front
+(** One parity's witnesses at one node: the survivors of the counts
+    already final. *)
+
+val front : unit -> front
+
+val front_clear : front -> unit
+(** Empties the front, before a node's first count. *)
+
+val front_add : front -> noise:bool -> power:bool -> Flat.group -> unit
+(** [front_add f ~noise ~power g]: count [g]'s rows as witnesses, once
+    [g] is final: in delay and noise modes they join the front's
+    (load, -slack) staircase, merged in with one pass, and in noise and
+    power modes [g] itself is kept for the full test. *)
+
+val front_drop : Flat.t -> front -> noise:bool -> power:bool -> from:int -> int -> int
+(** [front_drop s f ~noise ~power ~from n]: the staged rows [perm.(0 ..
+    n-1)], in rising load, less each row numbered [from] or more that a
+    witness of [f] dominates — under {!kills} at bound 0 in delay mode,
+    {!kills_full} at bound 0 with [noise], and {!sweep_power}'s
+    relation with [power]. The survivors stay in order in [perm.(0 ..
+    nk-1)]; returns [nk]. A witness equal on every coordinate
+    dominates. In delay and noise modes the staircase answers first, so
+    a row it clears costs a step of a walk; power mode folds the kept
+    groups into [s.st], keyed by [-q] and valued by [p], lazily as the
+    rows grow heavier. *)
 
 (** {2 The pipeline stages} *)
 
@@ -177,8 +187,9 @@ val stand_in : Flat.t -> int -> Tech.Lib.prepared -> int -> Flat.group -> int ->
     coordinates (loads, currents and energies add; slacks and noise
     slacks take the minimum) and its origin go into the scratch, the
     order and the sweep run on those, and only the survivors get a
-    [Join] node. Every merge returns [(kept, considered, dropped,
-    skipped)]: [considered] pairings were weighed whole, [dropped] of
+    [Join] node when the caller writes them ({!Flat.write}). Every
+    merge leaves the survivors in [perm.(0 .. nk-1)] and returns [(nk,
+    considered, dropped, skipped)]: [considered] pairings were weighed whole, [dropped] of
     those fell to plain dominance or, in power mode, to the sweep, and
     [skipped] were killed before that — on arrival by the staircase
     ({!merge_delay}), by the slope term alone ({!merge_noise}), or for
@@ -186,11 +197,10 @@ val stand_in : Flat.t -> int -> Tech.Lib.prepared -> int -> Flat.group -> int ->
 
 val merge_delay :
   Flat.t ->
-  arena:Trace.arena ->
   bound:float ->
   prune:bool ->
   (Flat.group * Flat.group) list ->
-  Flat.group * int * int * int
+  int * int * int * int
 (** The Van Ginneken merge: each walk's linear pairings
     ({!Frontier.merge2}), the walks merged as runs
     ({!Frontier.merge_sorted} in frontier order: each walk in its own
@@ -201,27 +211,25 @@ val merge_delay :
 
 val merge_noise :
   Flat.t ->
-  arena:Trace.arena ->
   bound:float ->
   (Flat.group * Flat.group) list ->
-  Flat.group * int * int * int
+  int * int * int * int
 (** The noise-mode merge: every pairing of every walk, sorted stably in
     frontier order (the walks in order, left outer, right inner) and
     swept by {!sweep_full} at [bound]. *)
 
-val by_slack : Flat.group -> Flat.group * int array
-(** The group with its row indices stable-sorted by slack, descending:
-    the order in which {!merge_delay_power} walks and folds it. A branch
-    node sorts each child group once and hands it to every walk that
-    reads it. *)
+val by_slack : Flat.t -> Flat.group -> Flat.group * int array
+(** [by_slack s g]: the group with its row indices stable-sorted by
+    slack, descending, sorted in the scratch [s]: the order in which
+    {!merge_delay_power} walks and folds it. A branch node sorts each
+    child group once and hands it to every walk that reads it. *)
 
 val merge_delay_power :
   Flat.t ->
-  arena:Trace.arena ->
   budget:float ->
   prune:bool ->
   ((Flat.group * int array) * (Flat.group * int array)) list ->
-  Flat.group * int * int * int
+  int * int * int * int
 (** The delay-power merge of walks of {!by_slack} groups. It enumerates
     only the pairings that can reach the merged 3-axis frontier — each
     side walked in descending slack against a (load, energy) staircase
@@ -230,7 +238,7 @@ val merge_delay_power :
     energy exceeds [budget] before writing anything. The rest are
     decided on their coordinates, in the falling-slack order the walks
     emit them in, against a (load, energy) staircase; only the
-    survivors are sorted into [Flat.Power] order. Survivors, their order
+    survivors are sorted into [Flat.Load] order. Survivors, their order
     and every tie are those of listing the pairings walk by walk, each
     walk newest pairing first, then {!sweep_power} of their stable sort
     (no sweep without [prune]). *)

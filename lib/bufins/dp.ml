@@ -14,6 +14,7 @@ type stats = {
   pruned : int;
   pred_pruned : int;
   power_pruned : int;
+  count_pruned : int;
   peak_width : int;
   arena : int;
   minor_words : float;
@@ -21,7 +22,7 @@ type stats = {
 
 let considered s = s.generated + s.pred_pruned + s.power_pruned
 
-let survivors s = s.generated - s.pruned
+let survivors s = s.generated - s.pruned - s.count_pruned
 
 type result = {
   slack : float;
@@ -196,26 +197,28 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
     end
   in
   let generated = ref 0 and pruned = ref 0 and pred_pruned = ref 0 in
-  let power_pruned = ref 0 in
+  let power_pruned = ref 0 and count_pruned = ref 0 in
   let peak_width = ref 0 in
   (* (c, q) staircase in delay mode ((c, q, p) in power mode), full
      (c, q, i, ns) dominance in noise mode; the Cq_noise_prune mutation
      sweeps noise mode on (c, q) *)
   let staircase = (not noise) || cq_prune in
   let order = if power then Flat.Power else Flat.Plain in
-  let s = Flat.create () and pending = Flat.create () in
-  let write ~at nk = Flat.write s ~arena ~at ~bufs:plib.Tech.Lib.bufs nk in
+  (* each parity's staging area (the climbs use the first), and a scratch *)
+  let areas = [| Flat.create (); Flat.create () |] and src = Flat.create () in
+  let s = areas.(0) in
+  let write a ~at nk = Flat.write a ~arena ~at ~bufs:plib.Tech.Lib.bufs nk in
   (* The sweep of the staged rows [perm.(0 .. n-1)], every drop counted
      in [pruned]; returns the survivors' count. [bound] is the site's
      predictive bound (0 when predictive pruning is off), read by the
      noise sweep only: the delay staircases kill before staging. *)
-  let sweep ~bound n =
+  let sweep a ~bound n =
     if not prune then n
     else begin
       let nk =
-        if not staircase then fst (C.sweep_full s ~bound n)
-        else if power then C.sweep_power s n
-        else fst (C.sweep_delay s ~bound:0.0 n)
+        if not staircase then fst (C.sweep_full a ~bound n)
+        else if power then C.sweep_power a n
+        else fst (C.sweep_delay a ~bound:0.0 n)
       in
       pruned := !pruned + n - nk;
       nk
@@ -252,142 +255,143 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
               starts.(f + 1) <- n)
             widths;
           Flat.merge_runs s order starts 0 nfam;
-          write ~at (sweep ~bound starts.(nfam))
+          write s ~at (sweep s ~bound starts.(nfam))
         end)
       tbl
   in
   (* Every (left slot, right slot) pairing of a branch node's two child
      tables that may merge — equal parity, bucket sum within kmax, both
-     groups non-empty — with the slot the pairing lands in. *)
-  let pairings lt rt f =
-    for sl = 0 to nslots - 1 do
-      if Flat.width lt.(sl) > 0 then begin
-        let p = sl land 1 and kl = sl asr 1 in
-        for kr = 0 to nbuckets - 1 do
-          let sr = (2 * kr) + p in
-          if kl + kr <= kmax && Flat.width rt.(sr) > 0 then
-            f ((if counted then 2 * (kl + kr) else 0) + p) sl sr
-        done
-      end
-    done
-  in
-  (* Join the two child tables of a branch node: Van Ginneken's linear
-     walk in delay mode, every pairing in noise mode (a pairing off the
-     (c, q) frontier can hold the only noise slack that survives), the
-     staircase pairings in power mode. The walks feeding one slot are
-     decided together (DESIGN.md §12). Without [prune], every mode but
-     power walks Van Ginneken's pairings and keeps them all. Outside the
-     predictive and power engines a pairing killed on arrival counts as
-     generated and pruned, as the materializing merge counted it. *)
-  let merge_groups ~bound lt rt =
+     groups non-empty — listed by the slot the pairing lands in. *)
+  let pairings lt rt =
     let walks = Array.make nslots [] in
-    pairings lt rt (fun t sl sr -> walks.(t) <- (sl, sr) :: walks.(t));
-    (* power mode walks each child group in slack order *)
-    let ls, rs = if power then (Array.map C.by_slack lt, Array.map C.by_slack rt) else ([||], [||]) in
-    Array.map
-      (function
-        | [] -> Flat.empty
-        | walks ->
-            let kept, considered, dropped, skipped =
-              if power then
-                C.merge_delay_power s ~arena ~budget:eff_budget ~prune
-                  (List.map (fun (sl, sr) -> (ls.(sl), rs.(sr))) walks)
-              else
-                let walks = List.map (fun (sl, sr) -> (lt.(sl), rt.(sr))) walks in
-                if staircase || not prune then C.merge_delay s ~arena ~bound ~prune walks
-                else C.merge_noise s ~arena ~bound walks
-            in
-            if pred || power then begin
-              generated := !generated + considered;
-              pruned := !pruned + dropped;
-              let skips = if power then power_pruned else pred_pruned in
-              skips := !skips + skipped
-            end
-            else begin
-              generated := !generated + considered + skipped;
-              pruned := !pruned + dropped + skipped
-            end;
-            kept)
-      walks
+    for sl = 0 to nslots - 1 do
+      let p = sl land 1 and kl = sl asr 1 in
+      for kr = 0 to nbuckets - 1 do
+        let sr = (2 * kr) + p and t = (if counted then 2 * (kl + kr) else 0) + p in
+        if kl + kr <= kmax && Flat.width lt.(sl) > 0 && Flat.width rt.(sr) > 0 then
+          walks.(t) <- (sl, sr) :: walks.(t)
+      done
+    done;
+    walks
   in
-  (* Step 5 (Figs. 5 and 11): buffer insertions at a feasible node, from
-     the sources [C.sources] chooses. An over-budget insertion counts as
-     [power_pruned] and one its target group already covers as
-     [pred_pruned]; the rest wait in [pending] as stand-ins ranked by
-     target. Each target's stand-ins, newest first and stably sorted,
-     are spliced into its group and swept, and only the surviving ones
-     get their Buf node. *)
-  let waiting = Array.make nslots 0 in
-  let insert_buffers ~bound v tbl =
-    let np = ref 0 in
-    Array.fill waiting 0 nslots 0;
-    Array.iteri
-      (fun sl g ->
-        (* the slot-level bucket check covers per-candidate count
-           eligibility: a counted group holds one exact count *)
-        if Flat.width g > 0 && sl asr 1 < kmax then begin
-          let n = C.sources s ~power ~guard plib g in
-          Flat.reserve pending ~used:!np (!np + n);
+  (* count dominance (DESIGN.md §17): a parity's front drops what it dominates *)
+  let outcount = prune && front_only in
+  let fronts = [| C.front (); C.front () |] in
+  let front_drop a p ~from n =
+    let nk = C.front_drop a fronts.(p) ~noise:(not staircase) ~power ~from n in
+    count_pruned := !count_pruned + n - nk;
+    nk
+  in
+  (* The walks feeding one slot of a branch node, staged in [a] and
+     decided together (DESIGN.md §12): Van Ginneken's walk, every pairing
+     in noise mode, the staircase pairings of the slack-ordered [ls] and
+     [rs] in power mode; without [prune], all of Van Ginneken's but in
+     power mode. Outside the predictive and power engines a pairing
+     killed on arrival counts as generated and pruned. *)
+  let merge_slot a ~bound (lt, rt, ls, rs) walks =
+    let nk, considered, dropped, skipped =
+      if power then
+        C.merge_delay_power a ~budget:eff_budget ~prune
+          (List.map (fun (sl, sr) -> (ls.(sl), rs.(sr))) walks)
+      else
+        let walks = List.map (fun (sl, sr) -> (lt.(sl), rt.(sr))) walks in
+        if staircase || not prune then C.merge_delay a ~bound ~prune walks
+        else C.merge_noise a ~bound walks
+    in
+    if pred || power then begin
+      generated := !generated + considered;
+      pruned := !pruned + dropped;
+      let skips = if power then power_pruned else pred_pruned in
+      skips := !skips + skipped
+    end
+    else begin
+      generated := !generated + considered + skipped;
+      pruned := !pruned + dropped + skipped
+    end;
+    nk
+  in
+  (* A branch or feasible node's table, bucket by bucket in rising
+     count (DESIGN.md §17). A slot's base — the branch's pairings or the
+     climbed rows, less what the front drops — is written as the next
+     bucket's insertion sources (Figs. 5 and 11). Stand-ins past the
+     budget ([power_pruned]) and pre-checks ([pred_pruned]) are staged
+     after their target's base, newest first, then sorted and merged in,
+     tested and swept: only survivors get a node. *)
+  let bases = Array.make nslots Flat.empty in
+  let nb = [| 0; 0 |] and top = [| 0; 0 |] and ne = [| 0; 0 |] in
+  let node ~bound v ~feasible input =
+    let walks, sides =
+      match input with
+      | `Climbed _ -> ([||], ([||], [||], [||], [||]))
+      | `Branch (lt, rt) ->
+          let ls, rs =
+            if power then (Array.map (C.by_slack src) lt, Array.map (C.by_slack src) rt)
+            else ([||], [||])
+          in
+          (pairings lt rt, (lt, rt, ls, rs))
+    in
+    Array.iter C.front_clear fronts;
+    let tbl = Array.make nslots Flat.empty in
+    for k = 0 to nbuckets - 1 do
+      for p = 0 to 1 do
+        let t = (2 * k) + p and a = areas.(p) in
+        let n =
+          match input with
+          | `Climbed c -> Flat.stage a c.(t)
+          | `Branch _ -> if walks.(t) = [] then 0 else merge_slot a ~bound sides walks.(t)
+        in
+        let n = if outcount && k > 0 && n > 0 then front_drop a p ~from:0 n else n in
+        nb.(p) <- n;
+        top.(p) <- Flat.top a n;
+        ne.(p) <- 0;
+        bases.(t) <-
+          (match input with
+          | `Climbed c when n = Flat.width c.(t) -> c.(t)
+          | `Climbed _ | `Branch _ -> write a ~at:v n)
+      done;
+      (* the sources: the bucket below's bases, or this one's in Single mode *)
+      let lo = if counted then 2 * (k - 1) else 0 in
+      if feasible && lo >= 0 then
+        for sl = lo to lo + 1 do
+          let g = bases.(sl) in
+          let n = if Flat.width g = 0 then 0 else C.sources src ~power ~guard plib g in
           for m = 0 to n - 1 do
-            let ti = s.js.(2 * m) and j = s.js.((2 * m) + 1) and q = s.xs.((6 * m) + 1) in
-            let p = sl land 1 in
-            let p' = if plib.Tech.Lib.inverting.(ti) then 1 - p else p in
-            let target = (if counted then 2 * ((sl asr 1) + 1) else 0) + p' in
+            let ti = src.js.(2 * m) and j = src.js.((2 * m) + 1) in
+            let q = src.xs.((6 * m) + 1) in
+            let p = if plib.Tech.Lib.inverting.(ti) then 1 - (sl land 1) else sl land 1 in
+            let t = (2 * k) + p in
             if g.((6 * j) + 4) +. plib.Tech.Lib.energy.(ti) > eff_budget then incr power_pruned
             else if
               pred
               && C.covered ~bound ~c:plib.Tech.Lib.c_in.(ti) ~q
                    ~i:(if staircase then infinity else 0.0)
-                   ~ns:
-                     (if staircase then neg_infinity else plib.Tech.Lib.bufs.(ti).Tech.Buffer.nm)
-                   tbl.(target)
+                   ~ns:(if staircase then neg_infinity else plib.Tech.Lib.nm.(ti))
+                   bases.(t)
             then incr pred_pruned
             else begin
               incr generated;
-              C.stand_in pending !np plib ti g j q;
-              pending.Flat.rank.(!np) <- target;
-              waiting.(target) <- waiting.(target) + 1;
-              incr np
+              let a = areas.(p) and x = top.(p) + ne.(p) in
+              Flat.reserve a ~used:x (x + 1);
+              C.stand_in a x plib ti g j q;
+              ne.(p) <- ne.(p) + 1
             end
           done
-        end)
-      tbl;
-    if !np = 0 then tbl
-    else
-      Array.mapi
-        (fun t g ->
-          if waiting.(t) = 0 then g
-          else begin
-            (* the target's stand-ins, newest first *)
-            let ne = Flat.take pending !np t s in
-            write ~at:v (sweep ~bound (Flat.splice s order g ne))
-          end)
-        tbl
-  in
-  (* count dominance over a node's final table, parity by parity in
-     rising count: [front] and [front_st] hold the survivors of the lower
-     counts. The table is copied on its first change. *)
-  let outcount = prune && front_only in
-  let front_st = Flat.stair () in
-  let count_sweep tbl =
-    let out = ref tbl in
-    for p = 0 to 1 do
-      let front = ref [] in
-      front_st.Flat.sn <- 0;
-      for k = 0 to nbuckets - 1 do
-        let g = tbl.((2 * k) + p) in
-        if Flat.width g > 0 then begin
-          let kept = C.count_sweep s ~noise:(not staircase) ~power front_st !front g in
-          if kept != g then begin
-            pruned := !pruned + Flat.width g - Flat.width kept;
-            if !out == tbl then out := Array.copy tbl;
-            !out.((2 * k) + p) <- kept
-          end;
-          front := kept :: !front
-        end
+        done;
+      for p = 0 to 1 do
+        let t = (2 * k) + p and a = areas.(p) in
+        if ne.(p) = 0 then tbl.(t) <- bases.(t)
+        else begin
+          for e = 0 to ne.(p) - 1 do
+            a.Flat.perm.(nb.(p) + e) <- top.(p) + ne.(p) - 1 - e
+          done;
+          let n = Flat.splice a order nb.(p) ne.(p) in
+          let n = if outcount && k > 0 then front_drop a p ~from:top.(p) n else n in
+          tbl.(t) <- write a ~at:v (sweep a ~bound n)
+        end;
+        if outcount then C.front_add fronts.(p) ~noise:(not staircase) ~power tbl.(t)
       done
     done;
-    !out
+    tbl
   in
   let site_bound v = if pred then bounds.(v) else 0.0 in
   (* Memo plumbing for [above]: tables are immutable, so a hit serves
@@ -418,18 +422,16 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
         tbl
     | T.Buffered _ | T.Source _ -> assert false
     | T.Internal ->
-        let bound = site_bound v in
-        let base, branch =
+        let bound = site_bound v and feasible = T.feasible tree v in
+        let tbl =
           match T.children tree v with
-          | [ c ] -> (above c, false)
-          | [ cl; cr ] -> (merge_groups ~bound (above cl) (above cr), true)
+          | [ c ] when not feasible -> above c
+          | [ c ] -> node ~bound v ~feasible (`Climbed (above c))
+          | [ cl; cr ] -> node ~bound v ~feasible (`Branch (above cl, above cr))
           | _ -> assert false
         in
-        let feasible = T.feasible tree v in
-        let base = if feasible then insert_buffers ~bound v base else base in
-        let base = if outcount && (feasible || branch) then count_sweep base else base in
-        note_width base;
-        base
+        note_width tbl;
+        tbl
   and above c =
     let bound = site_bound (T.parent tree c) in
     match memo_get c ~bound with
@@ -449,7 +451,8 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
   let top =
     match T.children tree root with
     | [ c ] -> above c
-    | [ cl; cr ] -> merge_groups ~bound:(site_bound root) (above cl) (above cr)
+    | [ cl; cr ] ->
+        node ~bound:(site_bound root) root ~feasible:false (`Branch (above cl, above cr))
     | _ -> assert false
   in
   (* Winners first, reconstruction after: only the per-bucket best root
@@ -496,6 +499,7 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
       pruned = !pruned;
       pred_pruned = !pred_pruned;
       power_pruned = !power_pruned;
+      count_pruned = !count_pruned;
       peak_width = !peak_width;
       (* per-run delta: under a memo the arena is resident and carries
          every previous run's traces *)

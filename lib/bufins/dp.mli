@@ -38,8 +38,9 @@
     merges ({!Candidate.merge_delay}, {!Candidate.merge_noise},
     {!Candidate.merge_delay_power}), every buffer insertion through
     {!Candidate.sources} and {!Flat.splice}, and every count-dominance
-    pass through {!Candidate.count_sweep}; a pairing or insertion gets
-    its trace node only if it survives ({!Flat.write}). Placement lists
+    test through {!Candidate.front_drop} on the staged rows; a pairing
+    or insertion gets its trace node only if it survives
+    ({!Flat.write}). Placement lists
     are reconstructed only for the winning root candidates, so [result]
     still exposes eager placement and sizing lists while the DP itself
     never copies a solution. *)
@@ -51,11 +52,13 @@ type mode =
           is exact *)
   | Up_to of int
       (** at most [kmax] buffers, bucketed like [Per_count kmax], with
-          count dominance (DESIGN.md §17): after each branch or
-          insertion node's table is final, every candidate that a
-          same-parity candidate with fewer buffers dominates — on the
-          mode's own relation, (load, slack) or (load, slack, current,
-          noise slack) — is dropped and counted in [pruned]. [by_count]
+          count dominance (DESIGN.md §17): each branch or insertion
+          node builds its buckets in rising count, and every staged
+          pairing, climbed row or insertion that a same-parity candidate
+          with fewer buffers dominates — on the mode's own relation,
+          (load, slack) or (load, slack, current, noise slack) — is
+          dropped before it is written and counted in [count_pruned].
+          [by_count]
           is the count-slack front: entry [j] is [Some] only where its
           slack is strictly above every lower count's, and there it is
           byte-identical to [Per_count kmax]'s entry [j]; [best] equals
@@ -150,9 +153,9 @@ type stats = {
           materializing merge did, so this figure is the same whichever
           merge runs. *)
   pruned : int;
-      (** generated candidates discarded afterwards: dominance sweeps,
-          count dominance ([Up_to], [Power_bounded]) and noise-mode drops
-          of candidates whose noise slack went negative *)
+      (** generated candidates discarded afterwards: dominance sweeps
+          and noise-mode drops of candidates whose noise slack went
+          negative *)
   pred_pruned : int;
       (** candidates the predictive engine discarded before
           materialization (DESIGN.md §12): no record, no arena node. In
@@ -163,14 +166,20 @@ type stats = {
       (** would-be candidates the power budget discarded before
           materialization (over-budget insertions and branch-merge
           pairings; DESIGN.md §16). Always 0 outside [Power_bounded]. *)
+  count_pruned : int;
+      (** generated candidates that a same-parity candidate with fewer
+          buffers dominated (count dominance, DESIGN.md §17): dropped
+          while still staged, so none has an arena node. Always 0 in
+          [Single] and [Per_count] and with [prune = false]. *)
   peak_width : int;
       (** widest single (parity, bucket) frontier observed at any node —
           the engine's working-set measure *)
   arena : int;
       (** solution-trace arena nodes recorded this run (DESIGN.md §11):
-          one per buffer insertion its target group's splice or sweep
-          kept, in every mode; one per branch-merge pairing the merge's
-          sweep kept; one per wire-sizing decision the climb emitted.
+          one per buffer insertion its target group's splice, front or
+          sweep kept, in every mode; one per branch-merge pairing the
+          merge's sweep and the front kept; one per wire-sizing decision
+          the climb emitted.
           Under [?memo] this is the run's delta into the resident
           arena. *)
   minor_words : float;
@@ -208,10 +217,11 @@ val considered : stats -> int
     pruning modes. *)
 
 val survivors : stats -> int
-(** [generated - pruned]: materialized candidates still alive when the
-    run ended. The conservation identity the dp-invariants oracle
-    checks is
-    [considered = survivors + pruned + pred_pruned + power_pruned]. *)
+(** [generated - pruned - count_pruned]: materialized candidates still
+    alive when the run ended. The conservation identity the
+    dp-invariants oracle checks is
+    [considered = survivors + pruned + count_pruned + pred_pruned +
+    power_pruned]. *)
 
 val run :
   ?prune:bool ->

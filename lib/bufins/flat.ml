@@ -74,50 +74,45 @@ let[@inline] copy (xs : float array) a (ys : float array) b =
   Array.unsafe_set ys (b + 4) (Array.unsafe_get xs (a + 4));
   Array.unsafe_set ys (b + 5) (Array.unsafe_get xs (a + 5))
 
-(* the rows of [src] among [0 .. n-1] whose rank is [t], last first,
-   staged in [s] from row 0; returns their count *)
-let take src n t s =
-  let m = ref 0 in
-  for x = n - 1 downto 0 do
-    if src.rank.(x) = t then begin
-      reserve s ~used:!m (!m + 1);
-      copy src.xs x s.xs !m;
-      s.js.(2 * !m) <- src.js.(2 * x);
-      s.js.((2 * !m) + 1) <- src.js.((2 * x) + 1);
-      s.perm.(!m) <- !m;
-      incr m
-    end
+(* the rows of [g] staged from row 0, in order; returns their count *)
+let stage s (g : group) =
+  let m = width g in
+  reserve s ~used:0 m;
+  for k = 0 to m - 1 do
+    copy g k s.xs k;
+    s.js.(2 * k) <- 0;
+    s.perm.(k) <- k
   done;
-  !m
+  m
 
-(* rows [ids.(0 .. nk-1)] of [g], in that order, as a new group *)
-let gather (g : group) (ids : int array) nk : group =
-  let out = Array.create_float (6 * nk) in
-  for k = 0 to nk - 1 do
-    let x = ids.(k) in
-    if x < 0 || x >= width g then invalid_arg "Flat.gather";
-    copy g x out k
+(* one past the highest row among [perm.(0 .. n-1)] *)
+let top s n =
+  let t = ref 0 in
+  for k = 0 to n - 1 do
+    t := max !t (s.perm.(k) + 1)
   done;
-  out
+  !t
 
 (* The survivors [perm.(0 .. nk-1)], in that order, as a new group,
-   each row's trace handle from its origin (flat.mli) *)
+   each row's trace handle from its origin, which then names that
+   handle (flat.mli) *)
 let write s ~arena ~at ~(bufs : Tech.Buffer.t array) nk : group =
   let g = Array.create_float (6 * nk) in
   let rows = Array.length s.perm in
   for k = 0 to nk - 1 do
     let x = s.perm.(k) in
     if x < 0 || x >= rows then invalid_arg "Flat.write";
-    copy s.xs x g k;
     let o = s.js.((2 * x) + 1) in
-    match s.js.(2 * x) with
+    (match s.js.(2 * x) with
     | 0 -> ()
     | 1 ->
-        g.((6 * k) + 5) <-
+        s.xs.((6 * x) + 5) <-
           float_of_int (Trace.join arena ~left:(o lsr 32) ~right:(o land 0xffffffff))
     | kind ->
-        g.((6 * k) + 5) <-
-          float_of_int (Trace.buf arena ~node:at ~dist:0.0 ~buffer:bufs.(kind - 2) ~pred:o)
+        s.xs.((6 * x) + 5) <-
+          float_of_int (Trace.buf arena ~node:at ~dist:0.0 ~buffer:bufs.(kind - 2) ~pred:o));
+    s.js.(2 * x) <- 0;
+    copy s.xs x g k
   done;
   g
 
@@ -152,7 +147,7 @@ let stair_covers st =
 
 (* Only the member just left of the point's position can dominate it;
    the members it dominates are a contiguous run from there, replaced
-   with one blit (flat.mli). *)
+   in one move of the tail (flat.mli). *)
 let stair_add st id =
   let k = st.pt.(0) and v = st.pt.(1) in
   let n = st.sn and keys = st.sk and vals = st.sv in
@@ -177,17 +172,31 @@ let stair_add st id =
       st.sv <- grow vals 0.0;
       st.si <- grow st.si 0
     end;
-    if shift <> 0 then begin
-      Array.blit st.sk !j st.sk (!j + shift) (n - !j);
-      Array.blit st.sv !j st.sv (!j + shift) (n - !j);
-      Array.blit st.si !j st.si (!j + shift) (n - !j)
-    end;
+    (* the tail moves by [shift]: a few members, cheaper than blits *)
+    let sk = st.sk and sv = st.sv and si = st.si in
+    for r = 0 to (if shift = 0 then -1 else n - !j - 1) do
+      let m = if shift > 0 then n - 1 - r else !j + r in
+      sk.(m + shift) <- sk.(m);
+      sv.(m + shift) <- sv.(m);
+      si.(m + shift) <- si.(m)
+    done;
     st.sk.(lo) <- k;
     st.sv.(lo) <- v;
     st.si.(lo) <- id;
     st.sn <- n + shift;
     true
   end
+
+(* rows [y ..] of [g] no heavier than [c] onto [st] at (-slack, energy) *)
+let stair_fold st (g : group) y c =
+  let y = ref y in
+  while !y < width g && g.(6 * !y) <= c do
+    st.pt.(0) <- -.g.((6 * !y) + 1);
+    st.pt.(1) <- g.((6 * !y) + 4);
+    ignore (stair_add st 0);
+    incr y
+  done;
+  !y
 
 (* the frontier order on the coordinates of rows [a] and [b], energy
    last with [power] *)
@@ -272,22 +281,12 @@ let rec sort_perm s o lo hi =
     if cmp s o s.perm.(mid - 1) s.perm.(mid) > 0 then merge s o lo mid hi
   end
 
-(* the stand-ins [0 .. ne-1], sorted, merged into [g] staged after
-   them, [g]'s rows first on ties *)
-let splice s o (g : group) ne =
-  sort_perm s o 0 ne;
-  let m = width g in
-  reserve s ~used:ne (ne + m);
-  for k = ne - 1 downto 0 do
-    s.perm.(m + k) <- s.perm.(k)
-  done;
-  for k = 0 to m - 1 do
-    copy g k s.xs (ne + k);
-    s.js.(2 * (ne + k)) <- 0;
-    s.perm.(k) <- ne + k
-  done;
-  merge s o 0 m (m + ne);
-  m + ne
+(* the stand-ins [perm.(nb .. nb+ne-1)] sorted and merged after the
+   rows [perm.(0 .. nb-1)], those first on ties *)
+let splice s o nb ne =
+  sort_perm s o nb (nb + ne);
+  merge s o 0 nb (nb + ne);
+  nb + ne
 
 (* balanced pairwise merging of runs [lo .. hi-1]; no shortcut, since a
    run need not be sorted and its last element says nothing about the

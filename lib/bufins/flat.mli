@@ -72,21 +72,21 @@ val reserve : t -> used:int -> int -> unit
     [perm] and [aux], keeping the first [used] rows' coordinates,
     origins, ranks and permutation entries. *)
 
-val take : t -> int -> int -> t -> int
-(** [take src n t s]: the rows of [src] among [0 .. n-1] whose [rank]
-    is [t], with their origins, staged in [s] from row 0 in reverse
-    order, [perm] the identity on them. Returns their count. *)
+val stage : t -> group -> int
+(** [stage s g]: [g]'s rows staged from row 0, in order, as kind 0,
+    [perm] the identity on them. Returns their count. *)
 
-val gather : group -> int array -> int -> group
-(** [gather g ids nk]: rows [ids.(0 .. nk-1)] of [g], in that order, as
-    a new group. *)
+val top : t -> int -> int
+(** [top s n]: one past the highest row among [perm.(0 .. n-1)], 0 for
+    none: the first row free for more staging. *)
 
 val write : t -> arena:Trace.arena -> at:int -> bufs:Tech.Buffer.t array -> int -> group
 (** [write s ~arena ~at ~bufs nk]: the rows [perm.(0 .. nk-1)], in that
     order, as a new group — a sweep's survivors. A row of kind 0 keeps
     its handle; a staged pairing gets its [Join] node and a staged
     insertion of type [k] its [Buf] node of [bufs.(k)] at node [at], in
-    [arena]. So only survivors get a node. *)
+    [arena]. So only survivors get a node. Each written row then holds
+    its handle as kind 0, so writing it again makes no second node. *)
 
 val reserve_walks : t -> int -> unit
 (** [reserve_walks s nw]: room for [nw] walks in [walk_st], [cur] and
@@ -107,6 +107,11 @@ val stair_covers : stair -> bool
     of the point in [st.pt] dominate it? [stair_add]'s refusal test,
     without the insertion. O(log n). *)
 
+val stair_fold : stair -> group -> int -> float -> int
+(** [stair_fold st g y c]: rows [y], [y+1], ... of [g], while no heavier
+    than [c], {!stair_add}ed at (-slack, energy); returns the first row
+    not added. Count dominance's power-mode fold (DESIGN.md §17). *)
+
 (** The orders on row ids:
     - [Plain]: the frontier order on the [xs] coordinates (load
       ascending, slack descending, current ascending, noise slack
@@ -125,13 +130,12 @@ val sort_perm : t -> order -> int -> int -> unit
     pass. [Load], [Slack] and [Energy] are total, so with those the
     result does not depend on the input's order. *)
 
-val splice : t -> order -> group -> int -> int
-(** [splice s o g ne]: buffer insertion's splice of its stand-ins, the
-    rows [0 .. ne-1] with [perm] the identity on them, into the group
-    [g]: the stand-ins are stable-sorted by [o], [g] is staged after
-    them, and [perm.(0 .. n-1)] becomes the merge of [g]'s rows and the
-    sorted stand-ins, [g]'s first on ties — [List.merge]. Returns
-    [n]. With [ne = 0] it stages [g], [perm] the identity. *)
+val splice : t -> order -> int -> int -> int
+(** [splice s o nb ne]: buffer insertion's splice of its stand-ins
+    [perm.(nb .. nb+ne-1)] into the rows [perm.(0 .. nb-1)], sorted by
+    [o]: the stand-ins are stable-sorted by [o] and [perm.(0 .. n-1)]
+    becomes the merge of the two, the first [nb] first on ties —
+    [List.merge]. Returns [n = nb + ne]. *)
 
 val merge_runs : t -> order -> int array -> int -> int -> unit
 (** [merge_runs s o starts lo hi] merges the runs [lo .. hi-1] of

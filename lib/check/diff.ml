@@ -92,11 +92,15 @@ let same_outcome what (a : Dp.outcome) (b : Dp.outcome) =
 (* The conservation identity over the DP's counters: every candidate
    considered either survives or is counted by exactly one drop. *)
 let conserved what (s : Dp.stats) =
-  if Dp.considered s <> Dp.survivors s + s.Dp.pruned + s.Dp.pred_pruned + s.Dp.power_pruned
+  if
+    Dp.considered s
+    <> Dp.survivors s + s.Dp.pruned + s.Dp.count_pruned + s.Dp.pred_pruned + s.Dp.power_pruned
   then
     failf
-      "%s: accounting broken: considered %d <> survivors %d + pruned %d + pred %d + power %d"
-      what (Dp.considered s) (Dp.survivors s) s.Dp.pruned s.Dp.pred_pruned s.Dp.power_pruned
+      "%s: accounting broken: considered %d <> survivors %d + pruned %d + count %d + pred %d \
+       + power %d"
+      what (Dp.considered s) (Dp.survivors s) s.Dp.pruned s.Dp.count_pruned s.Dp.pred_pruned
+      s.Dp.power_pruned
 
 (* {1 Oracles} *)
 
@@ -305,6 +309,8 @@ let dp_invariants ?mutation (inst : Instance.t) =
   if s.Dp.pred_pruned < 0 then failf "stats: pred_pruned = %d" s.Dp.pred_pruned;
   if s.Dp.power_pruned <> 0 then
     failf "stats: non-power run reports power_pruned = %d" s.Dp.power_pruned;
+  if s.Dp.count_pruned <> 0 then
+    failf "stats: Single run reports count_pruned = %d" s.Dp.count_pruned;
   conserved "stats" s;
   if s.Dp.peak_width <= 0 || s.Dp.peak_width > s.Dp.generated then
     failf "stats: peak width %d vs %d generated" s.Dp.peak_width s.Dp.generated;

@@ -117,6 +117,7 @@ let optimize ?domains ?pool ?chunk ?seg_len ?kmax ~algorithm ~lib jobs =
   let energy = ref 0.0 in
   let worst = ref infinity in
   let gen = ref 0 and pruned = ref 0 and pred = ref 0 and ppruned = ref 0 and peak = ref 0 in
+  let cpruned = ref 0 in
   let arena = ref 0 and minor = ref 0.0 in
   Array.iter
     (fun { outcome; _ } ->
@@ -131,6 +132,7 @@ let optimize ?domains ?pool ?chunk ?seg_len ?kmax ~algorithm ~lib jobs =
           pruned := !pruned + s.Bufins.Dp.pruned;
           pred := !pred + s.Bufins.Dp.pred_pruned;
           ppruned := !ppruned + s.Bufins.Dp.power_pruned;
+          cpruned := !cpruned + s.Bufins.Dp.count_pruned;
           peak := max !peak s.Bufins.Dp.peak_width;
           arena := !arena + s.Bufins.Dp.arena;
           minor := !minor +. s.Bufins.Dp.minor_words
@@ -149,6 +151,7 @@ let optimize ?domains ?pool ?chunk ?seg_len ?kmax ~algorithm ~lib jobs =
         pruned = !pruned;
         pred_pruned = !pred;
         power_pruned = !ppruned;
+        count_pruned = !cpruned;
         peak_width = !peak;
         arena = !arena;
         minor_words = !minor;

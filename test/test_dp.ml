@@ -159,6 +159,63 @@ let tests =
         let r = Bufins.Vangin.run ~lib t in
         Alcotest.(check bool) "count > 1" true (r.Bufins.Dp.count > 1);
         Alcotest.(check bool) "strictly better" true (r.Bufins.Dp.slack > Elmore.slack t +. 1e-12));
+    case "count dominance drops a pairing and a stand-in before they get a node" (fun () ->
+        (* Noise mode, one buffer type (10 fF in, margin 0.8 V). Branch
+           [v] (no insertion) joins two feasible nodes: [u] over sink A
+           (2 fF, margin 0.5 V) and [z] over sink B (6 fF, margin 0.9 V,
+           the binding RAT), whose wire up to [v] carries coupling
+           current that takes 0.5 V off B's noise slack.
+           - At [z] the stand-in (10 fF, margin 0.8) is dominated by B
+             itself (7 fF, margin 0.9): 0 buffers beat 1.
+           - At [u] the stand-in survives (A's margin is lower), but at
+             [v] its pairing with B is dominated by A's: A is lighter,
+             and B binds both pairings' slack and noise slack.
+           [Up_to] drops both while staged, so its arena holds only the
+           surviving stand-in's Buf and the 0-buffer pairing's Join;
+           [Per_count] keeps both, and its bucket 1 and 2 winners carry
+           them to the root. *)
+        let wire ?(cur = 0.0) res = T.make_wire ~length:10e-6 ~res ~cap:1e-15 ~cur in
+        let b = Rctree.Builder.create () in
+        let so = Rctree.Builder.add_source b ~r_drv:100.0 ~d_drv:30e-12 in
+        let v = Rctree.Builder.add_internal b ~parent:so ~wire:(wire 10.0) ~feasible:false () in
+        let u = Rctree.Builder.add_internal b ~parent:v ~wire:(wire 10.0) () in
+        ignore
+          (Rctree.Builder.add_sink b ~parent:u ~wire:(wire 10.0) ~name:"a" ~c_sink:2e-15
+             ~rat:2e-9 ~nm:0.5);
+        let z = Rctree.Builder.add_internal b ~parent:v ~wire:(wire ~cur:1e-3 1000.0) () in
+        ignore
+          (Rctree.Builder.add_sink b ~parent:z ~wire:(wire 10.0) ~name:"b" ~c_sink:6e-15
+             ~rat:0.5e-9 ~nm:0.9);
+        let tree = Rctree.Builder.finish b in
+        let lib =
+          [
+            Tech.Buffer.make ~name:"b10" ~inverting:false ~c_in:10e-15 ~r_b:200.0 ~d_b:20e-12
+              ~nm:0.8 ();
+          ]
+        in
+        let run mode = Bufins.Dp.run ~noise:true ~mode ~lib tree in
+        let up = run (Bufins.Dp.Up_to 2) and per = run (Bufins.Dp.Per_count 2) in
+        let stat o f = f o.Bufins.Dp.stats in
+        Alcotest.(check int) "up_to: count_pruned" 2 (stat up (fun s -> s.Bufins.Dp.count_pruned));
+        Alcotest.(check int) "up_to: arena" 2 (stat up (fun s -> s.Bufins.Dp.arena));
+        Alcotest.(check int) "per_count: count_pruned" 0
+          (stat per (fun s -> s.Bufins.Dp.count_pruned));
+        (* both Bufs and four Joins: buckets 0 and 2 one each, bucket 1
+           the dominated pairing and A's with the stand-in at [z] *)
+        Alcotest.(check int) "per_count: arena" 6 (stat per (fun s -> s.Bufins.Dp.arena));
+        let at o k =
+          match o.Bufins.Dp.by_count.(k) with
+          | None -> []
+          | Some r ->
+              List.sort compare
+                (List.map (fun p -> p.Rctree.Surgery.node) r.Bufins.Dp.placements)
+        in
+        Alcotest.(check (list int)) "per_count: the pairing's winner" [ u ] (at per 1);
+        Alcotest.(check (list int)) "per_count: with the stand-in" (List.sort compare [ u; z ])
+          (at per 2);
+        Alcotest.(check bool) "up_to: the 0-buffer front only" true
+          (up.Bufins.Dp.by_count.(1) = None && up.Bufins.Dp.by_count.(2) = None
+          && at up 0 = [] && up.Bufins.Dp.by_count.(0) <> None));
   ]
 
 (* {1 Incremental memo}

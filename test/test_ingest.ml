@@ -302,7 +302,8 @@ let batch_signature_domain_invariant () =
       Alcotest.(check int)
         (file ^ ": dp stats conservation")
         (Bufins.Dp.considered s)
-        (Bufins.Dp.survivors s + s.Bufins.Dp.pruned + s.Bufins.Dp.pred_pruned);
+        (Bufins.Dp.survivors s + s.Bufins.Dp.pruned + s.Bufins.Dp.count_pruned
+       + s.Bufins.Dp.pred_pruned);
       List.iter
         (fun domains ->
           let rd =

@@ -218,12 +218,23 @@ let join ~arena a b =
         (Bufins.Trace.join arena ~left:(int_of_float a.tr) ~right:(int_of_float b.tr));
   }
 
+(* the staged rows [perm.(0 .. n-1)], in that order *)
+let staged_rows (s : Bufins.Flat.t) n =
+  List.init n (fun k ->
+      let x = 6 * s.Bufins.Flat.perm.(k) in
+      let f k = s.Bufins.Flat.xs.(x + k) in
+      { c = f 0; q = f 1; i = f 2; ns = f 3; p = f 4; tr = f 5 })
+
+(* a merge's survivors [perm.(0 .. nk-1)], joined *)
+let joined (s : Bufins.Flat.t) ~arena nk =
+  rows_of (Bufins.Flat.write s ~arena ~at:0 ~bufs:[||] nk)
+
 (* [rows] staged in order and swept by [sweep]: the survivors and the
    drop count *)
 let swept (s : Bufins.Flat.t) sweep rows =
-  let n = Bufins.Flat.splice s Bufins.Flat.Plain (group_of rows) 0 in
+  let n = Bufins.Flat.stage s (group_of rows) in
   let nk = sweep n in
-  (rows_of (Bufins.Flat.gather s.Bufins.Flat.xs s.Bufins.Flat.perm nk), n - nk)
+  (staged_rows s nk, n - nk)
 
 let candidate_tests =
   let module C = Bufins.Candidate in
@@ -314,11 +325,11 @@ let candidate_tests =
      its counts must add up: every in-budget pairing is generated, and
      all but the survivors are dropped *)
   let merge_power ?(arena = Bufins.Trace.create ()) ?(prune = true) ~budget walks =
-    let kept, generated, dropped, _ =
-      C.merge_delay_power s ~arena ~budget ~prune
-        (List.map (fun (l, r) -> (C.by_slack (group_of l), C.by_slack (group_of r))) walks)
+    let nk, generated, dropped, _ =
+      C.merge_delay_power s ~budget ~prune
+        (List.map (fun (l, r) -> (C.by_slack s (group_of l), C.by_slack s (group_of r))) walks)
     in
-    let kept = rows_of kept in
+    let kept = joined s ~arena nk in
     if generated - dropped <> List.length kept then Alcotest.fail "merge counts";
     if (not prune) && dropped <> 0 then Alcotest.fail "an unpruned merge dropped pairings";
     kept
@@ -349,11 +360,11 @@ let candidate_tests =
         let arena = Bufins.Trace.create () in
         let runs = List.map (fun (l, r) -> Fr.merge2 ~value ~join:(join ~arena) l r) walks in
         let generic, gdrop = Fr.sweep2 ~cost ~value (Fr.merge_sorted cmp_frontier runs) in
-        let fused, emitted, dropped, prekilled =
-          C.merge_delay s ~arena ~bound:0.0 ~prune:true
+        let nk, emitted, dropped, prekilled =
+          C.merge_delay s ~bound:0.0 ~prune:true
             (List.map (fun (l, r) -> (group_of l, group_of r)) walks)
         in
-        strip generic = strip (rows_of fused)
+        strip generic = strip (joined s ~arena nk)
         && emitted + prekilled = List.length (List.concat runs)
         && dropped + prekilled = gdrop);
     qcase ~count:80 "pareto_dom on full dominance keeps only the 4D front" gen4 (fun cands ->
@@ -366,11 +377,10 @@ let candidate_tests =
              cands);
     case "merge adds loads and takes worst slacks" (fun () ->
         let a = mk 1e-15 5e-10 and b = mk 2e-15 3e-10 in
-        let m, _, _, _ =
-          C.merge_delay s ~arena:(Bufins.Trace.create ()) ~bound:0.0 ~prune:true
-            [ (group_of [ a ], group_of [ b ]) ]
+        let nk, _, _, _ =
+          C.merge_delay s ~bound:0.0 ~prune:true [ (group_of [ a ], group_of [ b ]) ]
         in
-        match rows_of m with
+        match joined s ~arena:(Bufins.Trace.create ()) nk with
         | [ m ] ->
             feq_rel "c" ~eps:1e-12 3e-15 m.c;
             feq_rel "q" ~eps:1e-12 3e-10 m.q
@@ -431,7 +441,7 @@ let candidate_tests =
           C.climb s ~arena:(Bufins.Trace.create ()) ~at:0 ~width:1.0 ~pred:false ~bound:0.0
             ~noise:false ~drop:false w (group_of [ a ]) 0
         in
-        match rows_of (Fl.gather s.Fl.xs s.Fl.perm n) with
+        match staged_rows s n with
         | [ r ] ->
             feq_rel "c" ~eps:1e-12 2.1e-13 r.c;
             feq_rel "q" ~eps:1e-9 (1e-9 -. (80.0 *. (1e-13 +. 10e-15))) r.q;
@@ -450,17 +460,18 @@ let candidate_tests =
       (fun (group, extra) ->
         let group = tag group in
         let extra = List.map (fun x -> { x with tr = x.tr +. 1000.0 }) (tag extra) in
-        let staged order sweep base ne =
-          let n = Fl.splice s order base ne in
+        let staged order sweep base extra =
+          ignore (Fl.stage s (group_of (base @ extra)));
+          let n = Fl.splice s order (List.length base) (List.length extra) in
           let nk = sweep n in
-          (rows_of (Fl.gather s.Fl.xs s.Fl.perm nk), n - nk)
+          (staged_rows s nk, n - nk)
         in
         List.for_all
           (fun (cmp, sweep, splice, reference) ->
             let sorted = List.stable_sort cmp group in
             let base, dg = swept s sweep sorted in
             let spliced, ds =
-              splice (group_of base) (Fl.splice s Fl.Plain (group_of extra) 0)
+              splice base extra
             in
             let sorted_extra = List.stable_sort cmp extra in
             let ref_rows, ref_drops = reference (List.merge cmp base sorted_extra) in
@@ -557,11 +568,10 @@ let candidate_tests =
            (fun bound ->
              let dominates k x = C.kills_full ~bound k.c k.q k.i k.ns x.c x.q x.i x.ns in
              let listed, ldrop = Fr.sweep_dom ~cost ~dominates sorted_pairs in
-             let fast, generated, dropped, prekilled =
-               C.merge_noise s ~arena ~bound
-                 (List.map (fun (l, r) -> (group_of l, group_of r)) walks)
+             let nk, generated, dropped, prekilled =
+               C.merge_noise s ~bound (List.map (fun (l, r) -> (group_of l, group_of r)) walks)
              in
-             strip listed = strip (rows_of fast)
+             strip listed = strip (joined s ~arena nk)
              && generated + prekilled = List.length pairs
              && dropped + prekilled = ldrop
              && (bound > 0.0 || prekilled = 0))
@@ -949,7 +959,7 @@ let candidate_tests =
            C.climb s ~arena:(Bufins.Trace.create ()) ~at:0 ~width:1.0 ~pred:true ~bound
              ~noise:true ~drop:false w (group_of group) 0
          in
-         let climbed = rows_of (Fl.gather s.Fl.xs s.Fl.perm n) in
+         let climbed = staged_rows s n in
          let kept, killed =
            List.fold_left
              (fun (kept, killed) a ->
@@ -964,6 +974,61 @@ let candidate_tests =
          List.map bits climbed = List.rev_map bits kept
          && emitted = List.length kept
          && prekilled = killed));
+    (* Count dominance on staged rows ([C.front_drop]) against its
+       definition: a row from [from] on falls exactly when a witness of
+       some lower count's group dominates it — (c, q) in delay mode,
+       [kills_full] at bound 0 in noise mode, (c, q, p) in power mode —
+       and the rest keep their order, bit for bit. Coordinates run from
+       subnormal to 1e300 beside small grid values, with loads drawn
+       from a shared pool so that equal loads meet across groups. *)
+    (let gen =
+       QCheck2.Gen.(
+         let mag scale =
+           oneof
+             [
+               oneofl [ 0.0; 5e-324; 2.5e-310; 1e-300; 1e300 ];
+               map (fun k -> float_of_int k *. scale) (int_range 1 6);
+             ]
+         in
+         let signed scale =
+           map2 (fun sign x -> sign *. x) (oneofl [ 1.0; -1.0 ]) (mag scale)
+         in
+         let* loads = array_repeat 4 (mag 1e-15) in
+         let row =
+           let* c = oneof [ mag 1e-15; map (fun k -> loads.(k)) (int_range 0 3) ]
+           and* q = signed 1e-10
+           and* i = mag 1e-3
+           and* ns = signed 0.1
+           and* p = mag 1e-14 in
+           pure { (mk c q) with i; ns; p }
+         in
+         let group = map (List.sort cmp_frontier_power) (list_size (int_range 0 12) row) in
+         triple (list_size (int_range 0 4) group) group (int_range 0 12))
+     in
+     qcase ~count:2000 "count dominance drops exactly what a lower count dominates" gen
+       (fun (fronts, rows, from) ->
+         let bits x = List.map Int64.bits_of_float [ x.c; x.q; x.i; x.ns; x.p ] in
+         List.for_all
+           (fun (noise, power, dominates) ->
+             let f = C.front () in
+             C.front_clear f;
+             List.iter (fun g -> C.front_add f ~noise ~power (group_of g)) fronts;
+             let n = Fl.stage s (group_of rows) in
+             let kept = staged_rows s (C.front_drop s f ~noise ~power ~from n) in
+             let expected =
+               List.filteri
+                 (fun k x ->
+                   k < from || not (List.exists (List.exists (fun w -> dominates w x)) fronts))
+                 rows
+             in
+             List.map bits kept = List.map bits expected)
+           [
+             (false, false, fun w x -> w.c <= x.c && w.q >= x.q);
+             ( true,
+               false,
+               fun w x -> C.kills_full ~bound:0.0 w.c w.q w.i w.ns x.c x.q x.i x.ns );
+             (false, true, fun w x -> w.c <= x.c && w.q >= x.q && w.p <= x.p);
+           ]));
   ]
 
 let clock_tests =
