@@ -50,10 +50,11 @@ let run_cmd file algo seg_um kmax simulate =
             (r.Bufins.Buffopt.energy *. 1e15);
           let s = r.Bufins.Buffopt.stats in
           Printf.printf
-            "engine: candidates generated=%d pruned=%d pred-pruned=%d power-pruned=%d \
-             peak-frontier=%d trace-arena=%d alloc=%.1f Mwords minor\n"
-            s.Bufins.Dp.generated s.Bufins.Dp.pruned s.Bufins.Dp.pred_pruned
-            s.Bufins.Dp.power_pruned s.Bufins.Dp.peak_width s.Bufins.Dp.arena
+            "engine: candidates generated=%d pruned=%d count-pruned=%d pred-pruned=%d \
+             power-pruned=%d peak-frontier=%d trace-arena=%d alloc=%.1f Mwords minor\n"
+            s.Bufins.Dp.generated s.Bufins.Dp.pruned s.Bufins.Dp.count_pruned
+            s.Bufins.Dp.pred_pruned s.Bufins.Dp.power_pruned s.Bufins.Dp.peak_width
+            s.Bufins.Dp.arena
             (s.Bufins.Dp.minor_words /. 1e6);
           List.iter
             (fun (p : Rctree.Surgery.placement) ->
