@@ -335,14 +335,17 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
     for k = 0 to nbuckets - 1 do
       for p = 0 to 1 do
         let t = (2 * k) + p and a = areas.(p) in
+        (* climbed rows are staged for the front, else at their slot's
+           first stand-in ([top.(p) = -1] until then) *)
+        let staged = match input with `Climbed _ -> outcount && k > 0 | `Branch _ -> true in
         let n =
           match input with
-          | `Climbed c -> Flat.stage a c.(t)
+          | `Climbed c -> if staged then Flat.stage a c.(t) else Flat.width c.(t)
           | `Branch _ -> if walks.(t) = [] then 0 else merge_slot a ~bound sides walks.(t)
         in
         let n = if outcount && k > 0 && n > 0 then front_drop a p ~from:0 n else n in
         nb.(p) <- n;
-        top.(p) <- Flat.top a n;
+        top.(p) <- (if staged then Flat.top a n else -1);
         ne.(p) <- 0;
         bases.(t) <-
           (match input with
@@ -370,6 +373,7 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
             then incr pred_pruned
             else begin
               incr generated;
+              if top.(p) < 0 then top.(p) <- Flat.stage areas.(p) bases.(t);
               let a = areas.(p) and x = top.(p) + ne.(p) in
               Flat.reserve a ~used:x (x + 1);
               C.stand_in a x plib ti g j q;
