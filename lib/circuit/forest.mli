@@ -6,7 +6,9 @@
     unknown's row below the diagonal holds only its parent, so factoring
     and each solve are O(n). The transient solver factors [G] and
     [G + (2/h) C] this way (when [C] is diagonal too); the AC moments
-    factor [G]. *)
+    factor [G]. {!forward} and {!backward} serve the DC point and the
+    moments; the transient step runs its own sweeps over the same plan
+    and factor, forming its RHS inside the forward one. *)
 
 type t = {
   slot : int array;  (** MNA unknown -> elimination slot *)

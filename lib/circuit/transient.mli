@@ -8,7 +8,12 @@
     Two solvers share the stepping loop. An RC forest deck — no inductor
     rows, no capacitor between two free nodes, and an acyclic free-node
     resistor graph — is factored leaf-first as [LDL^T], which has no
-    fill: a run costs O(n) to factor plus O(n) per step. Every other
+    fill: a run costs O(n) to factor plus O(n) per step. Its step is one
+    leaf-first sweep and one back sweep; the sweep forms each unknown's
+    RHS entry from the step's source values where it first reads it, so
+    no step fills or scatters a RHS vector. Every sum keeps its operands
+    and their order, so the results are those of forming the RHS first,
+    bit for bit (DESIGN.md §4.1). Every other
     deck, and {!simulate_dense} always, uses dense LU with partial
     pivoting: O(n^3) to factor plus O(n^2) per step.
 
