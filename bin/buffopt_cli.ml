@@ -1,10 +1,9 @@
 (* buffopt: command-line buffer insertion for noise and delay.
-   Net files are parsed by [Steiner.Netfile], design files by
-   [Sta.Netfmt]; see those modules for the formats. *)
+   Every command that reads a design takes a .blif netlist or a
+   [Sta.Netfmt] design file (see [buffopt sample]) through [load_design],
+   and [run], [report] and [dot] act on each of its nets in turn. *)
 
 let process = Tech.Process.default
-
-let lib = Tech.Lib.default_library
 
 let algo_of_string = function
   | "buffopt" -> Ok Bufins.Buffopt.Buffopt
@@ -29,49 +28,76 @@ let describe_report prefix (r : Bufins.Eval.report) =
     (r.Bufins.Eval.worst_delay *. 1e12)
     (List.length r.Bufins.Eval.noise_violations)
 
+(* the front end: .blif or design-file input, an optional .lib
+   cell/buffer library, one warning line when the readers skipped
+   anything; a malformed input is reported as file:line: message and
+   exits 1. [summary] takes the one-line design summary. *)
+let load_design ?(summary = stdout) file liberty k =
+  match Ingest.Elab.load ?liberty file with
+  | exception
+      ( Sta.Netfmt.Parse m
+      | Ingest.Blif.Parse m
+      | Ingest.Liberty.Parse m
+      | Ingest.Elab.Error m
+      | Sys_error m ) ->
+      prerr_endline m;
+      1
+  | design, buffers, warnings ->
+      if warnings > 0 then Printf.eprintf "front-end: %d warning(s)\n" warnings;
+      Printf.fprintf summary "design: %s\n" (Sta.Design.stats design);
+      k design buffers
+
+(* [f] on each net's job (RATs from one STA pass), in design order,
+   after a [net <name>] header line; the worst exit code wins *)
+let each_net design f =
+  List.fold_left
+    (fun code ((net, _) as job) ->
+      Printf.printf "net %s\n" net.Steiner.Net.nname;
+      max code (f job))
+    0
+    (Sta.Engine.batch_jobs process design)
+
+let run_net ~seg_len ~kmax algorithm ~lib simulate ((net : Steiner.Net.t), tree) =
+  describe_report "unbuffered" (Bufins.Eval.of_tree tree);
+  match Bufins.Buffopt.optimize ~seg_len ~kmax algorithm ~lib tree with
+  | None ->
+      Printf.eprintf "no noise-feasible solution found for net %s\n" net.Steiner.Net.nname;
+      1
+  | Some r ->
+      describe_report "optimized" r.Bufins.Buffopt.report;
+      Printf.printf "energy: %.2f fJ in inserted buffers\n" (r.Bufins.Buffopt.energy *. 1e15);
+      let s = r.Bufins.Buffopt.stats in
+      Printf.printf
+        "engine: candidates generated=%d pruned=%d count-pruned=%d pred-pruned=%d \
+         power-pruned=%d peak-frontier=%d trace-arena=%d alloc=%.1f Mwords minor\n"
+        s.Bufins.Dp.generated s.Bufins.Dp.pruned s.Bufins.Dp.count_pruned
+        s.Bufins.Dp.pred_pruned s.Bufins.Dp.power_pruned s.Bufins.Dp.peak_width
+        s.Bufins.Dp.arena
+        (s.Bufins.Dp.minor_words /. 1e6);
+      List.iter
+        (fun (p : Rctree.Surgery.placement) ->
+          Printf.printf "  insert %s on the parent wire of node %d, %.1f um above it\n"
+            p.Rctree.Surgery.buffer.Tech.Buffer.name p.Rctree.Surgery.node
+            (p.Rctree.Surgery.dist *. 1e6))
+        r.Bufins.Buffopt.placements;
+      if simulate then begin
+        let v = Noisesim.Verify.net process r.Bufins.Buffopt.report.Bufins.Eval.tree in
+        Printf.printf "simulation: %d violating leaves (metric bound holds: %b)\n"
+          v.Noisesim.Verify.sim_violations v.Noisesim.Verify.bound_ok
+      end;
+      0
+
 let run_cmd file algo seg_um kmax simulate =
   match algo_of_string algo with
   | Error (`Msg m) ->
       prerr_endline m;
       1
-  | Ok algorithm -> (
-      let net = Steiner.Netfile.read file in
-      let tree = Steiner.Build.tree_of_net process net in
-      describe_report "unbuffered" (Bufins.Eval.of_tree tree);
-      match
-        Bufins.Buffopt.optimize ~seg_len:(seg_um *. 1e-6) ~kmax algorithm ~lib tree
-      with
-      | None ->
-          prerr_endline "no noise-feasible solution found";
-          1
-      | Some r ->
-          describe_report "optimized" r.Bufins.Buffopt.report;
-          Printf.printf "energy: %.2f fJ in inserted buffers\n"
-            (r.Bufins.Buffopt.energy *. 1e15);
-          let s = r.Bufins.Buffopt.stats in
-          Printf.printf
-            "engine: candidates generated=%d pruned=%d count-pruned=%d pred-pruned=%d \
-             power-pruned=%d peak-frontier=%d trace-arena=%d alloc=%.1f Mwords minor\n"
-            s.Bufins.Dp.generated s.Bufins.Dp.pruned s.Bufins.Dp.count_pruned
-            s.Bufins.Dp.pred_pruned s.Bufins.Dp.power_pruned s.Bufins.Dp.peak_width
-            s.Bufins.Dp.arena
-            (s.Bufins.Dp.minor_words /. 1e6);
-          List.iter
-            (fun (p : Rctree.Surgery.placement) ->
-              Printf.printf "  insert %s on the parent wire of node %d, %.1f um above it\n"
-                p.Rctree.Surgery.buffer.Tech.Buffer.name p.Rctree.Surgery.node
-                (p.Rctree.Surgery.dist *. 1e6))
-            r.Bufins.Buffopt.placements;
-          if simulate then begin
-            let v = Noisesim.Verify.net process r.Bufins.Buffopt.report.Bufins.Eval.tree in
-            Printf.printf "simulation: %d violating leaves (metric bound holds: %b)\n"
-              v.Noisesim.Verify.sim_violations v.Noisesim.Verify.bound_ok
-          end;
-          0)
+  | Ok algorithm ->
+      load_design file None (fun design lib ->
+          each_net design
+            (run_net ~seg_len:(seg_um *. 1e-6) ~kmax algorithm ~lib simulate))
 
-let report_cmd file simulate =
-  let net = Steiner.Netfile.read file in
-  let tree = Steiner.Build.tree_of_net process net in
+let report_net simulate (_, tree) =
   let r = Bufins.Eval.of_tree tree in
   describe_report "unbuffered" r;
   List.iter
@@ -100,28 +126,30 @@ let report_cmd file simulate =
   end;
   0
 
-let dot_cmd file out optimize =
-  let net = Steiner.Netfile.read file in
-  let tree = Steiner.Build.tree_of_net process net in
-  let tree =
-    if not optimize then tree
-    else
-      match Bufins.Buffopt.optimize Bufins.Buffopt.Buffopt ~lib tree with
-      | Some r -> r.Bufins.Buffopt.report.Bufins.Eval.tree
-      | None -> tree
-  in
-  (match out with
-  | Some path -> Rctree.Dot.to_file ~name:net.Steiner.Net.nname tree path
-  | None -> print_string (Rctree.Dot.render ~name:net.Steiner.Net.nname tree));
-  0
+let report_cmd file simulate =
+  load_design file None (fun design _ -> each_net design (report_net simulate))
 
-(* the front end: .blif or .design input, an optional .lib cell/buffer
-   library, one warning line when the readers skipped anything *)
-let load_design file liberty =
-  let design, buffers, warnings = Ingest.Elab.load ?liberty file in
-  if warnings > 0 then Printf.eprintf "front-end: %d warning(s)\n" warnings;
-  Printf.printf "design: %s\n" (Sta.Design.stats design);
-  (design, buffers)
+let write_text path text =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
+
+(* one digraph per net, each named after its net, in one Graphviz file;
+   the design summary goes to stderr so stdout stays Graphviz *)
+let dot_cmd file out optimize =
+  load_design ~summary:stderr file None (fun design lib ->
+      let graph ((net : Steiner.Net.t), tree) =
+        let tree =
+          if not optimize then tree
+          else
+            match Bufins.Buffopt.optimize Bufins.Buffopt.Buffopt ~lib tree with
+            | Some r -> r.Bufins.Buffopt.report.Bufins.Eval.tree
+            | None -> tree
+        in
+        Rctree.Dot.render ~name:net.Steiner.Net.nname tree
+      in
+      let text = String.concat "" (List.map graph (Sta.Engine.batch_jobs process design)) in
+      (match out with Some path -> write_text path text | None -> print_string text);
+      0)
 
 let batch_cmd file algo seg_um kmax jobs liberty =
   match algo_of_string algo with
@@ -129,27 +157,29 @@ let batch_cmd file algo seg_um kmax jobs liberty =
       prerr_endline m;
       1
   | Ok algorithm ->
-      let design, lib = load_design file liberty in
-      (* one STA pass supplies every net's RATs measured from its driving
-         pin — the same derivation the full flow uses per round *)
-      let jobs_list = Sta.Engine.batch_jobs process design in
-      let domains = if jobs <= 0 then Engine.Pool.default_domains () else jobs in
-      let r =
-        Engine.optimize ~domains ~seg_len:(seg_um *. 1e-6) ~kmax ~algorithm ~lib jobs_list
-      in
-      print_endline (Engine.summary r);
-      (match Engine.failed_nets r with
-      | [] -> 0
-      | bad ->
-          List.iter (Printf.eprintf "infeasible net: %s\n") bad;
-          1)
+      load_design file liberty (fun design lib ->
+          (* one STA pass supplies every net's RATs measured from its
+             driving pin — the same derivation the full flow uses per
+             round *)
+          let jobs_list = Sta.Engine.batch_jobs process design in
+          let domains = if jobs <= 0 then Engine.Pool.default_domains () else jobs in
+          let r =
+            Engine.optimize ~domains ~seg_len:(seg_um *. 1e-6) ~kmax ~algorithm ~lib jobs_list
+          in
+          print_endline (Engine.summary r);
+          match Engine.failed_nets r with
+          | [] -> 0
+          | bad ->
+              List.iter (Printf.eprintf "infeasible net: %s\n") bad;
+              1)
 
 let flow_cmd file iterations liberty =
-  let design, lib = load_design file liberty in
-  let r = Sta.Flow.optimize ~iterations process ~lib design in
-  print_endline (Sta.Flow.summary r);
-  if r.Sta.Flow.after.Sta.Engine.noisy_nets > 0 || r.Sta.Flow.after.Sta.Engine.wns < 0.0 then 1
-  else 0
+  load_design file liberty (fun design lib ->
+      let r = Sta.Flow.optimize ~iterations process ~lib design in
+      print_endline (Sta.Flow.summary r);
+      if r.Sta.Flow.after.Sta.Engine.noisy_nets > 0 || r.Sta.Flow.after.Sta.Engine.wns < 0.0
+      then 1
+      else 0)
 
 let gen_design_cmd gates seed out =
   let design = Sta.Gen.random { Sta.Gen.default_config with Sta.Gen.gates; seed } in
@@ -164,15 +194,22 @@ let gen_lib_cmd out =
   let text =
     Ingest.Liberty.to_string ~name:"buffopt" ~buffers:Tech.Lib.default_library Sta.Cell.library
   in
-  (match out with
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
-  | None -> print_string text);
+  (match out with Some path -> write_text path text | None -> print_string text);
   0
 
+(* the one-net design [buffopt sample] prints: one input pad drives
+   three output pads up to 9 mm away *)
+let sample =
+  "# pi <name> <x_um> <y_um> <arrival_ps> <r_ohm> <d_ps>\n\
+   # po <name> <x_um> <y_um> <required_ps> <c_fF> <nm_V>\n\
+   pi src 0 0 0 120 30\n\
+   po a 8000 2000 1200 20 0.8\n\
+   po b 6500 4500 1500 35 0.8\n\
+   po c 9000 500 1300 10 0.8\n\
+   net sample pi:src po:a po:b po:c\n"
+
 let sample_cmd () =
-  print_string Steiner.Netfile.sample;
+  print_string sample;
   0
 
 let endpoint_of socket port =
@@ -298,7 +335,12 @@ let fuzz_cmd seed count jobs minutes corpus mutate oracle replay_path =
 
 open Cmdliner
 
-let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"NETFILE")
+let file_arg =
+  Arg.(
+    required
+    & pos 0 (some non_dir_file) None
+    & info [] ~docv:"DESIGN"
+        ~doc:"A .blif netlist or a design file (see $(b,buffopt sample) for the format).")
 
 let algo_arg =
   Arg.(
@@ -348,23 +390,25 @@ let jobs_arg =
 let liberty_arg =
   Arg.(
     value
-    & opt (some file) None
+    & opt (some non_dir_file) None
     & info [ "liberty" ] ~docv:"FILE"
         ~doc:"Liberty-subset library supplying gate cells and the buffer library.")
 
 let () =
   let run =
     Cmd.v
-      (Cmd.info "run" ~doc:"Optimize a net and print the buffer placements.")
+      (Cmd.info "run" ~doc:"Optimize every net of a design and print its buffer placements.")
       Term.(const run_cmd $ file_arg $ algo_arg $ seg_arg $ kmax_arg $ sim_arg)
   in
   let report =
     Cmd.v
-      (Cmd.info "report" ~doc:"Analyze a net without inserting buffers.")
+      (Cmd.info "report" ~doc:"Analyze every net of a design without inserting buffers.")
       Term.(const report_cmd $ file_arg $ sim_arg)
   in
   let sample =
-    Cmd.v (Cmd.info "sample" ~doc:"Print a sample net file.") Term.(const sample_cmd $ const ())
+    Cmd.v
+      (Cmd.info "sample" ~doc:"Print a sample one-net design file.")
+      Term.(const sample_cmd $ const ())
   in
   let dot =
     let out =
@@ -374,7 +418,7 @@ let () =
       Arg.(value & flag & info [ "optimize" ] ~doc:"Render the BuffOpt solution, not the raw tree.")
     in
     Cmd.v
-      (Cmd.info "dot" ~doc:"Export the routing tree as Graphviz.")
+      (Cmd.info "dot" ~doc:"Export every net's routing tree as Graphviz, one digraph each.")
       Term.(const dot_cmd $ file_arg $ out $ optimize)
   in
   let batch =

@@ -11,9 +11,10 @@
     sink's (Theorem 5); near-optimal for realistic libraries
     (Section IV-C, verified within 2% in Table IV).
 
-    [?pruning] is accepted for interface uniformity with {!Vangin}, but
-    noise mode never applies the predictive slope rule ({!Dp.run}); both
-    values run the same engine here. *)
+    [?pruning] (default [`Predictive]) selects {!Dp.run}'s predictive
+    engine, whose noise-mode rule is the 4D {!Candidate.kills_full};
+    outcomes are byte-identical to [`Sweep_only], only the candidate
+    counters move. *)
 
 val run :
   ?pruning:[ `Predictive | `Sweep_only ] ->

@@ -201,13 +201,13 @@ let assign ~workers ~costs chunks =
     qs
 
 let run ~domains ?pool ?chunk ?costs ~n ~init body =
-  if domains < 1 then invalid_arg "Pool.parallel_for: domains < 1";
+  if domains < 1 then invalid_arg "Pool.run: domains < 1";
   (match chunk with
-  | Some c when c < 1 -> invalid_arg "Pool.parallel_for: chunk < 1"
+  | Some c when c < 1 -> invalid_arg "Pool.run: chunk < 1"
   | _ -> ());
   (match costs with
   | Some cs when Array.length cs <> n ->
-      invalid_arg "Pool.parallel_for: costs length <> n"
+      invalid_arg "Pool.run: costs length <> n"
   | _ -> ());
   if n = 0 then ([||], no_stats)
   else begin
@@ -323,9 +323,3 @@ let run ~domains ?pool ?chunk ?costs ~n ~init body =
     in
     (states, { workers; chunks = nchunks; jobs; steals; busy_s = busy; wall_s = wall })
   end
-
-let parallel_for ~domains ?pool ?chunk ?costs ~n body =
-  let (_ : unit array), (_ : stats) =
-    run ~domains ?pool ?chunk ?costs ~n ~init:(fun _ -> ()) (fun () i -> body i)
-  in
-  ()

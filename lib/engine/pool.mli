@@ -1,19 +1,18 @@
 (** A fixed worker pool over [Domain] with per-worker chunk queues and
     coarse work-stealing.
 
-    [parallel_for] / [run] execute a loop body over [0 .. n-1] on
-    [domains] domains (the calling domain plus [domains - 1] spawned
-    helpers — no domain is ever left running between calls). The index
-    range is cut into contiguous chunks up front; chunks are sharded
-    across per-worker queues balanced by estimated cost (heaviest chunk
-    onto the least-loaded worker — the Fiduccia–Mattheyses balance idea
-    degenerated to construction order), and each worker claims from its
-    own queue through its own [Atomic] cursor. Only when a worker's
-    shard is drained does it touch other workers' cursors to steal
-    whole chunks, so in the steady state every queue-pop lands on a
-    worker-private cache line instead of ping-ponging one shared
-    counter. No external dependencies: stdlib [Domain] and [Atomic]
-    only. *)
+    [run] executes a loop body over [0 .. n-1] on [domains] domains (the
+    calling domain plus [domains - 1] spawned helpers — no domain is ever
+    left running between calls). The index range is cut into contiguous
+    chunks up front; chunks are sharded across per-worker queues balanced
+    by estimated cost (heaviest chunk onto the least-loaded worker — the
+    Fiduccia–Mattheyses balance idea degenerated to construction order),
+    and each worker claims from its own queue through its own [Atomic]
+    cursor. Only when a worker's shard is drained does it touch other
+    workers' cursors to steal whole chunks, so in the steady state every
+    queue-pop lands on a worker-private cache line instead of ping-ponging
+    one shared counter. No external dependencies: stdlib [Domain] and
+    [Atomic] only. *)
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()] — the runtime's estimate of
@@ -113,15 +112,3 @@ val run :
     instead of freshly spawned ones and the worker count is additionally
     capped at [size pool]; everything else — chunk plan, shard
     assignment, stealing, determinism of results — is identical. *)
-
-val parallel_for :
-  domains:int ->
-  ?pool:t ->
-  ?chunk:int ->
-  ?costs:int array ->
-  n:int ->
-  (int -> unit) ->
-  unit
-(** [run] without per-worker state or scheduling counters: calls
-    [body i] exactly once for every [i] in [0 .. n-1]. Same chunking,
-    stealing, and exception contract as {!run}. *)

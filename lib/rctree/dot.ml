@@ -34,7 +34,3 @@ let render ?(name = "rctree") t =
     (List.rev (Tree.postorder t));
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let to_file ?name t path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (render ?name t))

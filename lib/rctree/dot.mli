@@ -6,6 +6,3 @@ val render : ?name:string -> Tree.t -> string
     sinks = boxes labelled with name/margin, buffers = triangles with the
     cell name) and one edge per wire labelled with length and coupled
     current. Deterministic output, suitable for golden tests. *)
-
-val to_file : ?name:string -> Tree.t -> string -> unit
-(** [to_file t path] writes [render t] to [path]. *)

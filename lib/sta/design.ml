@@ -76,6 +76,18 @@ let validate t =
   let input_driven = Array.map (fun inst -> Array.make inst.cell.Cell.n_inputs 0) t.instances in
   let po_driven = Array.make (Array.length t.pos) 0 in
   let source_used = Hashtbl.create 16 in
+  Array.iter
+    (fun p ->
+      if not (Float.is_finite p.arrival && Float.is_finite p.r_pad && Float.is_finite p.d_pad)
+      then fail "PI %s: non-finite electricals" p.pname
+      else if p.r_pad < 0.0 then fail "PI %s: negative pad resistance" p.pname)
+    t.pis;
+  Array.iter
+    (fun o ->
+      if not (Float.is_finite o.required && Float.is_finite o.c_pad && Float.is_finite o.po_nm)
+      then fail "PO %s: non-finite electricals" o.oname
+      else if o.c_pad < 0.0 then fail "PO %s: negative pad load" o.oname)
+    t.pos;
   Array.iteri
     (fun nid net ->
       (match net.source with

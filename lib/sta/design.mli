@@ -43,10 +43,12 @@ val source_location : t -> source -> Geometry.Point.t
 val sink_location : t -> sink -> Geometry.Point.t
 
 val validate : t -> (unit, string) result
-(** Structural checks: every instance input driven exactly once, every
-    instance output driving exactly one net, every PI driving exactly one
-    net, every PO driven exactly once, combinational acyclicity, and
-    pairwise-distinct placements per net. *)
+(** Electrical and structural checks: finite PI/PO electricals with
+    non-negative pad resistance and load, every instance input driven
+    exactly once, every instance output driving exactly one net, every
+    PI driving exactly one net, every PO driven exactly once,
+    combinational acyclicity, and pairwise-distinct placements per
+    net. *)
 
 val topo_order : t -> int list
 (** Instance ids, every instance after all instances feeding it. Raises

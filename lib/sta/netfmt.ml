@@ -2,8 +2,6 @@ module P = Geometry.Point
 
 exception Parse of string
 
-let um_to_nm x = int_of_float (Float.round (x *. 1000.0))
-
 let of_string ?(cells = Cell.library) ?(path = "<string>") text =
   let pis = ref [] and pos = ref [] and insts = ref [] and nets = ref [] in
   let pi_ids = Hashtbl.create 16
@@ -14,6 +12,13 @@ let of_string ?(cells = Cell.library) ?(path = "<string>") text =
     Printf.ksprintf (fun m -> raise (Parse (Printf.sprintf "%s:%d: %s" path !lineno m))) fmt
   in
   let num s = match float_of_string_opt s with Some x -> x | None -> fail "bad number %s" s in
+  (* a coordinate past a metre cannot be on a die, and one past the int
+     range would wrap: both are refused before the grid sees them *)
+  let um_to_nm s =
+    let x = num s in
+    if not (Float.abs x <= 1e6) then fail "coordinate %s outside +-1e6 um" s;
+    int_of_float (Float.round (x *. 1000.0))
+  in
   (* human-unit fields (ps, fF) are decimal-shifted in string space so
      the writer's output reads back bit-identical (Util.Fx) *)
   let scaled exp10 s =
@@ -65,7 +70,7 @@ let of_string ?(cells = Cell.library) ?(path = "<string>") text =
           fresh pi_ids pis name
             {
               Design.pname = name;
-              pat = P.make (um_to_nm (num x)) (um_to_nm (num y));
+              pat = P.make (um_to_nm x) (um_to_nm y);
               arrival = scaled (-12) arrival;
               r_pad = num r_pad;
               d_pad = scaled (-12) d_pad;
@@ -74,7 +79,7 @@ let of_string ?(cells = Cell.library) ?(path = "<string>") text =
           fresh po_ids pos name
             {
               Design.oname = name;
-              oat = P.make (um_to_nm (num x)) (um_to_nm (num y));
+              oat = P.make (um_to_nm x) (um_to_nm y);
               required = scaled (-12) required;
               c_pad = scaled (-15) c_pad;
               po_nm = num nm;
@@ -86,7 +91,7 @@ let of_string ?(cells = Cell.library) ?(path = "<string>") text =
             | None -> fail "unknown cell %s (%d in library)" cell (List.length cells)
           in
           fresh inst_ids insts name
-            { Design.iname = name; cell; at = P.make (um_to_nm (num x)) (um_to_nm (num y)) }
+            { Design.iname = name; cell; at = P.make (um_to_nm x) (um_to_nm y) }
       | "net" :: name :: src :: sinks ->
           if sinks = [] then fail "net %s has no sinks" name;
           nets :=

@@ -12,7 +12,8 @@
     where a [<source>] is [pi:<name>] or an instance name, and a [<sink>]
     is [po:<name>] or [<inst>:<input-index>]. Cells come from
     {!Cell.library}. Declarations may appear in any order; nets must
-    follow the pins and instances they reference. *)
+    follow the pins and instances they reference. Coordinates must be
+    finite and within 1e6 um of the origin. *)
 
 exception Parse of string
 (** Carries ["file:line: message"]. *)

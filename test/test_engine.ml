@@ -6,28 +6,35 @@ open Helpers
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 
+(* [Pool.run] with no per-worker state *)
+let each ~domains ?pool ?chunk ~n body =
+  let (_ : unit array), (_ : Engine.Pool.stats) =
+    Engine.Pool.run ~domains ?pool ?chunk ~n ~init:(fun _ -> ()) (fun () i -> body i)
+  in
+  ()
+
 let pool_covers_every_index () =
   let n = 101 in
   let hits = Array.make n 0 in
-  Engine.Pool.parallel_for ~domains:4 ~chunk:3 ~n (fun i -> hits.(i) <- hits.(i) + 1);
+  each ~domains:4 ~chunk:3 ~n (fun i -> hits.(i) <- hits.(i) + 1);
   Array.iteri
     (fun i h -> Alcotest.(check int) (Printf.sprintf "index %d hit once" i) 1 h)
     hits
 
 let pool_edges () =
   (* n = 0: no calls, no spawn *)
-  Engine.Pool.parallel_for ~domains:4 ~n:0 (fun _ -> Alcotest.fail "body on n=0");
+  each ~domains:4 ~n:0 (fun _ -> Alcotest.fail "body on n=0");
   (* more domains than work; chunk larger than n *)
   let hits = Array.make 3 0 in
-  Engine.Pool.parallel_for ~domains:16 ~chunk:100 ~n:3 (fun i -> hits.(i) <- hits.(i) + 1);
+  each ~domains:16 ~chunk:100 ~n:3 (fun i -> hits.(i) <- hits.(i) + 1);
   Alcotest.(check (list int)) "each once" [ 1; 1; 1 ] (Array.to_list hits);
-  Alcotest.check_raises "domains < 1" (Invalid_argument "Pool.parallel_for: domains < 1")
-    (fun () -> Engine.Pool.parallel_for ~domains:0 ~n:1 ignore);
-  Alcotest.check_raises "chunk < 1" (Invalid_argument "Pool.parallel_for: chunk < 1")
-    (fun () -> Engine.Pool.parallel_for ~domains:1 ~chunk:0 ~n:1 ignore)
+  Alcotest.check_raises "domains < 1" (Invalid_argument "Pool.run: domains < 1")
+    (fun () -> each ~domains:0 ~n:1 ignore);
+  Alcotest.check_raises "chunk < 1" (Invalid_argument "Pool.run: chunk < 1")
+    (fun () -> each ~domains:1 ~chunk:0 ~n:1 ignore)
 
 let pool_propagates_exception () =
-  match Engine.Pool.parallel_for ~domains:3 ~n:50 (fun i -> if i = 17 then failwith "boom")
+  match each ~domains:3 ~n:50 (fun i -> if i = 17 then failwith "boom")
   with
   | () -> Alcotest.fail "expected the worker's exception to surface"
   | exception Failure m -> Alcotest.(check string) "message" "boom" m
@@ -85,7 +92,7 @@ let pool_exception_joins_all () =
   let n = 64 in
   let hits = Array.init n (fun _ -> Atomic.make 0) in
   (match
-     Engine.Pool.parallel_for ~domains:5 ~chunk:2 ~n (fun i ->
+     each ~domains:5 ~chunk:2 ~n (fun i ->
          Atomic.incr hits.(i);
          if i mod 11 = 3 then failwith "several workers raise")
    with
@@ -97,7 +104,7 @@ let pool_exception_joins_all () =
         (Atomic.get h <= 1))
     hits;
   let again = Array.make n 0 in
-  Engine.Pool.parallel_for ~domains:5 ~n (fun i -> again.(i) <- again.(i) + 1);
+  each ~domains:5 ~n (fun i -> again.(i) <- again.(i) + 1);
   Array.iteri
     (fun i h -> Alcotest.(check int) (Printf.sprintf "reusable: index %d" i) 1 h)
     again
@@ -157,13 +164,13 @@ let handle_caps_run_workers () =
       (* exceptions surface exactly as without a pool, and the handle
          survives them *)
       (match
-         Engine.Pool.parallel_for ~domains:2 ~pool:p ~n:20 (fun i ->
+         each ~domains:2 ~pool:p ~n:20 (fun i ->
              if i = 7 then failwith "pooled boom")
        with
       | () -> Alcotest.fail "expected the worker's exception to surface"
       | exception Failure m -> Alcotest.(check string) "message" "pooled boom" m);
       let again = Array.make n 0 in
-      Engine.Pool.parallel_for ~domains:2 ~pool:p ~n (fun i -> again.(i) <- again.(i) + 1);
+      each ~domains:2 ~pool:p ~n (fun i -> again.(i) <- again.(i) + 1);
       Array.iteri
         (fun i h -> Alcotest.(check int) (Printf.sprintf "reusable: index %d" i) 1 h)
         again)

@@ -7,6 +7,15 @@ let tmp_write content =
   close_out oc;
   path
 
+(* [text] must be refused with exactly [msg] *)
+let expect_parse ~msg text =
+  match Sta.Netfmt.of_string ~path:"f.net" text with
+  | _ -> Alcotest.failf "expected Netfmt.Parse %s" msg
+  | exception Sta.Netfmt.Parse m -> Alcotest.(check string) "message" msg m
+
+(* one PI driving one PO *)
+let one_net ~pi ~po = Printf.sprintf "%s\n%s\nnet n pi:s po:a\n" pi po
+
 let tests =
   [
     case "round trip preserves the design" (fun () ->
@@ -100,6 +109,79 @@ let tests =
         Alcotest.(check string) "cell used" "myinv" cell.Sta.Cell.cname;
         feq "margin carried" 0.75 cell.Sta.Cell.nm;
         feq_rel "drive carried" ~eps:1e-12 300.0 cell.Sta.Cell.r_out);
+    case "sample parses" (fun () ->
+        (* [buffopt sample]'s output, rendered by a test/dune rule *)
+        let d = Sta.Netfmt.read "sample.net" in
+        Alcotest.(check int) "one net" 1 (Array.length d.Sta.Design.nets);
+        let net = d.Sta.Design.nets.(0) in
+        Alcotest.(check string) "name" "sample" net.Sta.Design.nname;
+        Alcotest.(check int) "three sinks" 3 (Array.length net.Sta.Design.sinks));
+    case "bad numbers carry a location" (fun () ->
+        expect_parse ~msg:"f.net:2: bad number oops" "# pads\npi s 0 0 0 oops 30\n");
+    case "unknown directive rejected" (fun () ->
+        expect_parse ~msg:"f.net:2: unknown directive frobnicate"
+          "pi s 0 0 0 100 30\nfrobnicate\n");
+    case "coincident pins rejected" (fun () ->
+        expect_parse ~msg:"f.net: invalid design: net 0: coincident pin placements"
+          (one_net ~pi:"pi s 5 5 0 100 30" ~po:"po a 5 5 1200 20 0.8"));
+    case "non-finite and negative electricals rejected" (fun () ->
+        let pi = "pi s 0 0 0 120 30" and po = "po a 8000 2000 1200 20 0.8" in
+        let invalid e = "f.net: invalid design: " ^ e in
+        expect_parse ~msg:(invalid "PI s: non-finite electricals")
+          (one_net ~pi:"pi s 0 0 0 nan 30" ~po);
+        expect_parse ~msg:(invalid "PI s: non-finite electricals")
+          (one_net ~pi:"pi s 0 0 0 inf 30" ~po);
+        expect_parse ~msg:(invalid "PI s: negative pad resistance")
+          (one_net ~pi:"pi s 0 0 0 -120 30" ~po);
+        expect_parse ~msg:(invalid "PO a: non-finite electricals")
+          (one_net ~pi ~po:"po a 8000 2000 1200 20 nan");
+        expect_parse ~msg:(invalid "PO a: negative pad load")
+          (one_net ~pi ~po:"po a 8000 2000 1200 -20 0.8");
+        (* ps and fF fields are read exactly, so a non-finite one is no number *)
+        expect_parse ~msg:"f.net:2: bad number inf"
+          (one_net ~pi ~po:"po a 8000 2000 inf 20 0.8"));
+    case "out-of-range coordinates rejected" (fun () ->
+        let po = "po a 8000 2000 1200 20 0.8" in
+        List.iter
+          (fun (pi, x) ->
+            expect_parse ~msg:(Printf.sprintf "f.net:1: coordinate %s outside +-1e6 um" x)
+              (one_net ~pi ~po))
+          [
+            ("pi s 1e30 0 0 120 30", "1e30");
+            ("pi s -1e13 0 0 120 30", "-1e13");
+            ("pi s 0 nan 0 120 30", "nan");
+            ("pi s 0 -inf 0 120 30", "-inf");
+            ("pi s 1000000.5 0 0 120 30", "1000000.5");
+          ];
+        expect_parse ~msg:"f.net:3: coordinate 2e6 outside +-1e6 um"
+          "pi s 0 0 0 120 30\npo a 8000 2000 1200 20 0.8\ninst g0 inv_x4 2e6 0\n";
+        (* the bound itself is a legal placement *)
+        let d = Sta.Netfmt.of_string (one_net ~pi:"pi s -1e6 1e6 0 120 30" ~po) in
+        Alcotest.(check int) "one net" 1 (Array.length d.Sta.Design.nets));
   ]
 
-let suites = [ ("sta.netfmt", tests) ]
+(* junk input must fail cleanly: a parse or a located [Parse], nothing
+   else *)
+let fuzz_tests =
+  let junk_gen =
+    QCheck2.Gen.(
+      list_size (int_range 0 12)
+        (oneof
+           [
+             string_size ~gen:printable (int_range 0 40);
+             return "pi a 0 0 0 100 30";
+             return "po q 1 2 1200 10 0.8";
+             return "po q nope 2 1200 10 0.8";
+             return "net x pi:a po:q";
+             return "# comment";
+           ]))
+  in
+  [
+    qcase ~count:150 "design parser never crashes on junk" junk_gen (fun lines ->
+        match Sta.Netfmt.of_string (String.concat "\n" lines) with
+        | _ -> true
+        | exception Sta.Netfmt.Parse _ -> true
+        | exception _ -> false);
+  ]
+
+let suites = [ ("sta.netfmt", tests); ("parsers.fuzz", fuzz_tests) ]
