@@ -134,22 +134,29 @@ let write_text path text =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
 
 (* one digraph per net, each named after its net, in one Graphviz file;
-   the design summary goes to stderr so stdout stays Graphviz *)
+   the design summary goes to stderr so stdout stays Graphviz. With
+   [optimize], a net without a noise-feasible solution is drawn
+   unbuffered, reported as [run] reports it, and the exit code is 1. *)
 let dot_cmd file out optimize =
   load_design ~summary:stderr file None (fun design lib ->
+      let code = ref 0 in
       let graph ((net : Steiner.Net.t), tree) =
         let tree =
           if not optimize then tree
           else
             match Bufins.Buffopt.optimize Bufins.Buffopt.Buffopt ~lib tree with
             | Some r -> r.Bufins.Buffopt.report.Bufins.Eval.tree
-            | None -> tree
+            | None ->
+                Printf.eprintf "no noise-feasible solution found for net %s\n"
+                  net.Steiner.Net.nname;
+                code := 1;
+                tree
         in
         Rctree.Dot.render ~name:net.Steiner.Net.nname tree
       in
       let text = String.concat "" (List.map graph (Sta.Engine.batch_jobs process design)) in
       (match out with Some path -> write_text path text | None -> print_string text);
-      0)
+      !code)
 
 let batch_cmd file algo seg_um kmax jobs liberty =
   match algo_of_string algo with

@@ -175,9 +175,12 @@ let table4 bench =
     else begin
       let base = (Bufins.Eval.of_tree r.Bufins.Buffopt.segmented).Bufins.Eval.worst_delay in
       let bo = r.Bufins.Buffopt.report.Bufins.Eval.worst_delay in
-      let by = Bufins.Vangin.by_count ~kmax ~lib r.Bufins.Buffopt.segmented in
+      let by =
+        Bufins.Dp.run ~noise:false ~mode:(Bufins.Dp.Per_count kmax) ~lib
+          r.Bufins.Buffopt.segmented
+      in
       let dly =
-        match by.(k) with
+        match by.Bufins.Dp.by_count.(k) with
         | Some d -> (Bufins.Eval.apply r.Bufins.Buffopt.segmented d.Bufins.Dp.placements).Bufins.Eval.worst_delay
         | None -> bo
       in
@@ -280,7 +283,8 @@ let ablation_seg bench =
       timed (fun () ->
           List.fold_left
             (fun (ss, bs, cs) (_, tree) ->
-              match Bufins.Alg3.run ~lib (refine tree) with
+              let o = Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib (refine tree) in
+              match o.Bufins.Dp.best with
               | Some r -> (r.Bufins.Dp.slack :: ss, r.Bufins.Dp.count + bs, r.Bufins.Dp.stats.Bufins.Dp.generated + cs)
               | None -> (ss, bs, cs))
             ([], 0, 0) sample)
@@ -332,9 +336,9 @@ let ablation_prune () =
   measure "Alg. 3 (noise), pruned" (fun t ->
       (Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib t).Bufins.Dp.stats);
   measure "Van Ginneken, no pruning" (fun t ->
-      (Bufins.Dp.run ~prune:false ~noise:false ~mode:Bufins.Dp.Single ~lib t).Bufins.Dp.stats);
+      (Bufins.Dp.run ~pruning:`Off ~noise:false ~mode:Bufins.Dp.Single ~lib t).Bufins.Dp.stats);
   measure "Alg. 3 (noise), no pruning" (fun t ->
-      (Bufins.Dp.run ~prune:false ~noise:true ~mode:Bufins.Dp.Single ~lib t).Bufins.Dp.stats);
+      (Bufins.Dp.run ~pruning:`Off ~noise:true ~mode:Bufins.Dp.Single ~lib t).Bufins.Dp.stats);
   Util.Ftab.print tab;
   Printf.printf
     "paper: Alg. 3 generates only the noise-legal subset of Van Ginneken's candidates,\nwhich is why BuffOpt's CPU time undercuts DelayOpt's in Table III.\n\n"
@@ -358,9 +362,9 @@ let extension_wiresize bench =
                 let seg = Rctree.Segment.refine tree ~max_len:500e-6 in
                 match Bufins.Wiresize.run ~widths ~noise:true ~lib seg with
                 | Some r ->
-                    ( r.Bufins.Wiresize.slack :: ss,
-                      bs + r.Bufins.Wiresize.count,
-                      ws + List.length r.Bufins.Wiresize.sizes )
+                    ( r.Bufins.Dp.slack :: ss,
+                      bs + r.Bufins.Dp.count,
+                      ws + List.length r.Bufins.Dp.sizes )
                 | None -> (ss, bs, ws))
               ([], 0, 0) sample)
       in

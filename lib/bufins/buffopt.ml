@@ -1,7 +1,5 @@
-type t = { result : Dp.result; timing_met : bool }
-
-let problem3 ?pruning ?memo ~kmax ~lib tree =
-  let outcome = Dp.run ?pruning ?memo ~noise:true ~mode:(Dp.Up_to kmax) ~lib tree in
+(* Problem 3's pick from a noise-mode [Up_to] outcome *)
+let pick_problem3 (outcome : Dp.outcome) =
   let candidates = List.filter_map Fun.id (Array.to_list outcome.Dp.by_count) in
   (* the first of the candidates that [better] prefers to every other *)
   let pick better = function
@@ -16,7 +14,6 @@ let problem3 ?pruning ?memo ~kmax ~lib tree =
           r.Dp.count < acc.Dp.count
           || (r.Dp.count = acc.Dp.count && r.Dp.slack > acc.Dp.slack))
         timing
-      |> Option.map (fun result -> { result; timing_met = true })
   | [] ->
       (* timing unreachable: fall back to the maximum-slack solution *)
       pick
@@ -24,7 +21,9 @@ let problem3 ?pruning ?memo ~kmax ~lib tree =
           r.Dp.slack > acc.Dp.slack
           || (r.Dp.slack = acc.Dp.slack && r.Dp.count < acc.Dp.count))
         candidates
-      |> Option.map (fun result -> { result; timing_met = false })
+
+let problem3 ~kmax ~lib tree =
+  pick_problem3 (Dp.run ~noise:true ~mode:(Dp.Up_to kmax) ~lib tree)
 
 type algorithm =
   | Buffopt
@@ -44,18 +43,20 @@ type run = {
 }
 
 let solve_segmented ?kmax:(km = 16) ?pruning ?memo algorithm ~lib seg =
+  let dp ~noise mode = Dp.run ?pruning ?memo ~noise ~mode ~lib seg in
   match algorithm with
   | Buffopt -> (
-      match problem3 ?pruning ?memo ~kmax:km ~lib seg with
-      | Some p -> Some p.result
+      match pick_problem3 (dp ~noise:true (Dp.Up_to km)) with
+      | Some _ as r -> r
       | None ->
           (* the net may simply need more than kmax buffers: fall back
              to the unbounded Problem 2 search before giving up *)
-          Alg3.run ?pruning ?memo ~lib seg)
-  | Delayopt k -> Some (Vangin.run_max ?pruning ?memo ~max_buffers:k ~lib seg)
-  | Alg3_max_slack -> Alg3.run ?pruning ?memo ~lib seg
-  | Vangin_max_slack -> Some (Vangin.run ?pruning ?memo ~lib seg)
-  | Power_bounded budget -> Some (Vangin.run_power ?pruning ?memo ~budget ~kmax:km ~lib seg)
+          (dp ~noise:true Dp.Single).Dp.best)
+  | Delayopt k -> (dp ~noise:false (Dp.Up_to k)).Dp.best
+  | Alg3_max_slack -> (dp ~noise:true Dp.Single).Dp.best
+  | Vangin_max_slack -> (dp ~noise:false Dp.Single).Dp.best
+  | Power_bounded budget ->
+      (dp ~noise:false (Dp.Power_bounded { budget; kmax = km })).Dp.best
 
 (* the run reporting [report] for solution [r] on the segmented tree *)
 let run_of ~report seg (r : Dp.result) =
@@ -81,9 +82,9 @@ let optimize_prepared ?kmax ?pruning ?memo algorithm ~lib seg =
     (fun (r : Dp.result) -> run_of ~report:(Eval.apply seg r.Dp.placements) seg r)
     (solve_segmented ?kmax ?pruning ?memo algorithm ~lib seg)
 
-let optimize ?(seg_len = 500e-6) ?(kmax = 16) ?(retries = 2) ?pruning algorithm ~lib tree =
+let optimize ?(seg_len = 500e-6) ?(kmax = 16) ?(retries = 2) algorithm ~lib tree =
   halving ~retries seg_len (fun seg_len ->
-      optimize_prepared ~kmax ?pruning algorithm ~lib
+      optimize_prepared ~kmax algorithm ~lib
         (Rctree.Segment.refine tree ~max_len:seg_len))
 
 let placements_energy ps =
@@ -156,8 +157,7 @@ let downsize ?slack_floor ~lib (run : run) =
     energy = placements_energy ps;
   }
 
-let optimize_coupled ?(seg_len = 500e-6) ?(kmax = 16) ?(retries = 2) ?pruning algorithm ~lib ann
-    =
+let optimize_coupled ?(seg_len = 500e-6) ?(kmax = 16) ?(retries = 2) algorithm ~lib ann =
   halving ~retries seg_len (fun seg_len ->
       let seg_ann = Coupling.refine ann ~max_len:seg_len in
       let seg = Coupling.tree seg_ann in
@@ -165,4 +165,4 @@ let optimize_coupled ?(seg_len = 500e-6) ?(kmax = 16) ?(retries = 2) ?pruning al
         (fun (r : Dp.result) ->
           let buffered = Coupling.buffered seg_ann r.Dp.placements in
           (run_of ~report:(Eval.of_tree (Coupling.tree buffered)) seg r, buffered))
-        (solve_segmented ~kmax ?pruning algorithm ~lib seg))
+        (solve_segmented ~kmax algorithm ~lib seg))

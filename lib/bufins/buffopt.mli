@@ -17,31 +17,28 @@
     finer segmenting in the rare case noise cannot be satisfied at the
     initial granularity. *)
 
-type t = {
-  result : Dp.result;
-  timing_met : bool;  (** slack >= 0 at the chosen count *)
-}
-
-val problem3 :
-  ?pruning:[ `Predictive | `Sweep_only ] ->
-  ?memo:Dp.Memo.t ->
-  kmax:int ->
-  lib:Tech.Buffer.t list ->
-  Rctree.Tree.t ->
-  t option
+val problem3 : kmax:int -> lib:Tech.Buffer.t list -> Rctree.Tree.t -> Dp.result option
 (** The Problem 3 selection rule over the count-slack front of the
-    noise-mode DP ([Dp.Up_to kmax]); the same choice as over
-    {!Alg3.by_count}'s exact buckets. [None] when no noise-feasible
-    solution exists at this segmenting. *)
+    noise-mode DP ([Dp.Up_to kmax]); the same choice as over the exact
+    buckets of [Dp.Per_count kmax]. Timing is met exactly when the
+    result's [slack >= 0.]: the rule picks among the counts that meet
+    timing first, and falls back to the maximum-slack solution only
+    when none does. [None] when no noise-feasible solution exists at
+    this segmenting. *)
 
 type algorithm =
   | Buffopt  (** noise + delay, fewest buffers meeting timing (Problem 3) *)
-  | Delayopt of int  (** DelayOpt(k): delay only, at most k buffers *)
-  | Alg3_max_slack  (** noise + delay, unconstrained count (Problem 2) *)
-  | Vangin_max_slack  (** delay only, unconstrained count *)
+  | Delayopt of int
+      (** DelayOpt(k): delay only, at most k buffers ({!Dp.Up_to}) *)
+  | Alg3_max_slack
+      (** noise + delay, unconstrained count (Problem 2, Algorithm 3) *)
+  | Vangin_max_slack  (** delay only, unconstrained count (Van Ginneken) *)
   | Power_bounded of float
-      (** max slack within the given buffer-energy budget (J); delay
-          only, {!Dp.Power_bounded} under the hood (DESIGN.md §16) *)
+      (** max slack within the given buffer-energy budget (J), at most
+          [kmax] buffers; delay only, {!Dp.Power_bounded} under the hood
+          (DESIGN.md §16) *)
+(** The one way production code chooses an optimizer: each constructor
+    is one {!Dp.run} question (see {!Dp} for the paper's mapping). *)
 
 type run = {
   report : Eval.report;  (** evaluation of the applied solution *)
@@ -57,7 +54,6 @@ val optimize :
   ?seg_len:float ->
   ?kmax:int ->
   ?retries:int ->
-  ?pruning:[ `Predictive | `Sweep_only ] ->
   algorithm ->
   lib:Tech.Buffer.t list ->
   Rctree.Tree.t ->
@@ -67,13 +63,12 @@ val optimize :
     [seg_len] when infeasible. [kmax] (default 16) bounds the Problem 3
     search; a net that needs more buffers than [kmax] falls back to the
     unbounded Problem 2 search (Algorithm 3) rather than failing.
-    [pruning] selects the candidate engine (see {!Dp.run}; outcomes are
-    byte-identical either way). [None] only for noise-aware algorithms
+    [None] only for noise-aware algorithms
     that stay infeasible after all retries. *)
 
 val optimize_prepared :
   ?kmax:int ->
-  ?pruning:[ `Predictive | `Sweep_only ] ->
+  ?pruning:[ `Predictive | `Sweep_only | `Off ] ->
   ?memo:Dp.Memo.t ->
   algorithm ->
   lib:Tech.Buffer.t list ->
@@ -86,7 +81,8 @@ val optimize_prepared :
     memo's dirty-marking contract; see {!Dp.Memo}. [None] when the
     noise-aware algorithms are infeasible at this segmenting. Equal
     inputs produce results byte-identical to {!optimize} at the same
-    granularity with the retry loop disabled. *)
+    granularity with the retry loop disabled. [pruning] is {!Dp.run}'s
+    (default [`Predictive]). *)
 
 val placements_energy : Rctree.Surgery.placement list -> float
 (** Sum of the placements' buffer energies, J — the quantity the
@@ -113,7 +109,6 @@ val optimize_coupled :
   ?seg_len:float ->
   ?kmax:int ->
   ?retries:int ->
-  ?pruning:[ `Predictive | `Sweep_only ] ->
   algorithm ->
   lib:Tech.Buffer.t list ->
   Coupling.t ->

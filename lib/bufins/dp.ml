@@ -86,8 +86,7 @@ module Memo = struct
   (* RATs and wire values are deliberately absent: edits to them are the
      caller's dirty-marking duty (plus the per-entry bound stamp), and
      hashing them here would turn every edit into a full cache drop. *)
-  let stamp ~prune ~pruning ~widths ~area_frac ~mutation ~noise ~mode ~lib tree
-      =
+  let stamp ~pruning ~widths ~mutation ~noise ~mode ~lib tree =
     let topo = ref 0 in
     for v = 0 to T.node_count tree - 1 do
       let tag =
@@ -100,8 +99,7 @@ module Memo = struct
       topo := Hashtbl.hash (!topo, T.parent tree v, tag, T.feasible tree v)
     done;
     Marshal.to_string
-      (prune, pruning, widths, area_frac, mutation, noise, mode, lib,
-       T.node_count tree, !topo)
+      (pruning, widths, mutation, noise, mode, lib, T.node_count tree, !topo)
       []
 end
 
@@ -110,8 +108,7 @@ end
    engine's outcomes drift from the sweep-only reference *)
 let loose_bound_factor = 1.25
 
-let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac = 0.4)
-    ?mutation ?memo ~noise ~mode ~lib tree =
+let run ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?mutation ?memo ~noise ~mode ~lib tree =
   if widths = [] || List.exists (fun w -> w < 1.0) widths then
     invalid_arg "Dp.run: widths must be >= 1";
   if lib = [] then invalid_arg "Dp.run: empty buffer library";
@@ -129,10 +126,7 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
     match memo with
     | None -> Trace.create ()
     | Some (m : Memo.t) ->
-        let stamp =
-          Memo.stamp ~prune ~pruning ~widths ~area_frac ~mutation ~noise ~mode
-            ~lib tree
-        in
+        let stamp = Memo.stamp ~pruning ~widths ~mutation ~noise ~mode ~lib tree in
         if m.Memo.stamp <> stamp then begin
           Memo.clear m;
           m.Memo.stamp <- stamp
@@ -183,9 +177,10 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
      [i], merges add [i] and take the min of [ns], and the attach guard
      is monotone in both. It stays off in power mode — the slope says
      nothing about the energy axis a budget must preserve (the witness
-     may be the costlier candidate) — and under [prune = false]
-     (Ablation B wants the full population). *)
-  let pred = prune && (not power) && pruning = `Predictive in
+     may be the costlier candidate) — and under [`Off] (Ablation B wants
+     the full population). *)
+  let prune = pruning <> `Off in
+  let pred = (not power) && pruning = `Predictive in
   let bounds =
     if not pred then [||]
     else begin
@@ -244,7 +239,7 @@ let run ?(prune = true) ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?(area_frac
         else begin
           List.iteri
             (fun f width ->
-              let w = if width = 1.0 then w else T.resize_wire w ~width ~area_frac in
+              let w = if width = 1.0 then w else T.resize_wire w ~width in
               let n, emitted, killed, noisy =
                 C.climb s ~arena ~at ~width ~pred ~bound ~noise:(not staircase) ~drop:noise w g
                   starts.(f)

@@ -1,17 +1,28 @@
 (** The Van Ginneken dynamic-programming engine and its extensions.
 
-    One engine implements four of the paper's optimizers:
+    One engine implements every optimizer of the paper, each one call
+    to {!run}:
 
-    - Van Ginneken [31] (Figs. 4-5): maximize source slack under Elmore
-      delay, buffers at feasible internal nodes — [noise = false].
-    - Algorithm 3 (Figs. 10-11): the same DP where a buffer (or the
-      driver) is {e never} attached to a candidate whose noise constraint
-      it would violate, and candidates whose noise slack goes negative
-      are dropped as unrecoverable — [noise = true]. Optimal for a
-      single-buffer library under Theorem 5's assumptions.
+    - Van Ginneken [31] (Figs. 4-5), the delay-only baseline the paper
+      calls DelayOpt: maximize source slack under Elmore delay, buffers
+      at feasible internal nodes — [~noise:false ~mode:Single].
+      DelayOpt(k) (Table III) is [~mode:(Up_to k)].
+    - Algorithm 3 (Figs. 10-11), Problem 2: the same DP where a buffer
+      (or the driver) is {e never} attached to a candidate whose noise
+      constraint it would violate, and candidates whose noise slack goes
+      negative are dropped as unrecoverable — [~noise:true]. It
+      generates a subset of Van Ginneken's candidates, so it can run
+      faster than DelayOpt (Table III). Optimal for a single-buffer
+      library when the buffer's input capacitance is at most every
+      sink's and its noise margin at most every sink's (Theorem 5);
+      near-optimal for realistic libraries (Section IV-C, within 2% in
+      Table IV).
+    - BuffOpt's Problem 3 reads the count-slack front of the noise-mode
+      DP ([~noise:true ~mode:(Up_to kmax)]); see {!Buffopt.problem3}.
     - The Lillis indexed extension [18]: candidate groups bucketed by the
       number of inserted buffers. [mode = Per_count kmax] keeps every
-      count's bucket exact (Table IV); [mode = Up_to kmax] drops every
+      count's bucket exact (Table IV pairs DelayOpt and BuffOpt at equal
+      counts this way); [mode = Up_to kmax] drops every
       candidate that a same-parity one with fewer buffers dominates
       and returns the count-slack front, which is all BuffOpt's
       Problem 3 and DelayOpt(k) (Table III) read.
@@ -160,8 +171,8 @@ type stats = {
       (** candidates the predictive engine discarded before
           materialization (DESIGN.md §12): no record, no arena node. In
           the noise-mode branch merge, the pairings only the slope term
-          killed. Always 0 under [`Sweep_only], in power mode and with
-          [prune = false]. *)
+          killed. Always 0 under [`Sweep_only] and [`Off] and in power
+          mode. *)
   power_pruned : int;
       (** would-be candidates the power budget discarded before
           materialization (over-budget insertions and branch-merge
@@ -170,7 +181,7 @@ type stats = {
       (** generated candidates that a same-parity candidate with fewer
           buffers dominated (count dominance, DESIGN.md §17): dropped
           while still staged, so none has an arena node. Always 0 in
-          [Single] and [Per_count] and with [prune = false]. *)
+          [Single] and [Per_count] and under [`Off]. *)
   peak_width : int;
       (** widest single (parity, bucket) frontier observed at any node —
           the engine's working-set measure *)
@@ -224,10 +235,8 @@ val survivors : stats -> int
     power_pruned]. *)
 
 val run :
-  ?prune:bool ->
-  ?pruning:[ `Predictive | `Sweep_only ] ->
+  ?pruning:[ `Predictive | `Sweep_only | `Off ] ->
   ?widths:float list ->
-  ?area_frac:float ->
   ?mutation:mutation ->
   ?memo:Memo.t ->
   noise:bool ->
@@ -240,23 +249,28 @@ val run :
     [noise = true] (power mode is delay-only). With [noise = true],
     [best = None] means no noise-feasible solution exists at the given
     segmenting (the paper's remedy: segment finer or extend the
-    library; see [Buffopt.optimize]). [prune] (default true) disables
-    candidate pruning, count dominance included, when false —
-    exponential; only for Ablation B on small trees (the branch merge
-    then falls back to the linear walk in both modes, matching the
-    pruned delay-mode exploration). [pruning]
-    (default [`Predictive]) selects the Li & Shi predictive engine:
-    wire climbs, branch-merge pairings and buffer insertions are
-    pre-checked against the node's {!Rctree.Upbound} slope bound and
-    discarded before materialization (DESIGN.md §12). Every outcome —
-    slacks, placements, sizes, by_count — is byte-identical to
-    [`Sweep_only]; only [generated]/[pred_pruned]/[pruned]/[arena] and
-    allocation figures move. In noise mode the rule is the 4D
-    {!Candidate.kills_full}. Predictive pruning is automatically off
+    library; see [Buffopt.optimize]). With [noise = false], [best] is
+    always [Some]: the zero-buffer candidate survives, and in
+    [Power_bounded] it carries zero energy, so it fits any budget.
+
+    [pruning] (default [`Predictive]) selects the candidate engine.
+    [`Predictive] is the Li & Shi predictive engine: wire climbs,
+    branch-merge pairings and buffer insertions are pre-checked against
+    the node's {!Rctree.Upbound} slope bound and discarded before
+    materialization (DESIGN.md §12); in noise mode the rule is the 4D
+    {!Candidate.kills_full}. [`Sweep_only] is the plain dominance-sweep
+    engine, the reference the pred-vs-sweep oracle holds [`Predictive]
+    to: every outcome — slacks, placements, sizes, by_count — is
+    byte-identical, only [generated]/[pred_pruned]/[pruned]/[arena] and
+    allocation figures move. Predictive pruning is automatically off
     (and [pred_pruned = 0]) in [Power_bounded] mode, where the slope
-    says nothing about the energy axis, and under [prune = false].
-    [widths] (multiples of
-    minimum width, default [[1.]]) enables simultaneous wire sizing per
-    {!Rctree.Tree.resize_wire} with the given [area_frac] (default
-    0.4); chosen widths are reported in [result.sizes] and applied with
+    says nothing about the energy axis. [`Off] disables candidate
+    pruning, count dominance included — exponential; only for Ablation
+    B and the pruning-invariance checks on small trees (the branch
+    merge then falls back to the linear walk in both modes, matching
+    the pruned delay-mode exploration).
+
+    [widths] (multiples of minimum width, default [[1.]]) enables
+    simultaneous wire sizing per {!Rctree.Tree.resize_wire}; chosen
+    widths are reported in [result.sizes] and applied with
     {!Wiresize.apply_sizes}. *)

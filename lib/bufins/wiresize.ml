@@ -1,22 +1,11 @@
 module T = Rctree.Tree
 
-type result = {
-  slack : float;
-  placements : Rctree.Surgery.placement list;
-  sizes : (int * float) list;
-  count : int;
-}
-
 let default_widths = [ 1.0; 2.0; 4.0 ]
 
-let run ?(widths = default_widths) ?(area_frac = 0.4) ~noise ~lib tree =
-  let outcome = Dp.run ~widths ~area_frac ~noise ~mode:Dp.Single ~lib tree in
-  Option.map
-    (fun (r : Dp.result) ->
-      { slack = r.Dp.slack; placements = r.Dp.placements; sizes = r.Dp.sizes; count = r.Dp.count })
-    outcome.Dp.best
+let run ?(widths = default_widths) ~noise ~lib tree =
+  (Dp.run ~widths ~noise ~mode:Dp.Single ~lib tree).Dp.best
 
-let apply_sizes ?(area_frac = 0.4) tree sizes =
+let apply_sizes tree sizes =
   let width_of = Hashtbl.create 16 in
   List.iter
     (fun (v, w) ->
@@ -26,8 +15,7 @@ let apply_sizes ?(area_frac = 0.4) tree sizes =
     sizes;
   T.map_wires tree (fun v w ->
       match Hashtbl.find_opt width_of v with
-      | Some width -> T.resize_wire w ~width ~area_frac
+      | Some width -> T.resize_wire w ~width
       | None -> w)
 
-let evaluate ?area_frac tree r =
-  Eval.apply (apply_sizes ?area_frac tree r.sizes) r.placements
+let evaluate tree (r : Dp.result) = Eval.apply (apply_sizes tree r.Dp.sizes) r.Dp.placements

@@ -8,30 +8,25 @@
     (load, slack) pruning, so the combination stays optimal for a single
     buffer type and exact-delay objectives. *)
 
-type result = {
-  slack : float;
-  placements : Rctree.Surgery.placement list;
-  sizes : (int * float) list;  (** node of the resized parent wire, width *)
-  count : int;  (** buffers inserted *)
-}
-
 val default_widths : float list
 (** [1x, 2x, 4x] minimum width. *)
 
 val run :
   ?widths:float list ->
-  ?area_frac:float ->
   noise:bool ->
   lib:Tech.Buffer.t list ->
   Rctree.Tree.t ->
-  result option
-(** Maximize source slack choosing both buffer locations and wire widths;
-    with [noise] the Devgan constraints apply as in Algorithm 3. [None]
-    only in noise mode when no combination satisfies the margins. *)
+  Dp.result option
+(** Maximize source slack choosing both buffer locations and wire widths
+    ([widths], default {!default_widths}); with [noise] the Devgan
+    constraints apply as in Algorithm 3. The result's [sizes] lists each
+    resized parent wire as (node, width). [None] only in noise mode when
+    no combination satisfies the margins. *)
 
-val apply_sizes : ?area_frac:float -> Rctree.Tree.t -> (int * float) list -> Rctree.Tree.t
+val apply_sizes : Rctree.Tree.t -> (int * float) list -> Rctree.Tree.t
 (** Rebuild the tree with the chosen widths (before applying buffer
     placements — node ids are preserved). *)
 
-val evaluate : ?area_frac:float -> Rctree.Tree.t -> result -> Eval.report
-(** [apply_sizes] then [Eval.apply] on the placements. *)
+val evaluate : Rctree.Tree.t -> Dp.result -> Eval.report
+(** [apply_sizes] on the result's [sizes], then [Eval.apply] on its
+    placements. *)

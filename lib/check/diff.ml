@@ -247,8 +247,7 @@ let buffopt_problem3 ?mutation (inst : Instance.t) =
   | None, None -> ()
   | Some _, None -> failf "engine reports infeasible but the Problem 3 driver succeeds"
   | None, Some _ -> failf "Problem 3 driver reports infeasible but the engine succeeds"
-  | Some p3, Some _ -> (
-      let r = p3.Bufins.Buffopt.result in
+  | Some r, Some _ -> (
       match outcome.Dp.by_count.(r.Dp.count) with
       | Some b when approx b.Dp.slack r.Dp.slack -> ()
       | Some b ->
@@ -260,14 +259,14 @@ let buffopt_problem3 ?mutation (inst : Instance.t) =
 let dp_invariants ?mutation (inst : Instance.t) =
   let lib = inst.Instance.lib in
   let seg = segmented inst in
-  let v = Bufins.Vangin.run ~lib seg in
+  let v = Option.get (Dp.run ~noise:false ~mode:Dp.Single ~lib seg).Dp.best in
   ignore
     (must_hold ~what:"vangin solution" ~expect:(dp_expect v ~noise_clean:false) seg
        v.Dp.placements);
   (* DelayOpt(k): counts bounded, slack monotone in the budget *)
   let prev = ref neg_infinity in
   for k = 0 to 2 do
-    let r = Bufins.Vangin.run_max ~max_buffers:k ~lib seg in
+    let r = Option.get (Dp.run ~noise:false ~mode:(Dp.Up_to k) ~lib seg).Dp.best in
     if r.Dp.count > k then failf "DelayOpt(%d) used %d buffers" k r.Dp.count;
     ignore
       (must_hold
@@ -292,7 +291,7 @@ let dp_invariants ?mutation (inst : Instance.t) =
     List.length (feasible_nodes seg) <= 7
     && List.length lib <= 2
   then begin
-    let un = Dp.run ?mutation ~prune:false ~noise:true ~mode:Dp.Single ~lib seg in
+    let un = Dp.run ?mutation ~pruning:`Off ~noise:true ~mode:Dp.Single ~lib seg in
     if un.Dp.stats.Dp.pred_pruned <> 0 then
       failf "stats: unpruned run reports pred_pruned = %d" un.Dp.stats.Dp.pred_pruned;
     match (outcome.Dp.best, un.Dp.best) with
@@ -585,7 +584,7 @@ let power_kmax = 8
 let engine_budget ~leak budget = if leak then budget *. 1.25 else budget
 
 let power_ladder ~lib seg =
-  let un = Bufins.Vangin.run_max ~max_buffers:power_kmax ~lib seg in
+  let un = Option.get (Dp.run ~noise:false ~mode:(Dp.Up_to power_kmax) ~lib seg).Dp.best in
   let e = un.Dp.energy in
   let cheapest =
     List.fold_left

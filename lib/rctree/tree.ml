@@ -24,8 +24,10 @@ let scale_wire w f =
   assert (f >= 0.0 && f <= 1.0);
   { length = w.length *. f; res = w.res *. f; cap = w.cap *. f; cur = w.cur *. f }
 
-let resize_wire w ~width ~area_frac =
-  assert (width >= 1.0 && area_frac >= 0.0 && area_frac <= 1.0);
+let area_frac = 0.4
+
+let resize_wire w ~width =
+  assert (width >= 1.0);
   {
     w with
     res = w.res /. width;

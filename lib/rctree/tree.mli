@@ -55,12 +55,18 @@ val scale_wire : wire -> float -> wire
 (** [scale_wire w f] is the fraction [f] (in [\[0,1\]]) of [w]; all four
     fields scale linearly. *)
 
-val resize_wire : wire -> width:float -> area_frac:float -> wire
+val area_frac : float
+(** 0.4: the share of a minimum-width wire's capacitance that is area
+    capacitance, the part that grows with the wire's width. *)
+
+val resize_wire : wire -> width:float -> wire
 (** The wire redrawn at [width] times the minimum width (Lillis et al.'s
-    simultaneous wire sizing): resistance scales as [1/width]; the area
-    fraction [area_frac] of the capacitance scales with [width] while the
+    simultaneous wire sizing): resistance scales as [1/width]; the
+    {!area_frac} share of the capacitance scales with [width] while the
     fringe/lateral remainder — and with it the coupled current — is
-    unchanged. Requires [width >= 1.] and [area_frac] in [\[0,1\]]. *)
+    unchanged. Requires [width >= 1.]. The DP's sizing ([Bufins.Dp.run]
+    [~widths]) and [Bufins.Wiresize.apply_sizes] both draw wires through
+    it, so a sized solution re-evaluates to the DP's own slack. *)
 
 val node_count : t -> int
 

@@ -91,22 +91,22 @@ let validate t =
   Array.iteri
     (fun nid net ->
       (match net.source with
-      | From_pi p -> if p < 0 || p >= Array.length t.pis then fail "net %d: bad PI" nid
-      | From_inst i -> if i < 0 || i >= ni then fail "net %d: bad instance source" nid);
+      | From_pi p -> if p < 0 || p >= Array.length t.pis then fail "net %s: bad PI" net.nname
+      | From_inst i -> if i < 0 || i >= ni then fail "net %s: bad instance source" net.nname);
       (match Hashtbl.find_opt source_used net.source with
-      | Some _ -> fail "net %d: source drives several nets" nid
+      | Some _ -> fail "net %s: source drives several nets" net.nname
       | None -> Hashtbl.replace source_used net.source nid);
-      if Array.length net.sinks = 0 then fail "net %d: no sinks" nid;
+      if Array.length net.sinks = 0 then fail "net %s: no sinks" net.nname;
       Array.iter
         (fun s ->
           match s with
           | To_po p ->
-              if p < 0 || p >= Array.length t.pos then fail "net %d: bad PO" nid
+              if p < 0 || p >= Array.length t.pos then fail "net %s: bad PO" net.nname
               else po_driven.(p) <- po_driven.(p) + 1
           | To_inst (i, k) ->
-              if i < 0 || i >= ni then fail "net %d: bad instance sink" nid
+              if i < 0 || i >= ni then fail "net %s: bad instance sink" net.nname
               else if k < 0 || k >= t.instances.(i).cell.Cell.n_inputs then
-                fail "net %d: bad input index on %s" nid t.instances.(i).iname
+                fail "net %s: bad input index on %s" net.nname t.instances.(i).iname
               else input_driven.(i).(k) <- input_driven.(i).(k) + 1)
         net.sinks;
       (* pin placements inside one net must be pairwise distinct for the
@@ -117,7 +117,7 @@ let validate t =
         | a :: (b :: _ as rest) -> Geometry.Point.equal a b || dup rest
         | [] | [ _ ] -> false
       in
-      if dup sorted then fail "net %d: coincident pin placements" nid)
+      if dup sorted then fail "net %s: coincident pin placements" net.nname)
     t.nets;
   Array.iteri
     (fun i inst ->
@@ -127,10 +127,12 @@ let validate t =
       if not (Hashtbl.mem source_used (From_inst i)) then
         fail "instance %s output drives no net" inst.iname)
     t.instances;
-  Array.iteri (fun p n -> if n <> 1 then fail "PO %d driven %d times" p n) po_driven;
   Array.iteri
-    (fun p _ ->
-      if not (Hashtbl.mem source_used (From_pi p)) then fail "PI %d drives no net" p)
+    (fun p n -> if n <> 1 then fail "PO %s driven %d times" t.pos.(p).oname n)
+    po_driven;
+  Array.iteri
+    (fun p pi ->
+      if not (Hashtbl.mem source_used (From_pi p)) then fail "PI %s drives no net" pi.pname)
     t.pis;
   match !err with
   | Some e -> Error e

@@ -40,24 +40,27 @@ let tests =
       | Some seg -> (
           (* single buffer with c_in below every sink cap and margin below
              every sink margin: Algorithm 3 must match brute force *)
-          let r = Bufins.Alg3.run ~lib:single_lib seg in
+          let o = Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib:single_lib seg in
+          let r = o.Bufins.Dp.best in
           match (r, Bufins.Brute.best_slack ~noise:true ~lib:single_lib seg) with
           | Some r, Some (best, _) -> Util.Fx.approx ~rel:1e-9 ~abs:1e-15 best r.Bufins.Dp.slack
           | None, None -> true
           | Some _, None | None, Some _ -> false));
     qcase ~count:60 "solutions are always noise-clean" workload_gen (fun t ->
         let seg = Rctree.Segment.refine t ~max_len:500e-6 in
-        match Bufins.Alg3.run ~lib seg with
+        match (Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib seg).Bufins.Dp.best with
         | Some r -> Bufins.Eval.noise_clean (Bufins.Eval.apply seg r.Bufins.Dp.placements)
         | None -> false);
     qcase ~count:60 "never beats the unconstrained optimum" workload_gen (fun t ->
         let seg = Rctree.Segment.refine t ~max_len:500e-6 in
-        match Bufins.Alg3.run ~lib seg with
-        | Some r -> r.Bufins.Dp.slack <= (Bufins.Vangin.run ~lib seg).Bufins.Dp.slack +. 1e-15
+        match (Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib seg).Bufins.Dp.best with
+        | Some r ->
+            let v = Bufins.Dp.run ~noise:false ~mode:Bufins.Dp.Single ~lib seg in
+            r.Bufins.Dp.slack <= (Option.get v.Bufins.Dp.best).Bufins.Dp.slack +. 1e-15
         | None -> true);
     qcase ~count:40 "predicted slack equals recomputed slack" workload_gen (fun t ->
         let seg = Rctree.Segment.refine t ~max_len:500e-6 in
-        match Bufins.Alg3.run ~lib seg with
+        match (Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib seg).Bufins.Dp.best with
         | Some r ->
             let report = Bufins.Eval.apply seg r.Bufins.Dp.placements in
             Util.Fx.approx ~rel:1e-9 ~abs:1e-16 r.Bufins.Dp.slack report.Bufins.Eval.slack
@@ -67,10 +70,14 @@ let tests =
            discrete buffering can help at coarse segmenting *)
         let t = Fixtures.two_pin ~nm:1e-4 process ~len:10e-3 in
         let seg = Rctree.Segment.refine t ~max_len:5e-3 in
-        Alcotest.(check bool) "infeasible" true (Bufins.Alg3.run ~lib seg = None));
+        let o = Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib seg in
+        Alcotest.(check bool) "infeasible" true (o.Bufins.Dp.best = None));
     qcase ~count:30 "richer library never hurts" workload_gen (fun t ->
         let seg = Rctree.Segment.refine t ~max_len:500e-6 in
-        match (Bufins.Alg3.run ~lib seg, Bufins.Alg3.run ~lib:[ Tech.Lib.min_resistance lib ] seg) with
+        let alg3 lib =
+          (Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib seg).Bufins.Dp.best
+        in
+        match (alg3 lib, alg3 [ Tech.Lib.min_resistance lib ]) with
         | Some full, Some single -> full.Bufins.Dp.slack >= single.Bufins.Dp.slack -. 1e-15
         | Some _, None -> true
         | None, _ -> true);
@@ -78,14 +85,14 @@ let tests =
         (* every gate in the produced tree satisfies its stage's margins:
            per-stage noise at any leaf <= margin *)
         let seg = Rctree.Segment.refine t ~max_len:500e-6 in
-        match Bufins.Alg3.run ~lib seg with
+        match (Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib seg).Bufins.Dp.best with
         | Some r ->
             let tree = Rctree.Surgery.apply seg r.Bufins.Dp.placements in
             List.for_all (fun (_, noise, margin) -> noise <= margin +. 1e-9) (Noise.leaf_noise tree)
         | None -> false);
     qcase ~count:20 "count-indexed buckets are exact in noise mode" workload_gen (fun t ->
         let seg = Rctree.Segment.refine t ~max_len:700e-6 in
-        let out = Bufins.Alg3.by_count ~kmax:8 ~lib seg in
+        let out = Bufins.Dp.run ~noise:true ~mode:(Bufins.Dp.Per_count 8) ~lib seg in
         let ok = ref true in
         Array.iteri
           (fun k r ->
@@ -102,7 +109,7 @@ let tests =
         !ok);
     qcase ~count:20 "bucket slacks agree with re-evaluation" workload_gen (fun t ->
         let seg = Rctree.Segment.refine t ~max_len:700e-6 in
-        let out = Bufins.Alg3.by_count ~kmax:6 ~lib seg in
+        let out = Bufins.Dp.run ~noise:true ~mode:(Bufins.Dp.Per_count 6) ~lib seg in
         Array.for_all
           (function
             | Some (r : Bufins.Dp.result) ->
@@ -119,7 +126,9 @@ let tests =
              (load, slack)-only relation discards candidates that are the
              sole survivors of the upstream wires. *)
           match
-            (Bufins.Alg3.run ~lib:mixed_lib seg, Bufins.Brute.best_slack ~noise:true ~lib:mixed_lib seg)
+            ( (Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib:mixed_lib seg)
+                .Bufins.Dp.best,
+              Bufins.Brute.best_slack ~noise:true ~lib:mixed_lib seg )
           with
           | Some r, Some (best, _) -> Util.Fx.approx ~rel:1e-9 ~abs:1e-15 best r.Bufins.Dp.slack
           | None, None -> true
@@ -134,7 +143,9 @@ let tests =
             let rng = Util.Rng.create seed in
             let seg = Rctree.Segment.refine (lowmargin_tree rng) ~max_len:1.5e-3 in
             match
-              (Bufins.Alg3.run ~lib:mixed_lib seg, Bufins.Brute.best_slack ~noise:true ~lib:mixed_lib seg)
+              ( (Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib:mixed_lib seg)
+                  .Bufins.Dp.best,
+                Bufins.Brute.best_slack ~noise:true ~lib:mixed_lib seg )
             with
             | Some r, Some (best, _) ->
                 feq_rel (Printf.sprintf "seed %d slack" seed) ~eps:1e-9 best r.Bufins.Dp.slack
@@ -202,7 +213,10 @@ let tests =
                 feq_rel
                   (Printf.sprintf "seed %d %s delay slack" seed pname)
                   ~eps:1e-12 dslack d.Bufins.Dp.slack;
-                match Bufins.Alg3.run ~pruning ~lib:mixed_lib seg with
+                match
+                  (Bufins.Dp.run ~pruning ~noise:true ~mode:Bufins.Dp.Single
+                     ~lib:mixed_lib seg).Bufins.Dp.best
+                with
                 | None -> Alcotest.failf "seed %d (%s): noise mode infeasible" seed pname
                 | Some r ->
                     Alcotest.(check (list (pair int string)))
@@ -251,7 +265,10 @@ let tests =
                 Alcotest.(check (list (pair int string)))
                   (pname ^ " delay placements") expect (sol r);
                 feq_rel (pname ^ " delay slack") ~eps:1e-12 expect_slack r.Bufins.Dp.slack);
-            match Bufins.Alg3.run ~pruning ~lib seg with
+            match
+              (Bufins.Dp.run ~pruning ~noise:true ~mode:Bufins.Dp.Single ~lib seg)
+                .Bufins.Dp.best
+            with
             | None -> Alcotest.failf "%s: noise mode infeasible" pname
             | Some r ->
                 Alcotest.(check (list (pair int string)))
@@ -286,7 +303,10 @@ let tests =
                  o.Bufins.Dp.by_count)
           in
           let noise =
-            match Bufins.Alg3.run ~pruning ~lib seg with
+            match
+              (Bufins.Dp.run ~pruning ~noise:true ~mode:Bufins.Dp.Single ~lib seg)
+                .Bufins.Dp.best
+            with
             | None -> "noise=-"
             | Some r -> Printf.sprintf "noise=%h:%s" r.Bufins.Dp.slack (sol r)
           in
@@ -453,8 +473,11 @@ let tests =
         let coarse = Rctree.Segment.refine t ~max_len:6e-3 in
         let fine = Rctree.Segment.refine t ~max_len:1e-3 in
         (* 6 mm spans violate 0.8 V no matter what drives them *)
-        Alcotest.(check bool) "coarse fails" true (Bufins.Alg3.run ~lib coarse = None);
-        Alcotest.(check bool) "fine succeeds" true (Bufins.Alg3.run ~lib fine <> None));
+        let alg3 seg =
+          (Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib seg).Bufins.Dp.best
+        in
+        Alcotest.(check bool) "coarse fails" true (alg3 coarse = None);
+        Alcotest.(check bool) "fine succeeds" true (alg3 fine <> None));
   ]
 
 let suites = [ ("bufins.alg3", tests) ]

@@ -75,7 +75,8 @@ let invariant_tests =
     let seg =
       Rctree.Segment.refine (Check.Gen.theorem5_tree rng) ~max_len:1.5e-3
     in
-    (seg, Bufins.Vangin.run ~lib:Check.Gen.single_lib seg)
+    let o = Bufins.Dp.run ~noise:false ~mode:Bufins.Dp.Single ~lib:Check.Gen.single_lib seg in
+    (seg, Option.get o.Bufins.Dp.best)
   in
   let dp_expect (r : Bufins.Dp.result) =
     {

@@ -30,7 +30,8 @@ let tests =
     qcase ~count:40 "van ginneken matches brute force (single buffer)" brute_gen (function
       | None -> true
       | Some seg -> (
-          let r = Bufins.Vangin.run ~lib:single_lib seg in
+          let o = Bufins.Dp.run ~noise:false ~mode:Bufins.Dp.Single ~lib:single_lib seg in
+          let r = Option.get o.Bufins.Dp.best in
           match Bufins.Brute.best_slack ~noise:false ~lib:single_lib seg with
           | Some (best, _) -> Util.Fx.approx ~rel:1e-9 ~abs:1e-15 best r.Bufins.Dp.slack
           | None -> false));
@@ -41,37 +42,44 @@ let tests =
           let feasible = List.filter (T.feasible seg) (T.internals seg) in
           if List.length feasible > 6 then true
           else
-            let r = Bufins.Vangin.run ~lib:two_lib seg in
+            let o = Bufins.Dp.run ~noise:false ~mode:Bufins.Dp.Single ~lib:two_lib seg in
+            let r = Option.get o.Bufins.Dp.best in
             match Bufins.Brute.best_slack ~noise:false ~lib:two_lib seg with
             | Some (best, _) -> Util.Fx.approx ~rel:1e-9 ~abs:1e-15 best r.Bufins.Dp.slack
             | None -> false));
     qcase ~count:60 "polarity: sinks see an even number of inversions" brute_gen (function
       | None -> true
       | Some seg ->
-          let r = Bufins.Vangin.run ~lib:two_lib seg in
+          let o = Bufins.Dp.run ~noise:false ~mode:Bufins.Dp.Single ~lib:two_lib seg in
+          let r = Option.get o.Bufins.Dp.best in
           let tree = Rctree.Surgery.apply seg r.Bufins.Dp.placements in
           List.for_all (fun s -> count_inversions tree s mod 2 = 0) (T.sinks tree));
     qcase ~count:60 "predicted slack equals recomputed slack" brute_gen (function
       | None -> true
       | Some seg ->
-          let r = Bufins.Vangin.run ~lib seg in
+          let o = Bufins.Dp.run ~noise:false ~mode:Bufins.Dp.Single ~lib seg in
+          let r = Option.get o.Bufins.Dp.best in
           let report = Bufins.Eval.apply seg r.Bufins.Dp.placements in
           Util.Fx.approx ~rel:1e-9 ~abs:1e-16 r.Bufins.Dp.slack report.Bufins.Eval.slack);
     qcase ~count:60 "never slower than the unbuffered tree" brute_gen (function
       | None -> true
       | Some seg ->
-          let r = Bufins.Vangin.run ~lib seg in
+          let o = Bufins.Dp.run ~noise:false ~mode:Bufins.Dp.Single ~lib seg in
+          let r = Option.get o.Bufins.Dp.best in
           r.Bufins.Dp.slack >= Elmore.slack seg -. 1e-15);
     qcase ~count:40 "max_buffers cap respected" brute_gen (function
       | None -> true
       | Some seg ->
           List.for_all
-            (fun k -> (Bufins.Vangin.run_max ~max_buffers:k ~lib seg).Bufins.Dp.count <= k)
+            (fun k ->
+              let o = Bufins.Dp.run ~noise:false ~mode:(Bufins.Dp.Up_to k) ~lib seg in
+              (Option.get o.Bufins.Dp.best).Bufins.Dp.count <= k)
             [ 0; 1; 2 ]);
     qcase ~count:40 "by_count buckets are exact" brute_gen (function
       | None -> true
       | Some seg ->
-          let arr = Bufins.Vangin.by_count ~kmax:4 ~lib seg in
+          let o = Bufins.Dp.run ~noise:false ~mode:(Bufins.Dp.Per_count 4) ~lib seg in
+          let arr = o.Bufins.Dp.by_count in
           let ok = ref true in
           Array.iteri
             (fun k r ->
@@ -83,8 +91,11 @@ let tests =
     qcase ~count:40 "more buffers allowed never hurts" brute_gen (function
       | None -> true
       | Some seg ->
-          (Bufins.Vangin.run_max ~max_buffers:4 ~lib seg).Bufins.Dp.slack
-          >= (Bufins.Vangin.run_max ~max_buffers:1 ~lib seg).Bufins.Dp.slack -. 1e-15);
+          let slack k =
+            let o = Bufins.Dp.run ~noise:false ~mode:(Bufins.Dp.Up_to k) ~lib seg in
+            (Option.get o.Bufins.Dp.best).Bufins.Dp.slack
+          in
+          slack 4 >= slack 1 -. 1e-15);
     qcase ~count:25 "pruning never changes the optimum" brute_gen (function
       | None -> true
       | Some seg ->
@@ -92,7 +103,9 @@ let tests =
           List.length feasible > 7
           ||
           let a = Bufins.Dp.run ~noise:false ~mode:Bufins.Dp.Single ~lib:two_lib seg in
-          let b = Bufins.Dp.run ~prune:false ~noise:false ~mode:Bufins.Dp.Single ~lib:two_lib seg in
+          let b =
+            Bufins.Dp.run ~pruning:`Off ~noise:false ~mode:Bufins.Dp.Single ~lib:two_lib seg
+          in
           match (a.Bufins.Dp.best, b.Bufins.Dp.best) with
           | Some x, Some y -> Util.Fx.approx ~rel:1e-9 ~abs:1e-16 x.Bufins.Dp.slack y.Bufins.Dp.slack
           | None, None -> true
@@ -102,10 +115,15 @@ let tests =
         let buf = Tech.Lib.min_resistance lib in
         let t' = Rctree.Surgery.apply t [ { Rctree.Surgery.node = 1; dist = 2e-3; buffer = buf } ] in
         Alcotest.(check bool) "raises" true
-          (match Bufins.Vangin.run ~lib t' with exception Invalid_argument _ -> true | _ -> false));
+          (match Bufins.Dp.run ~noise:false ~mode:Bufins.Dp.Single ~lib t' with
+          | exception Invalid_argument _ -> true
+          | _ -> false));
     case "empty library rejected" (fun () ->
         Alcotest.(check bool) "raises" true
-          (match Bufins.Vangin.run ~lib:[] (Fixtures.two_pin process ~len:1e-3) with
+          (match
+             Bufins.Dp.run ~noise:false ~mode:Bufins.Dp.Single ~lib:[]
+               (Fixtures.two_pin process ~len:1e-3)
+           with
           | exception Invalid_argument _ -> true
           | _ -> false));
     case "stats counters pinned on a fixed fixture" (fun () ->
@@ -156,7 +174,8 @@ let tests =
           && s.Bufins.Dp.peak_width <= s.Bufins.Dp.generated);
     case "long line benefits from buffering" (fun () ->
         let t = Rctree.Segment.refine (Fixtures.two_pin process ~len:10e-3) ~max_len:500e-6 in
-        let r = Bufins.Vangin.run ~lib t in
+        let o = Bufins.Dp.run ~noise:false ~mode:Bufins.Dp.Single ~lib t in
+        let r = Option.get o.Bufins.Dp.best in
         Alcotest.(check bool) "count > 1" true (r.Bufins.Dp.count > 1);
         Alcotest.(check bool) "strictly better" true (r.Bufins.Dp.slack > Elmore.slack t +. 1e-12));
     case "count dominance drops a pairing and a stand-in before they get a node" (fun () ->

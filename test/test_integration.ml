@@ -50,7 +50,10 @@ let tests =
               | Some bo when bo.Bufins.Buffopt.count > 0 -> (
                   let seg = bo.Bufins.Buffopt.segmented in
                   let base = (Bufins.Eval.of_tree seg).Bufins.Eval.worst_delay in
-                  let by = Bufins.Vangin.by_count ~kmax:16 ~lib seg in
+                  let by =
+                    (Bufins.Dp.run ~noise:false ~mode:(Bufins.Dp.Per_count 16) ~lib seg)
+                      .Bufins.Dp.by_count
+                  in
                   match by.(bo.Bufins.Buffopt.count) with
                   | Some d ->
                       let dly =

@@ -122,7 +122,7 @@ let tests =
         expect_parse ~msg:"f.net:2: unknown directive frobnicate"
           "pi s 0 0 0 100 30\nfrobnicate\n");
     case "coincident pins rejected" (fun () ->
-        expect_parse ~msg:"f.net: invalid design: net 0: coincident pin placements"
+        expect_parse ~msg:"f.net: invalid design: net n: coincident pin placements"
           (one_net ~pi:"pi s 5 5 0 100 30" ~po:"po a 5 5 1200 20 0.8"));
     case "non-finite and negative electricals rejected" (fun () ->
         let pi = "pi s 0 0 0 120 30" and po = "po a 8000 2000 1200 20 0.8" in
@@ -158,6 +158,10 @@ let tests =
         (* the bound itself is a legal placement *)
         let d = Sta.Netfmt.of_string (one_net ~pi:"pi s -1e6 1e6 0 120 30" ~po) in
         Alcotest.(check int) "one net" 1 (Array.length d.Sta.Design.nets));
+    case "undriven PO rejected by name" (fun () ->
+        expect_parse ~msg:"f.net: invalid design: PO b driven 0 times"
+          (one_net ~pi:"pi s 0 0 0 120 30"
+             ~po:"po a 8000 2000 1200 20 0.8\npo b 4000 2000 1200 20 0.8"));
   ]
 
 (* junk input must fail cleanly: a parse or a located [Parse], nothing

@@ -161,7 +161,7 @@ let segment_tests =
         Alcotest.(check bool) "heavier coupling, denser candidates" true
           (List.length (T.internals sc) > List.length (T.internals sq));
         (* and the result is still optimizable to a clean solution *)
-        match Bufins.Alg3.run ~lib sc with
+        match (Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib sc).Bufins.Dp.best with
         | Some r ->
             Alcotest.(check bool) "clean" true
               (Bufins.Eval.noise_clean (Bufins.Eval.apply sc r.Bufins.Dp.placements))

@@ -128,7 +128,7 @@ let tests =
           (Bufins.Eval.noise_clean (Bufins.Eval.apply t r.Bufins.Alg2.placements)));
     Alcotest.test_case "alg3 handles a 200-sink segmented tree" `Slow (fun () ->
         let t = Rctree.Segment.refine (Fixtures.caterpillar process 200) ~max_len:500e-6 in
-        match Bufins.Alg3.run ~lib t with
+        match (Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib t).Bufins.Dp.best with
         | Some r ->
             Alcotest.(check bool) "clean" true
               (Bufins.Eval.noise_clean (Bufins.Eval.apply t r.Bufins.Dp.placements))

@@ -142,7 +142,8 @@ let engine_tests =
         let base = Sta.Engine.analyze process d in
         let tree = Sta.Engine.net_to_steiner d 1 |> Steiner.Build.tree_of_net process in
         let seg = Rctree.Segment.refine tree ~max_len:500e-6 in
-        let opt = Bufins.Vangin.run ~lib seg in
+        let o = Bufins.Dp.run ~noise:false ~mode:Bufins.Dp.Single ~lib seg in
+        let opt = Option.get o.Bufins.Dp.best in
         let buffered = Rctree.Surgery.apply seg opt.Bufins.Dp.placements in
         let t =
           Sta.Engine.analyze ~trees:(fun nid -> if nid = 1 then Some buffered else None) process d

@@ -44,14 +44,14 @@ let tests =
   [
     case "resize model" (fun () ->
         let w = T.make_wire ~length:1e-3 ~res:80.0 ~cap:2e-13 ~cur:1e-3 in
-        let r = T.resize_wire w ~width:2.0 ~area_frac:0.4 in
+        let r = T.resize_wire w ~width:2.0 in
         feq_rel "half resistance" ~eps:1e-12 40.0 r.T.res;
         feq_rel "area grows" ~eps:1e-12 (2e-13 *. ((0.4 *. 2.0) +. 0.6)) r.T.cap;
         feq_rel "coupling unchanged" ~eps:1e-12 1e-3 r.T.cur;
         feq_rel "length unchanged" ~eps:1e-12 1e-3 r.T.length);
     case "width one is the identity" (fun () ->
         let w = T.make_wire ~length:1e-3 ~res:80.0 ~cap:2e-13 ~cur:1e-3 in
-        let r = T.resize_wire w ~width:1.0 ~area_frac:0.4 in
+        let r = T.resize_wire w ~width:1.0 in
         feq_rel "res" ~eps:1e-15 w.T.res r.T.res;
         feq_rel "cap" ~eps:1e-15 w.T.cap r.T.cap);
     qcase ~count:15 "matches joint brute force (single buffer, widths 1/3)" tree_gen (function
@@ -68,7 +68,7 @@ let tests =
               ( Bufins.Wiresize.run ~widths ~noise:false ~lib:single_lib seg,
                 brute_joint ~widths ~lib:single_lib seg )
             with
-            | Some r, Some best -> Util.Fx.approx ~rel:1e-9 ~abs:1e-15 best r.Bufins.Wiresize.slack
+            | Some r, Some best -> Util.Fx.approx ~rel:1e-9 ~abs:1e-15 best r.Bufins.Dp.slack
             | None, _ | _, None -> false
           end));
     qcase ~count:40 "wider menu never hurts" workload_gen (fun t ->
@@ -77,14 +77,14 @@ let tests =
           ( Bufins.Wiresize.run ~widths:[ 1.0 ] ~noise:false ~lib seg,
             Bufins.Wiresize.run ~widths:[ 1.0; 2.0; 4.0 ] ~noise:false ~lib seg )
         with
-        | Some narrow, Some wide -> wide.Bufins.Wiresize.slack >= narrow.Bufins.Wiresize.slack -. 1e-15
+        | Some narrow, Some wide -> wide.Bufins.Dp.slack >= narrow.Bufins.Dp.slack -. 1e-15
         | _, _ -> false);
     qcase ~count:40 "predicted slack equals evaluated slack" workload_gen (fun t ->
         let seg = Rctree.Segment.refine t ~max_len:1e-3 in
         match Bufins.Wiresize.run ~noise:false ~lib seg with
         | Some r ->
             let report = Bufins.Wiresize.evaluate seg r in
-            Util.Fx.approx ~rel:1e-9 ~abs:1e-16 r.Bufins.Wiresize.slack report.Bufins.Eval.slack
+            Util.Fx.approx ~rel:1e-9 ~abs:1e-16 r.Bufins.Dp.slack report.Bufins.Eval.slack
         | None -> false);
     qcase ~count:30 "noise mode stays clean with sizing" workload_gen (fun t ->
         let seg = Rctree.Segment.refine t ~max_len:700e-6 in
@@ -93,17 +93,19 @@ let tests =
         | None -> false);
     qcase ~count:30 "sizing never hurts the noise-constrained optimum" workload_gen (fun t ->
         let seg = Rctree.Segment.refine t ~max_len:700e-6 in
-        match (Bufins.Alg3.run ~lib seg, Bufins.Wiresize.run ~noise:true ~lib seg) with
-        | Some plain, Some sized -> sized.Bufins.Wiresize.slack >= plain.Bufins.Dp.slack -. 1e-15
+        let plain = Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib seg in
+        match (plain.Bufins.Dp.best, Bufins.Wiresize.run ~noise:true ~lib seg) with
+        | Some plain, Some sized -> sized.Bufins.Dp.slack >= plain.Bufins.Dp.slack -. 1e-15
         | None, Some _ -> true
         | _, None -> false);
     case "matches plain van ginneken when menu is trivial" (fun () ->
         let t = Rctree.Segment.refine (Fixtures.two_pin process ~len:8e-3) ~max_len:1e-3 in
-        let plain = Bufins.Vangin.run ~lib t in
+        let o = Bufins.Dp.run ~noise:false ~mode:Bufins.Dp.Single ~lib t in
+        let plain = Option.get o.Bufins.Dp.best in
         match Bufins.Wiresize.run ~widths:[ 1.0 ] ~noise:false ~lib t with
         | Some sized ->
-            feq_rel "same slack" ~eps:1e-12 plain.Bufins.Dp.slack sized.Bufins.Wiresize.slack;
-            Alcotest.(check int) "no sizes" 0 (List.length sized.Bufins.Wiresize.sizes)
+            feq_rel "same slack" ~eps:1e-12 plain.Bufins.Dp.slack sized.Bufins.Dp.slack;
+            Alcotest.(check int) "no sizes" 0 (List.length sized.Bufins.Dp.sizes)
         | None -> Alcotest.fail "unexpected None");
     case "apply_sizes rejects bad nodes" (fun () ->
         let t = Fixtures.two_pin process ~len:1e-3 in
@@ -126,9 +128,9 @@ let tests =
             Bufins.Wiresize.run ~widths:[ 1.0 ] ~noise:false ~lib t )
         with
         | Some wide, Some narrow ->
-            Alcotest.(check bool) "wire widened" true (wide.Bufins.Wiresize.sizes <> []);
+            Alcotest.(check bool) "wire widened" true (wide.Bufins.Dp.sizes <> []);
             Alcotest.(check bool) "strictly better" true
-              (wide.Bufins.Wiresize.slack > narrow.Bufins.Wiresize.slack +. 1e-12)
+              (wide.Bufins.Dp.slack > narrow.Bufins.Dp.slack +. 1e-12)
         | _, _ -> Alcotest.fail "unexpected None");
   ]
 
