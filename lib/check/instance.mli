@@ -83,8 +83,9 @@ type oracle =
           full-window forest peaks bit for bit, and the
           {!Noisesim.Verify} verdicts ([sim_violations],
           [metric_violations], [bound_ok]) are identical. The tree is a
-          workload net; the instance's content seeds the deck granularity
-          ([n_seg] 1-16), an optional multi-aggressor annotation, and
+          workload net; the instance's content seeds the cap on each
+          wire's sections ([n_seg] 1-16), an optional multi-aggressor
+          annotation, and
           whether the net is verified unbuffered or after BuffOpt. DP
           [mutation] campaigns skip this oracle. *)
   | Count_front

@@ -19,6 +19,31 @@ let gate_resistance t g =
   | T.Buffered b -> b.Tech.Buffer.r_b
   | T.Sink _ | T.Internal -> invalid_arg "Deck.of_stage: not a gate"
 
+let pin_cap t v =
+  match T.kind t v with
+  | T.Sink s -> s.T.c_sink
+  | T.Buffered b -> b.Tech.Buffer.c_in
+  | T.Internal | T.Source _ -> 0.0
+
+(* the run's [(dt, t_end)] for a deck of time constant [tau] *)
+let span cfg tau =
+  let t_end = cfg.t_rise +. Float.max (6.0 *. tau) (0.5 *. cfg.t_rise) in
+  let dt = Float.max (t_end /. 6000.0) (Float.min (cfg.t_rise /. 40.0) (t_end /. 400.0)) in
+  (dt, t_end)
+
+(* Per-wire sections (DESIGN §4.1): enough that each section's own time
+   constant [RC_w / n^2] is at most [dt / k^2], capped at [n_seg]; 0 lumps
+   a wire whose [RC_w] is below [lump_frac] of the step at its upper node. *)
+let k = 1.5
+let lump_frac = 1e-4
+
+let sections cfg ~dt (w : T.wire) =
+  let rc = w.T.res *. w.T.cap in
+  if rc < lump_frac *. dt then 0
+  else
+    let n = Float.ceil (k *. sqrt (rc /. dt)) in
+    if n >= float_of_int cfg.n_seg then cfg.n_seg else int_of_float n
+
 let of_stage ?density cfg tree ~gate =
   if cfg.n_seg < 1 then invalid_arg "Deck.of_stage: n_seg must be >= 1";
   let r_g = gate_resistance tree gate in
@@ -49,32 +74,37 @@ let of_stage ?density cfg tree ~gate =
     let total = List.fold_left (fun a (c, _) -> a +. c) 0.0 couples in
     (couples, Float.max 0.0 (w.T.cap -. total))
   in
+  let members = T.stage_members tree gate in
+  let total_res, total_cap =
+    List.fold_left
+      (fun (r, c) v ->
+        let w = T.wire_to tree v in
+        (r +. w.T.res, c +. w.T.cap +. pin_cap tree v))
+      (0.0, 0.0) members
+  in
+  let tau = (r_g +. total_res) *. total_cap in
+  let dt, _ = span cfg tau in
   let circuit_of = Hashtbl.create 16 in
   let root_node = N.fresh ~label:"stage-root" nl in
   Hashtbl.replace circuit_of gate root_node;
   (* the victim's driving gate holds the net quiet through its resistance *)
   N.resistor nl root_node N.ground r_g;
-  let members = T.stage_members tree gate in
-  let total_res = ref 0.0 and total_cap = ref 0.0 in
   List.iter
     (fun v ->
       let w = T.wire_to tree v in
-      total_res := !total_res +. w.T.res;
-      total_cap := !total_cap +. w.T.cap;
       let couples, c_ground = wire_coupling w v in
+      let up = Hashtbl.find circuit_of (T.parent tree v) in
+      let n = sections cfg ~dt w in
       let down =
-        if w.T.res <= 0.0 then begin
-          (* zero-resistance wire: lump everything at the shared node *)
-          let up = Hashtbl.find circuit_of (T.parent tree v) in
+        if n = 0 then begin
+          (* a wire too short for the step: lump everything at the shared node *)
           N.capacitor nl up N.ground c_ground;
           List.iter (fun (c, slope) -> N.capacitor nl up (aggressor_for slope) c) couples;
           up
         end
         else begin
-          (* discretize: n_seg series resistances, segment capacitances
-             split half to each end (pi model) *)
-          let up = Hashtbl.find circuit_of (T.parent tree v) in
-          let n = cfg.n_seg in
+          (* discretize: n series resistances, section capacitances split
+             half to each end (pi model) *)
           let fn = float_of_int n in
           let seg_r = w.T.res /. fn in
           let half_cg = c_ground /. fn /. 2.0 in
@@ -102,28 +132,19 @@ let of_stage ?density cfg tree ~gate =
       in
       Hashtbl.replace circuit_of v down;
       (* stage leaves add their pin capacitance *)
-      (match T.kind tree v with
-      | T.Sink s ->
-          total_cap := !total_cap +. s.T.c_sink;
-          N.capacitor nl down N.ground s.T.c_sink
-      | T.Buffered b ->
-          total_cap := !total_cap +. b.Tech.Buffer.c_in;
-          N.capacitor nl down N.ground b.Tech.Buffer.c_in
-      | T.Internal | T.Source _ -> ()))
+      match T.kind tree v with
+      | T.Sink _ | T.Buffered _ -> N.capacitor nl down N.ground (pin_cap tree v)
+      | T.Internal | T.Source _ -> ())
     members;
   let probes =
     List.filter_map
       (fun v -> if T.is_stage_leaf tree v then Some (v, Hashtbl.find circuit_of v) else None)
       members
   in
-  let tau = (r_g +. !total_res) *. !total_cap in
   let sources = Hashtbl.fold (fun slope node acc -> (node, slope) :: acc) aggressors [] in
   { netlist = nl; probes; sources; tau }
 
-let window cfg deck =
-  let t_end = cfg.t_rise +. Float.max (6.0 *. deck.tau) (0.5 *. cfg.t_rise) in
-  let dt = Float.max (t_end /. 6000.0) (Float.min (cfg.t_rise /. 40.0) (t_end /. 400.0)) in
-  (dt, t_end)
+let window cfg deck = span cfg deck.tau
 
 let peak_noise cfg deck =
   let dt, t_end = window cfg deck in

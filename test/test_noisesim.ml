@@ -209,8 +209,8 @@ let early_exit_tests =
         let t = Rctree.Builder.finish b in
         pinned "branch and zero-resistance wire"
           (Noisesim.Deck.of_stage cfg t ~gate:(T.root t))
-          "96 0x1.4406571a32ad8p-1@0x1.12e0be826d695p-32 0x1.7d587a4a4191fp-1@0x1.12e0be826d695p-32 \
-           0x1.64f18487d479ep-1@0x1.12e0be826d695p-32 bde4abe5fcf621794327cd06b96b689c";
+          "88 0x1.440d9ae8a00c1p-1@0x1.12e0be826d695p-32 0x1.7d5b2f389dcdp-1@0x1.12e0be826d695p-32 \
+           0x1.64f6444499b26p-1@0x1.12e0be826d695p-32 a4f458be109e7a80e5224a19b1abfea3";
         (* two aggressor slopes on one wire: two sources in every row *)
         let line = Fixtures.two_pin process ~len:3e-3 in
         let span slope = { Coupling.near = 0.0; far = 3e-3; lambda = 0.3; slope } in
@@ -256,6 +256,79 @@ let early_exit_tests =
         pinned "early exit" (deck ~tau:2e-10 nl [ root; far ])
           "144 0x1.6da05598bb83dp-8@0x1.0f0794ee2b5e1p-32 0x1.ef9f8f79c2587p-9@0x1.3adf657e1bcb7p-32 \
            cde65eaa299763da84cc59df8039cb06");
+  ]
+
+(* Every sink's simulated peak over all stages of a tree, by sink name. *)
+let sink_peaks cfg t =
+  List.concat_map
+    (fun g ->
+      List.filter_map
+        (fun (v, peak) ->
+          match T.kind t v with T.Sink s -> Some (s.T.sname, peak) | _ -> None)
+        (Noisesim.Deck.peak_noise cfg (Noisesim.Deck.of_stage cfg t ~gate:g)))
+    (T.gates t)
+
+(* free nodes of a deck: everything but its ramp sources *)
+let unknowns d =
+  Circuit.Netlist.node_count d.Noisesim.Deck.netlist - List.length d.Noisesim.Deck.sources
+
+let section_tests =
+  let cfg = Noisesim.Deck.default_config process in
+  let line_deck ?(cfg = cfg) len =
+    let t = Fixtures.two_pin process ~len in
+    Noisesim.Deck.of_stage cfg t ~gate:(T.root t)
+  in
+  [
+    case "per-wire decks match a 20 um reference on workload trees" (fun () ->
+        (* signoff-shaped trees (BuffOpt's output, and the unbuffered net
+           cut at 500 um) against the same trees refined into pieces of at
+           most 20 um, each one section: its RC is far below the step and
+           above the lumping floor. Per-wire sections err by O(1/k^2):
+           at k = 1.5, 2.7e-4 V at worst here and 2.2e-4 V on block200,
+           where k = 1 gives 5.0e-4 V (DESIGN.md §4.1). *)
+        let nets =
+          Workload.trees process
+            (Workload.generate { Workload.default_config with nets = 6; seed = 3 })
+        in
+        let worst = ref 0.0 in
+        List.iter
+          (fun (_, t) ->
+            let trees =
+              Rctree.Segment.refine t ~max_len:500e-6
+              ::
+              (match Bufins.Buffopt.optimize Bufins.Buffopt.Buffopt ~lib t with
+              | Some run -> [ run.Bufins.Buffopt.report.Bufins.Eval.tree ]
+              | None -> [])
+            in
+            List.iter
+              (fun t ->
+                let fine = sink_peaks cfg (Rctree.Segment.refine t ~max_len:20e-6) in
+                List.iter
+                  (fun (name, peak) ->
+                    worst := Float.max !worst (Float.abs (peak -. List.assoc name fine)))
+                  (sink_peaks cfg t))
+              trees)
+          nets;
+        if !worst > 5e-4 then Alcotest.failf "worst leaf error %.3g V over 5e-4 V" !worst);
+    case "a sub-micron wire is lumped at its upper node" (fun () ->
+        let d = line_deck 0.5e-6 in
+        Alcotest.(check int) "only the stage root" 1 (unknowns d);
+        match Noisesim.Deck.peak_noise cfg d with
+        | [ (_, peak) ] -> Alcotest.(check bool) "its coupling stays" true (peak > 0.0)
+        | _ -> Alcotest.fail "one probe expected");
+    case "a 4 mm wire keeps n_seg sections" (fun () ->
+        Alcotest.(check int) "root and 8 sections" 9 (unknowns (line_deck 4e-3)));
+    case "n_seg caps the per-wire count" (fun () ->
+        let three = { cfg with Noisesim.Deck.n_seg = 3 } in
+        Alcotest.(check int) "3 sections" 4 (unknowns (line_deck ~cfg:three 4e-3));
+        (* uncapped, the count is ceil (1.5 sqrt (RC / dt)) *)
+        let big = { cfg with Noisesim.Deck.n_seg = 1000 } in
+        let d = line_deck ~cfg:big 4e-3 in
+        let dt, _ = Noisesim.Deck.window big d in
+        let rc = Tech.Process.wire_r process 4e-3 *. Tech.Process.wire_c process 4e-3 in
+        Alcotest.(check int) "from the time constant"
+          (1 + int_of_float (Float.ceil (1.5 *. sqrt (rc /. dt))))
+          (unknowns d));
   ]
 
 let tests =
@@ -327,4 +400,9 @@ let tests =
         Alcotest.(check int) "clean after buffering" 0 r'.Noisesim.Verify.sim_violations);
   ]
 
-let suites = [ ("noisesim", tests); ("noisesim.early", early_exit_tests) ]
+let suites =
+  [
+    ("noisesim", tests);
+    ("noisesim.early", early_exit_tests);
+    ("noisesim.sections", section_tests);
+  ]

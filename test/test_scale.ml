@@ -140,9 +140,16 @@ let tests =
             Alcotest.(check bool) "clean" true (Bufins.Eval.noise_clean r.Bufins.Buffopt.report)
         | None -> Alcotest.fail "infeasible");
     Alcotest.test_case "transient deck with a thousand unknowns" `Slow (fun () ->
-        let t = Fixtures.two_pin process ~len:20e-3 in
-        let cfg = { (Noisesim.Deck.default_config process) with Noisesim.Deck.n_seg = 1000 } in
+        (* [n_seg] only caps a wire's sections, so the size comes from
+           the tree: a 20 mm line cut into 20 um pieces, one section each *)
+        let t = Rctree.Segment.refine (Fixtures.two_pin process ~len:20e-3) ~max_len:20e-6 in
+        let cfg = Noisesim.Deck.default_config process in
         let deck = Noisesim.Deck.of_stage cfg t ~gate:(Rctree.Tree.root t) in
+        let unknowns =
+          Circuit.Netlist.node_count deck.Noisesim.Deck.netlist
+          - List.length deck.Noisesim.Deck.sources
+        in
+        if unknowns < 1000 then Alcotest.failf "%d unknowns" unknowns;
         match Noisesim.Deck.peak_noise cfg deck with
         | [ (_, peak) ] -> Alcotest.(check bool) "positive" true (peak > 0.0)
         | _ -> Alcotest.fail "one probe expected");
