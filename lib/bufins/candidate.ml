@@ -16,15 +16,20 @@ let[@inline] kills ~bound kc kq c q = kq >= q || (c > kc && q -. kq < bound *. (
 let[@inline] kills_full ~bound kc kq (ki : float) (kns : float) c q (i : float) (ns : float) =
   kc <= c && ki <= i && kns >= ns && kills ~bound kc kq c q
 
-let covered ~bound ~c ~q ~i ~ns (g : Flat.group) =
-  let n = rows g in
-  let rec go k =
-    k < n
-    && g.(6 * k) <= c
-    && (kills_full ~bound g.(6 * k) g.((6 * k) + 1) g.((6 * k) + 2) g.((6 * k) + 3) c q i ns
-       || go (k + 1))
-  in
-  go 0
+(* The would-be row's coordinates are read here, not passed in: a
+   float argument to another module's function is boxed at every call,
+   and this runs once per stand-in. *)
+let covered (s : Flat.t) m ~bound ~noise (lib : Tech.Lib.prepared) k (g : Flat.group) =
+  let c = lib.Tech.Lib.c_in.(k) and q = s.xs.((6 * m) + 1) in
+  let i = if noise then 0.0 else infinity in
+  let ns = if noise then lib.Tech.Lib.nm.(k) else neg_infinity in
+  let n = rows g and r = ref 0 and hit = ref false in
+  while (not !hit) && !r < n && g.(6 * !r) <= c do
+    let a = 6 * !r in
+    hit := kills_full ~bound g.(a) g.(a + 1) g.(a + 2) g.(a + 3) c q i ns;
+    incr r
+  done;
+  !hit
 
 let climb (s : Flat.t) ~arena ~at ~width ~pred ~bound ~noise ~drop (w : T.wire)
     (g : Flat.group) n0 =

@@ -53,11 +53,15 @@ val kills_full :
     discard the lone candidate whose noise slack survives the remaining
     upstream wires. *)
 
-val covered : bound:float -> c:float -> q:float -> i:float -> ns:float -> Flat.group -> bool
-(** Does any row of the load-sorted group with load [<= c] kill a
-    would-be row at [(c, q, i, ns)] under {!kills_full}? The
-    buffer-insertion pre-check, run against the target group before
-    anything is staged for the insertion. Delay mode passes
+val covered :
+  Flat.t -> int -> bound:float -> noise:bool -> Tech.Lib.prepared -> int -> Flat.group -> bool
+(** [covered s m ~bound ~noise lib k g]: does any row of the
+    load-sorted group [g] with load [<= c] kill a would-be row at
+    [(c, q, i, ns)] under {!kills_full}? The buffer-insertion
+    pre-check, run against the target group before anything is staged
+    for the insertion of type [k] of [lib] at the insertion slack [q]
+    of {!sources}' entry [m] in [s]: [c] is the type's [c_in]. With
+    [noise], [i = 0] and [ns] is the type's noise margin; without it,
     [i = infinity] and [ns = neg_infinity], which every row beats,
     leaving the (load, slack) rule. *)
 

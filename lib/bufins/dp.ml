@@ -361,10 +361,7 @@ let run ?(pruning = `Predictive) ?(widths = [ 1.0 ]) ?mutation ?memo ~noise ~mod
             if g.((6 * j) + 4) +. plib.Tech.Lib.energy.(ti) > eff_budget then incr power_pruned
             else if
               pred
-              && C.covered ~bound ~c:plib.Tech.Lib.c_in.(ti) ~q
-                   ~i:(if staircase then infinity else 0.0)
-                   ~ns:(if staircase then neg_infinity else plib.Tech.Lib.nm.(ti))
-                   bases.(t)
+              && C.covered src m ~bound ~noise:(not staircase) plib ti bases.(t)
             then incr pred_pruned
             else begin
               incr generated;

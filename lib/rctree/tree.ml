@@ -121,6 +121,14 @@ let with_sink_rat t v ~rat =
   | Source _ | Internal | Buffered _ ->
       invalid_arg "Tree.with_sink_rat: node is not a sink"
 
+let with_wire t v f =
+  match t.nodes.(v).wire with
+  | Some w ->
+      let nodes = Array.copy t.nodes in
+      nodes.(v) <- { nodes.(v) with wire = Some (f w) };
+      { t with nodes }
+  | None -> invalid_arg "Tree.with_wire: the root has no parent wire"
+
 let validate t =
   let n = Array.length t.nodes in
   let first = ref None in

@@ -128,6 +128,13 @@ val with_sink_rat : t -> int -> rat:float -> t
     [update-rat] edit). Raises [Invalid_argument] when [v] is not a
     sink. *)
 
+val with_wire : t -> int -> (wire -> wire) -> t
+(** [with_wire t v f]: a copy of the tree with node [v]'s parent wire
+    [w] replaced by [f w]; structure, node ids and every other node
+    record are preserved (the serve daemon's [update-wire] edit: one
+    record, where {!map_wires} rebuilds every node's). Raises
+    [Invalid_argument] when [v] is the root. *)
+
 val validate : t -> (unit, string) result
 (** Structural invariants: unique source at the root, binary fanout, sinks
     are leaves, wires present exactly on non-roots, non-negative wire

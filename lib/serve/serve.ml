@@ -125,7 +125,9 @@ let serve ?(options = Session.default_options) ?domains ?(log = ignore) endpoint
 (* {1 Client} *)
 
 module Client = struct
-  type t = { fd : Unix.file_descr; buf : Buffer.t }
+  (* [chunk] is the connection's one read buffer; [buf] holds what was
+     read past the last reply's LF *)
+  type t = { fd : Unix.file_descr; buf : Buffer.t; chunk : Bytes.t }
 
   let connect endpoint =
     let domain, addr =
@@ -136,10 +138,9 @@ module Client = struct
     in
     let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
     Unix.connect fd addr;
-    { fd; buf = Buffer.create 256 }
+    { fd; buf = Buffer.create 256; chunk = Bytes.create 4096 }
 
   let read_line t =
-    let chunk = Bytes.create 4096 in
     let rec line () =
       let data = Buffer.contents t.buf in
       match String.index data '\n' with
@@ -148,10 +149,10 @@ module Client = struct
           Buffer.add_substring t.buf data (nl + 1) (String.length data - nl - 1);
           Some (String.sub data 0 nl)
       | exception Not_found -> (
-          match Unix.read t.fd chunk 0 (Bytes.length chunk) with
+          match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
           | 0 -> None
           | n ->
-              Buffer.add_subbytes t.buf chunk 0 n;
+              Buffer.add_subbytes t.buf t.chunk 0 n;
               line ())
     in
     line ()

@@ -17,13 +17,20 @@ let default_options =
     kmax = 16;
   }
 
+(* One version of a net: a tree and its result-cache key, together.
+   The key is forced at most once per version, on the session's own
+   domain (OCaml 5.1's [Lazy] is not domain-safe: warm-pass workers
+   read [tree] only). An edit replaces the whole version, so a new tree
+   is never paired with an old key. *)
+type version = { tree : T.t; key : Digest.t Lazy.t }
+
 (* One loaded net: the segmented tree is the resident optimization
    substrate (segmenting happens once, at load), the memo carries the
    incremental DP state across edits, and [sinks] maps protocol sink
    indices to tree node ids. *)
 type net_state = {
   name : string;
-  mutable tree : T.t;
+  mutable current : version;
   memo : Bufins.Dp.Memo.t;
   sinks : int array;
 }
@@ -41,14 +48,16 @@ module Window = struct
     w.xs.(w.n mod Array.length w.xs) <- x;
     w.n <- w.n + 1
 
-  let percentile w p =
-    let n = min w.n (Array.length w.xs) in
-    if n = 0 then 0.0
-    else begin
-      let s = Array.sub w.xs 0 n in
-      Array.sort Float.compare s;
-      s.(min (n - 1) (int_of_float ((Float.of_int (n - 1) *. p) +. 0.5)))
-    end
+  let sorted w =
+    let s = Array.sub w.xs 0 (min w.n (Array.length w.xs)) in
+    Array.sort Float.compare s;
+    s
+
+  let rank s p =
+    let n = Array.length s in
+    if n = 0 then 0.0 else s.(min (n - 1) (int_of_float ((Float.of_int (n - 1) *. p) +. 0.5)))
+
+  let percentile w p = rank (sorted w) p
 end
 
 type t = {
@@ -60,7 +69,7 @@ type t = {
      so an edit changes the key and stale entries are simply never
      looked up again; a size cap keeps a long mutation session from
      accumulating dead keys without bound. *)
-  cache : (string, string) Hashtbl.t;
+  cache : (Digest.t, string) Hashtbl.t;
   mutable requests : int;
   mutable errors : int;
   mutable optimizes : int;
@@ -101,15 +110,23 @@ let net_of t i =
     errf "net id %d out of range (0..%d)" i (Array.length t.nets - 1)
   else Ok t.nets.(i)
 
-let fingerprint t (ns : net_state) =
+let version t tree =
   (* Marshal is the cheap structural serializer: the tree is immutable
      data (arrays, floats, strings) and the options pin the algorithm,
      library and DP knobs the result depends on. *)
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          (ns.tree, t.opts.algorithm, t.opts.lib, t.opts.kmax)
-          []))
+  {
+    tree;
+    key =
+      lazy
+        (Digest.string
+           (Marshal.to_string (tree, t.opts.algorithm, t.opts.lib, t.opts.kmax) []));
+  }
+
+let render (r : Bufins.Buffopt.run) =
+  Printf.sprintf "slack_ps=%.3f buffers=%d energy_fj=%.3f"
+    (r.Bufins.Buffopt.predicted_slack *. 1e12)
+    r.Bufins.Buffopt.count
+    (r.Bufins.Buffopt.energy *. 1e15)
 
 (* Shared tail of every load verb: make the (net, tree) jobs resident
    and run the warm pass, whatever produced them. *)
@@ -120,7 +137,7 @@ let install t jobs =
         let seg = Rctree.Segment.refine tree ~max_len:t.opts.seg_len in
         {
           name = net.Steiner.Net.nname;
-          tree = seg;
+          current = version t seg;
           memo = Bufins.Dp.Memo.create ();
           sinks = Array.of_list (T.sinks seg);
         })
@@ -132,13 +149,14 @@ let install t jobs =
      entry is populated up front, so the first interactive optimize of
      any net is already a cache hit and every later edit re-optimizes
      incrementally. Per-net memos are disjoint, so workers never share
-     mutable state. *)
+     mutable state; they read each version's tree, and its key is forced
+     here, after the pass, and kept for the first optimize. *)
   let outcomes, _ =
     Engine.map ?pool:t.pool
       ~costs:(Array.map (fun ns -> Array.length ns.sinks) t.nets)
       (fun (ns : net_state) ->
         Bufins.Buffopt.optimize_prepared ~kmax:t.opts.kmax ~memo:ns.memo
-          t.opts.algorithm ~lib:t.opts.lib ns.tree)
+          t.opts.algorithm ~lib:t.opts.lib ns.current.tree)
       (Array.to_list t.nets)
   in
   let infeasible = ref 0 in
@@ -146,12 +164,7 @@ let install t jobs =
     (fun i outcome ->
       match outcome with
       | Engine.Done (Some (r : Bufins.Buffopt.run)) ->
-          Hashtbl.replace t.cache
-            (fingerprint t t.nets.(i))
-            (Printf.sprintf "slack_ps=%.3f buffers=%d energy_fj=%.3f"
-               (r.Bufins.Buffopt.predicted_slack *. 1e12)
-               r.Bufins.Buffopt.count
-               (r.Bufins.Buffopt.energy *. 1e15))
+          Hashtbl.replace t.cache (Lazy.force t.nets.(i).current.key) (render r)
       | Engine.Done None | Engine.Failed _ -> incr infeasible)
     outcomes;
   let sinks = Array.fold_left (fun a ns -> a + Array.length ns.sinks) 0 t.nets in
@@ -177,7 +190,7 @@ let do_optimize t i =
   let ( let* ) = Result.bind in
   let* ns = net_of t i in
   t.optimizes <- t.optimizes + 1;
-  let key = fingerprint t ns in
+  let key = Lazy.force ns.current.key in
   match Hashtbl.find_opt t.cache key with
   | Some payload ->
       t.cache_hits <- t.cache_hits + 1;
@@ -186,18 +199,13 @@ let do_optimize t i =
       let warm = Bufins.Dp.Memo.stored ns.memo > 0 in
       match
         Bufins.Buffopt.optimize_prepared ~kmax:t.opts.kmax ~memo:ns.memo
-          t.opts.algorithm ~lib:t.opts.lib ns.tree
+          t.opts.algorithm ~lib:t.opts.lib ns.current.tree
       with
       | None -> errf "infeasible net=%d (no noise-feasible solution)" i
       | Some r ->
           if warm then t.incremental <- t.incremental + 1
           else t.full <- t.full + 1;
-          let payload =
-            Printf.sprintf "slack_ps=%.3f buffers=%d energy_fj=%.3f"
-              (r.Bufins.Buffopt.predicted_slack *. 1e12)
-              r.Bufins.Buffopt.count
-              (r.Bufins.Buffopt.energy *. 1e15)
-          in
+          let payload = render r in
           if Hashtbl.length t.cache >= cache_cap then Hashtbl.reset t.cache;
           Hashtbl.replace t.cache key payload;
           Ok
@@ -212,32 +220,32 @@ let do_update_rat t i sink ps =
       (Array.length ns.sinks - 1)
   else begin
     let v = ns.sinks.(sink) in
-    ns.tree <- T.with_sink_rat ns.tree v ~rat:(ps *. 1e-12);
-    Bufins.Dp.Memo.dirty ns.memo ns.tree v;
+    ns.current <- version t (T.with_sink_rat ns.current.tree v ~rat:(ps *. 1e-12));
+    Bufins.Dp.Memo.dirty ns.memo ns.current.tree v;
     Ok (Printf.sprintf "net=%d sink=%d rat_ps=%.3f" i sink ps)
   end
 
 let do_update_wire t i node scale =
   let ( let* ) = Result.bind in
   let* ns = net_of t i in
-  if node < 0 || node >= T.node_count ns.tree then
-    errf "node id %d out of range for net %d (0..%d)" node i
-      (T.node_count ns.tree - 1)
-  else if node = T.root ns.tree then errf "node %d is the root: it has no parent wire" node
+  let tree = ns.current.tree in
+  if node < 0 || node >= T.node_count tree then
+    errf "node id %d out of range for net %d (0..%d)" node i (T.node_count tree - 1)
+  else if node = T.root tree then errf "node %d is the root: it has no parent wire" node
   else begin
-    ns.tree <-
-      T.map_wires ns.tree (fun v w ->
-          if v = node then
-            { w with T.res = w.T.res *. scale; T.cap = w.T.cap *. scale }
-          else w);
-    Bufins.Dp.Memo.dirty ns.memo ns.tree node;
+    ns.current <-
+      version t
+        (T.with_wire tree node (fun w ->
+             { w with T.res = w.T.res *. scale; T.cap = w.T.cap *. scale }));
+    Bufins.Dp.Memo.dirty ns.memo ns.current.tree node;
     Ok (Printf.sprintf "net=%d node=%d scale=%g" i node scale)
   end
 
 let do_update_noise t i scale =
   let ( let* ) = Result.bind in
   let* ns = net_of t i in
-  ns.tree <- T.map_wires ns.tree (fun _ w -> { w with T.cur = w.T.cur *. scale });
+  ns.current <-
+    version t (T.map_wires ns.current.tree (fun _ w -> { w with T.cur = w.T.cur *. scale }));
   (* every wire changed: every cached table is stale *)
   Bufins.Dp.Memo.clear ns.memo;
   Ok (Printf.sprintf "net=%d scale=%g" i scale)
@@ -245,6 +253,7 @@ let do_update_noise t i scale =
 let do_stats t =
   (* the daemon's resident DP state, summed over the loaded nets *)
   let total f = Array.fold_left (fun a ns -> a + f ns.memo) 0 t.nets in
+  let lat = Window.sorted t.opt_lat in
   Ok
     (Printf.sprintf
        "requests=%d errors=%d optimizes=%d cache_hits=%d incr=%d full=%d \
@@ -252,8 +261,8 @@ let do_stats t =
        t.requests t.errors t.optimizes t.cache_hits t.incremental t.full
        (if t.optimizes = 0 then 0.0
         else float_of_int t.cache_hits /. float_of_int t.optimizes)
-       (Window.percentile t.opt_lat 0.50 *. 1e3)
-       (Window.percentile t.opt_lat 0.99 *. 1e3)
+       (Window.rank lat 0.50 *. 1e3)
+       (Window.rank lat 0.99 *. 1e3)
        (total Bufins.Dp.Memo.stored) (total Bufins.Dp.Memo.arena_nodes))
 
 let handle t (req : Protocol.request) =

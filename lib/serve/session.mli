@@ -1,14 +1,20 @@
 (** One client's resident optimization state (DESIGN.md §14).
 
-    A session owns a loaded design — per net: the once-segmented RC
-    tree, an incremental {!Bufins.Dp.Memo} and the sink-index map — plus
-    a result cache keyed by a content fingerprint of
-    (tree, algorithm, library, kmax). Three ways an [optimize] is
-    served, cheapest first:
+    A session owns a loaded design — per net: the current version of
+    the once-segmented RC tree, an incremental {!Bufins.Dp.Memo} and
+    the sink-index map — plus a result cache keyed by a content
+    fingerprint of (tree, algorithm, library, kmax). A version is an
+    immutable (tree, key) pair: its key is computed at most once, when
+    the first [optimize] (or [load]'s warm pass) needs it, and every
+    edit verb installs a whole new version, so a tree is never paired
+    with another tree's key (DESIGN.md §14.3). Three ways an [optimize]
+    is served, cheapest first:
 
-    - [hit] — the fingerprint is in the result cache: no DP at all.
+    - [hit] — the version's fingerprint is in the result cache: no DP
+      and, after the version's first optimize, no hashing either.
       Edits change the fingerprint, so stale entries are never looked
-      up; they age out via a size cap.
+      up; they age out via a size cap. Reverting an edit byte for byte
+      restores the old fingerprint, so it is a hit again.
     - [incr] — the net's memo holds tables from an earlier run: only the
       dirty path re-runs (see {!Bufins.Dp.Memo}).
     - [full] — cold memo (first optimize, or after [update-noise] /
@@ -44,9 +50,16 @@ module Window : sig
   val add : t -> float -> unit
   (** Record a sample, overwriting the oldest once the window is full. *)
 
+  val sorted : t -> float array
+  (** A fresh copy of the samples held, in ascending order: one sort
+      serves every percentile of a [stats] reply. *)
+
+  val rank : float array -> float -> float
+  (** [rank s p], [s] sorted ascending and [p] in [\[0, 1\]]: the
+      nearest-rank percentile of [s] (0 when [s] is empty). *)
+
   val percentile : t -> float -> float
-  (** [percentile w p], [p] in [\[0, 1\]]: the nearest-rank percentile
-      of the samples held (0 when there are none). *)
+  (** [percentile w p] is [rank (sorted w) p]. *)
 end
 
 type t

@@ -178,6 +178,29 @@ let buf = Tech.Lib.min_resistance lib
 
 let surgery_tests =
   [
+    case "with_wire replaces one wire and shares the rest" (fun () ->
+        let t =
+          Rctree.Segment.refine (Fixtures.balanced process ~levels:2 ~trunk_len:2e-3)
+            ~max_len:5e-4
+        in
+        let v = List.hd (T.sinks t) in
+        let f w = { w with T.res = w.T.res *. 1.5; T.cap = w.T.cap *. 0.5 } in
+        let t' = T.with_wire t v f in
+        Alcotest.(check bool) "same as map_wires on that node" true
+          (t' = T.map_wires t (fun u w -> if u = v then f w else w));
+        for u = 0 to T.node_count t - 1 do
+          if u <> v then
+            Alcotest.(check bool)
+              (Printf.sprintf "node %d shared" u)
+              true
+              (T.node t' u == T.node t u)
+        done;
+        Alcotest.(check bool) "the original is untouched" true
+          (T.wire_to t v <> T.wire_to t' v);
+        Alcotest.(check bool) "the root has no wire" true
+          (match T.with_wire t (T.root t) f with
+          | exception Invalid_argument _ -> true
+          | _ -> false));
     case "dist zero converts internal node" (fun () ->
         let t = Rctree.Segment.refine (Fixtures.two_pin process ~len:2e-3) ~max_len:1e-3 in
         let v = List.hd (T.internals t) in

@@ -252,10 +252,93 @@ let session_edit_revert_is_deterministic () =
   ignore (expect_ok s "update-rat 0 0 150");
   let excursion = payload_of (expect_ok s "optimize 0") in
   ignore (expect_ok s "update-rat 0 0 4000");
-  let back = payload_of (expect_ok s "optimize 0") in
+  let back_line = expect_ok s "optimize 0" in
+  let back = payload_of back_line in
   Alcotest.(check string) "revert reproduces the pinned payload" pinned back;
+  Alcotest.(check bool) "the revert is served from the cache" true
+    (contains "served=hit" back_line);
   Alcotest.(check bool) "the excursion actually changed something" true
     (excursion <> pinned || base <> pinned)
+
+let session_matches_a_scratch_mirror () =
+  (* A seeded random script of edits and optimizes, replayed on a
+     mirror that applies the same Tree edits. Every optimize is served
+     [hit] exactly when the mirror's tree's fingerprint — computed here
+     from scratch, by the definition — was cached earlier in the
+     session, the load's warm pass included, and its payload is a
+     from-scratch optimize of the mirror's tree. Edit values come from
+     small pools, scale 1.0 included, so the script revisits trees it
+     has seen. *)
+  let module T = Rctree.Tree in
+  let o = S.default_options in
+  let key tree =
+    Digest.string (Marshal.to_string (tree, o.S.algorithm, o.S.lib, o.S.kmax) [])
+  in
+  let solve tree =
+    Option.map
+      (fun (r : Bufins.Buffopt.run) ->
+        Printf.sprintf "slack_ps=%.3f buffers=%d energy_fj=%.3f"
+          (r.Bufins.Buffopt.predicted_slack *. 1e12)
+          r.Bufins.Buffopt.count
+          (r.Bufins.Buffopt.energy *. 1e15))
+      (Bufins.Buffopt.optimize_prepared ~kmax:o.S.kmax o.S.algorithm ~lib:o.S.lib tree)
+  in
+  let nets = 3 and seed = 23 in
+  let trees =
+    Workload.trees o.S.process
+      (Workload.generate { Workload.default_config with Workload.nets; seed })
+    |> List.map (fun (_, t) -> Rctree.Segment.refine t ~max_len:o.S.seg_len)
+    |> Array.of_list
+  in
+  let sinks = Array.map (fun t -> Array.of_list (T.sinks t)) trees in
+  let cached = Hashtbl.create 64 in
+  Array.iter (fun t -> if solve t <> None then Hashtbl.replace cached (key t) ()) trees;
+  let s = S.create () in
+  ignore (expect_ok s (Printf.sprintf "load workload %d %d" nets seed));
+  let rng = Util.Rng.create 31 in
+  let pick pool = pool.(Util.Rng.int rng (Array.length pool)) in
+  let hits = ref 0 and computed = ref 0 in
+  for _ = 1 to 240 do
+    let n = Util.Rng.int rng nets in
+    let tree = trees.(n) in
+    match Util.Rng.int rng 5 with
+    | 0 ->
+        let sink = Util.Rng.int rng (Array.length sinks.(n))
+        and ps = pick [| "150"; "300"; "4000" |] in
+        ignore (expect_ok s (Printf.sprintf "update-rat %d %d %s" n sink ps));
+        trees.(n) <- T.with_sink_rat tree sinks.(n).(sink) ~rat:(float_of_string ps *. 1e-12)
+    | 1 ->
+        let node = 1 + Util.Rng.int rng (T.node_count tree - 1)
+        and sc = pick [| "1"; "0.8"; "1.25" |] in
+        ignore (expect_ok s (Printf.sprintf "update-wire %d %d %s" n node sc));
+        let f = float_of_string sc in
+        trees.(n) <-
+          T.with_wire tree node (fun w ->
+              { w with T.res = w.T.res *. f; T.cap = w.T.cap *. f })
+    | 2 ->
+        let sc = pick [| "1"; "0.5"; "1.5" |] in
+        ignore (expect_ok s (Printf.sprintf "update-noise %d %s" n sc));
+        let f = float_of_string sc in
+        trees.(n) <- T.map_wires tree (fun _ w -> { w with T.cur = w.T.cur *. f })
+    | _ -> (
+        let r = S.handle_line s (Printf.sprintf "optimize %d" n) in
+        let k = key tree in
+        match solve tree with
+        | None ->
+            Alcotest.(check bool) ("infeasible on both sides: " ^ r.S.line) true
+              ((not r.S.ok) && contains "infeasible" r.S.line)
+        | Some payload ->
+            let hit = Hashtbl.mem cached k in
+            if hit then incr hits else incr computed;
+            Alcotest.(check bool) ("payload is scratch's: " ^ r.S.line) true
+              (r.S.ok && contains (payload ^ " served=") r.S.line);
+            Alcotest.(check bool)
+              (Printf.sprintf "hit exactly when cached (%b): %s" hit r.S.line)
+              hit
+              (contains "served=hit" r.S.line);
+            Hashtbl.replace cached k ())
+  done;
+  Alcotest.(check bool) "the script both hits and computes" true (!hits > 5 && !computed > 5)
 
 (* ------------------------------------------------------------------ *)
 (* The socket server, end to end                                       *)
@@ -395,6 +478,8 @@ let suites =
         case "range checks: unloaded, out-of-range, root wire" session_range_checks;
         case "served classes: hit, incr, full" session_served_classes;
         case "edit/revert reproduces the pinned payload" session_edit_revert_is_deterministic;
+        case "random edit script: hits and payloads match a scratch mirror"
+          session_matches_a_scratch_mirror;
         case "stats: memo entries and arena nodes, reset by update-noise" session_memory_stats;
         case "stats: latency percentiles over the last 4,096 optimizes"
           latency_window_keeps_the_last_samples;
