@@ -260,26 +260,3 @@ let to_string t =
 let write path t =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string t))
-
-let signals t =
-  let seen = Hashtbl.create 64 and out = ref [] in
-  let add s =
-    if not (Hashtbl.mem seen s) then begin
-      Hashtbl.replace seen s ();
-      out := s :: !out
-    end
-  in
-  List.iter add t.inputs;
-  List.iter add t.outputs;
-  List.iter
-    (fun n ->
-      List.iter add n.n_inputs;
-      add n.n_output)
-    t.names;
-  List.iter
-    (fun l ->
-      add l.l_input;
-      add l.l_output)
-    t.latches;
-  List.iter (fun s -> List.iter (fun (_, a) -> add a) s.s_bindings) t.subckts;
-  List.rev !out

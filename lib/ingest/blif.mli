@@ -62,6 +62,3 @@ val to_string : t -> string
     line, then [.names] / [.latch] / [.subckt] in file order, [.end]. *)
 
 val write : string -> t -> unit
-
-val signals : t -> string list
-(** Every distinct signal mentioned, in first-mention order. *)

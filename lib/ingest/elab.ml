@@ -196,7 +196,8 @@ let design_of_blif ?(options = default_options) (b : Blif.t) =
 
 let blif_of_design ?(model = "design") (d : D.t) =
   let sig_of_net nid = d.D.nets.(nid).D.nname in
-  let sig_of_source src = sig_of_net (D.net_of_source d src) in
+  let net_of = D.source_nets d in
+  let sig_of_source src = sig_of_net (net_of src) in
   let pin_sig = Hashtbl.create 64 and po_sig = Hashtbl.create 16 in
   Array.iteri
     (fun nid (n : D.net) ->

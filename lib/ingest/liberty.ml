@@ -508,9 +508,3 @@ let to_string ?(name = "buffopt") ?(buffers = []) cells =
     buffers;
   bpf b "}\n";
   Buffer.contents b
-
-let write path ?name ?buffers cells =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?name ?buffers cells))

@@ -44,5 +44,3 @@ val to_string : ?name:string -> ?buffers:Tech.Buffer.t list -> Sta.Cell.t list -
     given buffers, and cells whose prefix is exactly the given cells
     (each buffer also reappearing as its cell form), with zero
     warnings. *)
-
-val write : string -> ?name:string -> ?buffers:Tech.Buffer.t list -> Sta.Cell.t list -> unit

@@ -121,6 +121,18 @@ let with_sink_rat t v ~rat =
   | Source _ | Internal | Buffered _ ->
       invalid_arg "Tree.with_sink_rat: node is not a sink"
 
+let with_sink_rats t f =
+  {
+    t with
+    nodes =
+      Array.map
+        (fun n ->
+          match n.kind with
+          | Sink s -> { n with kind = Sink { s with rat = f s } }
+          | Source _ | Internal | Buffered _ -> n)
+        t.nodes;
+  }
+
 let with_wire t v f =
   match t.nodes.(v).wire with
   | Some w ->

@@ -128,6 +128,12 @@ val with_sink_rat : t -> int -> rat:float -> t
     [update-rat] edit). Raises [Invalid_argument] when [v] is not a
     sink. *)
 
+val with_sink_rats : t -> (sink -> float) -> t
+(** [with_sink_rats t f]: a copy of the tree with every sink [s]'s
+    required arrival time replaced by [f s], in one pass over the nodes;
+    structure, node ids and every non-sink record are preserved (STA
+    installs a net's RATs in its Steiner tree this way). *)
+
 val with_wire : t -> int -> (wire -> wire) -> t
 (** [with_wire t v f]: a copy of the tree with node [v]'s parent wire
     [w] replaced by [f w]; structure, node ids and every other node

@@ -143,11 +143,21 @@ let topo_order t =
   | Some o -> o
   | None -> invalid_arg "Design.topo_order: cyclic design"
 
-let net_of_source t src =
-  let found = ref (-1) in
-  Array.iteri (fun nid net -> if net.source = src then found := nid) t.nets;
-  if !found < 0 then invalid_arg "Design.net_of_source: dangling source";
-  !found
+let source_nets t =
+  let by_pi = Array.make (Array.length t.pis) (-1)
+  and by_inst = Array.make (Array.length t.instances) (-1) in
+  Array.iteri
+    (fun nid net ->
+      match net.source with
+      | From_pi p when p >= 0 && p < Array.length by_pi -> by_pi.(p) <- nid
+      | From_inst i when i >= 0 && i < Array.length by_inst -> by_inst.(i) <- nid
+      | From_pi _ | From_inst _ -> ())
+    t.nets;
+  let find a k =
+    if k >= 0 && k < Array.length a && a.(k) >= 0 then a.(k)
+    else invalid_arg "Design.source_nets: dangling source"
+  in
+  function From_pi p -> find by_pi p | From_inst i -> find by_inst i
 
 let stats t =
   Printf.sprintf "%d instances, %d nets, %d PIs, %d POs" (Array.length t.instances)

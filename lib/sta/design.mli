@@ -54,8 +54,12 @@ val topo_order : t -> int list
 (** Instance ids, every instance after all instances feeding it. Raises
     [Invalid_argument] on a cyclic design. *)
 
-val net_of_source : t -> source -> int
-(** The net driven by the given source. *)
+val source_nets : t -> source -> int
+(** [source_nets d] indexes [d]'s nets by driver in one pass over
+    [d.nets]; the function it returns maps a source to the net it
+    drives in O(1). When several nets share a source (an invalid
+    design) the last one wins. Raises [Invalid_argument] for a source
+    that drives no net. *)
 
 val stats : t -> string
 (** One-line summary (instances / nets / PIs / POs). *)

@@ -103,18 +103,20 @@ let analyze ?(trees = fun _ -> None) ?miller process (design : Design.t) =
         | Design.To_inst (i, pin) -> inst_in_arrival.(i).(pin) <- a)
       net.Design.sinks
   in
+  let net_of = Design.source_nets design in
+  let order = Design.topo_order design in
   Array.iteri
     (fun p _ ->
-      let nid = Design.net_of_source design (Design.From_pi p) in
+      let nid = net_of (Design.From_pi p) in
       src_arrival.(nid) <- design.Design.pis.(p).Design.arrival;
       propagate nid)
     design.Design.pis;
   List.iter
     (fun i ->
-      let nid = Design.net_of_source design (Design.From_inst i) in
+      let nid = net_of (Design.From_inst i) in
       src_arrival.(nid) <- Array.fold_left Float.max neg_infinity inst_in_arrival.(i);
       propagate nid)
-    (Design.topo_order design);
+    order;
   (* backward pass *)
   let inst_required = Array.make (Array.length design.Design.instances) infinity in
   let required_of_sink s =
@@ -124,14 +126,14 @@ let analyze ?(trees = fun _ -> None) ?miller process (design : Design.t) =
   in
   List.iter
     (fun i ->
-      let nid = Design.net_of_source design (Design.From_inst i) in
+      let nid = net_of (Design.From_inst i) in
       let net = design.Design.nets.(nid) in
       let req = ref infinity in
       Array.iteri
         (fun k s -> req := Float.min !req (required_of_sink s -. rel_delay nid k))
         net.Design.sinks;
       inst_required.(i) <- !req)
-    (List.rev (Design.topo_order design));
+    (List.rev order);
   (* assemble per-net reports *)
   let nets =
     Array.init n_nets (fun nid ->
@@ -163,25 +165,28 @@ let analyze ?(trees = fun _ -> None) ?miller process (design : Design.t) =
     total_buffers = Array.fold_left (fun acc nt -> acc + T.buffer_count nt.tree) 0 nets;
   }
 
+let driver_rats nt = Array.map (fun (_, r) -> r -. nt.source_arrival) nt.sink_required
+
+let install_rats tree rats = T.with_sink_rats tree (fun s -> rats.(sink_index s.T.sname))
+
 let batch_jobs process (design : Design.t) =
   let sta = analyze process design in
   List.init (Array.length sta.nets) (fun nid ->
       let nt = sta.nets.(nid) in
-      let rats = Array.map (fun (_, r) -> r -. nt.source_arrival) nt.sink_required in
-      let snet = net_to_steiner ~rats design nid in
-      (snet, Steiner.Build.tree_of_net process snet))
+      let rats = driver_rats nt in
+      (net_to_steiner ~rats design nid, install_rats nt.tree rats))
 
 let endpoint_slacks (design : Design.t) t =
-  (* recover PO arrivals from the per-net reports *)
+  (* each PO's arrival, read off the sink pins of the nets in one pass *)
+  let po_arrival = Array.make (Array.length design.Design.pos) nan in
+  Array.iter
+    (fun nt ->
+      Array.iter
+        (fun (s, a) ->
+          match s with Design.To_po p -> po_arrival.(p) <- a | Design.To_inst _ -> ())
+        nt.sink_arrival)
+    t.nets;
   Array.to_list
     (Array.mapi
-       (fun p (po : Design.po) ->
-         let arr = ref nan in
-         Array.iter
-           (fun nt ->
-             Array.iter
-               (fun (s, a) -> if s = Design.To_po p then arr := a)
-               nt.sink_arrival)
-           t.nets;
-         (po.Design.oname, po.Design.required -. !arr))
+       (fun p (po : Design.po) -> (po.Design.oname, po.Design.required -. po_arrival.(p)))
        design.Design.pos)

@@ -47,11 +47,27 @@ val analyze :
     capacitance counts [miller] times for delay (see [Noise.miller];
     classical worst case 2.0); noise reporting is unaffected. *)
 
+val driver_rats : net_timing -> float array
+(** The net's sink RATs, indexed like its sinks, measured from its
+    driving pin: each sink's required time less the source arrival.
+    This is what the optimizer is given for the net (the [rats] of
+    {!net_to_steiner}). *)
+
+val install_rats : Rctree.Tree.t -> float array -> Rctree.Tree.t
+(** [install_rats tree rats]: [tree] with sink [k]'s RAT set to
+    [rats.(k)], in one pass over its nodes. [tree] must name its sinks
+    as {!net_to_steiner} does. On the unbuffered tree {!analyze} built
+    for a net this equals the Steiner tree of
+    [net_to_steiner ~rats design nid]: the topology does not depend on
+    RATs. *)
+
 val batch_jobs : Tech.Process.t -> Design.t -> (Steiner.Net.t * Rctree.Tree.t) list
 (** One optimization job per net of the design: a single STA pass
-    supplies every net's RATs measured from its driving pin, then each
-    net gets its placed view and fresh Steiner tree — the derivation
-    [buffopt batch] and the serve daemon share. *)
+    supplies every net's RATs measured from its driving pin
+    ({!driver_rats}), and each net's job pairs its placed view with the
+    Steiner tree that pass built, RATs installed ({!install_rats}) — one
+    Steiner construction per net. The derivation [buffopt batch] and the
+    serve daemon share. *)
 
 val endpoint_slacks : Design.t -> t -> (string * float) list
 (** Slack per primary output. *)

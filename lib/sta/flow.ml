@@ -17,6 +17,12 @@ let optimize ?(seg_len = 500e-6) ?(kmax = 16) ?(iterations = 2) ?(sizing = false
   let touched = Hashtbl.create 32 in
   let infeasible = ref 0 in
   let current = ref (if sizing then Engine.analyze process design else before) in
+  (* the unbuffered Steiner trees of the (sized) design: every round
+     re-installs its RATs in these, and they stand in for the nets not
+     yet buffered, so each net's tree is built once *)
+  let steiner =
+    Array.map (fun (nt : Engine.net_timing) -> nt.Engine.tree) !current.Engine.nets
+  in
   for _round = 1 to max 1 iterations do
     infeasible := 0;
     Array.iteri
@@ -31,17 +37,16 @@ let optimize ?(seg_len = 500e-6) ?(kmax = 16) ?(iterations = 2) ?(sizing = false
           Hashtbl.replace touched nid ();
           (* RATs for the optimizer are measured from the net's driving
              pin; each round re-derives them from the latest STA *)
-          let rats =
-            Array.map (fun (_, r) -> r -. nt.Engine.source_arrival) nt.Engine.sink_required
-          in
-          let snet = Engine.net_to_steiner ~rats design nid in
-          let tree = Steiner.Build.tree_of_net process snet in
+          let tree = Engine.install_rats steiner.(nid) (Engine.driver_rats nt) in
           match Bufins.Buffopt.optimize ~seg_len ~kmax Bufins.Buffopt.Buffopt ~lib tree with
           | Some r -> Hashtbl.replace improved nid r.Bufins.Buffopt.report.Bufins.Eval.tree
           | None -> incr infeasible
         end)
       !current.Engine.nets;
-    current := Engine.analyze ~trees:(Hashtbl.find_opt improved) process design
+    let tree nid =
+      Some (Option.value (Hashtbl.find_opt improved nid) ~default:steiner.(nid))
+    in
+    current := Engine.analyze ~trees:tree process design
   done;
   {
     before;

@@ -4,15 +4,16 @@ let with_cell (d : Design.t) i cell =
   { d with Design.instances = instances }
 
 (* worst slack over the sinks of the instance's output net *)
-let output_slack (timing : Engine.t) (d : Design.t) i =
-  let nid = Design.net_of_source d (Design.From_inst i) in
-  let nt = timing.Engine.nets.(nid) in
+let output_slack (timing : Engine.t) net_of i =
+  let nt = timing.Engine.nets.(net_of (Design.From_inst i)) in
   Array.fold_left
     (fun acc ((_, r), (_, a)) -> Float.min acc (r -. a))
     infinity
     (Array.map2 (fun r a -> (r, a)) nt.Engine.sink_required nt.Engine.sink_arrival)
 
 let run ?(max_passes = 3) process design =
+  (* resizing swaps cells only, so the nets' drivers never change *)
+  let net_of = Design.source_nets design in
   let design = ref design in
   let replacements = ref 0 in
   let improved_this_pass = ref true in
@@ -24,13 +25,13 @@ let run ?(max_passes = 3) process design =
     (* most critical drivers first *)
     let order =
       List.init (Array.length !design.Design.instances) (fun i -> i)
-      |> List.map (fun i -> (output_slack !timing !design i, i))
+      |> List.map (fun i -> (output_slack !timing net_of i, i))
       |> List.sort compare
       |> List.map snd
     in
     List.iter
       (fun i ->
-        if output_slack !timing !design i < 0.0 then
+        if output_slack !timing net_of i < 0.0 then
           match Cell.upsize !design.Design.instances.(i).Design.cell with
           | None -> ()
           | Some bigger ->

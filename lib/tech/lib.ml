@@ -55,5 +55,3 @@ let prepare lib =
     inverting = Array.map (fun (b : Buffer.t) -> b.inverting) bufs;
     energy = Array.map (fun (b : Buffer.t) -> b.energy) bufs;
   }
-
-let size p = Array.length p.bufs

@@ -42,6 +42,3 @@ type prepared = {
 
 val prepare : Buffer.t list -> prepared
 (** Raises [Invalid_argument] on an empty library. *)
-
-val size : prepared -> int
-

@@ -38,6 +38,38 @@ let design_gen =
         Sta.Gen.random { Sta.Gen.default_config with Sta.Gen.gates = 40; pis = 6; seed })
       small_int)
 
+(* block200 elaborated at a placement seed, as the signoff benchmark
+   loads it *)
+let block200 placement =
+  let read f =
+    In_channel.with_open_bin (Filename.concat "../examples/blif" f) In_channel.input_all
+  in
+  let liberty = Ingest.Liberty.of_string (read "cells.lib") in
+  let options =
+    {
+      Ingest.Elab.default_options with
+      Ingest.Elab.cells = liberty.Ingest.Liberty.cells;
+      seed = placement;
+    }
+  in
+  fst (Ingest.Elab.design_of_blif ~options (Ingest.Blif.of_string (read "block200.blif")))
+
+(* block200 at five placements and three random designs *)
+let derivation_designs () =
+  List.map (fun p -> (Printf.sprintf "block200@%d" p, block200 p)) [ 0; 1; 17; 1000; 2001 ]
+  @ List.map
+      (fun seed ->
+        ( Printf.sprintf "random seed %d" seed,
+          Sta.Gen.random { Sta.Gen.default_config with Sta.Gen.gates = 60; seed } ))
+      [ 1; 5; 11 ]
+
+(* the driver lookup by a scan of every net, the last match winning *)
+let scan_source_net (d : D.t) src =
+  let found = ref (-1) in
+  Array.iteri (fun nid (net : D.net) -> if net.D.source = src then found := nid) d.D.nets;
+  if !found < 0 then invalid_arg "dangling source";
+  !found
+
 let cell_tests =
   [
     case "library lookup" (fun () ->
@@ -92,6 +124,32 @@ let design_tests =
         in
         (* note npi double-drives the PO too; either error is acceptable *)
         Alcotest.(check bool) "error" true (D.validate d <> Ok ()));
+    case "source_nets agrees with a scan of the nets" (fun () ->
+        List.iter
+          (fun (name, (d : D.t)) ->
+            let net_of = D.source_nets d in
+            let sources =
+              List.init (Array.length d.D.pis) (fun p -> D.From_pi p)
+              @ List.init (Array.length d.D.instances) (fun i -> D.From_inst i)
+            in
+            List.iter
+              (fun src -> Alcotest.(check int) name (scan_source_net d src) (net_of src))
+              sources)
+          (derivation_designs ()));
+    case "source_nets raises on a dangling source" (fun () ->
+        let d = two_stage () in
+        (* drop n1, the net the inverter drives *)
+        let d = { d with D.nets = [| d.D.nets.(0) |] } in
+        let net_of = D.source_nets d in
+        Alcotest.(check int) "the PI still drives n0" 0 (net_of (D.From_pi 0));
+        List.iter
+          (fun src ->
+            let dangling f =
+              match f src with exception Invalid_argument _ -> true | (_ : int) -> false
+            in
+            Alcotest.(check bool) "scan raises" true (dangling (scan_source_net d));
+            Alcotest.(check bool) "index raises" true (dangling net_of))
+          [ D.From_inst 0; D.From_inst 1; D.From_pi 1; D.From_pi (-1) ]);
     qcase ~count:30 "random designs validate" design_gen (fun d -> D.validate d = Ok ());
     qcase ~count:30 "topological order is consistent" design_gen (fun d ->
         let pos_of = Hashtbl.create 64 in
@@ -169,6 +227,34 @@ let rat_tests =
             feq_rel "cell input cap" ~eps:1e-12 inv.Sta.Cell.c_in pin.Steiner.Net.c_sink;
             feq "cell margin" inv.Sta.Cell.nm pin.Steiner.Net.nm
         | _ -> Alcotest.fail "one pin expected");
+    case "batch_jobs equals the direct derivation" (fun () ->
+        (* the tree STA built, RATs installed, against a fresh Steiner
+           build from the placed net carrying those RATs *)
+        let bytes v = Marshal.to_string v [ Marshal.No_sharing ] in
+        List.iter
+          (fun (name, d) ->
+            let t = Sta.Engine.analyze process d in
+            let direct =
+              List.init (Array.length d.D.nets) (fun nid ->
+                  let nt = t.Sta.Engine.nets.(nid) in
+                  let rats =
+                    Array.map
+                      (fun (_, r) -> r -. nt.Sta.Engine.source_arrival)
+                      nt.Sta.Engine.sink_required
+                  in
+                  let snet = Sta.Engine.net_to_steiner ~rats d nid in
+                  (snet, Steiner.Build.tree_of_net process snet))
+            in
+            let jobs = Sta.Engine.batch_jobs process d in
+            Alcotest.(check int)
+              (name ^ ": one job per net")
+              (List.length direct) (List.length jobs);
+            List.iteri
+              (fun nid (job, want) ->
+                if bytes job <> bytes want then
+                  Alcotest.failf "%s: net %d differs from the direct derivation" name nid)
+              (List.combine jobs direct))
+          (derivation_designs ()));
     case "flow rats make per-net timing consistent with sta" (fun () ->
         (* the slack the optimizer sees for a net equals the STA's
            worst pin slack on that net *)
