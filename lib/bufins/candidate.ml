@@ -1,8 +1,9 @@
 module T = Rctree.Tree
 
 (* [Flat.width] and [Flat.trace], inlined in the hot loops *)
-let[@inline] rows (g : Flat.group) = Array.length g / 6
-let[@inline] trace (g : Flat.group) k = int_of_float g.((6 * k) + 5)
+let[@inline] rows (g : Flat.group) = g.Flat.n
+let[@inline] trace (g : Flat.group) k = int_of_float g.Flat.a.(g.Flat.o + (6 * k) + 5)
+let[@inline] get (g : Flat.group) k f = g.Flat.a.(g.Flat.o + (6 * k) + f)
 
 let noise_tol = 1e-12
 
@@ -24,9 +25,10 @@ let covered (s : Flat.t) m ~bound ~noise (lib : Tech.Lib.prepared) k (g : Flat.g
   let i = if noise then 0.0 else infinity in
   let ns = if noise then lib.Tech.Lib.nm.(k) else neg_infinity in
   let n = rows g and r = ref 0 and hit = ref false in
-  while (not !hit) && !r < n && g.(6 * !r) <= c do
-    let a = 6 * !r in
-    hit := kills_full ~bound g.(a) g.(a + 1) g.(a + 2) g.(a + 3) c q i ns;
+  let ga = g.Flat.a and go = g.Flat.o in
+  while (not !hit) && !r < n && ga.(go + (6 * !r)) <= c do
+    let a = go + (6 * !r) in
+    hit := kills_full ~bound ga.(a) ga.(a + 1) ga.(a + 2) ga.(a + 3) c q i ns;
     incr r
   done;
   !hit
@@ -35,19 +37,19 @@ let climb (s : Flat.t) ~arena ~at ~width ~pred ~bound ~noise ~drop (w : T.wire)
     (g : Flat.group) n0 =
   let m = rows g in
   Flat.reserve s ~used:n0 (n0 + m);
-  let xs = s.xs in
+  let xs = s.xs and ga = g.Flat.a and go = g.Flat.o in
   let n = ref n0 and emitted = ref 0 and killed = ref 0 and noisy = ref 0 in
   (* the previously emitted row, all-NaN before the first: it kills
      nothing *)
   let pc = ref nan and pq = ref nan and pi = ref nan and pns = ref nan in
   for k = 0 to m - 1 do
-    let a = 6 * k in
-    let ac = g.(a) and ai = g.(a + 2) in
+    let a = go + (6 * k) in
+    let ac = ga.(a) and ai = ga.(a + 2) in
     (* eqs. 2 and 8 *)
     let c = ac +. w.T.cap in
-    let q = g.(a + 1) -. (w.T.res *. ((w.T.cap /. 2.0) +. ac)) in
+    let q = ga.(a + 1) -. (w.T.res *. ((w.T.cap /. 2.0) +. ac)) in
     let i = ai +. w.T.cur in
-    let ns = g.(a + 3) -. (w.T.res *. (ai +. (w.T.cur /. 2.0))) in
+    let ns = ga.(a + 3) -. (w.T.res *. (ai +. (w.T.cur /. 2.0))) in
     if
       pred
       &&
@@ -60,7 +62,7 @@ let climb (s : Flat.t) ~arena ~at ~width ~pred ~bound ~noise ~drop (w : T.wire)
       pi := i;
       pns := ns;
       let tr =
-        if width = 1.0 then g.(a + 5)
+        if width = 1.0 then ga.(a + 5)
         else float_of_int (Trace.resize arena ~node:at ~width ~pred:(trace g k))
       in
       if drop && not (ns >= -.noise_tol) then incr noisy
@@ -70,7 +72,7 @@ let climb (s : Flat.t) ~arena ~at ~width ~pred ~bound ~noise ~drop (w : T.wire)
         xs.(x + 1) <- q;
         xs.(x + 2) <- i;
         xs.(x + 3) <- ns;
-        xs.(x + 4) <- g.(a + 4);
+        xs.(x + 4) <- ga.(a + 4);
         xs.(x + 5) <- tr;
         s.js.(2 * !n) <- 0;
         s.perm.(!n) <- !n;
@@ -200,19 +202,21 @@ let front_add f ~noise ~power (g : Flat.group) =
   let st = f.cq and t = f.spare and m = rows g in
   if m > 0 && not power then begin
     if Array.length t.sk < st.sn + m then begin
-      t.sk <- Array.make (2 * (st.sn + m)) 0.0;
-      t.sv <- Array.make (2 * (st.sn + m)) 0.0
+      let size = max Flat.least (2 * (st.sn + m)) in
+      t.sk <- Array.make size 0.0;
+      t.sv <- Array.make size 0.0
     end;
+    let ga = g.Flat.a and go = g.Flat.o in
     let a = ref 0 and r = ref 0 and n = ref 0 in
     while !a < st.sn || !r < m do
-      let x = 6 * if !r < m then !r else 0 in
+      let x = go + (6 * if !r < m then !r else 0) in
       let old =
         !r = m
         || (!a < st.sn
-           && (st.sk.(!a) < g.(x) || (st.sk.(!a) = g.(x) && st.sv.(!a) <= -.g.(x + 1))))
+           && (st.sk.(!a) < ga.(x) || (st.sk.(!a) = ga.(x) && st.sv.(!a) <= -.ga.(x + 1))))
       in
-      let k = if old then st.sk.(!a) else g.(x) in
-      let v = if old then st.sv.(!a) else -.g.(x + 1) in
+      let k = if old then st.sk.(!a) else ga.(x) in
+      let v = if old then st.sv.(!a) else -.ga.(x + 1) in
       if old then incr a else incr r;
       if !n = 0 || v < t.sv.(!n - 1) then begin
         t.sk.(!n) <- k;
@@ -233,7 +237,7 @@ let front_drop (s : Flat.t) f ~noise ~power ~from n =
   fold.sn <- 0;
   (* power mode: each group's first row not yet folded *)
   let gs = Array.of_list f.gs in
-  let next = Array.make (Array.length gs) 0 in
+  let next = if Array.length gs = 0 then [||] else Array.make (Array.length gs) 0 in
   let nk = ref 0 and h = ref 0 in
   for r = 0 to n - 1 do
     let x = perm.(r) in
@@ -252,7 +256,8 @@ let front_drop (s : Flat.t) f ~noise ~power ~from n =
          order they came in *)
       for t = 0 to Array.length gs - 1 do
         let g = gs.(t) and y = next.(t) in
-        if y < rows g && g.(6 * y) <= c then next.(t) <- Flat.stair_fold fold g y c
+        if y < rows g && g.Flat.a.(g.Flat.o + (6 * y)) <= c then
+          next.(t) <- Flat.stair_fold fold g y c
       done;
       fold.pt.(0) <- -.q;
       fold.pt.(1) <- xs.(a + 4);
@@ -263,9 +268,10 @@ let front_drop (s : Flat.t) f ~noise ~power ~from n =
       d := false;
       for t = 0 to Array.length gs - 1 do
         let g = gs.(t) and y = ref 0 in
-        while (not !d) && !y < rows g && g.(6 * !y) <= c do
-          let b = 6 * !y in
-          d := kills_full ~bound:0.0 g.(b) g.(b + 1) g.(b + 2) g.(b + 3) c q i ns;
+        let ga = g.Flat.a and go = g.Flat.o in
+        while (not !d) && !y < rows g && ga.(go + (6 * !y)) <= c do
+          let b = go + (6 * !y) in
+          d := kills_full ~bound:0.0 ga.(b) ga.(b + 1) ga.(b + 2) ga.(b + 3) c q i ns;
           incr y
         done
       done
@@ -284,12 +290,13 @@ let front_drop (s : Flat.t) f ~noise ~power ~from n =
 
 (* pairing row [n]: member [il] of [l] and [ir] of [r] *)
 let[@inline] put (s : Flat.t) n (l : Flat.group) il (r : Flat.group) ir =
-  let x = 6 * n and a = 6 * il and b = 6 * ir in
-  s.xs.(x) <- l.(a) +. r.(b);
-  s.xs.(x + 1) <- Float.min l.(a + 1) r.(b + 1);
-  s.xs.(x + 2) <- l.(a + 2) +. r.(b + 2);
-  s.xs.(x + 3) <- Float.min l.(a + 3) r.(b + 3);
-  s.xs.(x + 4) <- l.(a + 4) +. r.(b + 4);
+  let la = l.Flat.a and ra = r.Flat.a in
+  let x = 6 * n and a = l.Flat.o + (6 * il) and b = r.Flat.o + (6 * ir) in
+  s.xs.(x) <- la.(a) +. ra.(b);
+  s.xs.(x + 1) <- Float.min la.(a + 1) ra.(b + 1);
+  s.xs.(x + 2) <- la.(a + 2) +. ra.(b + 2);
+  s.xs.(x + 3) <- Float.min la.(a + 3) ra.(b + 3);
+  s.xs.(x + 4) <- la.(a + 4) +. ra.(b + 4);
   s.js.(2 * n) <- 1;
   s.js.((2 * n) + 1) <- (trace l il lsl 32) lor trace r ir
 
@@ -298,50 +305,53 @@ let[@inline] put (s : Flat.t) n (l : Flat.group) il (r : Flat.group) ir =
    never re-sorted: where rounding ties two loads a run can be out of
    frontier order, and its order decides which of two equal pairings
    survives. *)
-let merge_delay (s : Flat.t) ~bound ~prune walks =
-  let walks = Array.of_list walks in
-  let nw = Array.length walks in
-  let starts = Array.make (nw + 1) 0 in
-  Array.iteri
-    (fun w ((l : Flat.group), (r : Flat.group)) ->
-      let n = ref starts.(w) and il = ref 0 and ir = ref 0 in
-      let nl = rows l and nr = rows r in
-      Flat.reserve s ~used:!n (!n + nl + nr - 1);
-      while !il < nl && !ir < nr do
-        put s !n l !il r !ir;
-        s.perm.(!n) <- !n;
-        incr n;
-        let aq = l.((6 * !il) + 1) and bq = r.((6 * !ir) + 1) in
-        if aq < bq then incr il
-        else if bq < aq then incr ir
-        else begin
-          incr il;
-          incr ir
-        end
-      done;
-      starts.(w + 1) <- !n)
-    walks;
+let merge_delay (s : Flat.t) ~bound ~prune (lt : Flat.table) (rt : Flat.table) walks nw =
+  if Array.length s.runs <= nw then s.runs <- Array.make (max Flat.least (2 * (nw + 1))) 0;
+  let starts = s.runs in
+  starts.(0) <- 0;
+  for w = 0 to nw - 1 do
+    let l = lt.(walks.(2 * w)) and r = rt.(walks.((2 * w) + 1)) in
+    let n = ref starts.(w) and il = ref 0 and ir = ref 0 in
+    let nl = rows l and nr = rows r in
+    let la = l.Flat.a and lo = l.Flat.o + 1 and ra = r.Flat.a and ro = r.Flat.o + 1 in
+    Flat.reserve s ~used:!n (!n + nl + nr - 1);
+    while !il < nl && !ir < nr do
+      put s !n l !il r !ir;
+      s.perm.(!n) <- !n;
+      incr n;
+      let aq = la.(lo + (6 * !il)) and bq = ra.(ro + (6 * !ir)) in
+      if aq < bq then incr il
+      else if bq < aq then incr ir
+      else begin
+        incr il;
+        incr ir
+      end
+    done;
+    starts.(w + 1) <- !n
+  done;
   let n = starts.(nw) in
   Flat.merge_runs s Flat.Plain starts 0 nw;
   let nk, killed = if prune then sweep_delay s ~bound n else (n, 0) in
   (nk, n - killed, n - killed - nk, killed)
 
-let merge_noise (s : Flat.t) ~bound walks =
-  let n =
-    List.fold_left (fun n (l, r) -> n + (rows l * rows r)) 0 walks
-  in
+let merge_noise (s : Flat.t) ~bound (lt : Flat.table) (rt : Flat.table) walks nw =
+  let n = ref 0 in
+  for w = 0 to nw - 1 do
+    n := !n + (rows lt.(walks.(2 * w)) * rows rt.(walks.((2 * w) + 1)))
+  done;
+  let n = !n in
   Flat.reserve s ~used:0 n;
   let id = ref 0 in
-  List.iter
-    (fun ((l : Flat.group), (r : Flat.group)) ->
-      for il = 0 to rows l - 1 do
-        for ir = 0 to rows r - 1 do
-          put s !id l il r ir;
-          s.perm.(!id) <- !id;
-          incr id
-        done
-      done)
-    walks;
+  for w = 0 to nw - 1 do
+    let l = lt.(walks.(2 * w)) and r = rt.(walks.((2 * w) + 1)) in
+    for il = 0 to rows l - 1 do
+      for ir = 0 to rows r - 1 do
+        put s !id l il r ir;
+        s.perm.(!id) <- !id;
+        incr id
+      done
+    done
+  done;
   Flat.sort_perm s Flat.Plain 0 n;
   let nk, slope = sweep_full s ~bound n in
   (nk, n - slope, n - slope - nk, slope)
@@ -351,8 +361,9 @@ let merge_noise (s : Flat.t) ~bound walks =
 let by_key (s : Flat.t) ~slack (g : Flat.group) =
   let n = rows g in
   Flat.reserve s ~used:0 n;
+  let ga = g.Flat.a and go = g.Flat.o in
   for k = 0 to n - 1 do
-    s.xs.((6 * k) + 4) <- (if slack then -.g.((6 * k) + 1) else g.((6 * k) + 4));
+    s.xs.((6 * k) + 4) <- (if slack then -.ga.(go + (6 * k) + 1) else ga.(go + (6 * k) + 4));
     s.perm.(k) <- k
   done;
   Flat.sort_perm s Flat.Energy 0 n;
@@ -368,6 +379,7 @@ let by_energy s g = by_key s ~slack:false g
 let sources (s : Flat.t) ~power ~guard (lib : Tech.Lib.prepared) (g : Flat.group) =
   let r_b = lib.Tech.Lib.r_b and d_b = lib.Tech.Lib.d_b in
   let ntypes = Array.length r_b and n = rows g in
+  let ga = g.Flat.a and go = g.Flat.o in
   let m = ref 0 in
   if not power then begin
     (* one pass for every type, the running best in entry [k] *)
@@ -377,12 +389,12 @@ let sources (s : Flat.t) ~power ~guard (lib : Tech.Lib.prepared) (g : Flat.group
       xs.((6 * k) + 1) <- neg_infinity
     done;
     for j = 0 to n - 1 do
-      let a = 6 * j in
-      let room = g.(a + 3) +. noise_tol in
+      let a = go + (6 * j) in
+      let room = ga.(a + 3) +. noise_tol in
       for k = 0 to ntypes - 1 do
         let r = r_b.(k) in
-        if (not guard) || r *. g.(a + 2) <= room then begin
-          let q = g.(a + 1) -. (d_b.(k) +. (r *. g.(a))) in
+        if (not guard) || r *. ga.(a + 2) <= room then begin
+          let q = ga.(a + 1) -. (d_b.(k) +. (r *. ga.(a))) in
           if q > xs.((6 * k) + 1) then begin
             xs.((6 * k) + 1) <- q;
             js.((2 * k) + 1) <- j
@@ -414,13 +426,13 @@ let sources (s : Flat.t) ~power ~guard (lib : Tech.Lib.prepared) (g : Flat.group
          member, so that member beats it whatever its slack *)
       let best = ref nan and members = ref [] and x = ref 0 in
       while !x < n do
-        let pw = g.((6 * order.(!x)) + 4) +. e in
+        let pw = ga.(go + (6 * order.(!x)) + 4) +. e in
         let rep = ref (-1) and rep_q = ref neg_infinity in
-        while !x < n && g.((6 * order.(!x)) + 4) +. e = pw do
+        while !x < n && ga.(go + (6 * order.(!x)) + 4) +. e = pw do
           let j = order.(!x) in
-          let a = 6 * j in
-          if (not guard) || r *. g.(a + 2) <= g.(a + 3) +. noise_tol then begin
-            let q = g.(a + 1) -. (d +. (r *. g.(a))) in
+          let a = go + (6 * j) in
+          if (not guard) || r *. ga.(a + 2) <= ga.(a + 3) +. noise_tol then begin
+            let q = ga.(a + 1) -. (d +. (r *. ga.(a))) in
             if !rep < 0 || q > !rep_q || (q = !rep_q && j < !rep) then begin
               rep := j;
               rep_q := q
@@ -436,8 +448,8 @@ let sources (s : Flat.t) ~power ~guard (lib : Tech.Lib.prepared) (g : Flat.group
       (* found in rising slack, listed in falling slack *)
       List.iter
         (fun j ->
-          let a = 6 * j in
-          s.xs.((6 * !m) + 1) <- g.(a + 1) -. (d +. (r *. g.(a)));
+          let a = go + (6 * j) in
+          s.xs.((6 * !m) + 1) <- ga.(a + 1) -. (d +. (r *. ga.(a)));
           s.js.(2 * !m) <- k;
           s.js.((2 * !m) + 1) <- j;
           incr m)
@@ -453,7 +465,7 @@ let stand_in (s : Flat.t) n (lib : Tech.Lib.prepared) k (g : Flat.group) j q =
   s.xs.(x + 1) <- q;
   s.xs.(x + 2) <- 0.0;
   s.xs.(x + 3) <- b.Tech.Buffer.nm;
-  s.xs.(x + 4) <- g.((6 * j) + 4) +. b.Tech.Buffer.energy;
+  s.xs.(x + 4) <- get g j 4 +. b.Tech.Buffer.energy;
   s.js.(2 * n) <- 2 + k;
   s.js.((2 * n) + 1) <- trace g j;
   s.perm.(n) <- n
@@ -468,9 +480,7 @@ let stand_in (s : Flat.t) n (lib : Tech.Lib.prepared) k (g : Flat.group) j q =
    survivors are sorted into [Flat.Load] order. A pairing's
    rank is its place in the order the walks define the pairings: the
    walks as given, each newest pairing first, its left pass first. *)
-let merge_delay_power (s : Flat.t) ~budget ~prune walks =
-  let walks = Array.of_list walks in
-  let nw = Array.length walks in
+let merge_delay_power (s : Flat.t) ~budget ~prune ls rs walks nw =
   Flat.reserve_walks s nw;
   s.st.sn <- 0;
   let cur = s.cur and next_q = s.next_q in
@@ -482,7 +492,7 @@ let merge_delay_power (s : Flat.t) ~budget ~prune walks =
      in-budget member, in rising load. [cur.(k)] counts the pass's
      pairings. *)
   let visit (st : Flat.stair) w ((l : Flat.group), lord) ((r : Flat.group), rord) ~left ia k =
-    let ap = if left then l.((6 * lord.(ia)) + 4) else r.((6 * rord.(ia)) + 4) in
+    let ap = if left then get l lord.(ia) 4 else get r rord.(ia) 4 in
     let lo = ref 0 and hi = ref st.sn in
     while !lo < !hi do
       let mid = (!lo + !hi) lsr 1 in
@@ -504,15 +514,16 @@ let merge_delay_power (s : Flat.t) ~budget ~prune walks =
   in
   (* walk [w]'s next member: the right one on equal slack *)
   let next w =
-    let ((l : Flat.group), lord), ((r : Flat.group), rord) = walks.(w) in
+    let ((l : Flat.group), lord) = ls.(walks.(2 * w))
+    and ((r : Flat.group), rord) = rs.(walks.((2 * w) + 1)) in
     let il = cur.(5 * w) and ir = cur.((5 * w) + 1) in
-    if ir < rows r && (il = rows l || r.((6 * rord.(ir)) + 1) >= l.((6 * lord.(il)) + 1)) then begin
+    if ir < rows r && (il = rows l || get r rord.(ir) 1 >= get l lord.(il) 1) then begin
       cur.((5 * w) + 4) <- 2;
-      next_q.(w) <- r.((6 * rord.(ir)) + 1)
+      next_q.(w) <- get r rord.(ir) 1
     end
     else if il < rows l then begin
       cur.((5 * w) + 4) <- 1;
-      next_q.(w) <- l.((6 * lord.(il)) + 1)
+      next_q.(w) <- get l lord.(il) 1
     end
     else cur.((5 * w) + 4) <- 0
   in
@@ -535,20 +546,23 @@ let merge_delay_power (s : Flat.t) ~budget ~prune walks =
         if prune then n := Flat.sweep_block s !bs !n;
         bs := !n
       end;
-      let ((l, lord) as left), ((r, rord) as right) = walks.(w) in
+      let ((l, lord) as left) = ls.(walks.(2 * w))
+      and ((r, rord) as right) = rs.(walks.((2 * w) + 1)) in
       let il = cur.(5 * w) and ir = cur.((5 * w) + 1) in
       (* a side's staircase serves only the other side's members still
          to come: none left, nothing to add *)
       if cur.((5 * w) + 4) = 2 then begin
         visit s.walk_st.(2 * w) w left right ~left:false ir ((5 * w) + 3);
-        let b = 6 * rord.(ir) in
-        if il < rows l then ignore (stair_add s.walk_st.((2 * w) + 1) r.(b) r.(b + 4) ir);
+        let b = r.Flat.o + (6 * rord.(ir)) in
+        if il < rows l then
+          ignore (stair_add s.walk_st.((2 * w) + 1) r.Flat.a.(b) r.Flat.a.(b + 4) ir);
         cur.((5 * w) + 1) <- ir + 1
       end
       else begin
         visit s.walk_st.((2 * w) + 1) w left right ~left:true il ((5 * w) + 2);
-        let a = 6 * lord.(il) in
-        if ir < rows r then ignore (stair_add s.walk_st.(2 * w) l.(a) l.(a + 4) il);
+        let a = l.Flat.o + (6 * lord.(il)) in
+        if ir < rows r then
+          ignore (stair_add s.walk_st.(2 * w) l.Flat.a.(a) l.Flat.a.(a + 4) il);
         cur.(5 * w) <- il + 1
       end;
       next w

@@ -187,7 +187,9 @@ val stand_in : Flat.t -> int -> Tech.Lib.prepared -> int -> Flat.group -> int ->
 (** {2 Coordinates-first branch merges}
 
     Each merges the walks — a left and a right child group feeding one
-    (parity, bucket) target group — of one branch node. Each pairing's
+    (parity, bucket) target group — of one branch node: walk [w < nw]
+    pairs the left group in slot [walks.(2w)] of one side with the right
+    group in slot [walks.(2w+1)] of the other. Each pairing's
     coordinates (loads, currents and energies add; slacks and noise
     slacks take the minimum) and its origin go into the scratch, the
     order and the sweep run on those, and only the survivors get a
@@ -203,7 +205,10 @@ val merge_delay :
   Flat.t ->
   bound:float ->
   prune:bool ->
-  (Flat.group * Flat.group) list ->
+  Flat.table ->
+  Flat.table ->
+  int array ->
+  int ->
   int * int * int * int
 (** The Van Ginneken merge: each walk's linear pairings
     ({!Frontier.merge2}), the walks merged as runs
@@ -216,7 +221,10 @@ val merge_delay :
 val merge_noise :
   Flat.t ->
   bound:float ->
-  (Flat.group * Flat.group) list ->
+  Flat.table ->
+  Flat.table ->
+  int array ->
+  int ->
   int * int * int * int
 (** The noise-mode merge: every pairing of every walk, sorted stably in
     frontier order (the walks in order, left outer, right inner) and
@@ -232,7 +240,10 @@ val merge_delay_power :
   Flat.t ->
   budget:float ->
   prune:bool ->
-  ((Flat.group * int array) * (Flat.group * int array)) list ->
+  (Flat.group * int array) array ->
+  (Flat.group * int array) array ->
+  int array ->
+  int ->
   int * int * int * int
 (** The delay-power merge of walks of {!by_slack} groups. It enumerates
     only the pairings that can reach the merged 3-axis frontier — each

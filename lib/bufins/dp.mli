@@ -34,8 +34,13 @@
     the candidates as flat rows of coordinates and a {!Trace} handle,
     sorted by load end to end, so pruning is a linear sweep and branch
     merging the linear Van Ginneken walk. This is the DP's one
-    candidate representation, from sink to root, and no table changes
-    once built. Delay mode prunes on (load, slack) dominance; noise mode
+    candidate representation, from sink to root, and no row changes
+    once written. The tables live on a row stack ({!Flat.store}): a
+    node's table is written above its children's and slid down over
+    them. The arena, the staging areas and the row stack belong to the
+    calling domain and are reused, reset, by each of its runs (DESIGN.md
+    §8), so a run allocates next to nothing per candidate; trace
+    handles never leave a run, only the reconstructed winners do. Delay mode prunes on (load, slack) dominance; noise mode
     prunes on the full (load, slack, current, noise-slack) dominance and
     merges branch pairings exhaustively, because a candidate or pairing
     off the (load, slack) frontier can carry the only noise slack that
@@ -112,8 +117,9 @@ type mutation =
 
 (** Cross-run memo for incremental re-optimization (the serve daemon's
     core; DESIGN.md §14). Holds the per-edge DP tables ([above c] — the
-    complete candidate summary of [c]'s subtree) plus a resident
-    solution-trace arena. [run ?memo] reuses every cached table whose
+    complete candidate summary of [c]'s subtree), each copied out of the
+    run's row stack and served in place on a hit, plus a resident
+    solution-trace arena of its own. [run ?memo] reuses every cached table whose
     subtree is untouched and whose predictive climb bound is unchanged,
     so after a single-sink edit only the path from the edit to the root
     is recomputed, with cached sibling tables spliced into the merges.
@@ -197,8 +203,12 @@ type stats = {
       (** words this domain allocated on the minor heap during the run
           ([Gc.minor_words] delta — domain-local, so concurrent domains
           in a batch never contaminate it; winner reconstruction
-          included). Deterministic for a given instance, independent of
-          the batch engine's domain count. *)
+          included, the trace arena's chunk headers
+          ({!Trace.header_words}) left out). Deterministic for a given
+          instance (and, under [?memo], the memo's past runs),
+          independent of the batch engine's domain count and of the
+          runs the domain made before: the scratch a domain reuses only
+          ever grows in the major heap. *)
 }
 
 type result = {
@@ -245,8 +255,9 @@ val run :
   Rctree.Tree.t ->
   outcome
 (** Raises [Invalid_argument] on an empty library, a tree that already
-    contains buffers, a negative power budget, or [Power_bounded] with
-    [noise = true] (power mode is delay-only). With [noise = true],
+    contains buffers, a negative power budget, [Power_bounded] with
+    [noise = true] (power mode is delay-only), or when entered again on
+    a domain that is already running it (its scratch is the domain's). With [noise = true],
     [best = None] means no noise-feasible solution exists at the given
     segmenting (the paper's remedy: segment finer or extend the
     library; see [Buffopt.optimize]). With [noise = false], [best] is

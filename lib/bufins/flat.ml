@@ -1,14 +1,76 @@
-(* The DP's one candidate representation and one run's reusable arrays,
-   grown by doubling (flat.mli). *)
+(* The DP's one candidate representation, the row store and the
+   reusable staging arrays, grown by doubling (flat.mli). *)
 
-type group = float array
+type group = { mutable a : float array; mutable o : int; n : int }
 type table = group array
 
-let empty : group = [||]
+let empty = { a = [||]; o = 0; n = 0 }
 
-let width (g : group) = Array.length g / 6
+let of_array a = if Array.length a = 0 then empty else { a; o = 0; n = Array.length a / 6 }
 
-let[@inline] trace (g : group) k = int_of_float g.((6 * k) + 5)
+let width g = g.n
+
+let[@inline] trace g k = int_of_float g.a.(g.o + (6 * k) + 5)
+
+(* Every array below that grows does so to more than 256 words, so the
+   growth is a major-heap allocation: [Gc.minor_words] counts none of
+   it, and a run's minor words do not depend on what earlier runs left
+   in a reused scratch. *)
+let least = 257
+
+type store = { mutable buf : float array; mutable len : int }
+
+let store () = { buf = [||]; len = 0 }
+
+(* room for [n] more rows above [len] *)
+let room st n =
+  let need = 6 * (st.len + n) in
+  if need > Array.length st.buf then begin
+    let b = Array.create_float (max need (max (6 * least) (2 * Array.length st.buf))) in
+    Array.blit st.buf 0 b 0 (6 * st.len);
+    st.buf <- b
+  end
+
+let copy_group st g =
+  if g.n = 0 then empty
+  else begin
+    room st g.n;
+    let o = 6 * st.len in
+    Array.blit g.a g.o st.buf o (6 * g.n);
+    st.len <- st.len + g.n;
+    { a = st.buf; o; n = g.n }
+  end
+
+(* Each group moves down to the next free row from [base], in slot
+   order. The groups were written in that order above [base], so no
+   move overwrites rows a later one still reads. *)
+let slide st ~base (tbl : table) =
+  let d = ref (6 * base) in
+  for t = 0 to Array.length tbl - 1 do
+    let g = tbl.(t) in
+    if g.n > 0 then begin
+      if g.a != st.buf || g.o <> !d then Array.blit g.a g.o st.buf !d (6 * g.n);
+      g.a <- st.buf;
+      g.o <- !d;
+      d := !d + (6 * g.n)
+    end
+  done;
+  st.len <- !d / 6
+
+let copy_out (tbl : table) =
+  let total = Array.fold_left (fun acc g -> acc + g.n) 0 tbl in
+  let b = Array.create_float (6 * total) in
+  let d = ref 0 in
+  Array.map
+    (fun g ->
+      if g.n = 0 then empty
+      else begin
+        Array.blit g.a g.o b !d (6 * g.n);
+        let g = { a = b; o = !d; n = g.n } in
+        d := !d + (6 * g.n);
+        g
+      end)
+    tbl
 
 type stair = {
   mutable sk : float array;  (* keys, strictly ascending *)
@@ -29,6 +91,7 @@ type t = {
   mutable cur : int array;
       (* five per walk: left and right cursors, left and right pass counts, next side *)
   mutable next_q : float array;  (* per walk: its next member's slack *)
+  mutable runs : int array;  (* a branch merge's walks' run starts *)
 }
 
 let stair () = { sk = [||]; sv = [||]; si = [||]; sn = 0; pt = [| 0.0; 0.0 |] }
@@ -46,21 +109,24 @@ let create () =
     walk_st = [||];
     cur = [||];
     next_q = [||];
+    runs = [||];
   }
+
+(* [a] grown to [m] entries of [z], the first [used] kept; a top-level
+   function, since a closure would be a minor allocation on growth only *)
+let grow a m z used =
+  let b = Array.make m z in
+  Array.blit a 0 b 0 used;
+  b
 
 (* room for [n] rows, keeping the first [used] written *)
 let reserve s ~used n =
   if Array.length s.perm < n then begin
-    let m = max n (2 * Array.length s.perm) in
-    let grow a stride z =
-      let b = Array.make (stride * m) z in
-      Array.blit a 0 b 0 (stride * used);
-      b
-    in
-    s.xs <- grow s.xs 6 0.0;
-    s.js <- grow s.js 2 0;
-    s.rank <- grow s.rank 1 0;
-    s.perm <- grow s.perm 1 0;
+    let m = max n (max least (2 * Array.length s.perm)) in
+    s.xs <- grow s.xs (6 * m) 0.0 (6 * used);
+    s.js <- grow s.js (2 * m) 0 (2 * used);
+    s.rank <- grow s.rank m 0 used;
+    s.perm <- grow s.perm m 0 used;
     s.aux <- Array.make m 0
   end
 
@@ -75,11 +141,11 @@ let[@inline] copy (xs : float array) a (ys : float array) b =
   Array.unsafe_set ys (b + 5) (Array.unsafe_get xs (a + 5))
 
 (* the rows of [g] staged from row 0, in order; returns their count *)
-let stage s (g : group) =
-  let m = width g in
+let stage s g =
+  let m = g.n in
   reserve s ~used:0 m;
+  Array.blit g.a g.o s.xs 0 (6 * m);
   for k = 0 to m - 1 do
-    copy g k s.xs k;
     s.js.(2 * k) <- 0;
     s.perm.(k) <- k
   done;
@@ -89,37 +155,43 @@ let stage s (g : group) =
 let top s n =
   let t = ref 0 in
   for k = 0 to n - 1 do
-    t := max !t (s.perm.(k) + 1)
+    let x = s.perm.(k) in
+    if x >= !t then t := x + 1
   done;
   !t
 
-(* The survivors [perm.(0 .. nk-1)], in that order, as a new group,
-   each row's trace handle from its origin, which then names that
-   handle (flat.mli) *)
-let write s ~arena ~at ~(bufs : Tech.Buffer.t array) nk : group =
-  let g = Array.create_float (6 * nk) in
-  let rows = Array.length s.perm in
-  for k = 0 to nk - 1 do
-    let x = s.perm.(k) in
-    if x < 0 || x >= rows then invalid_arg "Flat.write";
-    let o = s.js.((2 * x) + 1) in
-    (match s.js.(2 * x) with
-    | 0 -> ()
-    | 1 ->
-        s.xs.((6 * x) + 5) <-
-          float_of_int (Trace.join arena ~left:(o lsr 32) ~right:(o land 0xffffffff))
-    | kind ->
-        s.xs.((6 * x) + 5) <-
-          float_of_int (Trace.buf arena ~node:at ~dist:0.0 ~buffer:bufs.(kind - 2) ~pred:o));
-    s.js.(2 * x) <- 0;
-    copy s.xs x g k
-  done;
-  g
+(* The survivors [perm.(0 .. nk-1)], in that order, as a new group on
+   top of [st], each row's trace handle from its origin, which then
+   names that handle (flat.mli) *)
+let write s ~arena ~at ~(bufs : int array) st nk =
+  if nk = 0 then empty
+  else begin
+    room st nk;
+    let g = st.buf and base = st.len in
+    let rows = Array.length s.perm in
+    for k = 0 to nk - 1 do
+      let x = s.perm.(k) in
+      if x < 0 || x >= rows then invalid_arg "Flat.write";
+      let o = s.js.((2 * x) + 1) in
+      (match s.js.(2 * x) with
+      | 0 -> ()
+      | 1 ->
+          s.xs.((6 * x) + 5) <-
+            float_of_int (Trace.join arena ~left:(o lsr 32) ~right:(o land 0xffffffff))
+      | kind ->
+          s.xs.((6 * x) + 5) <-
+            float_of_int (Trace.buf_ix arena ~node:at ~dist:0.0 ~ix:bufs.(kind - 2) ~pred:o));
+      s.js.(2 * x) <- 0;
+      copy s.xs x g (base + k)
+    done;
+    st.len <- base + nk;
+    { a = g; o = 6 * base; n = nk }
+  end
 
 (* room for [nw] walks, their staircases empty and cursors at 0 *)
 let reserve_walks s nw =
   if Array.length s.next_q < nw then begin
-    let m = max nw (2 * Array.length s.next_q) in
+    let m = max nw (max least (2 * Array.length s.next_q)) in
     let old = s.walk_st in
     s.walk_st <- Array.init (2 * m) (fun k -> if k < Array.length old then old.(k) else stair ());
     s.cur <- Array.make (5 * m) 0;
@@ -162,15 +234,10 @@ let stair_add st id =
     done;
     let shift = 1 - (!j - lo) in
     if n + shift > Array.length keys then begin
-      let m = max 16 (2 * Array.length keys) in
-      let grow a z =
-        let b = Array.make m z in
-        Array.blit a 0 b 0 n;
-        b
-      in
-      st.sk <- grow keys 0.0;
-      st.sv <- grow vals 0.0;
-      st.si <- grow st.si 0
+      let m = max least (2 * Array.length keys) in
+      st.sk <- grow keys m 0.0 n;
+      st.sv <- grow vals m 0.0 n;
+      st.si <- grow st.si m 0 n
     end;
     (* the tail moves by [shift]: a few members, cheaper than blits *)
     let sk = st.sk and sv = st.sv and si = st.si in
@@ -188,11 +255,11 @@ let stair_add st id =
   end
 
 (* rows [y ..] of [g] no heavier than [c] onto [st] at (-slack, energy) *)
-let stair_fold st (g : group) y c =
-  let y = ref y in
-  while !y < width g && g.(6 * !y) <= c do
-    st.pt.(0) <- -.g.((6 * !y) + 1);
-    st.pt.(1) <- g.((6 * !y) + 4);
+let stair_fold st g y c =
+  let y = ref y and a = g.a and o = g.o in
+  while !y < g.n && a.(o + (6 * !y)) <= c do
+    st.pt.(0) <- -.a.(o + (6 * !y) + 1);
+    st.pt.(1) <- a.(o + (6 * !y) + 4);
     ignore (stair_add st 0);
     incr y
   done;

@@ -1,33 +1,71 @@
-(** The DP's one candidate representation, and the flat working buffers
-    every kernel of {!Candidate} stages rows in.
+(** The DP's one candidate representation, the row store its tables
+    live in, and the flat working buffers every kernel of {!Candidate}
+    stages rows in.
 
     A {!group} holds one (parity, bucket) slot's candidates, sorted by
     load, as rows of six floats: load [c] (F), slack [q] (s), coupled
     current [i] (A), noise slack [ns] (V), accumulated buffer energy [p]
-    (J) and the solution's {!Trace.handle}, an exact small int. A node's
-    {!table} holds one group per slot, from sink to root; no group or
-    table is changed once built, so {!Dp.Memo} keeps and serves them as
-    they are.
+    (J) and the solution's {!Trace.handle}, an exact small int. The rows
+    lie in a float array that the group only views: a {!store}, a
+    memo's copy or an array of its own. A node's {!table} holds one
+    group per slot, from sink to root; no row is changed once written.
+
+    {!Dp.run} keeps every table on a row stack ({!store}): a node's
+    table is written above its children's and then slid down over them
+    ({!slide}), the children being dead once their parent is built.
 
     A scratch {!t} holds staged rows in the same layout, each with an
     origin that says where its trace handle comes from, a tie rank and
     a sort permutation; the power-mode 2D staircases and walk cursors;
-    all in plain arrays that one run reuses and grows by doubling. Not
+    all in plain arrays that a domain reuses from run to run and grows
+    by doubling. Every array that grows grows past 256 words, so growth
+    is a major-heap allocation that no [Gc.minor_words] delta sees. Not
     shareable between domains. *)
 
-type group = float array
-(** Rows at stride 6: [c], [q], [i], [ns], [p], trace handle. *)
+type group = private { mutable a : float array; mutable o : int; n : int }
+(** [n] rows of [a] from float index [o], at stride 6: [c], [q], [i],
+    [ns], [p], trace handle. *)
 
 type table = group array
 (** One group per slot [2 * bucket + parity]. *)
 
 val empty : group
 
+val of_array : float array -> group
+(** The rows of a whole array, stride 6. *)
+
 val width : group -> int
 (** The number of rows. *)
 
 val trace : group -> int -> Trace.handle
 (** [trace g k]: row [k]'s trace handle. *)
+
+val least : int
+(** 257: the fewest rows (or entries) any growing scratch array grows
+    to, so that every growth allocates more than 256 words — in the
+    major heap. *)
+
+type store = { mutable buf : float array; mutable len : int }
+(** A row stack: [len] rows at the bottom of [buf], stride 6. Groups
+    written onto it view [buf]; when it grows, groups written before
+    keep viewing the old array, whose rows are the same. *)
+
+val store : unit -> store
+(** An empty store. *)
+
+val copy_group : store -> group -> group
+(** The group's rows copied onto the top of the store. *)
+
+val slide : store -> base:int -> table -> unit
+(** [slide st ~base tbl]: the table's groups moved down, in slot order,
+    to consecutive rows from [base], and the store cut back to their
+    end; each group then views its new rows. The groups must lie above
+    [base] in slot order, or in another array: a table written above
+    its children's is slid over them. *)
+
+val copy_out : table -> table
+(** The table's rows copied into one fresh array, in slot order, and
+    viewed by new groups: a table that outlives its store. *)
 
 type stair = {
   mutable sk : float array;  (** keys, strictly ascending *)
@@ -60,6 +98,7 @@ type t = {
           and right passes' pairing counts, and the side of the next member (0: none,
           1: left, 2: right) *)
   mutable next_q : float array;  (** per walk of a delay-power merge: its next member's slack *)
+  mutable runs : int array;  (** a delay-mode branch merge's walks' run starts *)
 }
 
 val create : unit -> t
@@ -80,13 +119,15 @@ val top : t -> int -> int
 (** [top s n]: one past the highest row among [perm.(0 .. n-1)], 0 for
     none: the first row free for more staging. *)
 
-val write : t -> arena:Trace.arena -> at:int -> bufs:Tech.Buffer.t array -> int -> group
-(** [write s ~arena ~at ~bufs nk]: the rows [perm.(0 .. nk-1)], in that
-    order, as a new group — a sweep's survivors. A row of kind 0 keeps
-    its handle; a staged pairing gets its [Join] node and a staged
-    insertion of type [k] its [Buf] node of [bufs.(k)] at node [at], in
-    [arena]. So only survivors get a node. Each written row then holds
-    its handle as kind 0, so writing it again makes no second node. *)
+val write : t -> arena:Trace.arena -> at:int -> bufs:int array -> store -> int -> group
+(** [write s ~arena ~at ~bufs st nk]: the rows [perm.(0 .. nk-1)], in
+    that order, as a new group on top of [st] — a sweep's survivors.
+    A row of kind 0 keeps its handle; a staged pairing gets its [Join]
+    node and a staged insertion of type [k] its [Buf] node at node [at],
+    of the buffer {!Trace.intern}ed as [bufs.(k)] in [arena]. So only
+    survivors get a node. Each written row then holds its handle as
+    kind 0, so writing it again makes no second node. [nk = 0] gives
+    {!empty}. *)
 
 val reserve_walks : t -> int -> unit
 (** [reserve_walks s nw]: room for [nw] walks in [walk_st], [cur] and

@@ -1,34 +1,47 @@
 (** Append-only solution-trace arena.
 
-    Candidates no longer carry their solution lists: each candidate holds
-    an integer {!handle} naming a node in a per-run arena, and the node
-    records how the solution was built (buffer attached, branches joined,
-    wire resized) together with the handles of its predecessors. Merging
-    two candidates or attaching a buffer is then O(1) — one arena node —
-    instead of an O(|solution|) list copy, and the placement list is
-    materialised by a single {!placements} walk only for the winning root
-    candidates.
+    Candidates do not carry their solution lists: each candidate holds
+    an integer {!handle} naming a node in an arena, and the node
+    records how the solution was built (buffer attached, branches
+    joined, wire resized) together with the handles of its
+    predecessors. Merging two candidates or attaching a buffer is then
+    O(1) — one arena node — instead of an O(|solution|) list copy, and
+    the placement list is materialised by a single {!placements} walk
+    only for the winning root candidates.
 
-    Handles are only meaningful against the arena that issued them; an
-    arena lives for one optimizer run and is garbage once the winners
-    have been reconstructed. *)
+    The nodes are unboxed: an arena is a table of fixed-size chunks,
+    each a float Bigarray holding 128 nodes in three columns (kind,
+    buffer index and tree node; predecessor or left handle; right
+    handle, distance or width), so growth allocates one chunk, never a
+    copy,
+    and the nodes lie outside the OCaml heap: the GC never scans them,
+    and an arena kept from run to run does not raise the heap size the
+    major GC paces itself by. A [Buf] node names its buffer by a small
+    index into the arena's own buffer table. A fresh arena allocates
+    nothing until its first node, and {!reset} empties one for reuse
+    without freeing its chunks.
+
+    Handles are only meaningful against the arena that issued them, and
+    only until its next {!reset}. *)
 
 type handle = int
 (** Index of a trace node in its arena. *)
 
-type node =
-  | Leaf  (** a bare sink candidate: empty solution *)
-  | Buf of { node : int; dist : float; buffer : Tech.Buffer.t; pred : handle }
-      (** [pred]'s solution plus one buffer at [dist] up edge [node] *)
-  | Join of { left : handle; right : handle }
-      (** branch merge: both sub-solutions, left placements first *)
-  | Resize of { node : int; width : float; pred : handle }
-      (** [pred]'s solution plus one wire-sizing decision *)
-
 type arena
 
-val create : ?capacity:int -> unit -> arena
+val create : unit -> arena
 (** Fresh arena holding only the shared {!leaf} node. *)
+
+val reset : arena -> unit
+(** Forget every node but the leaf and every interned buffer; the
+    chunks stay allocated for the next nodes. Every handle the arena
+    issued before is dangling afterwards. *)
+
+val header_words : arena -> float
+(** The minor words the arena's chunk allocations have taken since its
+    creation (each chunk's small Bigarray header): {!Dp.run} leaves
+    them out of its [minor_words], which then does not depend on how
+    far earlier runs grew a reused arena. *)
 
 val leaf : handle
 (** Handle of the empty solution; valid in every arena. *)
@@ -36,9 +49,24 @@ val leaf : handle
 val size : arena -> int
 (** Number of nodes currently in the arena (including the leaf). *)
 
+val intern : arena -> Tech.Buffer.t -> int
+(** The buffer's index in the arena's buffer table, added if new: a
+    buffer physically or structurally equal to one already there gets
+    that one's index. *)
+
 val buf : arena -> node:int -> dist:float -> buffer:Tech.Buffer.t -> pred:handle -> handle
+(** [pred]'s solution plus one buffer at [dist] up edge [node]. Node
+    ids must be below 2{^32}, and an arena holds at most 2{^18}
+    distinct buffers ([Invalid_argument] otherwise). *)
+
+val buf_ix : arena -> node:int -> dist:float -> ix:int -> pred:handle -> handle
+(** {!buf} with the buffer given by its {!intern}ed index. *)
+
 val join : arena -> left:handle -> right:handle -> handle
+(** Both sub-solutions, left placements first. *)
+
 val resize : arena -> node:int -> width:float -> pred:handle -> handle
+(** [pred]'s solution plus one wire-sizing decision. *)
 
 val placements : arena -> handle -> Rctree.Surgery.placement list
 (** Reconstruct the solution's placement list, bottom-up order (the

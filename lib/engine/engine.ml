@@ -173,16 +173,18 @@ let signature r =
       match outcome with
       | Done (run : Bufins.Buffopt.run) ->
           let s = run.Bufins.Buffopt.stats in
-          Printf.bprintf b "%s ok count=%d slack=%.17g energy=%.17g dp=%d/%d/%d/%d\n" net
+          Printf.bprintf b "%s ok count=%d slack=%.17g energy=%.17g dp=%d/%d/%d/%d/%d/%d\n" net
             run.Bufins.Buffopt.count run.Bufins.Buffopt.predicted_slack
             run.Bufins.Buffopt.energy s.Bufins.Dp.generated s.Bufins.Dp.pruned
-            s.Bufins.Dp.pred_pruned s.Bufins.Dp.peak_width
+            s.Bufins.Dp.pred_pruned s.Bufins.Dp.count_pruned s.Bufins.Dp.peak_width
+            s.Bufins.Dp.arena
       | Failed { error } -> Printf.bprintf b "%s FAILED %s\n" net error)
     r.results;
   Printf.bprintf b
-    "aggregate ok=%d failed=%d buffers=%d energy=%.17g worst=%.17g dp=%d/%d/%d/%d\n" r.ok
-    r.failed r.buffers r.energy r.worst_slack r.dp.Bufins.Dp.generated
-    r.dp.Bufins.Dp.pruned r.dp.Bufins.Dp.pred_pruned r.dp.Bufins.Dp.peak_width;
+    "aggregate ok=%d failed=%d buffers=%d energy=%.17g worst=%.17g dp=%d/%d/%d/%d/%d/%d\n"
+    r.ok r.failed r.buffers r.energy r.worst_slack r.dp.Bufins.Dp.generated
+    r.dp.Bufins.Dp.pruned r.dp.Bufins.Dp.pred_pruned r.dp.Bufins.Dp.count_pruned
+    r.dp.Bufins.Dp.peak_width r.dp.Bufins.Dp.arena;
   Buffer.contents b
 
 let sched_line (s : Pool.stats) =

@@ -398,6 +398,98 @@ let memo_tests =
         Alcotest.(check bool) "hits after rerun" true (Bufins.Dp.Memo.hits memo > 0);
         Bufins.Dp.Memo.clear memo;
         Alcotest.(check int) "cleared" 0 (Bufins.Dp.Memo.stored memo));
+    case "one domain's runs in every mode equal fresh domains' runs" (fun () ->
+        (* A domain reuses its arena, staging areas and row stack from run
+           to run. Runs in delay, noise and power modes, with and without
+           memos, alternate on this domain; each outcome, stats and minor
+           words included, must equal the same run on a fresh domain (a
+           memo'd run replaying its memo's runs there). *)
+        let seg = Rctree.Segment.refine (Fixtures.caterpillar process 30) ~max_len:500e-6 in
+        let seg2 = Rctree.Segment.refine (Fixtures.two_pin process ~len:4e-3) ~max_len:5e-4 in
+        let sink = List.hd (T.sinks seg) in
+        let rat = match T.kind seg sink with T.Sink s -> s.T.rat | _ -> assert false in
+        let edited = T.with_sink_rat seg sink ~rat:(rat *. 0.95) in
+        let energy =
+          match (Bufins.Dp.run ~noise:false ~mode:(Bufins.Dp.Up_to 8) ~lib seg).Bufins.Dp.best with
+          | Some r -> r.Bufins.Dp.energy
+          | None -> Alcotest.fail "delay mode always has a solution"
+        in
+        let power = Bufins.Dp.Power_bounded { budget = energy /. 2.0; kmax = 8 } in
+        (* (memo, dirtied node, noise, mode, tree); memo 0 is none *)
+        let plan =
+          [
+            (0, None, false, Bufins.Dp.Up_to 8, seg);
+            (1, None, true, Bufins.Dp.Single, seg);
+            (0, None, false, power, seg);
+            (0, None, true, Bufins.Dp.Up_to 4, seg2);
+            (1, None, true, Bufins.Dp.Single, seg);
+            (0, None, false, Bufins.Dp.Per_count 4, seg2);
+            (1, Some sink, true, Bufins.Dp.Single, edited);
+            (2, None, false, power, seg);
+            (0, None, true, Bufins.Dp.Single, seg);
+            (2, None, false, power, seg);
+          ]
+        in
+        let bytes o = Marshal.to_string (o : Bufins.Dp.outcome) [ Marshal.No_sharing ] in
+        (* the plan's runs in order, each memo'd one with its memo *)
+        let replay steps =
+          let memos =
+            [| None; Some (Bufins.Dp.Memo.create ()); Some (Bufins.Dp.Memo.create ()) |]
+          in
+          List.map
+            (fun (m, dirty, noise, mode, tree) ->
+              let memo = memos.(m) in
+              Option.iter
+                (fun v -> Option.iter (fun mm -> Bufins.Dp.Memo.dirty mm tree v) memo)
+                dirty;
+              bytes (Bufins.Dp.run ?memo ~noise ~mode ~lib tree))
+            steps
+        in
+        let here = replay plan in
+        List.iteri
+          (fun i ((m, _, _, _, _) as step) ->
+            (* a fresh domain runs the step alone, or its memo's steps up to it *)
+            let steps =
+              if m = 0 then [ step ]
+              else List.filteri (fun j (m', _, _, _, _) -> j <= i && m' = m) plan
+            in
+            let fresh = Domain.join (Domain.spawn (fun () -> List.rev (replay steps))) in
+            Alcotest.(check bool)
+              (Printf.sprintf "run %d equals a fresh domain's" i)
+              true
+              (String.equal (List.nth here i) (List.hd fresh)))
+          plan);
+    case "a memo's traces survive memo-less runs on its domain" (fun () ->
+        (* memo-less runs reset the domain's arena; a memo keeps its own,
+           so its cached handles still reconstruct afterwards *)
+        let seg = Rctree.Segment.refine (Fixtures.caterpillar process 20) ~max_len:500e-6 in
+        let seg2 = Rctree.Segment.refine (Fixtures.two_pin process ~len:4e-3) ~max_len:5e-4 in
+        let run ?memo noise mode tr = Bufins.Dp.run ?memo ~noise ~mode ~lib tr in
+        let memo = Bufins.Dp.Memo.create () in
+        let first = run ~memo true (Bufins.Dp.Up_to 6) seg in
+        List.iter
+          (fun (noise, mode, tr) -> ignore (run noise mode tr))
+          [
+            (false, Bufins.Dp.Up_to 8, seg2);
+            (true, Bufins.Dp.Single, seg);
+            (false, Bufins.Dp.Per_count 4, seg);
+          ];
+        let hits = Bufins.Dp.Memo.hits memo in
+        let warm = run ~memo true (Bufins.Dp.Up_to 6) seg in
+        Alcotest.(check bool) "the rerun is served from the memo" true
+          (Bufins.Dp.Memo.hits memo > hits);
+        Alcotest.(check bool) "warm rerun equals the first run" true (eq_outcome first warm);
+        Alcotest.(check bool) "and a scratch run" true
+          (eq_outcome (run true (Bufins.Dp.Up_to 6) seg) warm);
+        let sink = List.hd (T.sinks seg) in
+        let rat = match T.kind seg sink with T.Sink s -> s.T.rat | _ -> assert false in
+        let edited = T.with_sink_rat seg sink ~rat:(rat *. 0.9) in
+        Bufins.Dp.Memo.dirty memo edited sink;
+        ignore (run false (Bufins.Dp.Up_to 8) seg2);
+        Alcotest.(check bool) "an incremental run equals scratch" true
+          (eq_outcome
+             (run true (Bufins.Dp.Up_to 6) edited)
+             (run ~memo true (Bufins.Dp.Up_to 6) edited)));
   ]
 
 let suites = [ ("bufins.vangin", tests); ("bufins.memo", memo_tests) ]

@@ -278,6 +278,32 @@ let batch_parallel_equals_sequential () =
       | _ -> Alcotest.fail "outcome kind differs between domain counts")
     r1.Engine.results
 
+(* Each domain reuses its DP scratch from run to run, so the delay and
+   power modes, whose kernels use parts of it the noise mode does not,
+   get the same 1 vs 2/4-domain and warm-pool checks *)
+let batch_reuse_equal_in_every_mode () =
+  let jobs = workload_jobs 40 2006 in
+  List.iter
+    (fun (name, algorithm) ->
+      let r1 = Engine.optimize ~domains:1 ~algorithm ~lib jobs in
+      Alcotest.(check bool) (name ^ ": nets optimized") true (r1.Engine.ok > 0);
+      let same what r =
+        Alcotest.(check string) (Printf.sprintf "%s: %s" name what) (Engine.signature r1)
+          (Engine.signature r)
+      in
+      same "2 domains" (Engine.optimize ~domains:2 ~algorithm ~lib jobs);
+      same "4 domains" (Engine.optimize ~domains:4 ~chunk:1 ~algorithm ~lib jobs);
+      let p = Engine.Pool.create ~domains:4 () in
+      Fun.protect
+        ~finally:(fun () -> Engine.Pool.shutdown p)
+        (fun () ->
+          same "resident pool" (Engine.optimize ~pool:p ~chunk:1 ~algorithm ~lib jobs);
+          same "warm pool again" (Engine.optimize ~pool:p ~algorithm ~lib jobs)))
+    [
+      ("delayopt 16", Bufins.Buffopt.Delayopt 16);
+      ("power 20 fJ", Bufins.Buffopt.Power_bounded 20e-15);
+    ]
+
 (* a tree that already carries a buffer makes Buffopt.optimize raise, so
    poisoning every job yields an all-failed batch *)
 let poison (net, tree) =
@@ -324,10 +350,9 @@ let alloc_words_not_cross_contaminated () =
    this runtime, so the external window flushes at both edges; the
    windows then differ only by the optimizer's own bookkeeping *)
 let alloc_counter_matches_quick_stat_single_domain () =
-  let by_size (_, a) (_, b) =
-    compare (Rctree.Tree.node_count b) (Rctree.Tree.node_count a)
-  in
-  let _, tree = List.hd (List.sort by_size (workload_jobs 10 77)) in
+  (* the 50-sink caterpillar: a workload net's run allocates too few
+     minor words for a 1% comparison *)
+  let tree = Rctree.Segment.refine (Fixtures.caterpillar process 50) ~max_len:500e-6 in
   Gc.minor ();
   let q0 = Gc.quick_stat () in
   let outcome =
@@ -386,5 +411,7 @@ let suites =
           alloc_words_not_cross_contaminated;
         case "dp stats: counter matches quick_stat at one domain"
           alloc_counter_matches_quick_stat_single_domain;
+        case "batch: scratch reuse equal in delay and power modes"
+          batch_reuse_equal_in_every_mode;
       ] );
   ]

@@ -186,12 +186,12 @@ type row = { c : float; q : float; i : float; ns : float; p : float; tr : float 
 let mk c q = { c; q; i = 0.0; ns = 1.0; p = 0.0; tr = 0.0 }
 
 let group_of rows =
-  Array.concat (List.map (fun r -> [| r.c; r.q; r.i; r.ns; r.p; r.tr |]) rows)
+  Bufins.Flat.of_array
+    (Array.concat (List.map (fun r -> [| r.c; r.q; r.i; r.ns; r.p; r.tr |]) rows))
 
 let rows_of (g : Bufins.Flat.group) =
   List.init (Bufins.Flat.width g) (fun k ->
-      let x = 6 * k in
-      let f k = g.(x + k) in
+      let f i = g.Bufins.Flat.a.(g.Bufins.Flat.o + (6 * k) + i) in
       { c = f 0; q = f 1; i = f 2; ns = f 3; p = f 4; tr = f 5 })
 
 let cmp_frontier a b =
@@ -227,7 +227,16 @@ let staged_rows (s : Bufins.Flat.t) n =
 
 (* a merge's survivors [perm.(0 .. nk-1)], joined *)
 let joined (s : Bufins.Flat.t) ~arena nk =
-  rows_of (Bufins.Flat.write s ~arena ~at:0 ~bufs:[||] nk)
+  rows_of (Bufins.Flat.write s ~arena ~at:0 ~bufs:[||] (Bufins.Flat.store ()) nk)
+
+(* [walks] as the branch merges take them: walk [w] pairs slot [w] of
+   the left side with slot [w] of the right one *)
+let sides walks =
+  let n = List.length walks in
+  ( Array.of_list (List.map fst walks),
+    Array.of_list (List.map snd walks),
+    Array.init (2 * n) (fun k -> k / 2),
+    n )
 
 (* [rows] staged in order and swept by [sweep]: the survivors and the
    drop count *)
@@ -325,10 +334,11 @@ let candidate_tests =
      its counts must add up: every in-budget pairing is generated, and
      all but the survivors are dropped *)
   let merge_power ?(arena = Bufins.Trace.create ()) ?(prune = true) ~budget walks =
-    let nk, generated, dropped, _ =
-      C.merge_delay_power s ~budget ~prune
+    let ls, rs, ws, nw =
+      sides
         (List.map (fun (l, r) -> (C.by_slack s (group_of l), C.by_slack s (group_of r))) walks)
     in
+    let nk, generated, dropped, _ = C.merge_delay_power s ~budget ~prune ls rs ws nw in
     let kept = joined s ~arena nk in
     if generated - dropped <> List.length kept then Alcotest.fail "merge counts";
     if (not prune) && dropped <> 0 then Alcotest.fail "an unpruned merge dropped pairings";
@@ -360,9 +370,9 @@ let candidate_tests =
         let arena = Bufins.Trace.create () in
         let runs = List.map (fun (l, r) -> Fr.merge2 ~value ~join:(join ~arena) l r) walks in
         let generic, gdrop = Fr.sweep2 ~cost ~value (Fr.merge_sorted cmp_frontier runs) in
+        let lt, rt, ws, nw = sides (List.map (fun (l, r) -> (group_of l, group_of r)) walks) in
         let nk, emitted, dropped, prekilled =
-          C.merge_delay s ~bound:0.0 ~prune:true
-            (List.map (fun (l, r) -> (group_of l, group_of r)) walks)
+          C.merge_delay s ~bound:0.0 ~prune:true lt rt ws nw
         in
         strip generic = strip (joined s ~arena nk)
         && emitted + prekilled = List.length (List.concat runs)
@@ -377,9 +387,8 @@ let candidate_tests =
              cands);
     case "merge adds loads and takes worst slacks" (fun () ->
         let a = mk 1e-15 5e-10 and b = mk 2e-15 3e-10 in
-        let nk, _, _, _ =
-          C.merge_delay s ~bound:0.0 ~prune:true [ (group_of [ a ], group_of [ b ]) ]
-        in
+        let lt, rt, ws, nw = sides [ (group_of [ a ], group_of [ b ]) ] in
+        let nk, _, _, _ = C.merge_delay s ~bound:0.0 ~prune:true lt rt ws nw in
         match joined s ~arena:(Bufins.Trace.create ()) nk with
         | [ m ] ->
             feq_rel "c" ~eps:1e-12 3e-15 m.c;
@@ -404,7 +413,9 @@ let candidate_tests =
         Fl.reserve s1 ~used:1 1;
         C.stand_in s1 0 lib 0 g 0 s1.Fl.xs.(1);
         let r =
-          rows_of (Fl.write s1 ~arena:(Bufins.Trace.create ()) ~at:3 ~bufs:[| inv |] 1)
+          let arena = Bufins.Trace.create () in
+          rows_of
+            (Fl.write s1 ~arena ~at:3 ~bufs:[| Bufins.Trace.intern arena inv |] (Fl.store ()) 1)
         in
         feq_rel "load reset" ~eps:1e-12 inv.Tech.Buffer.c_in (List.hd r).c);
     case "meta packing survives merges of buffered branches" (fun () ->
@@ -517,8 +528,22 @@ let candidate_tests =
                 List.rev_append soll solr,
                 List.rev_append sizesl sizesr )
         in
-        let h, sol, sizes = build prog in
-        Bufins.Trace.placements arena h = List.rev sol && Bufins.Trace.sizes arena h = sizes);
+        let check () =
+          let h, sol, sizes = build prog in
+          Bufins.Trace.placements arena h = List.rev sol && Bufins.Trace.sizes arena h = sizes
+        in
+        (* the arena's chunks hold 128 nodes: after a reset and a pad that
+           ends a few nodes short of a chunk boundary, the program's nodes
+           straddle it, and a second build on top lands in later chunks *)
+        let pad n =
+          for _ = 1 to n do
+            ignore (Bufins.Trace.join arena ~left:Bufins.Trace.leaf ~right:Bufins.Trace.leaf)
+          done
+        in
+        let first = check () in
+        Bufins.Trace.reset arena;
+        pad (125 + (Hashtbl.hash prog mod 130));
+        first && check () && check ());
     (* coordinates from subnormal to 1e300 beside small grid values,
        slacks and noise slacks of either sign; members repeat a pool's
        loads, so equal loads (and equal merged loads) are common *)
@@ -568,9 +593,10 @@ let candidate_tests =
            (fun bound ->
              let dominates k x = C.kills_full ~bound k.c k.q k.i k.ns x.c x.q x.i x.ns in
              let listed, ldrop = Fr.sweep_dom ~cost ~dominates sorted_pairs in
-             let nk, generated, dropped, prekilled =
-               C.merge_noise s ~bound (List.map (fun (l, r) -> (group_of l, group_of r)) walks)
+             let lt, rt, ws, nw =
+               sides (List.map (fun (l, r) -> (group_of l, group_of r)) walks)
              in
+             let nk, generated, dropped, prekilled = C.merge_noise s ~bound lt rt ws nw in
              strip listed = strip (joined s ~arena nk)
              && generated + prekilled = List.length pairs
              && dropped + prekilled = ldrop
@@ -896,7 +922,8 @@ let candidate_tests =
             Fl.reserve pending ~used:0 n;
             let size = Bufins.Trace.size arena in
             List.iteri (fun m (k, j, q) -> C.stand_in pending m plib k g j q) entries;
-            let written = rows_of (Fl.write pending ~arena ~at:7 ~bufs n) in
+            let ix = Array.map (Bufins.Trace.intern arena) bufs in
+            let written = rows_of (Fl.write pending ~arena ~at:7 ~bufs:ix (Fl.store ()) n) in
             Alcotest.(check int) "one node per stand-in" (size + n) (Bufins.Trace.size arena);
             List.iteri
               (fun m (k, j, _) ->
