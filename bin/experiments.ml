@@ -360,7 +360,8 @@ let extension_wiresize bench =
             List.fold_left
               (fun (ss, bs, ws) (_, tree) ->
                 let seg = Rctree.Segment.refine tree ~max_len:500e-6 in
-                match Bufins.Wiresize.run ~widths ~noise:true ~lib seg with
+                let o = Bufins.Dp.run ~widths ~noise:true ~mode:Bufins.Dp.Single ~lib seg in
+                match o.Bufins.Dp.best with
                 | Some r ->
                     ( r.Bufins.Dp.slack :: ss,
                       bs + r.Bufins.Dp.count,
@@ -406,7 +407,8 @@ let verifiers bench =
   row "AWE 1-pole peak (RICE-class)" (fun t ->
       List.length
         (List.filter
-           (fun (leaf, est) -> est.Noisesim.Awe.peak > Noise.margin t leaf +. 1e-9)
+           (fun (leaf, est) ->
+             Noise.exceeds ~noise:est.Noisesim.Awe.peak ~margin:(Noise.margin t leaf))
            (Noisesim.Awe.net process t)));
   row "transient simulation" (fun t ->
       (Noisesim.Verify.net process t).Noisesim.Verify.sim_violations);

@@ -70,20 +70,23 @@ let run_of ~report seg (r : Dp.result) =
     stats = r.Dp.stats;
   }
 
-(* [solve] at [seg_len], then at half of it, up to [retries] times,
-   until it finds a solution *)
-let rec halving ~retries seg_len solve =
-  match solve seg_len with
-  | None when retries > 0 -> halving ~retries:(retries - 1) (seg_len /. 2.0) solve
-  | found -> found
+(* [solve] at [seg_len], then at half of it, at most twice more, until
+   it finds a solution *)
+let halving seg_len solve =
+  let rec go retries seg_len =
+    match solve seg_len with
+    | None when retries > 0 -> go (retries - 1) (seg_len /. 2.0)
+    | found -> found
+  in
+  go 2 seg_len
 
 let optimize_prepared ?kmax ?pruning ?memo algorithm ~lib seg =
   Option.map
     (fun (r : Dp.result) -> run_of ~report:(Eval.apply seg r.Dp.placements) seg r)
     (solve_segmented ?kmax ?pruning ?memo algorithm ~lib seg)
 
-let optimize ?(seg_len = 500e-6) ?(kmax = 16) ?(retries = 2) algorithm ~lib tree =
-  halving ~retries seg_len (fun seg_len ->
+let optimize ?(seg_len = 500e-6) ?(kmax = 16) algorithm ~lib tree =
+  halving seg_len (fun seg_len ->
       optimize_prepared ~kmax algorithm ~lib
         (Rctree.Segment.refine tree ~max_len:seg_len))
 
@@ -92,73 +95,8 @@ let placements_energy ps =
     (fun acc (p : Rctree.Surgery.placement) -> acc +. p.Rctree.Surgery.buffer.Tech.Buffer.energy)
     0.0 ps
 
-let downsize ?slack_floor ~lib (run : run) =
-  let floor =
-    match slack_floor with Some f -> f | None -> Float.min run.report.Eval.slack 0.0
-  in
-  let ratio_cap = Float.max run.report.Eval.worst_noise_ratio 1.0 in
-  let admissible (rep : Eval.report) =
-    rep.Eval.slack >= floor && rep.Eval.worst_noise_ratio <= ratio_cap
-  in
-  (* same-polarity strictly-cheaper replacements, cheapest first *)
-  let shrink_lib (b : Tech.Buffer.t) =
-    List.filter
-      (fun (c : Tech.Buffer.t) ->
-        c.Tech.Buffer.inverting = b.Tech.Buffer.inverting
-        && c.Tech.Buffer.energy < b.Tech.Buffer.energy)
-      lib
-    |> List.sort (fun (a : Tech.Buffer.t) (b : Tech.Buffer.t) ->
-           Float.compare a.Tech.Buffer.energy b.Tech.Buffer.energy)
-  in
-  (* candidate edits at position [j], most energy saved first: drop the
-     buffer outright (only when non-inverting — removal must not flip
-     downstream signal polarity), then swap in each cheaper buffer *)
-  let moves ps j =
-    let p = List.nth ps j in
-    let removal =
-      if p.Rctree.Surgery.buffer.Tech.Buffer.inverting then []
-      else [ List.filteri (fun k _ -> k <> j) ps ]
-    in
-    let shrinks =
-      List.map
-        (fun b ->
-          List.mapi (fun k q -> if k = j then { q with Rctree.Surgery.buffer = b } else q) ps)
-        (shrink_lib p.Rctree.Surgery.buffer)
-    in
-    removal @ shrinks
-  in
-  let rec fix ps rep =
-    (* visit the most energy-hungry buffers first *)
-    let order =
-      List.mapi (fun j (p : Rctree.Surgery.placement) -> (j, p.Rctree.Surgery.buffer)) ps
-      |> List.stable_sort (fun (_, a) (_, b) ->
-             Float.compare b.Tech.Buffer.energy a.Tech.Buffer.energy)
-      |> List.map fst
-    in
-    let rec scan = function
-      | [] -> None
-      | j :: rest -> (
-          let rec first = function
-            | [] -> None
-            | ps' :: more ->
-                let rep' = Eval.apply run.segmented ps' in
-                if admissible rep' then Some (ps', rep') else first more
-          in
-          match first (moves ps j) with Some hit -> Some hit | None -> scan rest)
-    in
-    match scan order with Some (ps', rep') -> fix ps' rep' | None -> (ps, rep)
-  in
-  let ps, rep = fix run.placements run.report in
-  {
-    run with
-    report = rep;
-    placements = ps;
-    count = List.length ps;
-    energy = placements_energy ps;
-  }
-
-let optimize_coupled ?(seg_len = 500e-6) ?(kmax = 16) ?(retries = 2) algorithm ~lib ann =
-  halving ~retries seg_len (fun seg_len ->
+let optimize_coupled ?(seg_len = 500e-6) ?(kmax = 16) algorithm ~lib ann =
+  halving seg_len (fun seg_len ->
       let seg_ann = Coupling.refine ann ~max_len:seg_len in
       let seg = Coupling.tree seg_ann in
       Option.map

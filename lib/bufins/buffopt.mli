@@ -53,14 +53,13 @@ type run = {
 val optimize :
   ?seg_len:float ->
   ?kmax:int ->
-  ?retries:int ->
   algorithm ->
   lib:Tech.Buffer.t list ->
   Rctree.Tree.t ->
   run option
 (** Segment to [seg_len] (default 500 um), run, and evaluate. Noise-aware
-    algorithms retry up to [retries] (default 2) times with halved
-    [seg_len] when infeasible. [kmax] (default 16) bounds the Problem 3
+    algorithms retry up to twice, halving [seg_len] each time, when
+    infeasible. [kmax] (default 16) bounds the Problem 3
     search; a net that needs more buffers than [kmax] falls back to the
     unbounded Problem 2 search (Algorithm 3) rather than failing.
     [None] only for noise-aware algorithms
@@ -88,27 +87,9 @@ val placements_energy : Rctree.Surgery.placement list -> float
 (** Sum of the placements' buffer energies, J — the quantity the
     energy-conservation oracle compares against {!Trace.energy}. *)
 
-val downsize : ?slack_floor:float -> lib:Tech.Buffer.t list -> run -> run
-(** The Downsize post-pass (DESIGN.md §16): greedily remove or swap
-    buffers for cheaper same-polarity library cells wherever the
-    re-evaluated solution stays admissible — slack no worse than
-    [slack_floor] (default: [min report.slack 0.], i.e. timing stays met
-    when it was, and never degrades when it was not) and the worst noise
-    ratio within [max report.worst_noise_ratio 1.], i.e. noise-clean
-    solutions stay clean and violating ones get no worse. Inverting
-    buffers are never removed (that would flip downstream polarity),
-    only shrunk. Visits the most energy-hungry buffers first and
-    iterates to a fixpoint; every accepted step is re-checked with a
-    from-scratch {!Eval.apply} on [run.segmented]. [report],
-    [placements], [count] and [energy] are updated; [predicted_slack]
-    and [stats] still describe the original DP run. Intended for
-    {!optimize} / {!optimize_prepared} runs (coupled runs re-key their
-    report onto the coupled tree, which this pass does not). *)
-
 val optimize_coupled :
   ?seg_len:float ->
   ?kmax:int ->
-  ?retries:int ->
   algorithm ->
   lib:Tech.Buffer.t list ->
   Coupling.t ->

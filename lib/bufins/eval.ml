@@ -22,7 +22,8 @@ let of_tree tree =
     buffers = Rctree.Tree.buffer_count tree;
     slack = Elmore.slack tree;
     worst_delay = Elmore.worst_delay tree;
-    noise_violations = List.filter (fun (_, noise, m) -> noise > m +. 1e-9) leaves;
+    noise_violations =
+      List.filter (fun (_, noise, margin) -> Noise.exceeds ~noise ~margin) leaves;
     worst_noise_ratio =
       List.fold_left (fun acc (_, noise, m) -> Float.max acc (noise_ratio noise m)) 0.0 leaves;
   }

@@ -10,7 +10,8 @@ type report = {
   buffers : int;
   slack : float;  (** eq. (5) timing slack at the source *)
   worst_delay : float;
-  noise_violations : (int * float * float) list;  (** node, noise, margin *)
+  noise_violations : (int * float * float) list;
+      (** node, noise, margin: the leaves whose noise {!Noise.exceeds} the margin *)
   worst_noise_ratio : float;
       (** max over leaves of noise / margin; a leaf whose margin is zero,
           denormal or negative contributes [infinity] when it sees any

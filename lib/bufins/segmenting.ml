@@ -1,7 +1,12 @@
 module T = Rctree.Tree
 
-let noise_driven ?(fraction = 0.34) ?(fallback = 1e-3) ~lib tree =
-  if fraction <= 0.0 || fallback <= 0.0 then invalid_arg "Segmenting.noise_driven: bad parameters";
+(* about three candidate positions per safe span *)
+let fraction = 0.34
+
+(* pieces of wires without coupling: 1 mm, delay-driven only *)
+let fallback = 1e-3
+
+let noise_driven ~lib tree =
   let b = Tech.Lib.min_resistance lib in
   Rctree.Segment.refine_by tree (fun _ w ->
       if w.T.length <= 0.0 || w.T.cur <= 0.0 then fallback

@@ -10,12 +10,7 @@
     wires stay coarse — fewer candidates than uniform segmenting at equal
     solution quality (Ablation A'). *)
 
-val noise_driven :
-  ?fraction:float ->
-  ?fallback:float ->
-  lib:Tech.Buffer.t list ->
-  Rctree.Tree.t ->
-  Rctree.Tree.t
-(** [fraction] (default 0.34) of the safe span bounds each piece, giving
-    about three candidate positions per span; wires without coupling use
-    [fallback] (default 1 mm, delay-driven only). *)
+val noise_driven : lib:Tech.Buffer.t list -> Rctree.Tree.t -> Rctree.Tree.t
+(** 0.34 of the safe span bounds each piece, giving about three
+    candidate positions per span; wires without coupling get 1 mm
+    pieces (delay-driven only). *)

@@ -1,10 +1,5 @@
 module T = Rctree.Tree
 
-let default_widths = [ 1.0; 2.0; 4.0 ]
-
-let run ?(widths = default_widths) ~noise ~lib tree =
-  (Dp.run ~widths ~noise ~mode:Dp.Single ~lib tree).Dp.best
-
 let apply_sizes tree sizes =
   let width_of = Hashtbl.create 16 in
   List.iter

@@ -3,25 +3,11 @@
 
     Every wire may be drawn at any width from a discrete menu; widening
     divides resistance by the width while growing the area component of
-    capacitance ({!Rctree.Tree.resize_wire}). The DP engine explores the
-    width menu per wire alongside buffer choices, keeping the usual
-    (load, slack) pruning, so the combination stays optimal for a single
-    buffer type and exact-delay objectives. *)
-
-val default_widths : float list
-(** [1x, 2x, 4x] minimum width. *)
-
-val run :
-  ?widths:float list ->
-  noise:bool ->
-  lib:Tech.Buffer.t list ->
-  Rctree.Tree.t ->
-  Dp.result option
-(** Maximize source slack choosing both buffer locations and wire widths
-    ([widths], default {!default_widths}); with [noise] the Devgan
-    constraints apply as in Algorithm 3. The result's [sizes] lists each
-    resized parent wire as (node, width). [None] only in noise mode when
-    no combination satisfies the margins. *)
+    capacitance ({!Rctree.Tree.resize_wire}). The DP engine ({!Dp.run}
+    [~widths]) explores the width menu per wire alongside buffer
+    choices, keeping the usual (load, slack) pruning, so the combination
+    stays optimal for a single buffer type and exact-delay objectives.
+    This module applies and evaluates the sizes it chooses. *)
 
 val apply_sizes : Rctree.Tree.t -> (int * float) list -> Rctree.Tree.t
 (** Rebuild the tree with the chosen widths (before applying buffer

@@ -25,8 +25,7 @@ let instance_of_seed ?oracle seed =
   | Some o -> Gen.instance_for o rng
   | None -> Gen.instance rng
 
-let campaign ?mutation ?oracle ?(jobs = 0) ?(minutes = 0.) ?corpus_dir
-    ?max_shrink_evals ~seed ~count () =
+let campaign ?mutation ?oracle ?(jobs = 0) ?(minutes = 0.) ?corpus_dir ~seed ~count () =
   let jobs = if jobs <= 0 then Engine.Pool.default_domains () else jobs in
   (* one positive seed per instance, all derived from the master seed up
      front: the instance stream does not depend on the job count *)
@@ -80,8 +79,7 @@ let campaign ?mutation ?oracle ?(jobs = 0) ?(minutes = 0.) ?corpus_dir
           | Diff.Skip _ -> incr skipped
           | Diff.Fail message ->
               let s =
-                Shrink.shrink ?max_evals:max_shrink_evals
-                  ~fails:(Diff.fails ?mutation) inst ~message
+                Shrink.shrink ~fails:(Diff.fails ?mutation) inst ~message
               in
               let corpus_path =
                 Option.map (fun dir -> Corpus.save ~dir s.Shrink.instance) corpus_dir

@@ -38,7 +38,6 @@ val campaign :
   ?jobs:int ->
   ?minutes:float ->
   ?corpus_dir:string ->
-  ?max_shrink_evals:int ->
   seed:int ->
   count:int ->
   unit ->

@@ -16,9 +16,6 @@ type expect = {
 
 let default_expect = { count = None; slack = None; noise_clean = false; feasible_only = false }
 
-(* Matches the [?eps] default of [Noise.violations]: absolute volts. *)
-let noise_eps = 1e-9
-
 let check_placements expect tree pls =
   let n = T.node_count tree in
   let bad = ref [] in
@@ -106,7 +103,7 @@ let check_gate_drive applied =
                   (ns.(c) -. Noise.wire_noise (T.wire_to applied c) ~downstream:curs.(c)))
               infinity children
           in
-          if r_g *. i_g <= stage_ns +. noise_eps then None
+          if r_g *. i_g <= stage_ns +. Noise.margin_eps then None
           else
             Some
               {

@@ -25,7 +25,10 @@ let edits inst =
       List.map (fun v () -> Instance.halve_wire inst v) wires;
     ]
 
-let shrink ?(max_evals = 300) ~fails inst ~message =
+(* oracle calls, at most *)
+let max_evals = 300
+
+let shrink ~fails inst ~message =
   let evals = ref 0 in
   let steps = ref 0 in
   let current = ref inst in

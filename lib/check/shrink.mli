@@ -16,12 +16,8 @@ type result = {
 }
 
 val shrink :
-  ?max_evals:int ->
-  fails:(Instance.t -> string option) ->
-  Instance.t ->
-  message:string ->
-  result
+  fails:(Instance.t -> string option) -> Instance.t -> message:string -> result
 (** [fails] returns [Some message] when the instance still exhibits the
-    failure (typically [Diff.run] adapted). [max_evals] bounds oracle
-    calls (default 300); the original instance and message are returned
-    unchanged if nothing smaller still fails. *)
+    failure (typically [Diff.run] adapted). At most 300 oracle calls;
+    the original instance and message are returned unchanged if
+    nothing smaller still fails. *)

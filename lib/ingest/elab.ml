@@ -194,7 +194,7 @@ let design_of_blif ?(options = default_options) (b : Blif.t) =
   | Error e -> err 1 "elaborated design invalid: %s" e);
   (design, !warnings)
 
-let blif_of_design ?(model = "design") (d : D.t) =
+let blif_of_design (d : D.t) =
   let sig_of_net nid = d.D.nets.(nid).D.nname in
   let net_of = D.source_nets d in
   let sig_of_source src = sig_of_net (net_of src) in
@@ -228,7 +228,15 @@ let blif_of_design ?(model = "design") (d : D.t) =
            })
          d.D.instances)
   in
-  { Blif.path = "<design>"; model; inputs; outputs; names = []; latches = []; subckts }
+  {
+    Blif.path = "<design>";
+    model = "design";
+    inputs;
+    outputs;
+    names = [];
+    latches = [];
+    subckts;
+  }
 
 let load ?(options = default_options) ?liberty path =
   let cells, buffers, lib_warnings =

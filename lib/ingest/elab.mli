@@ -37,8 +37,9 @@ val design_of_blif : ?options:options -> Blif.t -> Sta.Design.t * int
 (** The elaborated design and the warning count (dropped unused
     inputs). The result always passes {!Sta.Design.validate}. *)
 
-val blif_of_design : ?model:string -> Sta.Design.t -> Blif.t
-(** Render a design as a pure-[.subckt] netlist over its net names.
+val blif_of_design : Sta.Design.t -> Blif.t
+(** Render a design as a pure-[.subckt] netlist (model [design]) over
+    its net names.
     Placement and electricals are dropped; elaborating the result with
     equal options is deterministic, which is the round-trip the
     property tests pin. *)

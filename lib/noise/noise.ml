@@ -80,8 +80,12 @@ let attribute t ~leaf =
   in
   up leaf [] |> List.sort (fun a b -> compare b.amount a.amount)
 
-let violations ?(eps = 1e-9) t =
-  List.filter (fun (_, noise, m) -> noise > m +. eps) (leaf_noise t)
+let margin_eps = 1e-9
+
+let exceeds ~noise ~margin = noise > margin +. margin_eps
+
+let violations t =
+  List.filter (fun (_, noise, margin) -> exceeds ~noise ~margin) (leaf_noise t)
 
 let noise_slack t =
   let curs = cur_at t in
@@ -100,12 +104,6 @@ let noise_slack t =
               infinity (T.children t v))
     (T.postorder t);
   ns
-
-let miller t ~slope ~factor =
-  assert (slope > 0.0 && factor >= 0.0);
-  T.map_wires t (fun _ w ->
-      let c_couple = w.T.cur /. slope in
-      { w with T.cap = w.T.cap +. ((factor -. 1.0) *. c_couple) })
 
 let max_safe_length ~r_b ~i_down ~ns ~r_per_m ~i_per_m =
   assert (r_b >= 0.0 && i_down >= 0.0 && r_per_m >= 0.0 && i_per_m >= 0.0);

@@ -36,9 +36,16 @@ val leaf_noise : Rctree.Tree.t -> (int * float * float) list
     coupled noise per eq. (9), and its margin (sink [nm] or buffer [nm]).
     Order follows the tree. *)
 
-val violations : ?eps:float -> Rctree.Tree.t -> (int * float * float) list
-(** The subset of {!leaf_noise} with [noise > margin +. eps]
-    (default [eps = 1e-9] volts). Empty iff the tree is noise-safe. *)
+val margin_eps : float
+(** 1e-9 V: the tolerance of every noise-margin check, in the metric,
+    the simulator's verdicts and the invariant checker alike. *)
+
+val exceeds : noise:float -> margin:float -> bool
+(** [noise > margin +. margin_eps]: a leaf's noise violates its margin. *)
+
+val violations : Rctree.Tree.t -> (int * float * float) list
+(** The subset of {!leaf_noise} whose noise {!exceeds} its margin.
+    Empty iff the tree is noise-safe. *)
 
 val noise_slack : Rctree.Tree.t -> float array
 (** Eq. (12) evaluated within stages: for internal nodes and the source,
@@ -63,15 +70,6 @@ val attribute : Rctree.Tree.t -> leaf:int -> contribution list
     value (additivity is what makes the metric, like Elmore, suitable for
     optimization); the report tells a designer {e which} span to move,
     shield or buffer. *)
-
-val miller : Rctree.Tree.t -> slope:float -> factor:float -> Rctree.Tree.t
-(** The crosstalk {e delay} view of a coupled tree: each wire's coupling
-    capacitance (recovered from its current as [cur /. slope], inverting
-    eq. 6) is counted [factor] times in the total — the classical Miller
-    factor is 2 for an opposite-phase aggressor, 1 for a quiet one.
-    Running [Elmore] on the result gives worst-case (delta-delay) timing;
-    currents, and hence the noise analyses, are unchanged. Requires
-    [factor >= 0.]. *)
 
 val max_safe_length :
   r_b:float -> i_down:float -> ns:float -> r_per_m:float -> i_per_m:float -> float option

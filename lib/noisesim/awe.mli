@@ -20,8 +20,6 @@ type leaf_estimate = {
   tau : float;  (** dominant time constant (largest across aggressors), s *)
 }
 
-val of_deck : Deck.config -> Deck.t -> leaf_estimate list
-
 val net :
   ?config:Deck.config ->
   ?density:(int -> (float * float) list) ->

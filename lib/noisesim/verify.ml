@@ -26,8 +26,8 @@ let of_peaks tree peaks =
   let count f = List.length (List.filter f leaves) in
   {
     leaves;
-    sim_violations = count (fun l -> l.peak > l.margin +. 1e-9);
-    metric_violations = count (fun l -> l.metric > l.margin +. 1e-9);
+    sim_violations = count (fun l -> Noise.exceeds ~noise:l.peak ~margin:l.margin);
+    metric_violations = count (fun l -> Noise.exceeds ~noise:l.metric ~margin:l.margin);
     bound_ok = List.for_all (fun l -> l.metric >= l.peak -. 1e-4) leaves;
   }
 

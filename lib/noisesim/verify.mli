@@ -15,8 +15,8 @@ type leaf_report = {
 
 type report = {
   leaves : leaf_report list;
-  sim_violations : int;  (** leaves with [peak > margin] *)
-  metric_violations : int;  (** leaves with [metric > margin] *)
+  sim_violations : int;  (** leaves whose [peak] {!Noise.exceeds} [margin] *)
+  metric_violations : int;  (** leaves whose [metric] {!Noise.exceeds} [margin] *)
   bound_ok : bool;  (** metric >= simulated peak at every leaf *)
 }
 

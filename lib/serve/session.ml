@@ -113,13 +113,18 @@ let net_of t i =
 let version t tree =
   (* Marshal is the cheap structural serializer: the tree is immutable
      data (arrays, floats, strings) and the options pin the algorithm,
-     library and DP knobs the result depends on. *)
+     library and DP knobs the result depends on. [No_sharing] makes the
+     bytes a function of the content alone: with sharing they record
+     which blocks an edit happened to share, so equal content could
+     key apart. *)
   {
     tree;
     key =
       lazy
         (Digest.string
-           (Marshal.to_string (tree, t.opts.algorithm, t.opts.lib, t.opts.kmax) []));
+           (Marshal.to_string
+              (tree, t.opts.algorithm, t.opts.lib, t.opts.kmax)
+              [ Marshal.No_sharing ]));
   }
 
 let render (r : Bufins.Buffopt.run) =

@@ -13,8 +13,10 @@
     - [hit] — the version's fingerprint is in the result cache: no DP
       and, after the version's first optimize, no hashing either.
       Edits change the fingerprint, so stale entries are never looked
-      up; they age out via a size cap. Reverting an edit byte for byte
-      restores the old fingerprint, so it is a hit again.
+      up; they age out via a size cap. The fingerprint is of the
+      content alone, so reverting an edit byte for byte, or an edit
+      that changes nothing, keeps or restores the old fingerprint and
+      is a hit again.
     - [incr] — the net's memo holds tables from an earlier run: only the
       dirty path re-runs (see {!Bufins.Dp.Memo}).
     - [full] — cold memo (first optimize, or after [update-noise] /

@@ -52,20 +52,13 @@ let net_to_steiner ?rats (design : Design.t) nid =
     ~source:(Design.source_location design net.Design.source)
     ~r_drv ~d_drv ~pins
 
-let analyze ?(trees = fun _ -> None) ?miller process (design : Design.t) =
+let analyze ?(trees = fun _ -> None) process (design : Design.t) =
   let n_nets = Array.length design.Design.nets in
   let tree_of =
     Array.init n_nets (fun nid ->
         match trees nid with
         | Some t -> t
         | None -> Steiner.Build.tree_of_net process (net_to_steiner design nid))
-  in
-  (* delay analysis optionally sees the Miller-inflated coupling caps *)
-  let timing_view =
-    match miller with
-    | None -> tree_of
-    | Some factor ->
-        Array.map (fun t -> Noise.miller t ~slope:(Tech.Process.slope process) ~factor) tree_of
   in
   (* per net: delay from the driving pin's input to each sink pin *)
   let rel =
@@ -80,7 +73,7 @@ let analyze ?(trees = fun _ -> None) ?miller process (design : Design.t) =
             | T.Source _ | T.Internal | T.Buffered _ -> ())
           (T.sinks tree);
         out)
-      timing_view
+      tree_of
   in
   let rel_delay nid k =
     match Hashtbl.find_opt rel.(nid) k with

@@ -36,16 +36,12 @@ val net_to_steiner : ?rats:float array -> Design.t -> int -> Steiner.Net.t
 
 val analyze :
   ?trees:(int -> Rctree.Tree.t option) ->
-  ?miller:float ->
   Tech.Process.t ->
   Design.t ->
   t
 (** Run STA. [trees nid] may supply an optimized routing tree for net
     [nid] (sink names must match [net_to_steiner]'s, i.e. come from it);
-    [None] falls back to the fresh Steiner tree. [miller] enables
-    crosstalk-aware (delta-delay) timing: every net's coupling
-    capacitance counts [miller] times for delay (see [Noise.miller];
-    classical worst case 2.0); noise reporting is unaffected. *)
+    [None] falls back to the fresh Steiner tree. *)
 
 val driver_rats : net_timing -> float array
 (** The net's sink RATs, indexed like its sinks, measured from its

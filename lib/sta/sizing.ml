@@ -11,7 +11,10 @@ let output_slack (timing : Engine.t) net_of i =
     infinity
     (Array.map2 (fun r a -> (r, a)) nt.Engine.sink_required nt.Engine.sink_arrival)
 
-let run ?(max_passes = 3) process design =
+(* full sweeps over the instances, at most *)
+let max_passes = 3
+
+let run process design =
   (* resizing swaps cells only, so the nets' drivers never change *)
   let net_of = Design.source_nets design in
   let design = ref design in

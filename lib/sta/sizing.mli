@@ -8,7 +8,6 @@
     (an upsize also loads the upstream net, so it can lose). Runs before
     buffer insertion in [Flow.optimize ~sizing:true]. *)
 
-val run :
-  ?max_passes:int -> Tech.Process.t -> Design.t -> Design.t * int
-(** Returns the resized design and the number of accepted replacements.
-    [max_passes] (default 3) bounds full sweeps over the instances. *)
+val run : Tech.Process.t -> Design.t -> Design.t * int
+(** Returns the resized design and the number of accepted replacements,
+    after at most 3 full sweeps over the instances. *)

@@ -93,8 +93,6 @@ let of_net (net : Net.t) =
 
 let wirelength g = fold_edges g (fun acc a b -> acc + P.manhattan a b) 0
 
-let segment_count g = fold_edges g (fun acc _ _ -> acc + 1) 0
-
 let segments g = fold_edges g (fun acc a b -> (a, b) :: acc) []
 
 let to_rctree_traced process (net : Net.t) g =

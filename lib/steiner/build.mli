@@ -17,8 +17,6 @@ val of_net : Net.t -> t
 val wirelength : t -> int
 (** Total segment length, nm. *)
 
-val segment_count : t -> int
-
 val segments : t -> (Geometry.Point.t * Geometry.Point.t) list
 (** The axis-aligned segments of the tree, each once. *)
 

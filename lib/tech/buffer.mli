@@ -20,10 +20,6 @@ type t = {
   energy : float;  (** per-insertion switching energy, J *)
 }
 
-val default_energy : c_in:float -> float
-(** Drive-class default when a library has no annotation: [c_in * Vdd^2]
-    with Vdd = 1.2 V — monotone in drive strength. *)
-
 val make :
   name:string ->
   inverting:bool ->
@@ -34,7 +30,8 @@ val make :
   ?energy:float ->
   unit ->
   t
-(** [energy] defaults to {!default_energy} of [c_in]. *)
+(** [energy] defaults to the drive-class [c_in * Vdd^2] with Vdd = 1.2 V,
+    monotone in drive strength. *)
 
 val equal : t -> t -> bool
 

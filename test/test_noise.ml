@@ -183,29 +183,6 @@ let extras =
         let t = Fixtures.fig3 () in
         Alcotest.(check bool) "raises" true
           (match Noise.attribute t ~leaf:1 with exception Invalid_argument _ -> true | _ -> false));
-    case "miller factor inflates delay but not noise" (fun () ->
-        let t = Fixtures.two_pin process ~len:4e-3 in
-        let slope = Tech.Process.slope process in
-        let m2 = Noise.miller t ~slope ~factor:2.0 in
-        Alcotest.(check bool) "slower" true (Elmore.worst_delay m2 > Elmore.worst_delay t);
-        (* with lambda = 0.7 the cap grows by exactly 70% *)
-        feq_rel "cap model" ~eps:1e-9
-          (Rctree.Tree.total_wire_cap t *. 1.7)
-          (Rctree.Tree.total_wire_cap m2);
-        let n0 = match Noise.leaf_noise t with [ (_, n, _) ] -> n | _ -> nan in
-        let n2 = match Noise.leaf_noise m2 with [ (_, n, _) ] -> n | _ -> nan in
-        feq_rel "noise untouched" ~eps:1e-9 n0 n2);
-    case "miller factor one is the identity" (fun () ->
-        let t = Fixtures.two_pin process ~len:4e-3 in
-        let m1 = Noise.miller t ~slope:(Tech.Process.slope process) ~factor:1.0 in
-        feq_rel "same delay" ~eps:1e-12 (Elmore.worst_delay t) (Elmore.worst_delay m1));
-    case "sta with miller reports a worse wns" (fun () ->
-        let d = Sta.Gen.random { Sta.Gen.default_config with Sta.Gen.gates = 30; seed = 9 } in
-        let plain = Sta.Engine.analyze process d in
-        let xtalk = Sta.Engine.analyze ~miller:2.0 process d in
-        Alcotest.(check bool) "pessimistic" true (xtalk.Sta.Engine.wns < plain.Sta.Engine.wns);
-        Alcotest.(check int) "noise view unchanged" plain.Sta.Engine.noisy_nets
-          xtalk.Sta.Engine.noisy_nets);
   ]
 
 let suites =

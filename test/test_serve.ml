@@ -227,6 +227,20 @@ let latency_window_keeps_the_last_samples () =
     [ (1, 3); (7, 0); (7, 5); (7, 20); (4096, 1); (4096, 5000) ];
   Alcotest.(check (float 0.0)) "empty window" 0.0 (S.Window.percentile (S.Window.create 4) 0.5)
 
+let session_noop_edit_is_a_hit () =
+  (* an edit that leaves the content as it was keeps the fingerprint,
+     however the edited tree came to share its blocks *)
+  let s = S.create () in
+  ignore (expect_ok s "load workload 3 42");
+  List.iter
+    (fun (edit, net) ->
+      ignore (expect_ok s edit);
+      Alcotest.(check bool)
+        (edit ^ ", then optimize, is a hit")
+        true
+        (contains "served=hit" (expect_ok s (Printf.sprintf "optimize %d" net))))
+    [ ("update-wire 1 1 1", 1); ("update-noise 2 1", 2) ]
+
 let session_edit_revert_is_deterministic () =
   (* editing a RAT and reverting it must reproduce the original payload
      byte for byte — the fingerprint cache and the memo agree with
@@ -478,6 +492,7 @@ let suites =
         case "range checks: unloaded, out-of-range, root wire" session_range_checks;
         case "served classes: hit, incr, full" session_served_classes;
         case "edit/revert reproduces the pinned payload" session_edit_revert_is_deterministic;
+        case "a no-op edit, then optimize, is a hit" session_noop_edit_is_a_hit;
         case "random edit script: hits and payloads match a scratch mirror"
           session_matches_a_scratch_mirror;
         case "stats: memo entries and arena nodes, reset by update-noise" session_memory_stats;

@@ -9,6 +9,10 @@ let tree_gen =
         segment_for_brute (theorem5_tree rng))
       small_int)
 
+(* the DP's max-slack solution with wire sizing over [widths] *)
+let run_sized ~widths ~noise ~lib tree =
+  (Bufins.Dp.run ~widths ~noise ~mode:Bufins.Dp.Single ~lib tree).Bufins.Dp.best
+
 let workload_gen =
   QCheck2.Gen.(
     map
@@ -65,7 +69,7 @@ let tests =
           else begin
             let widths = [ 1.0; 3.0 ] in
             match
-              ( Bufins.Wiresize.run ~widths ~noise:false ~lib:single_lib seg,
+              ( run_sized ~widths ~noise:false ~lib:single_lib seg,
                 brute_joint ~widths ~lib:single_lib seg )
             with
             | Some r, Some best -> Util.Fx.approx ~rel:1e-9 ~abs:1e-15 best r.Bufins.Dp.slack
@@ -74,27 +78,28 @@ let tests =
     qcase ~count:40 "wider menu never hurts" workload_gen (fun t ->
         let seg = Rctree.Segment.refine t ~max_len:1e-3 in
         match
-          ( Bufins.Wiresize.run ~widths:[ 1.0 ] ~noise:false ~lib seg,
-            Bufins.Wiresize.run ~widths:[ 1.0; 2.0; 4.0 ] ~noise:false ~lib seg )
+          ( run_sized ~widths:[ 1.0 ] ~noise:false ~lib seg,
+            run_sized ~widths:[ 1.0; 2.0; 4.0 ] ~noise:false ~lib seg )
         with
         | Some narrow, Some wide -> wide.Bufins.Dp.slack >= narrow.Bufins.Dp.slack -. 1e-15
         | _, _ -> false);
     qcase ~count:40 "predicted slack equals evaluated slack" workload_gen (fun t ->
         let seg = Rctree.Segment.refine t ~max_len:1e-3 in
-        match Bufins.Wiresize.run ~noise:false ~lib seg with
+        match run_sized ~widths:[ 1.0; 2.0; 4.0 ] ~noise:false ~lib seg with
         | Some r ->
             let report = Bufins.Wiresize.evaluate seg r in
             Util.Fx.approx ~rel:1e-9 ~abs:1e-16 r.Bufins.Dp.slack report.Bufins.Eval.slack
         | None -> false);
     qcase ~count:30 "noise mode stays clean with sizing" workload_gen (fun t ->
         let seg = Rctree.Segment.refine t ~max_len:700e-6 in
-        match Bufins.Wiresize.run ~noise:true ~lib seg with
+        match run_sized ~widths:[ 1.0; 2.0; 4.0 ] ~noise:true ~lib seg with
         | Some r -> Bufins.Eval.noise_clean (Bufins.Wiresize.evaluate seg r)
         | None -> false);
     qcase ~count:30 "sizing never hurts the noise-constrained optimum" workload_gen (fun t ->
         let seg = Rctree.Segment.refine t ~max_len:700e-6 in
         let plain = Bufins.Dp.run ~noise:true ~mode:Bufins.Dp.Single ~lib seg in
-        match (plain.Bufins.Dp.best, Bufins.Wiresize.run ~noise:true ~lib seg) with
+        let sized = run_sized ~widths:[ 1.0; 2.0; 4.0 ] ~noise:true ~lib seg in
+        match (plain.Bufins.Dp.best, sized) with
         | Some plain, Some sized -> sized.Bufins.Dp.slack >= plain.Bufins.Dp.slack -. 1e-15
         | None, Some _ -> true
         | _, None -> false);
@@ -102,7 +107,7 @@ let tests =
         let t = Rctree.Segment.refine (Fixtures.two_pin process ~len:8e-3) ~max_len:1e-3 in
         let o = Bufins.Dp.run ~noise:false ~mode:Bufins.Dp.Single ~lib t in
         let plain = Option.get o.Bufins.Dp.best in
-        match Bufins.Wiresize.run ~widths:[ 1.0 ] ~noise:false ~lib t with
+        match run_sized ~widths:[ 1.0 ] ~noise:false ~lib t with
         | Some sized ->
             feq_rel "same slack" ~eps:1e-12 plain.Bufins.Dp.slack sized.Bufins.Dp.slack;
             Alcotest.(check int) "no sizes" 0 (List.length sized.Bufins.Dp.sizes)
@@ -116,7 +121,7 @@ let tests =
     case "bad width menu rejected" (fun () ->
         let t = Fixtures.two_pin process ~len:1e-3 in
         Alcotest.(check bool) "raises" true
-          (match Bufins.Wiresize.run ~widths:[ 0.5 ] ~noise:false ~lib t with
+          (match run_sized ~widths:[ 0.5 ] ~noise:false ~lib t with
           | exception Invalid_argument _ -> true
           | _ -> false));
     case "long resistive line prefers wide wire" (fun () ->
@@ -124,8 +129,8 @@ let tests =
            and clearly wins on a 6 mm resistive line *)
         let t = Fixtures.two_pin ~r_drv:25.0 ~rat:5e-9 process ~len:6e-3 in
         match
-          ( Bufins.Wiresize.run ~widths:[ 1.0; 4.0 ] ~noise:false ~lib t,
-            Bufins.Wiresize.run ~widths:[ 1.0 ] ~noise:false ~lib t )
+          ( run_sized ~widths:[ 1.0; 4.0 ] ~noise:false ~lib t,
+            run_sized ~widths:[ 1.0 ] ~noise:false ~lib t )
         with
         | Some wide, Some narrow ->
             Alcotest.(check bool) "wire widened" true (wide.Bufins.Dp.sizes <> []);
