@@ -181,4 +181,8 @@ let run ~lib tree =
   with
   | [] -> failwith "Alg2.run: no feasible solution"
   | best :: _ ->
-      { placements = Trace.placements arena best.tr; count = best.count; candidates_seen = !seen }
+      {
+        placements = Trace.placements arena best.tr;
+        count = best.count;
+        candidates_seen = !seen;
+      }

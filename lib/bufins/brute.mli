@@ -7,7 +7,8 @@
     optimality theorems (3, 4, 5) are checked against these results on
     randomized small instances. *)
 
-val assignments : lib:Tech.Buffer.t list -> Rctree.Tree.t -> Rctree.Surgery.placement list Seq.t
+val assignments :
+  lib:Tech.Buffer.t list -> Rctree.Tree.t -> Rctree.Surgery.placement list Seq.t
 (** All [(|lib| + 1) ^ feasible] node-buffer assignments. The optimizers
     below additionally reject polarity-illegal assignments (a
     source-to-sink path through an odd number of inverting buffers
@@ -18,7 +19,8 @@ val min_buffers_noise : lib:Tech.Buffer.t list -> Rctree.Tree.t -> (int * Eval.r
     feasible nodes); ties broken by slack. [None] if no assignment is
     noise-clean. *)
 
-val best_slack : noise:bool -> lib:Tech.Buffer.t list -> Rctree.Tree.t -> (float * Eval.report) option
+val best_slack :
+  noise:bool -> lib:Tech.Buffer.t list -> Rctree.Tree.t -> (float * Eval.report) option
 (** Maximum achievable slack; with [noise = true], only noise-clean
     assignments qualify (Problem 2). *)
 

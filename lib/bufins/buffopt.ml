@@ -92,7 +92,8 @@ let optimize ?(seg_len = 500e-6) ?(kmax = 16) algorithm ~lib tree =
 
 let placements_energy ps =
   List.fold_left
-    (fun acc (p : Rctree.Surgery.placement) -> acc +. p.Rctree.Surgery.buffer.Tech.Buffer.energy)
+    (fun acc (p : Rctree.Surgery.placement) ->
+      acc +. p.Rctree.Surgery.buffer.Tech.Buffer.energy)
     0.0 ps
 
 let optimize_coupled ?(seg_len = 500e-6) ?(kmax = 16) algorithm ~lib ann =

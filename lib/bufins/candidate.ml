@@ -1,18 +1,30 @@
 module T = Rctree.Tree
 
-(* [Flat.width] and [Flat.trace], inlined in the hot loops *)
+(* a group's row count and [Flat.trace], inlined in the hot loops *)
 let[@inline] rows (g : Flat.group) = g.Flat.n
 let[@inline] trace (g : Flat.group) k = int_of_float g.Flat.a.(g.Flat.o + (6 * k) + 5)
 let[@inline] get (g : Flat.group) k f = g.Flat.a.(g.Flat.o + (6 * k) + f)
 
 let noise_tol = 1e-12
 
+type counts = {
+  mutable generated : int;
+  mutable pruned : int;
+  mutable skipped : int;
+  mutable count_pruned : int;
+}
+
+let counts () = { generated = 0; pruned = 0; skipped = 0; count_pruned = 0 }
+
 (* The (load, slack) rule and its 4D noise-mode form (candidate.mli,
    DESIGN.md §12). Every kill compares against survivors of the same
    (parity, bucket) group, which keeps every outcome byte-identical to
    the sweep-only engine's: the witness either still dominates at the
-   source or plainly kills the victim at the next sweep. *)
-let[@inline] kills ~bound kc kq c q = kq >= q || (c > kc && q -. kq < bound *. (c -. kc))
+   source or plainly kills the victim at the next sweep. [slope] is
+   Li & Shi's clause, the rule less plain dominance. *)
+let[@inline] slope ~bound kc kq c q = c > kc && q -. kq < bound *. (c -. kc)
+
+let[@inline] kills ~bound kc kq c q = kq >= q || slope ~bound kc kq c q
 
 let[@inline] kills_full ~bound kc kq (ki : float) (kns : float) c q (i : float) (ns : float) =
   kc <= c && ki <= i && kns >= ns && kills ~bound kc kq c q
@@ -33,7 +45,7 @@ let covered (s : Flat.t) m ~bound ~noise (lib : Tech.Lib.prepared) k (g : Flat.g
   done;
   !hit
 
-let climb (s : Flat.t) ~arena ~at ~width ~pred ~bound ~noise ~drop (w : T.wire)
+let climb (s : Flat.t) cn ~arena ~at ~width ~pred ~bound ~noise ~drop (w : T.wire)
     (g : Flat.group) n0 =
   let m = rows g in
   Flat.reserve s ~used:n0 (n0 + m);
@@ -80,7 +92,10 @@ let climb (s : Flat.t) ~arena ~at ~width ~pred ~bound ~noise ~drop (w : T.wire)
       end
     end
   done;
-  (!n, !emitted, !killed, !noisy)
+  cn.generated <- cn.generated + !emitted;
+  cn.skipped <- cn.skipped + !killed;
+  cn.pruned <- cn.pruned + !noisy;
+  !n
 
 (* {1 The three relations' sweeps}
 
@@ -90,7 +105,7 @@ let climb (s : Flat.t) ~arena ~at ~width ~pred ~bound ~noise ~drop (w : T.wire)
 
 (* The (load, slack) staircase (candidate.mli), the kept stack in
    place. *)
-let sweep_delay (s : Flat.t) ~bound n =
+let sweep_delay (s : Flat.t) cn ~bound n =
   let xs = s.xs and perm = s.perm in
   let nk = ref 0 and killed = ref 0 in
   (* the newest survivor's load and slack *)
@@ -113,18 +128,20 @@ let sweep_delay (s : Flat.t) ~bound n =
       tq := q
     end
   done;
-  (!nk, !killed)
+  cn.skipped <- cn.skipped + !killed;
+  cn.pruned <- cn.pruned + n - !nk - !killed;
+  !nk
 
 (* The 4D sweep, the noise DP's innermost loop, with the relation
    written out. With the rows sorted by load, the survivors of equal
    load — the only ones an arrival may retro-dominate — are the top of
    the stack; at equal load the slope term is void, so the retro-kill
    is plain dominance. *)
-let sweep_full (s : Flat.t) ~bound n =
+let sweep_full (s : Flat.t) cn ~bound n =
   let xs = s.xs and kept = s.perm in
   if n > Array.length kept || Array.length xs < 6 * Array.length kept then
     invalid_arg "Candidate.sweep_full";
-  let nk = ref 0 and slope = ref 0 in
+  let nk = ref 0 and slopes = ref 0 in
   for r = 0 to n - 1 do
     let x = kept.(r) in
     let c = xs.(6 * x) and q = xs.((6 * x) + 1) in
@@ -136,13 +153,12 @@ let sweep_full (s : Flat.t) ~bound n =
       let k = 6 * Array.unsafe_get kept !j in
       let kc = Array.unsafe_get xs k and kq = Array.unsafe_get xs (k + 1) in
       if kc <= c && Array.unsafe_get xs (k + 2) <= i && Array.unsafe_get xs (k + 3) >= ns then
-        if kq >= q then verdict := 1
-        else if c > kc && q -. kq < bound *. (c -. kc) then verdict := 2;
+        if kq >= q then verdict := 1 else if slope ~bound kc kq c q then verdict := 2;
       decr j
     done;
     match !verdict with
     | 1 -> ()
-    | 2 -> incr slope
+    | 2 -> incr slopes
     | _ ->
         let lo = ref !nk in
         while !lo > 0 && xs.(6 * kept.(!lo - 1)) = c do
@@ -159,7 +175,9 @@ let sweep_full (s : Flat.t) ~bound n =
         kept.(!w) <- x;
         nk := !w + 1
   done;
-  (!nk, !slope)
+  cn.skipped <- cn.skipped + !slopes;
+  cn.pruned <- cn.pruned + n - !nk - !slopes;
+  !nk
 
 (* [Flat.stair_add] of the point (k, v) *)
 let[@inline] stair_add (st : Flat.stair) k v id =
@@ -187,14 +205,16 @@ let sweep_power (s : Flat.t) n =
 type front = {
   mutable cq : Flat.stair;  (* delay and noise modes: the survivors at (load, -slack) *)
   mutable spare : Flat.stair;  (* the next [cq] is merged into it *)
-  mutable gs : Flat.group list;  (* noise and power modes: the survivors' groups *)
+  mutable gs : Flat.group array;  (* noise and power modes: the survivors' groups, [ng] *)
+  mutable ng : int;
+  mutable next : int array;  (* power mode: each group's first row not yet folded *)
 }
 
-let front () = { cq = Flat.stair (); spare = Flat.stair (); gs = [] }
+let front () = { cq = Flat.stair (); spare = Flat.stair (); gs = [||]; ng = 0; next = [||] }
 
 let front_clear f =
   f.cq.sn <- 0;
-  f.gs <- []
+  f.ng <- 0
 
 (* [g]'s rows and [cq]'s members merged by load, then slack, into the
    spare, keeping each point whose -slack falls below all before it *)
@@ -228,16 +248,24 @@ let front_add f ~noise ~power (g : Flat.group) =
     f.cq <- t;
     f.spare <- st
   end;
-  if (noise || power) && m > 0 then f.gs <- g :: f.gs
+  if (noise || power) && m > 0 then begin
+    if f.ng = Array.length f.gs then begin
+      let gs = Array.make (max Flat.least (2 * f.ng)) Flat.empty in
+      Array.blit f.gs 0 gs 0 f.ng;
+      f.gs <- gs;
+      f.next <- Array.make (Array.length gs) 0
+    end;
+    f.gs.(f.ng) <- g;
+    f.ng <- f.ng + 1
+  end
 
 (* In delay and noise modes the member asked first is the heaviest no
    heavier than the row ([h], walked as the load grows) *)
-let front_drop (s : Flat.t) f ~noise ~power ~from n =
+let front_drop (s : Flat.t) cn f ~noise ~power ~from n =
   let xs = s.xs and perm = s.perm and st = f.cq and fold = s.st in
+  let gs = f.gs and next = f.next and ng = f.ng in
   fold.sn <- 0;
-  (* power mode: each group's first row not yet folded *)
-  let gs = Array.of_list f.gs in
-  let next = if Array.length gs = 0 then [||] else Array.make (Array.length gs) 0 in
+  Array.fill next 0 ng 0;
   let nk = ref 0 and h = ref 0 in
   for r = 0 to n - 1 do
     let x = perm.(r) in
@@ -254,10 +282,10 @@ let front_drop (s : Flat.t) f ~noise ~power ~from n =
       (* the groups' rows no heavier than the row, folded into a
          (-q, p) staircase: what it covers does not depend on the
          order they came in *)
-      for t = 0 to Array.length gs - 1 do
+      for t = 0 to ng - 1 do
         let g = gs.(t) and y = next.(t) in
         if y < rows g && g.Flat.a.(g.Flat.o + (6 * y)) <= c then
-          next.(t) <- Flat.stair_fold fold g y c
+          next.(t) <- Flat.stair_fold fold g y s x
       done;
       fold.pt.(0) <- -.q;
       fold.pt.(1) <- xs.(a + 4);
@@ -266,7 +294,7 @@ let front_drop (s : Flat.t) f ~noise ~power ~from n =
     else if !d && noise then begin
       let i = xs.(a + 2) and ns = xs.(a + 3) in
       d := false;
-      for t = 0 to Array.length gs - 1 do
+      for t = 0 to ng - 1 do
         let g = gs.(t) and y = ref 0 in
         let ga = g.Flat.a and go = g.Flat.o in
         while (not !d) && !y < rows g && ga.(go + (6 * !y)) <= c do
@@ -281,6 +309,7 @@ let front_drop (s : Flat.t) f ~noise ~power ~from n =
       incr nk
     end
   done;
+  cn.count_pruned <- cn.count_pruned + n - !nk;
   !nk
 
 (* {1 Coordinates-first branch merges}: the pairings are staged with
@@ -305,7 +334,7 @@ let[@inline] put (s : Flat.t) n (l : Flat.group) il (r : Flat.group) ir =
    never re-sorted: where rounding ties two loads a run can be out of
    frontier order, and its order decides which of two equal pairings
    survives. *)
-let merge_delay (s : Flat.t) ~bound ~prune (lt : Flat.table) (rt : Flat.table) walks nw =
+let merge_delay (s : Flat.t) cn ~bound ~prune (lt : Flat.table) (rt : Flat.table) walks nw =
   if Array.length s.runs <= nw then s.runs <- Array.make (max Flat.least (2 * (nw + 1))) 0;
   let starts = s.runs in
   starts.(0) <- 0;
@@ -331,10 +360,12 @@ let merge_delay (s : Flat.t) ~bound ~prune (lt : Flat.table) (rt : Flat.table) w
   done;
   let n = starts.(nw) in
   Flat.merge_runs s Flat.Plain starts 0 nw;
-  let nk, killed = if prune then sweep_delay s ~bound n else (n, 0) in
-  (nk, n - killed, n - killed - nk, killed)
+  let killed = cn.skipped in
+  let nk = if prune then sweep_delay s cn ~bound n else n in
+  cn.generated <- cn.generated + n - (cn.skipped - killed);
+  nk
 
-let merge_noise (s : Flat.t) ~bound (lt : Flat.table) (rt : Flat.table) walks nw =
+let merge_noise (s : Flat.t) cn ~bound (lt : Flat.table) (rt : Flat.table) walks nw =
   let n = ref 0 in
   for w = 0 to nw - 1 do
     n := !n + (rows lt.(walks.(2 * w)) * rows rt.(walks.((2 * w) + 1)))
@@ -353,8 +384,10 @@ let merge_noise (s : Flat.t) ~bound (lt : Flat.table) (rt : Flat.table) walks nw
     done
   done;
   Flat.sort_perm s Flat.Plain 0 n;
-  let nk, slope = sweep_full s ~bound n in
-  (nk, n - slope, n - slope - nk, slope)
+  let slopes = cn.skipped in
+  let nk = sweep_full s cn ~bound n in
+  cn.generated <- cn.generated + n - (cn.skipped - slopes);
+  nk
 
 (* The group's indices ascending by energy, or with [slack] by falling
    slack, ties by index: [Flat.Energy] on what column 4 is given *)
@@ -369,7 +402,10 @@ let by_key (s : Flat.t) ~slack (g : Flat.group) =
   Flat.sort_perm s Flat.Energy 0 n;
   s.perm
 
-let by_slack s g = (g, Array.sub (by_key s ~slack:true g) 0 (rows g))
+let by_slack s g (ords : int array array) t =
+  let n = rows g in
+  if Array.length ords.(t) < n then ords.(t) <- Array.make (max Flat.least (2 * n)) 0;
+  Array.blit (by_key s ~slack:true g) 0 ords.(t) 0 n
 
 let by_energy s g = by_key s ~slack:false g
 
@@ -424,7 +460,7 @@ let sources (s : Flat.t) ~power ~guard (lib : Tech.Lib.prepared) (g : Flat.group
       let e = lib.Tech.Lib.energy.(k) and d = d_b.(k) and r = r_b.(k) in
       (* [best]: the best slack of the cheaper runs, NaN until the first
          member, so that member beats it whatever its slack *)
-      let best = ref nan and members = ref [] and x = ref 0 in
+      let best = ref nan and x = ref 0 and m0 = !m in
       while !x < n do
         let pw = ga.(go + (6 * order.(!x)) + 4) +. e in
         let rep = ref (-1) and rep_q = ref neg_infinity in
@@ -442,23 +478,27 @@ let sources (s : Flat.t) ~power ~guard (lib : Tech.Lib.prepared) (g : Flat.group
         done;
         if !rep >= 0 && not (!rep_q <= !best) then begin
           best := !rep_q;
-          members := !rep :: !members
+          s.xs.((6 * !m) + 1) <- !rep_q;
+          s.js.(2 * !m) <- k;
+          s.js.((2 * !m) + 1) <- !rep;
+          incr m
         end
       done;
       (* found in rising slack, listed in falling slack *)
-      List.iter
-        (fun j ->
-          let a = go + (6 * j) in
-          s.xs.((6 * !m) + 1) <- ga.(a + 1) -. (d +. (r *. ga.(a)));
-          s.js.(2 * !m) <- k;
-          s.js.((2 * !m) + 1) <- j;
-          incr m)
-        !members
+      for e = 0 to ((!m - m0) / 2) - 1 do
+        let u = m0 + e and v = !m - 1 - e in
+        let q = s.xs.((6 * u) + 1) and j = s.js.((2 * u) + 1) in
+        s.xs.((6 * u) + 1) <- s.xs.((6 * v) + 1);
+        s.js.((2 * u) + 1) <- s.js.((2 * v) + 1);
+        s.xs.((6 * v) + 1) <- q;
+        s.js.((2 * v) + 1) <- j
+      done
     done
   end;
   !m
 
-let stand_in (s : Flat.t) n (lib : Tech.Lib.prepared) k (g : Flat.group) j q =
+let stand_in (s : Flat.t) n (lib : Tech.Lib.prepared) (src : Flat.t) m (g : Flat.group) =
+  let k = src.js.(2 * m) and j = src.js.((2 * m) + 1) and q = src.xs.((6 * m) + 1) in
   let b = lib.Tech.Lib.bufs.(k) in
   let x = 6 * n in
   s.xs.(x) <- b.Tech.Buffer.c_in;
@@ -470,6 +510,61 @@ let stand_in (s : Flat.t) n (lib : Tech.Lib.prepared) k (g : Flat.group) j q =
   s.js.((2 * n) + 1) <- trace g j;
   s.perm.(n) <- n
 
+(* Walk [w]'s next member, on its left side (with [left]) or its right
+   one, against the other side's staircase: one pairing per in-budget
+   member of it, in rising load, from pairing id [n]; [cur] counts the
+   pass's pairings. The member then joins its own side's staircase,
+   which serves only the other side's members still to come. Returns
+   the next pairing id. *)
+let visit (s : Flat.t) cn ~budget (lt : Flat.table) (lo : int array array) (rt : Flat.table)
+    (ro : int array array) walks w ~left n =
+  let l = lt.(walks.(2 * w)) and lord = lo.(walks.(2 * w)) in
+  let r = rt.(walks.((2 * w) + 1)) and rord = ro.(walks.((2 * w) + 1)) in
+  let cur = s.cur and side = if left then 0 else 1 in
+  let il = cur.(5 * w) and ir = cur.((5 * w) + 1) in
+  let g = if left then l else r and ord = if left then lord else rord in
+  let ia = if left then il else ir and st = s.walk_st.((2 * w) + 1 - side) in
+  let ap = get g ord.(ia) 4 and lo = ref 0 and hi = ref st.sn in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if ap +. st.sv.(mid) > budget then lo := mid + 1 else hi := mid
+  done;
+  let lo = !lo and k = (5 * w) + 2 + side in
+  cn.skipped <- cn.skipped + lo;
+  cn.generated <- cn.generated + st.sn - lo;
+  Flat.reserve s ~used:n (n + st.sn - lo);
+  (* newest first, the right pass before the left one, walk by walk *)
+  let base = ((2 * w) + 1 - side) lsl 40 in
+  for m = lo to st.sn - 1 do
+    let ib = st.si.(m) and x = n + m - lo in
+    if left then put s x l lord.(ia) r rord.(ib) else put s x l lord.(ib) r rord.(ia);
+    s.rank.(x) <- base - 1 - cur.(k);
+    s.perm.(x) <- x;
+    cur.(k) <- cur.(k) + 1
+  done;
+  let b = g.Flat.o + (6 * ord.(ia)) in
+  if (left && ir < rows r) || ((not left) && il < rows l) then
+    ignore (stair_add s.walk_st.((2 * w) + side) g.Flat.a.(b) g.Flat.a.(b + 4) ia);
+  cur.((5 * w) + side) <- ia + 1;
+  n + st.sn - lo
+
+(* walk [w]'s next member: the right one on equal slack *)
+let next_member (s : Flat.t) (lt : Flat.table) (lo : int array array) (rt : Flat.table)
+    (ro : int array array) walks w =
+  let l = lt.(walks.(2 * w)) and lord = lo.(walks.(2 * w)) in
+  let r = rt.(walks.((2 * w) + 1)) and rord = ro.(walks.((2 * w) + 1)) in
+  let cur = s.cur in
+  let il = cur.(5 * w) and ir = cur.((5 * w) + 1) in
+  if ir < rows r && (il = rows l || get r rord.(ir) 1 >= get l lord.(il) 1) then begin
+    cur.((5 * w) + 4) <- 2;
+    s.next_q.(w) <- get r rord.(ir) 1
+  end
+  else if il < rows l then begin
+    cur.((5 * w) + 4) <- 1;
+    s.next_q.(w) <- get l lord.(il) 1
+  end
+  else cur.((5 * w) + 4) <- 0
+
 (* The delay-power branch merge; DESIGN.md §16 argues its exactness.
    Each walk runs two passes — left against the right side's (c, p)
    staircase of equal-or-better slack, right against the left side's
@@ -480,55 +575,16 @@ let stand_in (s : Flat.t) n (lib : Tech.Lib.prepared) k (g : Flat.group) j q =
    survivors are sorted into [Flat.Load] order. A pairing's
    rank is its place in the order the walks define the pairings: the
    walks as given, each newest pairing first, its left pass first. *)
-let merge_delay_power (s : Flat.t) ~budget ~prune ls rs walks nw =
+let merge_delay_power (s : Flat.t) cn ~budget ~prune (lt : Flat.table) lo (rt : Flat.table) ro
+    walks nw =
   Flat.reserve_walks s nw;
   s.st.sn <- 0;
-  let cur = s.cur and next_q = s.next_q in
+  let cur = s.cur and next_q = s.next_q and generated = cn.generated in
   (* pairing ids [bs .. n-1] form the open block; the survivors of the
      closed ones are stored below it *)
-  let n = ref 0 and bs = ref 0 and generated = ref 0 and over = ref 0 in
-  (* member [ia] of walk [w]'s left side (with [left]) or right side,
-     against [st], the other side's staircase: one pairing per
-     in-budget member, in rising load. [cur.(k)] counts the pass's
-     pairings. *)
-  let visit (st : Flat.stair) w ((l : Flat.group), lord) ((r : Flat.group), rord) ~left ia k =
-    let ap = if left then get l lord.(ia) 4 else get r rord.(ia) 4 in
-    let lo = ref 0 and hi = ref st.sn in
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      if ap +. st.sv.(mid) > budget then lo := mid + 1 else hi := mid
-    done;
-    over := !over + !lo;
-    Flat.reserve s ~used:!n (!n + st.sn - !lo);
-    generated := !generated + st.sn - !lo;
-    (* newest first, the right pass before the left one, walk by walk *)
-    let base = ((2 * w) + if left then 1 else 0) lsl 40 in
-    for m = !lo to st.sn - 1 do
-      let ib = st.si.(m) in
-      if left then put s !n l lord.(ia) r rord.(ib) else put s !n l lord.(ib) r rord.(ia);
-      s.rank.(!n) <- base - 1 - cur.(k);
-      s.perm.(!n) <- !n;
-      cur.(k) <- cur.(k) + 1;
-      incr n
-    done
-  in
-  (* walk [w]'s next member: the right one on equal slack *)
-  let next w =
-    let ((l : Flat.group), lord) = ls.(walks.(2 * w))
-    and ((r : Flat.group), rord) = rs.(walks.((2 * w) + 1)) in
-    let il = cur.(5 * w) and ir = cur.((5 * w) + 1) in
-    if ir < rows r && (il = rows l || get r rord.(ir) 1 >= get l lord.(il) 1) then begin
-      cur.((5 * w) + 4) <- 2;
-      next_q.(w) <- get r rord.(ir) 1
-    end
-    else if il < rows l then begin
-      cur.((5 * w) + 4) <- 1;
-      next_q.(w) <- get l lord.(il) 1
-    end
-    else cur.((5 * w) + 4) <- 0
-  in
+  let n = ref 0 and bs = ref 0 in
   for w = 0 to nw - 1 do
-    next w
+    next_member s lt lo rt ro walks w
   done;
   let live = ref true in
   while !live do
@@ -546,26 +602,8 @@ let merge_delay_power (s : Flat.t) ~budget ~prune ls rs walks nw =
         if prune then n := Flat.sweep_block s !bs !n;
         bs := !n
       end;
-      let ((l, lord) as left) = ls.(walks.(2 * w))
-      and ((r, rord) as right) = rs.(walks.((2 * w) + 1)) in
-      let il = cur.(5 * w) and ir = cur.((5 * w) + 1) in
-      (* a side's staircase serves only the other side's members still
-         to come: none left, nothing to add *)
-      if cur.((5 * w) + 4) = 2 then begin
-        visit s.walk_st.(2 * w) w left right ~left:false ir ((5 * w) + 3);
-        let b = r.Flat.o + (6 * rord.(ir)) in
-        if il < rows l then
-          ignore (stair_add s.walk_st.((2 * w) + 1) r.Flat.a.(b) r.Flat.a.(b + 4) ir);
-        cur.((5 * w) + 1) <- ir + 1
-      end
-      else begin
-        visit s.walk_st.((2 * w) + 1) w left right ~left:true il ((5 * w) + 2);
-        let a = l.Flat.o + (6 * lord.(il)) in
-        if ir < rows r then
-          ignore (stair_add s.walk_st.(2 * w) l.Flat.a.(a) l.Flat.a.(a + 4) il);
-        cur.(5 * w) <- il + 1
-      end;
-      next w
+      n := visit s cn ~budget lt lo rt ro walks w ~left:(cur.((5 * w) + 4) = 1) !n;
+      next_member s lt lo rt ro walks w
     end
   done;
   if prune && !n > !bs then n := Flat.sweep_block s !bs !n;
@@ -574,4 +612,5 @@ let merge_delay_power (s : Flat.t) ~budget ~prune ls rs walks nw =
     s.perm.(x) <- x
   done;
   Flat.sort_perm s Flat.Load 0 nk;
-  (nk, !generated, !generated - nk, !over)
+  cn.pruned <- cn.pruned + cn.generated - generated - nk;
+  nk

@@ -14,7 +14,8 @@
     rows staged in a {!Flat.t}, in its [perm] order, and leave the
     survivors' ids, in order, in [perm.(0 .. nk-1)], for
     {!Flat.write}. The wire climb, the branch merges, buffer insertion
-    and count dominance all stage their rows and call them. *)
+    and count dominance all stage their rows and call them. The kernels
+    return row counts and add what they weigh and drop to {!counts}. *)
 
 val noise_tol : float
 (** The noise-attach tolerance, V: the one slack every noise-margin test
@@ -22,6 +23,22 @@ val noise_tol : float
     noise-slack drop, {!Wireclimb.rescuable}, {!Alg1}, {!Alg2}) grants
     to rounding in the accumulated noise slack. A gate with output
     resistance [r] may drive a row iff [r *. i <= ns +. noise_tol]. *)
+
+type counts = {
+  mutable generated : int;  (** rows weighed whole and staged *)
+  mutable pruned : int;  (** of those, dropped: by a sweep, or for their noise slack *)
+  mutable skipped : int;
+      (** killed before they were weighed whole: by the slope rule
+          ({!climb}, {!merge_noise}), on arrival at the staircase
+          ({!merge_delay}), or for their energy ({!merge_delay_power}) *)
+  mutable count_pruned : int;  (** dropped by count dominance ({!front_drop}) *)
+}
+(** A run's candidate counts, which {!Dp.stats} reads. A sweep's kills
+    on arrival go to [skipped], its other drops to [pruned]; a caller
+    that counted the swept rows as generated moves the kills over. *)
+
+val counts : unit -> counts
+(** All zero. *)
 
 (** {2 The relations (Li & Shi)}
 
@@ -37,8 +54,10 @@ val noise_tol : float
 
 val kills : bound:float -> float -> float -> float -> float -> bool
 (** [kills ~bound kc kq c q]: the (load, slack) rule. A witness at
-    [(kc, kq)] kills a row at [(c, q)] when [kq >= q], or [c > kc] and
-    [q -. kq < bound *. (c -. kc)]. *)
+    [(kc, kq)] kills a row at [(c, q)] when [kq >= q] (plain
+    dominance), or by the slope clause: [c > kc] and
+    [q -. kq < bound *. (c -. kc)]. {!sweep_full} tells the two
+    apart through the same clause. *)
 
 val kills_full :
   bound:float -> float -> float -> float -> float -> float -> float -> float -> float -> bool
@@ -67,22 +86,22 @@ val covered :
 
 (** {2 Sweeps} *)
 
-val sweep_delay : Flat.t -> bound:float -> int -> int * int
-(** [sweep_delay s ~bound n]: rows [perm.(0 .. n-1)] pushed onto the
+val sweep_delay : Flat.t -> counts -> bound:float -> int -> int
+(** [sweep_delay s cn ~bound n]: rows [perm.(0 .. n-1)] pushed onto the
     (load, slack) staircase — [Frontier.sweep2 ~cost:c ~value:q] for
     rows in frontier order, with the slope rule at [bound]. An arriving
     row first retro-dominates the newest survivor if that one has its
     load and no better slack, then either the survivor now newest kills
-    it or it is kept. Returns [(nk, killed)]: the survivors and the
-    arrivals killed; the other [n - nk - killed] drops were
-    retro-dominated. *)
+    it or it is kept. Returns the survivors [nk]; the arrivals killed
+    go to [cn.skipped], the retro-dominated rows to [cn.pruned]. *)
 
-val sweep_full : Flat.t -> bound:float -> int -> int * int
-(** [sweep_full s ~bound n]: rows [perm.(0 .. n-1)], in frontier order,
-    swept under {!kills_full}[ ~bound] against every survivor —
+val sweep_full : Flat.t -> counts -> bound:float -> int -> int
+(** [sweep_full s cn ~bound n]: rows [perm.(0 .. n-1)], in frontier
+    order, swept under {!kills_full}[ ~bound] against every survivor —
     [Frontier.sweep_dom ~cost:c] under that relation, quadratic per
-    group. Returns [(nk, slope)]: the survivors and the arrivals only
-    the slope term killed; the other drops fell to plain dominance. *)
+    group. Returns the survivors [nk]; the arrivals only the slope
+    clause killed go to [cn.skipped], the drops to plain dominance to
+    [cn.pruned]. *)
 
 val sweep_power : Flat.t -> int -> int
 (** [sweep_power s n]: rows [perm.(0 .. n-1)] in [Flat.Power] order
@@ -110,24 +129,27 @@ val front_add : front -> noise:bool -> power:bool -> Flat.group -> unit
 (** [front_add f ~noise ~power g]: count [g]'s rows as witnesses, once
     [g] is final: in delay and noise modes they join the front's
     (load, -slack) staircase, merged in with one pass, and in noise and
-    power modes [g] itself is kept for the full test. *)
+    power modes [g] itself is kept for the full test, so it must not
+    change before the front is cleared. *)
 
-val front_drop : Flat.t -> front -> noise:bool -> power:bool -> from:int -> int -> int
-(** [front_drop s f ~noise ~power ~from n]: the staged rows [perm.(0 ..
+val front_drop :
+  Flat.t -> counts -> front -> noise:bool -> power:bool -> from:int -> int -> int
+(** [front_drop s cn f ~noise ~power ~from n]: the staged rows [perm.(0 ..
     n-1)], in rising load, less each row numbered [from] or more that a
     witness of [f] dominates — under {!kills} at bound 0 in delay mode,
     {!kills_full} at bound 0 with [noise], and {!sweep_power}'s
     relation with [power]. The survivors stay in order in [perm.(0 ..
-    nk-1)]; returns [nk]. A witness equal on every coordinate
-    dominates. In delay and noise modes the staircase answers first, so
-    a row it clears costs a step of a walk; power mode folds the kept
-    groups into [s.st], keyed by [-q] and valued by [p], lazily as the
-    rows grow heavier. *)
+    nk-1)]; returns [nk] and adds the drops to [cn.count_pruned]. A
+    witness equal on every coordinate dominates. In delay and noise
+    modes the staircase answers first, so a row it clears costs a step
+    of a walk; power mode folds the kept groups into [s.st], keyed by
+    [-q] and valued by [p], lazily as the rows grow heavier. *)
 
 (** {2 The pipeline stages} *)
 
 val climb :
   Flat.t ->
+  counts ->
   arena:Trace.arena ->
   at:int ->
   width:float ->
@@ -138,8 +160,8 @@ val climb :
   Rctree.Tree.wire ->
   Flat.group ->
   int ->
-  int * int * int * int
-(** [climb s ~arena ~at ~width ~pred ~bound ~noise ~drop w g n0]: every
+  int
+(** [climb s cn ~arena ~at ~width ~pred ~bound ~noise ~drop w g n0]: every
     row of [g] propagated from the wire's target to its driving end —
     [c += cap], [q -= res*(cap/2 + c)], [i += cur],
     [ns -= res*(i + cur/2)] (eqs. 2 and 8) — and staged from row [n0]
@@ -149,8 +171,9 @@ val climb :
     wire must already be resized by the caller) every emitted row
     records the wire-sizing decision (Lillis [18]) as a [Resize] node
     at [at]. With [drop], an emitted row whose noise slack is not
-    [>= -. noise_tol] is not staged. Returns [(n, emitted, killed,
-    noisy)]: the run's end and the three counts. *)
+    [>= -. noise_tol] is not staged. Returns the run's end; the emitted
+    rows go to [cn.generated], the killed ones to [cn.skipped] and the
+    noisy ones to [cn.pruned]. *)
 
 val sources : Flat.t -> power:bool -> guard:bool -> Tech.Lib.prepared -> Flat.group -> int
 (** [sources s ~power ~guard lib g]: buffer insertion's source choice
@@ -171,15 +194,15 @@ val sources : Flat.t -> power:bool -> guard:bool -> Tech.Lib.prepared -> Flat.gr
 
 val by_energy : Flat.t -> Flat.group -> int array
 (** [by_energy s g]: the group's row indices, ascending by energy, ties
-    by index, in the first [Flat.width g] entries of the returned array —
+    by index, in the first [g.n] entries of the returned array —
     a scratch array, valid until the scratch's next use. Buffer
     insertion's energy order in power mode. *)
 
-val stand_in : Flat.t -> int -> Tech.Lib.prepared -> int -> Flat.group -> int -> float -> unit
-(** [stand_in s n lib k g j q] stages as row [n], which must be
-    reserved, ([perm.(n) = n]) the insertion of type
-    [k] on row [j] of [g] at insertion slack [q] (as {!sources} computes
-    it): load [c_in], slack [q], no current, the buffer's noise margin,
+val stand_in : Flat.t -> int -> Tech.Lib.prepared -> Flat.t -> int -> Flat.group -> unit
+(** [stand_in s n lib src m g] stages as row [n], which must be
+    reserved, ([perm.(n) = n]) {!sources}' entry [m] in [src] on [g]:
+    the insertion of type [k] on row [j] of [g] at insertion slack [q].
+    The row reads: load [c_in], slack [q], no current, the buffer's noise margin,
     energy [p +. energy]. Its origin names the type and the source's
     trace handle, so {!Flat.write} gives it its [Buf] node only if it
     survives. *)
@@ -194,22 +217,24 @@ val stand_in : Flat.t -> int -> Tech.Lib.prepared -> int -> Flat.group -> int ->
     slacks take the minimum) and its origin go into the scratch, the
     order and the sweep run on those, and only the survivors get a
     [Join] node when the caller writes them ({!Flat.write}). Every
-    merge leaves the survivors in [perm.(0 .. nk-1)] and returns [(nk,
-    considered, dropped, skipped)]: [considered] pairings were weighed whole, [dropped] of
-    those fell to plain dominance or, in power mode, to the sweep, and
-    [skipped] were killed before that — on arrival by the staircase
-    ({!merge_delay}), by the slope term alone ({!merge_noise}), or for
-    their energy ({!merge_delay_power}). *)
+    merge leaves the survivors in [perm.(0 .. nk-1)] and returns [nk].
+    The pairings weighed whole go to [cn.generated], those of them that
+    fell to plain dominance or, in power mode, to the sweep to
+    [cn.pruned], and those killed before that to [cn.skipped]: on
+    arrival by the staircase ({!merge_delay}), by the slope clause
+    alone ({!merge_noise}), or for their energy
+    ({!merge_delay_power}). *)
 
 val merge_delay :
   Flat.t ->
+  counts ->
   bound:float ->
   prune:bool ->
   Flat.table ->
   Flat.table ->
   int array ->
   int ->
-  int * int * int * int
+  int
 (** The Van Ginneken merge: each walk's linear pairings
     ({!Frontier.merge2}), the walks merged as runs
     ({!Frontier.merge_sorted} in frontier order: each walk in its own
@@ -219,33 +244,34 @@ val merge_delay :
     and dropped pairings. Without [prune] every pairing is kept. *)
 
 val merge_noise :
-  Flat.t ->
-  bound:float ->
-  Flat.table ->
-  Flat.table ->
-  int array ->
-  int ->
-  int * int * int * int
+  Flat.t -> counts -> bound:float -> Flat.table -> Flat.table -> int array -> int -> int
 (** The noise-mode merge: every pairing of every walk, sorted stably in
     frontier order (the walks in order, left outer, right inner) and
     swept by {!sweep_full} at [bound]. *)
 
-val by_slack : Flat.t -> Flat.group -> Flat.group * int array
-(** [by_slack s g]: the group with its row indices stable-sorted by
-    slack, descending, sorted in the scratch [s]: the order in which
-    {!merge_delay_power} walks and folds it. A branch node sorts each
-    child group once and hands it to every walk that reads it. *)
+val by_slack : Flat.t -> Flat.group -> int array array -> int -> unit
+(** [by_slack s g ords t]: the group's row indices stable-sorted by
+    slack, descending, sorted in the scratch [s] and stored in
+    [ords.(t)], which grows as needed: the order in which
+    {!merge_delay_power} walks and folds the group in slot [t]. A
+    branch node sorts each child group once and hands it to every walk
+    that reads it. *)
 
 val merge_delay_power :
   Flat.t ->
+  counts ->
   budget:float ->
   prune:bool ->
-  (Flat.group * int array) array ->
-  (Flat.group * int array) array ->
+  Flat.table ->
+  int array array ->
+  Flat.table ->
+  int array array ->
   int array ->
   int ->
-  int * int * int * int
-(** The delay-power merge of walks of {!by_slack} groups. It enumerates
+  int
+(** [merge_delay_power s cn ~budget ~prune lt lo rt ro walks nw]: the
+    delay-power merge of the walks, each side's groups in their
+    {!by_slack} orders [lo] and [ro]. It enumerates
     only the pairings that can reach the merged 3-axis frontier — each
     side walked in descending slack against a (load, energy) staircase
     of the other side's equal-or-better-slack members; a pairing left

@@ -32,34 +32,31 @@
 
     A node's table holds one {!Flat.group} per (parity, bucket) slot:
     the candidates as flat rows of coordinates and a {!Trace} handle,
-    sorted by load end to end, so pruning is a linear sweep and branch
-    merging the linear Van Ginneken walk. This is the DP's one
-    candidate representation, from sink to root, and no row changes
-    once written. The tables live on a row stack ({!Flat.store}): a
-    node's table is written above its children's and slid down over
-    them. The arena, the staging areas and the row stack belong to the
-    calling domain and are reused, reset, by each of its runs (DESIGN.md
-    §8), so a run allocates next to nothing per candidate; trace
-    handles never leave a run, only the reconstructed winners do. Delay mode prunes on (load, slack) dominance; noise mode
-    prunes on the full (load, slack, current, noise-slack) dominance and
-    merges branch pairings exhaustively, because a candidate or pairing
-    off the (load, slack) frontier can carry the only noise slack that
-    survives the upstream wires (see {!Candidate.kills_full}).
-    One kernel per dominance relation: {!Candidate.sweep_delay} (the
-    (load, slack) staircase, with the predictive slope kill at the
-    node's {!Rctree.Upbound} bound), {!Candidate.sweep_full} (the 4D
-    noise relation) and {!Candidate.sweep_power} (the power-mode
-    staircase). Every wire goes through {!Candidate.climb}, every
-    branch node through one pairing enumerator and the coordinates-first
-    merges ({!Candidate.merge_delay}, {!Candidate.merge_noise},
-    {!Candidate.merge_delay_power}), every buffer insertion through
-    {!Candidate.sources} and {!Flat.splice}, and every count-dominance
-    test through {!Candidate.front_drop} on the staged rows; a pairing
-    or insertion gets its trace node only if it survives
-    ({!Flat.write}). Placement lists
-    are reconstructed only for the winning root candidates, so [result]
-    still exposes eager placement and sizing lists while the DP itself
-    never copies a solution. *)
+    sorted by load, so pruning is a linear sweep and branch merging the
+    linear Van Ginneken walk; no row changes once written. Delay mode
+    prunes on (load, slack) dominance; noise mode prunes on the full
+    (load, slack, current, noise-slack) dominance and merges branch
+    pairings exhaustively, because a candidate off the (load, slack)
+    frontier can carry the only noise slack that survives the upstream
+    wires ({!Candidate.kills_full}).
+
+    A run is one pipeline of named stages over one run-state record
+    (DESIGN.md §8), which resolves every mode flag once and holds the
+    domain's scratch, the table stack and the counters: [seed] (a
+    sink's row), [climb] (every wire, {!Candidate.climb}), [merge] (a
+    branch slot's walks, {!Candidate.merge_delay},
+    {!Candidate.merge_noise}, {!Candidate.merge_delay_power}), [insert]
+    (buffer insertion, {!Candidate.sources}), [front] (count dominance,
+    {!Candidate.front_drop}), [sweep] (one kernel per relation,
+    {!Candidate.sweep_delay}, {!Candidate.sweep_full},
+    {!Candidate.sweep_power}) and [reconstruct] (the winners' placement
+    and sizing lists, from the arena). A node's table is written above
+    its children's on the domain's row stack ({!Flat.store}) and slid
+    down over them; a pairing or insertion gets its trace node only if
+    it survives ({!Flat.write}). The arena, the staging areas and the
+    row stack belong to the calling domain and are reset by each of
+    its runs, so a run allocates nothing per candidate and next to
+    nothing per node. *)
 
 type mode =
   | Single  (** one candidate group per parity; unbounded buffer count *)

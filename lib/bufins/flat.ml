@@ -1,14 +1,28 @@
 (* The DP's one candidate representation, the row store and the
    reusable staging arrays, grown by doubling (flat.mli). *)
 
-type group = { mutable a : float array; mutable o : int; n : int }
+type group = { mutable a : float array; mutable o : int; mutable n : int }
 type table = group array
 
 let empty = { a = [||]; o = 0; n = 0 }
 
-let of_array a = if Array.length a = 0 then empty else { a; o = 0; n = Array.length a / 6 }
+let group () = { a = [||]; o = 0; n = 0 }
 
-let width g = g.n
+(* [g] set to view [n] rows of [a] from [o]; the array is stored only
+   when it changes, which spares the write barrier *)
+let[@inline] set g a o n =
+  if g.a != a then g.a <- a;
+  g.o <- o;
+  g.n <- n
+
+let view g src = if src.n = 0 then g.n <- 0 else set g src.a src.o src.n
+
+let clear (tbl : table) =
+  for t = 0 to Array.length tbl - 1 do
+    tbl.(t).n <- 0
+  done
+
+let of_array a = if Array.length a = 0 then empty else { a; o = 0; n = Array.length a / 6 }
 
 let[@inline] trace g k = int_of_float g.a.(g.o + (6 * k) + 5)
 
@@ -31,14 +45,15 @@ let room st n =
     st.buf <- b
   end
 
-let copy_group st g =
-  if g.n = 0 then empty
+let copy_group st g d =
+  let n = g.n in
+  if n = 0 then d.n <- 0
   else begin
-    room st g.n;
+    room st n;
     let o = 6 * st.len in
-    Array.blit g.a g.o st.buf o (6 * g.n);
-    st.len <- st.len + g.n;
-    { a = st.buf; o; n = g.n }
+    Array.blit g.a g.o st.buf o (6 * n);
+    st.len <- st.len + n;
+    set d st.buf o n
   end
 
 (* Each group moves down to the next free row from [base], in slot
@@ -50,8 +65,7 @@ let slide st ~base (tbl : table) =
     let g = tbl.(t) in
     if g.n > 0 then begin
       if g.a != st.buf || g.o <> !d then Array.blit g.a g.o st.buf !d (6 * g.n);
-      g.a <- st.buf;
-      g.o <- !d;
+      set g st.buf !d g.n;
       d := !d + (6 * g.n)
     end
   done;
@@ -160,11 +174,11 @@ let top s n =
   done;
   !t
 
-(* The survivors [perm.(0 .. nk-1)], in that order, as a new group on
+(* The survivors [perm.(0 .. nk-1)], in that order, as [d]'s rows on
    top of [st], each row's trace handle from its origin, which then
    names that handle (flat.mli) *)
-let write s ~arena ~at ~(bufs : int array) st nk =
-  if nk = 0 then empty
+let write s ~arena ~at ~(bufs : int array) st nk d =
+  if nk = 0 then d.n <- 0
   else begin
     room st nk;
     let g = st.buf and base = st.len in
@@ -185,7 +199,7 @@ let write s ~arena ~at ~(bufs : int array) st nk =
       copy s.xs x g (base + k)
     done;
     st.len <- base + nk;
-    { a = g; o = 6 * base; n = nk }
+    set d g (6 * base) nk
   end
 
 (* room for [nw] walks, their staircases empty and cursors at 0 *)
@@ -193,7 +207,8 @@ let reserve_walks s nw =
   if Array.length s.next_q < nw then begin
     let m = max nw (max least (2 * Array.length s.next_q)) in
     let old = s.walk_st in
-    s.walk_st <- Array.init (2 * m) (fun k -> if k < Array.length old then old.(k) else stair ());
+    s.walk_st <-
+      Array.init (2 * m) (fun k -> if k < Array.length old then old.(k) else stair ());
     s.cur <- Array.make (5 * m) 0;
     s.next_q <- Array.make m 0.0
   end;
@@ -254,9 +269,10 @@ let stair_add st id =
     true
   end
 
-(* rows [y ..] of [g] no heavier than [c] onto [st] at (-slack, energy) *)
-let stair_fold st g y c =
-  let y = ref y and a = g.a and o = g.o in
+(* rows [y ..] of [g] no heavier than [s]'s row [x] onto [st] at
+   (-slack, energy) *)
+let stair_fold st g y s x =
+  let y = ref y and a = g.a and o = g.o and c = s.xs.(6 * x) in
   while !y < g.n && a.(o + (6 * !y)) <= c do
     st.pt.(0) <- -.a.(o + (6 * !y) + 1);
     st.pt.(1) <- a.(o + (6 * !y) + 4);

@@ -22,20 +22,28 @@
     is a major-heap allocation that no [Gc.minor_words] delta sees. Not
     shareable between domains. *)
 
-type group = private { mutable a : float array; mutable o : int; n : int }
+type group = private { mutable a : float array; mutable o : int; mutable n : int }
 (** [n] rows of [a] from float index [o], at stride 6: [c], [q], [i],
-    [ns], [p], trace handle. *)
+    [ns], [p], trace handle. A group is a view: {!Dp} keeps one record
+    per slot of each table it holds and points it at new rows in
+    place. *)
 
 type table = group array
 (** One group per slot [2 * bucket + parity]. *)
 
 val empty : group
 
+val group : unit -> group
+(** A new empty view. *)
+
+val view : group -> group -> unit
+(** [view g src]: [g] now views [src]'s rows. *)
+
+val clear : table -> unit
+(** Every group of the table emptied. *)
+
 val of_array : float array -> group
 (** The rows of a whole array, stride 6. *)
-
-val width : group -> int
-(** The number of rows. *)
 
 val trace : group -> int -> Trace.handle
 (** [trace g k]: row [k]'s trace handle. *)
@@ -53,8 +61,9 @@ type store = { mutable buf : float array; mutable len : int }
 val store : unit -> store
 (** An empty store. *)
 
-val copy_group : store -> group -> group
-(** The group's rows copied onto the top of the store. *)
+val copy_group : store -> group -> group -> unit
+(** [copy_group st g d]: [g]'s rows copied onto the top of the store,
+    and [d] (which may be [g]) set to view the copy. *)
 
 val slide : store -> base:int -> table -> unit
 (** [slide st ~base tbl]: the table's groups moved down, in slot order,
@@ -97,7 +106,8 @@ type t = {
       (** five per walk of a delay-power merge: the left and right cursors, the left
           and right passes' pairing counts, and the side of the next member (0: none,
           1: left, 2: right) *)
-  mutable next_q : float array;  (** per walk of a delay-power merge: its next member's slack *)
+  mutable next_q : float array;
+      (** per walk of a delay-power merge: its next member's slack *)
   mutable runs : int array;  (** a delay-mode branch merge's walks' run starts *)
 }
 
@@ -119,15 +129,17 @@ val top : t -> int -> int
 (** [top s n]: one past the highest row among [perm.(0 .. n-1)], 0 for
     none: the first row free for more staging. *)
 
-val write : t -> arena:Trace.arena -> at:int -> bufs:int array -> store -> int -> group
-(** [write s ~arena ~at ~bufs st nk]: the rows [perm.(0 .. nk-1)], in
-    that order, as a new group on top of [st] — a sweep's survivors.
+val write :
+  t -> arena:Trace.arena -> at:int -> bufs:int array -> store -> int -> group -> unit
+(** [write s ~arena ~at ~bufs st nk d]: the rows [perm.(0 .. nk-1)], in
+    that order, written on top of [st] and viewed by [d] — a sweep's
+    survivors.
     A row of kind 0 keeps its handle; a staged pairing gets its [Join]
     node and a staged insertion of type [k] its [Buf] node at node [at],
     of the buffer {!Trace.intern}ed as [bufs.(k)] in [arena]. So only
     survivors get a node. Each written row then holds its handle as
-    kind 0, so writing it again makes no second node. [nk = 0] gives
-    {!empty}. *)
+    kind 0, so writing it again makes no second node. [nk = 0] leaves
+    [d] empty. *)
 
 val reserve_walks : t -> int -> unit
 (** [reserve_walks s nw]: room for [nw] walks in [walk_st], [cur] and
@@ -148,10 +160,11 @@ val stair_covers : stair -> bool
     of the point in [st.pt] dominate it? [stair_add]'s refusal test,
     without the insertion. O(log n). *)
 
-val stair_fold : stair -> group -> int -> float -> int
-(** [stair_fold st g y c]: rows [y], [y+1], ... of [g], while no heavier
-    than [c], {!stair_add}ed at (-slack, energy); returns the first row
-    not added. Count dominance's power-mode fold (DESIGN.md §17). *)
+val stair_fold : stair -> group -> int -> t -> int -> int
+(** [stair_fold st g y s x]: rows [y], [y+1], ... of [g], while no
+    heavier than the staged row [x] of [s], {!stair_add}ed at (-slack,
+    energy); returns the first row not added. Count dominance's
+    power-mode fold (DESIGN.md §17). *)
 
 (** The orders on row ids:
     - [Plain]: the frontier order on the [xs] coordinates (load

@@ -67,7 +67,7 @@ let intern a (b : Tech.Buffer.t) =
 
 (* a new node's handle, its chunk allocated; the table starts above 256
    entries, so it too lives in the major heap *)
-let push a head x (z : float) =
+let[@inline] push a head x (z : float) =
   let h = a.len in
   let c = h lsr bits in
   if c = Array.length a.chunks then begin
@@ -136,7 +136,9 @@ let sol a h =
   let rec walk acc h =
     match kind a h with
     | 1 ->
-        let p = { Rctree.Surgery.node = node a h; dist = col a h 2; buffer = a.bufs.(bix a h) } in
+        let p =
+          { Rctree.Surgery.node = node a h; dist = col a h 2; buffer = a.bufs.(bix a h) }
+        in
         walk (p :: acc) (x a h)
     | 3 -> walk acc (x a h)
     | 0 -> List.rev acc

@@ -7,7 +7,10 @@
     rescuability invariant [r_b *. i <= ns] at every stop, including the
     returned top state. *)
 
-type state = { i : float;  (** downstream coupled current, A *) ns : float  (** noise slack, V *) }
+type state = {
+  i : float;  (** downstream coupled current, A *)
+  ns : float;  (** noise slack, V *)
+}
 
 val rescuable : Tech.Buffer.t -> state -> bool
 (** [r_b *. i <= ns] (up to {!Candidate.noise_tol}): a buffer placed

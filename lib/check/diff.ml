@@ -168,7 +168,12 @@ let alg1_vs_alg2 (inst : Instance.t) =
           failf "minimal buffer counts disagree: alg1 %d vs alg2 %d" r1.Bufins.Alg1.count
             r2.Bufins.Alg2.count;
         let expect count =
-          { Invariant.count = Some count; slack = None; noise_clean = true; feasible_only = false }
+          {
+            Invariant.count = Some count;
+            slack = None;
+            noise_clean = true;
+            feasible_only = false;
+          }
         in
         ignore
           (must_hold ~what:"alg1 solution"
@@ -479,7 +484,8 @@ let count_front ?mutation (inst : Instance.t) =
         (strict_front (run (Dp.Per_count kmax)));
       o
     in
-    same_outcome (tag ^ " up-to pred vs sweep") (up "pred" `Predictive) (up "sweep" `Sweep_only)
+    same_outcome (tag ^ " up-to pred vs sweep") (up "pred" `Predictive)
+      (up "sweep" `Sweep_only)
   in
   (* both modes run, so a noise-mode divergence shows even where the
      delay check already failed *)
@@ -862,7 +868,9 @@ let transient_disagreement ?density cfg tree =
     !d
   in
   let peaks (res : Circuit.Transient.result) (deck : Noisesim.Deck.t) =
-    List.mapi (fun i (leaf, _) -> (leaf, res.Circuit.Transient.peaks.(i))) deck.Noisesim.Deck.probes
+    List.mapi
+      (fun i (leaf, _) -> (leaf, res.Circuit.Transient.peaks.(i)))
+      deck.Noisesim.Deck.probes
   in
   match
     List.split
@@ -912,7 +920,8 @@ let transient_disagreement ?density cfg tree =
           r.Noisesim.Verify.metric_violations r.Noisesim.Verify.bound_ok
       in
       let f = verdict fast and d = verdict dense in
-      if f = d then None else Some (Printf.sprintf "Verify verdicts differ: forest %s, dense %s" f d)
+      if f = d then None
+      else Some (Printf.sprintf "Verify verdicts differ: forest %s, dense %s" f d)
 
 (* Aggressor spans over about half the wires: one to three each, from
    three slopes, so a deck carries several ramp sources. *)
@@ -948,7 +957,9 @@ let transient_tree_vs_dense ?mutation (inst : Instance.t) =
       let seg_len = inst.Instance.seg_len and lib = inst.Instance.lib in
       let density, tree =
         if coupled then
-          let ann = Coupling.annotate inst.Instance.tree ~spans:(random_spans rng inst.Instance.tree) in
+          let ann =
+            Coupling.annotate inst.Instance.tree ~spans:(random_spans rng inst.Instance.tree)
+          in
           let ann =
             match
               if buffered then

@@ -41,7 +41,10 @@ type mutation =
 val run : ?mutation:mutation -> Instance.t -> verdict
 
 val transient_disagreement :
-  ?density:(int -> (float * float) list) -> Noisesim.Deck.config -> Rctree.Tree.t -> string option
+  ?density:(int -> (float * float) list) ->
+  Noisesim.Deck.config ->
+  Rctree.Tree.t ->
+  string option
 (** The {!Instance.Transient_tree_vs_dense} check on one tree: [None]
     when every stage deck takes the forest solver, its traces and finals
     agree with the dense reference within 1e-9 V, {!Noisesim.Deck.peak_noise}

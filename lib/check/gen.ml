@@ -10,13 +10,16 @@ let single_lib = [ small_buffer ]
 let two_lib =
   [
     small_buffer;
-    Tech.Buffer.make ~name:"i0" ~inverting:true ~c_in:1.5e-15 ~r_b:140.0 ~d_b:15e-12 ~nm:0.6 ();
+    Tech.Buffer.make ~name:"i0" ~inverting:true ~c_in:1.5e-15 ~r_b:140.0 ~d_b:15e-12 ~nm:0.6
+      ();
   ]
 
 let mixed_lib =
   [
-    Tech.Buffer.make ~name:"fastlow" ~inverting:false ~c_in:2e-15 ~r_b:100.0 ~d_b:10e-12 ~nm:0.3 ();
-    Tech.Buffer.make ~name:"slowhigh" ~inverting:false ~c_in:3e-15 ~r_b:120.0 ~d_b:30e-12 ~nm:0.9 ();
+    Tech.Buffer.make ~name:"fastlow" ~inverting:false ~c_in:2e-15 ~r_b:100.0 ~d_b:10e-12
+      ~nm:0.3 ();
+    Tech.Buffer.make ~name:"slowhigh" ~inverting:false ~c_in:3e-15 ~r_b:120.0 ~d_b:30e-12
+      ~nm:0.9 ();
   ]
 
 (* The random-attachment tree shape shared by [theorem5_tree] and
@@ -70,7 +73,9 @@ let random_net rng = Fixtures.random_net rng process ~max_sinks:5 ~max_len:5e-3
 (* one Workload net (the Table I sink-count mix, 2-16 mm) under a random
    seed: the population Noisesim verifies in Table II *)
 let workload_net rng =
-  let cfg = { Workload.default_config with Workload.nets = 1; seed = Util.Rng.int rng 1_000_000 } in
+  let cfg =
+    { Workload.default_config with Workload.nets = 1; seed = Util.Rng.int rng 1_000_000 }
+  in
   match Workload.trees process (Workload.generate cfg) with
   | [ (_, tree) ] -> tree
   | _ -> invalid_arg "Gen.workload_net: expected one net"

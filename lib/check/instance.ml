@@ -131,7 +131,8 @@ let drop_buffer t k =
 let halve_wires t =
   let longest =
     List.fold_left
-      (fun acc v -> if v = T.root t.tree then acc else Float.max acc (T.wire_to t.tree v).T.length)
+      (fun acc v ->
+        if v = T.root t.tree then acc else Float.max acc (T.wire_to t.tree v).T.length)
       0.0
       (List.init (T.node_count t.tree) (fun i -> i))
   in

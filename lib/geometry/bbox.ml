@@ -12,5 +12,3 @@ let of_points = function
 let half_perimeter b = b.xmax - b.xmin + (b.ymax - b.ymin)
 
 let contains b (p : Point.t) = p.x >= b.xmin && p.x <= b.xmax && p.y >= b.ymin && p.y <= b.ymax
-
-let expand b m = { xmin = b.xmin - m; ymin = b.ymin - m; xmax = b.xmax + m; ymax = b.ymax + m }

@@ -9,6 +9,3 @@ val half_perimeter : t -> int
 (** The HPWL lower bound on net wirelength. *)
 
 val contains : t -> Point.t -> bool
-
-val expand : t -> int -> t
-(** Grow the box by a margin on every side. *)

@@ -29,5 +29,3 @@ let upsize t =
   | "inv_x1" -> Some (find "inv_x4")
   | "nand2_x1" -> Some (find "nand2_x4")
   | _ -> None
-
-let output_load_delay t ~load = t.d_intr +. (t.r_out *. load)

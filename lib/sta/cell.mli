@@ -25,6 +25,3 @@ val upsize : t -> t option
 (** The next drive strength in the same family ([inv_x1 -> inv_x4],
     [nand2_x1 -> nand2_x4]); [None] at the top of a family or for cells
     with a single strength. *)
-
-val output_load_delay : t -> load:float -> float
-(** Eq. (3): [d_intr + r_out * load]. *)

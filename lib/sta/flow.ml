@@ -4,20 +4,15 @@ type report = {
   optimized_nets : int;
   inserted_buffers : int;
   infeasible_nets : int;
-  resized_gates : int;
 }
 
-let optimize ?(seg_len = 500e-6) ?(kmax = 16) ?(iterations = 2) ?(sizing = false) process ~lib
-    design =
+let optimize ?(seg_len = 500e-6) ?(kmax = 16) ?(iterations = 2) process ~lib design =
   let before = Engine.analyze process design in
-  let design, resized_gates =
-    if sizing then Sizing.run process design else (design, 0)
-  in
   let improved : (int, Rctree.Tree.t) Hashtbl.t = Hashtbl.create 32 in
   let touched = Hashtbl.create 32 in
   let infeasible = ref 0 in
-  let current = ref (if sizing then Engine.analyze process design else before) in
-  (* the unbuffered Steiner trees of the (sized) design: every round
+  let current = ref before in
+  (* the unbuffered Steiner trees of the design: every round
      re-installs its RATs in these, and they stand in for the nets not
      yet buffered, so each net's tree is built once *)
   let steiner =
@@ -54,7 +49,6 @@ let optimize ?(seg_len = 500e-6) ?(kmax = 16) ?(iterations = 2) ?(sizing = false
     optimized_nets = Hashtbl.length touched;
     inserted_buffers = !current.Engine.total_buffers;
     infeasible_nets = !infeasible;
-    resized_gates;
   }
 
 let summary r =

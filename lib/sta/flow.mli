@@ -12,14 +12,12 @@ type report = {
   optimized_nets : int;  (** nets BuffOpt actually ran on *)
   inserted_buffers : int;
   infeasible_nets : int;  (** nets where no noise-feasible solution existed *)
-  resized_gates : int;  (** accepted upsizes when [sizing] was requested *)
 }
 
 val optimize :
   ?seg_len:float ->
   ?kmax:int ->
   ?iterations:int ->
-  ?sizing:bool ->
   Tech.Process.t ->
   lib:Tech.Buffer.t list ->
   Design.t ->
@@ -28,8 +26,6 @@ val optimize :
     times are left untouched; every other net gets the Problem 3
     treatment with RATs taken from the STA's backward pass. Buffering
     shifts every downstream requirement, so the loop re-analyzes and
-    re-optimizes [iterations] times (default 2). [sizing] (default
-    false) first runs {!Sizing.run} to upsize undersized drivers on
-    failing paths. *)
+    re-optimizes [iterations] times (default 2). *)
 
 val summary : report -> string

@@ -32,14 +32,6 @@ let range r lo hi =
 
 let bool r = Int64.logand (bits64 r) 1L = 1L
 
-let gaussian r ~mu ~sigma =
-  let rec nonzero () =
-    let u = float r 1.0 in
-    if u > 0.0 then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = float r 1.0 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
 let choice r a =
   assert (Array.length a > 0);
   a.(int r (Array.length a))

@@ -32,9 +32,6 @@ val range : t -> float -> float -> float
 val bool : t -> bool
 (** Fair coin flip. *)
 
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Box-Muller normal deviate. *)
-
 val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 

@@ -47,13 +47,3 @@ let percentile xs p =
   let hi = Stdlib.min (lo + 1) (n - 1) in
   let frac = rank -. float_of_int lo in
   a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
-
-let histogram ~bounds xs =
-  let bs = Array.of_list bounds in
-  let counts = Array.make (Array.length bs + 1) 0 in
-  let bucket x =
-    let rec go i = if i >= Array.length bs then i else if x <= bs.(i) then i else go (i + 1) in
-    go 0
-  in
-  List.iter (fun x -> let b = bucket x in counts.(b) <- counts.(b) + 1) xs;
-  counts

@@ -28,8 +28,3 @@ val of_list : float list -> t
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]]: linear-interpolated
     percentile of a non-empty list. *)
-
-val histogram : bounds:float list -> float list -> int array
-(** [histogram ~bounds xs] counts samples in the half-open buckets
-    [(-inf, b0], (b0, b1], ..., (bn, +inf)]; the result has
-    [List.length bounds + 1] entries. *)

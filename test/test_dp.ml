@@ -235,6 +235,36 @@ let tests =
         Alcotest.(check bool) "up_to: the 0-buffer front only" true
           (up.Bufins.Dp.by_count.(1) = None && up.Bufins.Dp.by_count.(2) = None
           && at up 0 = [] && up.Bufins.Dp.by_count.(0) <> None));
+    case "a run allocates a few minor words per tree node" (fun () ->
+        (* The tables, their groups, the counters and the scratch all
+           come from the run state and the domain (DESIGN.md §8), so a
+           run's minor words are its set-up and its outcome, plus, in
+           predictive mode, each internal node's slope bound, boxed once
+           for the kernels: 2 words. The figure is deterministic, so each
+           bound sits just above it (9.2, 11.9 and 5.7 words per node on
+           this 870-node net). *)
+        let seg = Rctree.Segment.refine (Fixtures.caterpillar process 200) ~max_len:500e-6 in
+        let nodes = float_of_int (T.node_count seg) in
+        let energy =
+          match (Bufins.Dp.run ~noise:false ~mode:(Bufins.Dp.Up_to 8) ~lib seg).Bufins.Dp.best with
+          | Some r -> r.Bufins.Dp.energy
+          | None -> Alcotest.fail "delay mode always has a solution"
+        in
+        List.iter
+          (fun (name, noise, mode, bound) ->
+            let s = (Bufins.Dp.run ~noise ~mode ~lib seg).Bufins.Dp.stats in
+            let per_node = s.Bufins.Dp.minor_words /. nodes in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %.2f words per node, at most %g" name per_node bound)
+              true (per_node <= bound))
+          [
+            ("delay Up_to 16", false, Bufins.Dp.Up_to 16, 10.0);
+            ("noise Single", true, Bufins.Dp.Single, 12.5);
+            ( "Power_bounded",
+              false,
+              Bufins.Dp.Power_bounded { budget = energy /. 2.0; kmax = 8 },
+              6.5 );
+          ]);
   ]
 
 (* {1 Incremental memo}

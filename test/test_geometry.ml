@@ -25,11 +25,6 @@ let tests =
     case "bbox of empty rejected" (fun () ->
         Alcotest.check_raises "empty" (Invalid_argument "Bbox.of_points: empty") (fun () ->
             ignore (Geometry.Bbox.of_points [])));
-    qcase "expand grows hp by 4*margin" QCheck2.Gen.(pair (list_size (int_range 1 10) point_gen) (int_range 0 100))
-      (fun (pts, m) ->
-        let b = Geometry.Bbox.of_points pts in
-        Geometry.Bbox.half_perimeter (Geometry.Bbox.expand b m)
-        = Geometry.Bbox.half_perimeter b + (4 * m));
   ]
 
 let suites = [ ("geometry", tests) ]

@@ -62,14 +62,6 @@ let rng_tests =
         let r = Util.Rng.create seed in
         let v = Util.Rng.range r lo (lo +. span) in
         v >= lo && v < lo +. span);
-    case "gaussian moments" (fun () ->
-        let r = Util.Rng.create 5 in
-        let s = Util.Stats.create () in
-        for _ = 1 to 20000 do
-          Util.Stats.add s (Util.Rng.gaussian r ~mu:3.0 ~sigma:2.0)
-        done;
-        feq "mean" ~eps:0.1 3.0 (Util.Stats.mean s);
-        feq "sigma" ~eps:0.1 2.0 (Util.Stats.stddev s));
     case "shuffle permutes" (fun () ->
         let r = Util.Rng.create 9 in
         let a = Array.init 50 (fun i -> i) in
@@ -106,9 +98,6 @@ let stats_tests =
         feq "p50" 3.0 (Util.Stats.percentile xs 50.0));
     case "percentile interpolates" (fun () ->
         feq "p25" 1.5 (Util.Stats.percentile [ 1.0; 2.0; 3.0 ] 25.0));
-    case "histogram buckets" (fun () ->
-        let h = Util.Stats.histogram ~bounds:[ 1.0; 2.0 ] [ 0.5; 1.0; 1.5; 2.5; 3.0 ] in
-        Alcotest.(check (array int)) "counts" [| 2; 1; 2 |] h);
     qcase "stddev non-negative" QCheck2.Gen.(list_size (int_range 2 40) (float_range (-1e3) 1e3))
       (fun xs ->
         let s = Util.Stats.of_list xs in
@@ -190,7 +179,7 @@ let group_of rows =
     (Array.concat (List.map (fun r -> [| r.c; r.q; r.i; r.ns; r.p; r.tr |]) rows))
 
 let rows_of (g : Bufins.Flat.group) =
-  List.init (Bufins.Flat.width g) (fun k ->
+  List.init g.Bufins.Flat.n (fun k ->
       let f i = g.Bufins.Flat.a.(g.Bufins.Flat.o + (6 * k) + i) in
       { c = f 0; q = f 1; i = f 2; ns = f 3; p = f 4; tr = f 5 })
 
@@ -225,9 +214,14 @@ let staged_rows (s : Bufins.Flat.t) n =
       let f k = s.Bufins.Flat.xs.(x + k) in
       { c = f 0; q = f 1; i = f 2; ns = f 3; p = f 4; tr = f 5 })
 
-(* a merge's survivors [perm.(0 .. nk-1)], joined *)
-let joined (s : Bufins.Flat.t) ~arena nk =
-  rows_of (Bufins.Flat.write s ~arena ~at:0 ~bufs:[||] (Bufins.Flat.store ()) nk)
+(* the staged rows [perm.(0 .. nk-1)] written out: a merge's survivors
+   joined, stand-ins given their buffer nodes *)
+let written ?(at = 0) ?(bufs = [||]) (s : Bufins.Flat.t) ~arena nk =
+  let g = Bufins.Flat.group () in
+  Bufins.Flat.write s ~arena ~at ~bufs (Bufins.Flat.store ()) nk g;
+  rows_of g
+
+let joined s ~arena nk = written s ~arena nk
 
 (* [walks] as the branch merges take them: walk [w] pairs slot [w] of
    the left side with slot [w] of the right one *)
@@ -283,8 +277,8 @@ let candidate_tests =
               (pair (int_range 0 2) (int_range 0 2)))))
   in
   let s = Fl.create () in
-  let delay n = fst (C.sweep_delay s ~bound:0.0 n) in
-  let full n = fst (C.sweep_full s ~bound:0.0 n) in
+  let delay n = C.sweep_delay s (C.counts ()) ~bound:0.0 n in
+  let full n = C.sweep_full s (C.counts ()) ~bound:0.0 n in
   let power n = C.sweep_power s n in
   (* A delay-mode merge slot: 2-3 walks over swept groups. Loads come on
      three scales — small integers, 1 + k ulp and multiples of 256 — so
@@ -334,14 +328,18 @@ let candidate_tests =
      its counts must add up: every in-budget pairing is generated, and
      all but the survivors are dropped *)
   let merge_power ?(arena = Bufins.Trace.create ()) ?(prune = true) ~budget walks =
-    let ls, rs, ws, nw =
-      sides
-        (List.map (fun (l, r) -> (C.by_slack s (group_of l), C.by_slack s (group_of r))) walks)
+    let lt, rt, ws, nw = sides (List.map (fun (l, r) -> (group_of l, group_of r)) walks) in
+    let order t =
+      let ords = Array.make nw [||] in
+      Array.iteri (fun w g -> C.by_slack s g ords w) t;
+      ords
     in
-    let nk, generated, dropped, _ = C.merge_delay_power s ~budget ~prune ls rs ws nw in
+    let lo = order lt and ro = order rt in
+    let cn = C.counts () in
+    let nk = C.merge_delay_power s cn ~budget ~prune lt lo rt ro ws nw in
     let kept = joined s ~arena nk in
-    if generated - dropped <> List.length kept then Alcotest.fail "merge counts";
-    if (not prune) && dropped <> 0 then Alcotest.fail "an unpruned merge dropped pairings";
+    if cn.C.generated - cn.C.pruned <> List.length kept then Alcotest.fail "merge counts";
+    if (not prune) && cn.C.pruned <> 0 then Alcotest.fail "an unpruned merge dropped pairings";
     kept
   in
   let strip = List.map (fun x -> { x with tr = 0.0 }) in
@@ -371,12 +369,11 @@ let candidate_tests =
         let runs = List.map (fun (l, r) -> Fr.merge2 ~value ~join:(join ~arena) l r) walks in
         let generic, gdrop = Fr.sweep2 ~cost ~value (Fr.merge_sorted cmp_frontier runs) in
         let lt, rt, ws, nw = sides (List.map (fun (l, r) -> (group_of l, group_of r)) walks) in
-        let nk, emitted, dropped, prekilled =
-          C.merge_delay s ~bound:0.0 ~prune:true lt rt ws nw
-        in
+        let cn = C.counts () in
+        let nk = C.merge_delay s cn ~bound:0.0 ~prune:true lt rt ws nw in
         strip generic = strip (joined s ~arena nk)
-        && emitted + prekilled = List.length (List.concat runs)
-        && dropped + prekilled = gdrop);
+        && cn.C.generated + cn.C.skipped = List.length (List.concat runs)
+        && cn.C.pruned + cn.C.skipped = gdrop);
     qcase ~count:80 "pareto_dom on full dominance keeps only the 4D front" gen4 (fun cands ->
         let kept, _ = Fr.pareto_dom ~cmp:cmp_frontier ~cost ~dominates:dominates_full cands in
         List.for_all
@@ -388,7 +385,7 @@ let candidate_tests =
     case "merge adds loads and takes worst slacks" (fun () ->
         let a = mk 1e-15 5e-10 and b = mk 2e-15 3e-10 in
         let lt, rt, ws, nw = sides [ (group_of [ a ], group_of [ b ]) ] in
-        let nk, _, _, _ = C.merge_delay s ~bound:0.0 ~prune:true lt rt ws nw in
+        let nk = C.merge_delay s (C.counts ()) ~bound:0.0 ~prune:true lt rt ws nw in
         match joined s ~arena:(Bufins.Trace.create ()) nk with
         | [ m ] ->
             feq_rel "c" ~eps:1e-12 3e-15 m.c;
@@ -411,11 +408,10 @@ let candidate_tests =
         let g = group_of [ mk 1e-14 1e-9 ] in
         ignore (C.sources s1 ~power:false ~guard:false lib g);
         Fl.reserve s1 ~used:1 1;
-        C.stand_in s1 0 lib 0 g 0 s1.Fl.xs.(1);
+        C.stand_in s1 0 lib s1 0 g;
         let r =
           let arena = Bufins.Trace.create () in
-          rows_of
-            (Fl.write s1 ~arena ~at:3 ~bufs:[| Bufins.Trace.intern arena inv |] (Fl.store ()) 1)
+          written s1 ~arena ~at:3 ~bufs:[| Bufins.Trace.intern arena inv |] 1
         in
         feq_rel "load reset" ~eps:1e-12 inv.Tech.Buffer.c_in (List.hd r).c);
     case "meta packing survives merges of buffered branches" (fun () ->
@@ -448,9 +444,9 @@ let candidate_tests =
     case "wire step matches eq. 2 and eq. 8" (fun () ->
         let w = Rctree.Tree.make_wire ~length:1e-3 ~res:80.0 ~cap:2e-13 ~cur:1e-3 in
         let a = { (mk 10e-15 1e-9) with i = 2e-3; ns = 0.8 } in
-        let n, _, _, _ =
-          C.climb s ~arena:(Bufins.Trace.create ()) ~at:0 ~width:1.0 ~pred:false ~bound:0.0
-            ~noise:false ~drop:false w (group_of [ a ]) 0
+        let n =
+          C.climb s (C.counts ()) ~arena:(Bufins.Trace.create ()) ~at:0 ~width:1.0 ~pred:false
+            ~bound:0.0 ~noise:false ~drop:false w (group_of [ a ]) 0
         in
         match staged_rows s n with
         | [ r ] ->
@@ -596,11 +592,12 @@ let candidate_tests =
              let lt, rt, ws, nw =
                sides (List.map (fun (l, r) -> (group_of l, group_of r)) walks)
              in
-             let nk, generated, dropped, prekilled = C.merge_noise s ~bound lt rt ws nw in
+             let cn = C.counts () in
+             let nk = C.merge_noise s cn ~bound lt rt ws nw in
              strip listed = strip (joined s ~arena nk)
-             && generated + prekilled = List.length pairs
-             && dropped + prekilled = ldrop
-             && (bound > 0.0 || prekilled = 0))
+             && cn.C.generated + cn.C.skipped = List.length pairs
+             && cn.C.pruned + cn.C.skipped = ldrop
+             && (bound > 0.0 || cn.C.skipped = 0))
            [ 0.0; 1e5 ]));
     qcase ~count:200 "insertion's energy order is the stable sort by energy" gen_power
       (fun cands ->
@@ -921,9 +918,9 @@ let candidate_tests =
             let pending = Fl.create () in
             Fl.reserve pending ~used:0 n;
             let size = Bufins.Trace.size arena in
-            List.iteri (fun m (k, j, q) -> C.stand_in pending m plib k g j q) entries;
+            List.iteri (fun m _ -> C.stand_in pending m plib s m g) entries;
             let ix = Array.map (Bufins.Trace.intern arena) bufs in
-            let written = rows_of (Fl.write pending ~arena ~at:7 ~bufs:ix (Fl.store ()) n) in
+            let written = written pending ~arena ~at:7 ~bufs:ix n in
             Alcotest.(check int) "one node per stand-in" (size + n) (Bufins.Trace.size arena);
             List.iteri
               (fun m (k, j, _) ->
@@ -982,10 +979,12 @@ let candidate_tests =
      in
      qcase ~count:2000 "noise-mode climb keeps and counts what the 4D kill rule keeps" gen
        (fun (w, group, bound) ->
-         let n, emitted, prekilled, _ =
-           C.climb s ~arena:(Bufins.Trace.create ()) ~at:0 ~width:1.0 ~pred:true ~bound
+         let cn = C.counts () in
+         let n =
+           C.climb s cn ~arena:(Bufins.Trace.create ()) ~at:0 ~width:1.0 ~pred:true ~bound
              ~noise:true ~drop:false w (group_of group) 0
          in
+         let emitted = cn.C.generated and prekilled = cn.C.skipped in
          let climbed = staged_rows s n in
          let kept, killed =
            List.fold_left
@@ -1041,7 +1040,7 @@ let candidate_tests =
              C.front_clear f;
              List.iter (fun g -> C.front_add f ~noise ~power (group_of g)) fronts;
              let n = Fl.stage s (group_of rows) in
-             let kept = staged_rows s (C.front_drop s f ~noise ~power ~from n) in
+             let kept = staged_rows s (C.front_drop s (C.counts ()) f ~noise ~power ~from n) in
              let expected =
                List.filteri
                  (fun k x ->
